@@ -108,6 +108,47 @@ def sample(params: GraphParams, seed) -> Graph:
     return sample_undirected(params.n, params.d, seed)
 
 
+def _fibre_targets(n: int, d: int, mode: str, order: np.ndarray, columns: bool) -> np.ndarray:
+    """Row t // d lists, for each point t, the fibre it is joined to.
+
+    A vertex's adjacency row counts the fibres its d points are joined
+    to, so two rows are equal exactly when their target multisets are.
+    Columns of the directed model read the inverse permutation; the
+    undirected matrix is symmetric, so its columns are its rows.
+    """
+    order = np.asarray(order)
+    if mode == "directed":
+        if not columns:
+            return (order // d).reshape(n, d)
+        inverse = np.empty_like(order)
+        inverse[order] = np.arange(n * d)
+        return (inverse // d).reshape(n, d)
+    partner = np.empty_like(order)
+    partner[order[0::2]] = order[1::2]
+    partner[order[1::2]] = order[0::2]
+    return (partner // d).reshape(n, d)
+
+
+def _has_repeated_multiset(targets: np.ndarray) -> bool:
+    s = np.sort(targets, axis=1)
+    s = s[np.lexsort(s.T)]
+    return bool((s[1:] == s[:-1]).all(axis=1).any())
+
+
+def has_duplicate_rows(n: int, d: int, mode: str, order: np.ndarray) -> bool:
+    """True iff the sample generated by `order` has two equal adjacency rows.
+
+    Reads the permutation (directed) or pairing (undirected) directly,
+    in O(nd log nd), without building the adjacency matrix.
+    """
+    return _has_repeated_multiset(_fibre_targets(n, d, mode, order, columns=False))
+
+
+def has_duplicate_columns(n: int, d: int, mode: str, order: np.ndarray) -> bool:
+    """True iff the sample generated by `order` has two equal adjacency columns."""
+    return _has_repeated_multiset(_fibre_targets(n, d, mode, order, columns=True))
+
+
 def duplicate_row_detect(g) -> bool:
     """True iff two distinct adjacency rows are equal as integer vectors.
 

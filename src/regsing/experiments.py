@@ -1,15 +1,17 @@
 """Monte Carlo estimation of adjacency-matrix singularity probabilities.
 
 Trials are seeded individually, so tallies are identical for any worker
-count, and integer-mode singularity decisions are exact: a full-rank
-reduction modulo one prime certifies nonsingularity, while deficiency
-escalates through a duplicate row or column certificate, a second
-prime, and finally a fraction-free integer determinant.
+count, and integer-mode singularity decisions are exact: a duplicate
+row or column certifies singularity, a floating-point residual bound or
+a full-rank reduction modulo one prime certifies nonsingularity, and
+only the trials none of these settle pay for a fraction-free integer
+determinant.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -17,17 +19,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from .confmodel import GraphParams, directed_adjacency, undirected_adjacency
+from .confmodel import (
+    GraphParams,
+    directed_adjacency,
+    has_duplicate_columns,
+    has_duplicate_rows,
+    undirected_adjacency,
+)
 from .errors import InvalidParamsError
 from .exactcount import master_sum_directed, master_sum_undirected
-from .gfcore import (
-    NUMPY_PRIME_LIMIT,
-    _rank_mod_numpy_arr,
-    det_integer,
-    is_prime,
-    rank_mod_p,
-    require_prime,
-)
+from .gfcore import certify_nonsingular, det_integer, is_prime, rank_mod_p, require_prime
 
 # 95% two-sided normal quantile
 Z95 = 1.959963984540054
@@ -87,30 +88,23 @@ def wilson_ci(successes: int, trials: int, z: float = Z95) -> tuple[float, float
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def _mc_primes(seed: int) -> tuple[int, int]:
-    """Two random 31-bit primes for the integer-mode fast path.
+def _mc_prime(seed: int) -> int:
+    """A random 31-bit prime for the integer-mode modular rank.
 
     Primes below 2^31 keep the rank reduction inside int64 products; a
-    prime that misses a nonzero determinant only costs an escalation,
+    prime that divides a nonzero determinant only costs an escalation,
     never a wrong answer.
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 1)))
-    primes: list[int] = []
-    while len(primes) < 2:
+    while True:
         cand = int(rng.integers(1 << 30, 1 << 31)) | 1
-        if is_prime(cand) and cand not in primes:
-            primes.append(cand)
-    return primes[0], primes[1]
+        if is_prime(cand):
+            return cand
 
 
-def _has_duplicate_rows(a: np.ndarray) -> bool:
-    return np.unique(a, axis=0).shape[0] < a.shape[0]
-
-
-def _rank_fp(a: np.ndarray, n: int, p: int) -> int:
-    if p < NUMPY_PRIME_LIMIT:
-        return _rank_mod_numpy_arr(np.mod(a, p), p)
-    return rank_mod_p(a.tolist(), p)
+def pool_workers(workers: int, blocks: int, cpus: int) -> int:
+    """Processes worth starting: never more than the blocks or the CPUs."""
+    return max(1, min(workers, blocks, cpus))
 
 
 def _run_block(
@@ -121,8 +115,15 @@ def _run_block(
     seed: int,
     lo: int,
     hi: int,
-    primes: tuple[int, int] | None,
+    prime: int | None,
 ) -> dict[str, int]:
+    """Tally trials lo..hi-1.
+
+    Integer mode settles each trial with the cheapest sound certificate
+    first: a duplicate row or column proves det = 0, the float residual
+    bound proves det != 0, full rank mod `prime` proves det != 0, and
+    only what is left pays for the exact determinant.
+    """
     tally = {
         "singular": 0,
         "kernel_total": 0,
@@ -131,18 +132,15 @@ def _run_block(
         "duplicate_rows": 0,
         "escalations": 0,
     }
+    adjacency = directed_adjacency if mode == "directed" else undirected_adjacency
     for i in range(lo, hi):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0, i)))
         order = rng.permutation(n * d)
-        if mode == "directed":
-            a = directed_adjacency(n, d, order)
-        else:
-            a = undirected_adjacency(n, d, order)
-        dup_rows = _has_duplicate_rows(a)
+        dup_rows = has_duplicate_rows(n, d, mode, order)
         if dup_rows:
             tally["duplicate_rows"] += 1
         if p is not None:
-            rank = _rank_fp(a, n, p)
+            rank = rank_mod_p(adjacency(n, d, order), p)
             kernel = p ** (n - rank) - 1
             tally["kernel_total"] += kernel
             tally["kernel_sq_total"] += kernel * kernel
@@ -151,14 +149,12 @@ def _run_block(
             if rank < n:
                 tally["singular"] += 1
             continue
-        p1, p2 = primes
-        if _rank_fp(a, n, p1) == n:
-            continue
         # a duplicate row or column forces a zero determinant
-        if dup_rows or _has_duplicate_rows(a.T):
+        if dup_rows or has_duplicate_columns(n, d, mode, order):
             tally["singular"] += 1
             continue
-        if _rank_fp(a, n, p2) == n:
+        a = adjacency(n, d, order)
+        if certify_nonsingular(a) or rank_mod_p(a, prime) == n:
             continue
         tally["escalations"] += 1
         if det_integer(a.tolist()) == 0:
@@ -173,21 +169,22 @@ def run_mc(cfg: McConfig) -> McReport:
     so results do not depend on the worker partition.
     """
     start = time.perf_counter()
-    primes = _mc_primes(cfg.seed) if cfg.p is None else None
+    prime = _mc_prime(cfg.seed) if cfg.p is None else None
     blocks: list[tuple[int, int]] = []
     chunk = max(1, -(-cfg.trials // max(4 * cfg.workers, 1)))
     for lo in range(0, cfg.trials, chunk):
         blocks.append((lo, min(lo + chunk, cfg.trials)))
-    if cfg.workers == 1:
+    procs = pool_workers(cfg.workers, len(blocks), os.cpu_count() or 1)
+    if procs == 1:
         tallies = [
-            _run_block(cfg.n, cfg.d, cfg.mode, cfg.p, cfg.seed, lo, hi, primes)
+            _run_block(cfg.n, cfg.d, cfg.mode, cfg.p, cfg.seed, lo, hi, prime)
             for lo, hi in blocks
         ]
     else:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        with ProcessPoolExecutor(max_workers=procs) as pool:
             futures = [
                 pool.submit(
-                    _run_block, cfg.n, cfg.d, cfg.mode, cfg.p, cfg.seed, lo, hi, primes
+                    _run_block, cfg.n, cfg.d, cfg.mode, cfg.p, cfg.seed, lo, hi, prime
                 )
                 for lo, hi in blocks
             ]

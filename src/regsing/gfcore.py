@@ -1,12 +1,14 @@
 """Exact linear algebra over prime fields and over the integers.
 
 Matrices are plain sequences of equal-length rows of Python ints, so
-nothing ever overflows.  Elimination mod p runs on int64 numpy arrays
-when products of two residues fit in a signed 64-bit word (p < 2**31);
+nothing ever overflows; `rank_mod_p` also takes integer numpy arrays
+as they are.  Elimination mod p runs on int64 numpy arrays when
+products of two residues fit in a signed 64-bit word (p < 2**31);
 larger primes fall back to pure-Python arithmetic, which keeps the same
 pivot order.  Integer rank and determinant use fraction-free (Bareiss)
 elimination: every intermediate entry is an exact minor of the input,
-and every division is exact.
+and every division is exact.  `certify_nonsingular` is the one
+floating-point routine, and it only ever proves, never guesses.
 """
 
 from __future__ import annotations
@@ -29,6 +31,10 @@ except ImportError:  # pragma: no cover - optional speedup only
 
 # Products of two residues must fit in int64 for the vectorized path.
 NUMPY_PRIME_LIMIT = 1 << 31
+# Unit roundoff of float64, and the largest magnitude below which every
+# integer is exact in float64.
+_UNIT_ROUNDOFF = 2.0**-53
+_FLOAT_EXACT = 1 << 53
 # Deterministic Miller-Rabin with the witness set below is exact for all
 # n < 3.3e24, far above this cap.
 PRIME_LIMIT = 1 << 63
@@ -87,9 +93,21 @@ def rank_mod_p(matrix: Matrix, p) -> int:
 
     Entries are reduced mod p on entry.  Pivoting picks the first
     nonzero entry in column order, so the pivot sequence is a pure
-    function of the input.
+    function of the input.  An integer ndarray skips the conversion to
+    rows of Python ints when p < 2**31.
     """
     p = require_prime(p)
+    if (
+        isinstance(matrix, np.ndarray)
+        and np.can_cast(matrix.dtype, np.int64)
+        and p < NUMPY_PRIME_LIMIT
+    ):
+        if matrix.ndim != 2:
+            raise ShapeError(f"expected a 2-d matrix, got {matrix.ndim} dimensions")
+        if 0 in matrix.shape:
+            return 0
+        # np.mod returns a fresh array, so the caller's matrix is untouched
+        return _rank_mod_numpy_arr(np.mod(matrix.astype(np.int64, copy=False), p), p)
     rows = _checked_rows(matrix)
     if not rows or not rows[0]:
         return 0
@@ -165,6 +183,42 @@ def kernel_count(matrix: Matrix, p) -> int:
         raise ShapeError(f"kernel counting needs a square matrix, got {n}x{len(rows[0]) if rows else 0}")
     p = require_prime(p)
     return p ** (n - rank_mod_p(rows, p)) - 1
+
+
+def certify_nonsingular(matrix) -> bool:
+    """One-sided floating-point proof that a square integer matrix is nonsingular.
+
+    True proves det != 0; False proves nothing.  With R = inv(A) in
+    float64 and C = fl(RA), every BLAS summation order (with or without
+    FMA) satisfies |C - RA| <= g|R||A| entrywise, g = nu/(1 - nu) and
+    u = 2**-53, so ||I - RA||_inf <= max_i sum_j (|C - I| + g|R||A|)_ij.
+    Below 1 that makes RA, hence A, invertible.  The test asks for 1/2:
+    the slack covers the rounding and any underflow of the check
+    itself.  Entries beyond 2**53, which float64 would round, are never
+    certified.  Rump, "Verification methods", Acta Numerica 2010;
+    Higham, Accuracy and Stability of Numerical Algorithms, ch. 3.
+    """
+    a = np.asarray(matrix)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ShapeError(f"certification needs a square matrix, got shape {a.shape}")
+    n = a.shape[0]
+    if n == 0:
+        return True
+    if a.min() < -_FLOAT_EXACT or a.max() > _FLOAT_EXACT:
+        return False
+    af = a.astype(np.float64)
+    with np.errstate(all="ignore"):
+        try:
+            r = np.linalg.inv(af)
+        except np.linalg.LinAlgError:
+            return False
+        c = r @ af
+        c.flat[:: n + 1] -= 1.0
+        nu = n * _UNIT_ROUNDOFF
+        gamma = nu / (1.0 - nu)
+        # row sums of |R||A| are |R| times the row sums of |A|
+        bound = np.abs(c).sum(axis=1) + gamma * (np.abs(r) @ np.abs(af).sum(axis=1))
+        return bool(bound.max() < 0.5)
 
 
 def _bareiss(rows: list[list[int]]) -> tuple[int, int, int]:

@@ -139,3 +139,35 @@ def test_graph_json_round_trip():
     data = confmodel.graph_to_json(g)
     back = confmodel.graph_from_json(data)
     assert back == g
+
+
+def _repeated_lines(a):
+    return len(np.unique(a, axis=0)) < a.shape[0]
+
+
+@pytest.mark.parametrize("mode", ["directed", "undirected"])
+def test_permutation_duplicate_checks_match_dense_unique(mode):
+    # small n and large d give loops, multi-edges and repeated lines
+    seen = {"row": 0, "col": 0, "loop": 0, "multi": 0}
+    for n, d in ((1, 2), (2, 3), (3, 2), (4, 3), (5, 4), (8, 3), (12, 3), (6, 5)):
+        if mode == "undirected" and (n * d) % 2:
+            continue
+        for seed in range(60):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, n, d)))
+            order = rng.permutation(n * d)
+            if mode == "directed":
+                a = confmodel.directed_adjacency(n, d, order)
+            else:
+                a = confmodel.undirected_adjacency(n, d, order)
+            rows = confmodel.has_duplicate_rows(n, d, mode, order)
+            cols = confmodel.has_duplicate_columns(n, d, mode, order)
+            assert rows == _repeated_lines(a)
+            assert cols == _repeated_lines(a.T)
+            seen["row"] += rows
+            seen["col"] += cols and not rows
+            seen["loop"] += bool(np.trace(a))
+            seen["multi"] += bool((a - np.diag(np.diag(a)) > 1).any())
+    assert seen["row"] and seen["loop"] and seen["multi"]
+    if mode == "directed":
+        # columns are checked independently of rows
+        assert seen["col"]

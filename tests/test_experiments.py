@@ -88,19 +88,36 @@ def test_divisible_degree_always_singular():
 
 
 def test_integer_mode_matches_exact_determinants():
-    cfg = experiments.McConfig(n=12, d=3, mode="directed", trials=300, seed=9)
-    r = experiments.run_mc(cfg)
-    assert r.p is None
-    assert r.mean_kernel_count is None
-    truth = 0
-    dups = 0
-    for i in range(cfg.trials):
-        a = [list(map(int, row)) for row in replay_trial(cfg, i)]
-        truth += int(gfcore.det_integer(a) == 0)
-        dups += int(len(np.unique(np.array(a), axis=0)) < cfg.n)
-    assert r.singular_count == truth
-    assert r.duplicate_rows == dups
-    assert r.duplicate_row_rate == dups / cfg.trials
+    # n=50 directed and the undirected case both reach the exact determinant
+    for n, mode, trials, seed in ((12, "directed", 300, 9), (50, "directed", 150, 3),
+                                  (16, "undirected", 200, 3)):
+        cfg = experiments.McConfig(n=n, d=3, mode=mode, trials=trials, seed=seed)
+        r = experiments.run_mc(cfg)
+        assert r.p is None
+        assert r.mean_kernel_count is None
+        prime = experiments._mc_prime(cfg.seed)
+        truth = 0
+        dups = 0
+        for i in range(cfg.trials):
+            a = [list(map(int, row)) for row in replay_trial(cfg, i)]
+            singular = int(gfcore.det_integer(a) == 0)
+            one = experiments._run_block(n, 3, mode, None, seed, i, i + 1, prime)
+            assert one["singular"] == singular, (n, mode, i)
+            truth += singular
+            dups += int(len(np.unique(np.array(a), axis=0)) < cfg.n)
+        assert r.singular_count == truth
+        assert r.duplicate_rows == dups
+        assert r.duplicate_row_rate == dups / cfg.trials
+        if n > 12:
+            assert r.escalations > 0
+
+
+def test_pool_workers_clamp():
+    assert experiments.pool_workers(1, 4, 8) == 1
+    assert experiments.pool_workers(3, 12, 2) == 2
+    assert experiments.pool_workers(64, 3, 16) == 3
+    assert experiments.pool_workers(10**6, 4 * 10**6, 2) == 2
+    assert experiments.pool_workers(4, 0, 8) == 1
 
 
 def test_undirected_mode_runs_and_replays():

@@ -2,11 +2,12 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regsing import gfcore
+from regsing import confmodel, gfcore
 from regsing.errors import InvalidModulusError, ShapeError
 
 SMALL_PRIMES = (2, 3, 5, 7, 31, 97)
@@ -145,7 +146,14 @@ def test_kernel_count_square_only():
 @settings(max_examples=120, deadline=None)
 @given(matrices, st.sampled_from(SMALL_PRIMES))
 def test_rank_mod_p_matches_oracle(rows, p):
-    assert gfcore.rank_mod_p(rows, p) == rank_oracle_mod_p(rows, p)
+    want = rank_oracle_mod_p(rows, p)
+    assert gfcore.rank_mod_p(rows, p) == want
+    # the ndarray path skips the row-list conversion, with the same pivots
+    arr = np.array(rows, dtype=np.int64)
+    assert gfcore.rank_mod_p(arr, p) == want
+    assert gfcore.rank_mod_p(arr.astype(np.int8), p) == want
+    assert gfcore.rank_mod_p(arr, M61) == gfcore.rank_mod_p(rows, M61)
+    assert arr.tolist() == rows
 
 
 @settings(max_examples=60, deadline=None)
@@ -205,3 +213,68 @@ def test_matrix_json_round_trip_big_entries():
     encoded = gfcore.matrix_to_json(m)
     assert encoded[0][0] == str(10**30)
     assert gfcore.matrix_from_json(encoded) == m
+
+
+def test_rank_mod_p_ndarray_shapes():
+    assert gfcore.rank_mod_p(np.zeros((0, 3), dtype=np.int64), 5) == 0
+    assert gfcore.rank_mod_p(np.zeros((2, 0), dtype=np.int64), 5) == 0
+    with pytest.raises(ShapeError):
+        gfcore.rank_mod_p(np.arange(3), 5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_matrices)
+def test_certify_nonsingular_never_certifies_a_zero_determinant(rows):
+    if gfcore.certify_nonsingular(rows):
+        assert gfcore.det_integer(rows) != 0
+    assert gfcore.certify_nonsingular(np.array(rows)) == gfcore.certify_nonsingular(rows)
+
+
+@pytest.mark.parametrize("n", [12, 50])
+@pytest.mark.parametrize("mode", ["directed", "undirected"])
+def test_certify_nonsingular_on_trial_matrices(n, mode):
+    certified = nonsingular = 0
+    for seed in range(40):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0, n)))
+        order = rng.permutation(n * 3)
+        if mode == "directed":
+            a = confmodel.directed_adjacency(n, 3, order)
+        else:
+            a = confmodel.undirected_adjacency(n, 3, order)
+        det = gfcore.det_integer(a.tolist())
+        nonsingular += det != 0
+        if gfcore.certify_nonsingular(a):
+            certified += 1
+            assert det != 0
+    # the certificate must settle the bulk of the nonsingular samples
+    assert nonsingular >= 10
+    assert certified >= 0.9 * nonsingular
+
+
+def test_certify_nonsingular_rejects_singular_matrix_without_repeated_rows():
+    # r0 + r1 = r2 + r3, and all rows distinct
+    a = [
+        [1, 1, 0, 0, 1],
+        [0, 0, 1, 1, 0],
+        [1, 0, 1, 0, 0],
+        [0, 1, 0, 1, 1],
+        [1, 0, 0, 0, 1],
+    ]
+    assert len({tuple(r) for r in a}) == 5
+    assert gfcore.det_integer(a) == 0
+    assert not gfcore.certify_nonsingular(a)
+    assert not gfcore.certify_nonsingular(np.array(a))
+
+
+def test_certify_nonsingular_falls_through_when_ill_conditioned():
+    # det = 1, but the condition number is about 4e16 > 1/u
+    m = 10**8
+    a = [[m, m + 1], [m - 1, m]]
+    assert gfcore.det_integer(a) == 1
+    assert not gfcore.certify_nonsingular(a)
+    # entries float64 cannot hold exactly are never certified
+    assert not gfcore.certify_nonsingular([[2**60 + 1, 0], [0, 1]])
+    assert gfcore.certify_nonsingular([[2, 1], [1, 1]])
+    assert gfcore.certify_nonsingular(np.zeros((0, 0), dtype=np.int64))
+    with pytest.raises(ShapeError):
+        gfcore.certify_nonsingular([[1, 2, 3], [4, 5, 6]])
