@@ -23,7 +23,7 @@ from scipy.stats import chi2
 
 from .errors import CostGuardError, DomainError, ShapeError
 from .exactcount import class_signatures, class_term_directed, validate_signature
-from .walkdist import SupportTable, build_support, walk_tables
+from .walkdist import build_support, char_fn, walk_tables
 
 TWO_PI = 2.0 * math.pi
 
@@ -113,18 +113,6 @@ def _tube_mask(
     return mask
 
 
-def _abs_cf(points: np.ndarray, support: SupportTable) -> np.ndarray:
-    """|phi(t)| for each row t of points.
-
-    Centering the step multiplies phi by a unit phase, so the magnitude
-    of the centered and raw functions coincide.
-    """
-    atoms = np.array([u for u, _ in support.atoms], dtype=float)
-    mults = np.array([m for _, m in support.atoms], dtype=float)
-    weights = mults / float(support.total)
-    return np.abs(np.exp(1j * points @ atoms.T) @ weights)
-
-
 @dataclass(frozen=True)
 class CfScanReport:
     d: int
@@ -183,7 +171,9 @@ def cf_scan(
         outside = ~_tube_mask(pts, p, delta, o)
         if not outside.any():
             continue
-        vals = _abs_cf(pts[outside], support)
+        # centering the step only multiplies phi by a unit phase, so the
+        # raw step's |phi| is the centered one's
+        vals = np.abs(char_fn(support, pts[outside]))
         n_outside += int(outside.sum())
         near_one_outside += int((vals > 1.0 - NEAR_ONE_EPS).sum())
         top = int(np.argmax(vals))
@@ -255,17 +245,6 @@ def restricted_master_directed(n: int, d: int, p: int, b: float) -> Fraction:
     total = Fraction(0)
     for sig in near_uniform_classes(n, p, b):
         total += class_term_directed(sig, d, p, tables=tables)
-    return total
-
-
-def lclt_total_directed(n: int, d: int, p: int, b: float) -> float:
-    """Local-limit approximation of the near-uniform master total:
-    the sum of per-class approximants over applicable classes."""
-    total = 0.0
-    for sig in near_uniform_classes(n, p, b):
-        val = lclt_directed(sig, d, p)
-        if val.applicable:
-            total += val.value
     return total
 
 

@@ -1,10 +1,13 @@
 """Ground-truth enumeration of the entire model at tiny sizes.
 
 The directed model is every permutation of the nd points; the
-undirected model is every perfect pairing.  These streams are the
-oracles that certify the per-class counting identities: for each vector
-v over F_p, tally the outcomes whose adjacency kills v, then compare
-with the closed-form counts, class by class and vector by vector.
+undirected model is every perfect pairing.  One outcome stream walks
+either model, after the enumeration budget and the parity of nd are
+checked, and `adjacency_census` tallies it by adjacency matrix.  That
+census is the oracle that certifies the per-class counting identities:
+for each vector v over F_p, tally the outcomes whose adjacency kills v,
+then compare with the closed-form counts, class by class and vector by
+vector.
 
 A second, independent directed oracle enumerates adjacency matrices
 with all row and column sums d directly and weights each by the number
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -25,7 +29,6 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import exactcount
-from .confmodel import Graph, GraphParams
 from .errors import BudgetExceededError, InvalidParamsError
 from .walkdist import compositions, phi
 
@@ -37,29 +40,6 @@ class OracleBudget:
 
 
 DEFAULT_BUDGET = OracleBudget()
-
-
-def _check_budget(n: int, d: int, mode: str, budget: OracleBudget) -> None:
-    points = n * d
-    cap = budget.max_points_directed if mode == "directed" else budget.max_points_undirected
-    if points > cap:
-        raise BudgetExceededError(
-            f"{mode} enumeration needs nd <= {cap}, got nd = {points}; "
-            f"pass a larger OracleBudget to force"
-        )
-
-
-def enumerate_directed(n: int, d: int, budget: OracleBudget = DEFAULT_BUDGET) -> Iterator[Graph]:
-    """Stream all (nd)! directed outcomes, lexicographic by permutation."""
-    _check_budget(n, d, "directed", budget)
-    params = GraphParams(n=n, d=d, mode="directed")
-    nd = n * d
-    fiber = [t // d for t in range(nd)]
-    for perm in itertools.permutations(range(nd)):
-        a = [[0] * n for _ in range(n)]
-        for t in range(nd):
-            a[fiber[t]][fiber[perm[t]]] += 1
-        yield Graph(params=params, adjacency=tuple(map(tuple, a)), witness=perm)
 
 
 def all_pairings(items: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -77,58 +57,53 @@ def all_pairings(items: Sequence[int]) -> Iterator[tuple[int, ...]]:
             yield (first, partner) + tail
 
 
-def enumerate_undirected(n: int, d: int, budget: OracleBudget = DEFAULT_BUDGET) -> Iterator[Graph]:
-    """Stream all (nd-1)!! pairings of the nd points."""
-    if (n * d) % 2:
-        raise InvalidParamsError(f"pairings need an even point count, got nd = {n * d}")
-    _check_budget(n, d, "undirected", budget)
-    params = GraphParams(n=n, d=d, mode="undirected")
-    for order in all_pairings(range(n * d)):
-        a = [[0] * n for _ in range(n)]
-        for t in range(0, len(order), 2):
-            u, v = order[t] // d, order[t + 1] // d
-            a[u][v] += 1
-            a[v][u] += 1
-        yield Graph(params=params, adjacency=tuple(map(tuple, a)), witness=order)
+def _outcomes(
+    n: int, d: int, mode: str, budget: OracleBudget
+) -> Iterator[tuple[tuple[int, ...], bytearray]]:
+    """Every outcome of the model as (witness, row-major n*n adjacency).
 
-
-def adjacency_census_directed(
-    n: int, d: int, budget: OracleBudget = DEFAULT_BUDGET
-) -> dict[tuple[tuple[int, ...], ...], int]:
-    """Tally of adjacency matrices over all permutations of the points."""
-    _check_budget(n, d, "directed", budget)
+    The witness is the permutation of the nd points (directed, in
+    lexicographic order) or the flattened pairing (undirected, in the
+    order of `all_pairings`).  Undirected loops count twice on the
+    diagonal.
+    """
     nd = n * d
+    if mode == "directed":
+        cap = budget.max_points_directed
+    elif mode == "undirected":
+        if nd % 2:
+            raise InvalidParamsError(f"pairings need an even point count, got nd = {nd}")
+        cap = budget.max_points_undirected
+    else:
+        raise InvalidParamsError(f"mode must be directed|undirected, got {mode!r}")
+    if nd > cap:
+        raise BudgetExceededError(
+            f"{mode} enumeration needs nd <= {cap}, got nd = {nd}; "
+            f"pass a larger OracleBudget to force"
+        )
     fiber = [t // d for t in range(nd)]
-    census: dict[bytes, int] = {}
-    flat = bytearray(n * n)
-    for perm in itertools.permutations(range(nd)):
-        for i in range(n * n):
-            flat[i] = 0
-        for t in range(nd):
-            flat[fiber[t] * n + fiber[perm[t]]] += 1
-        key = bytes(flat)
-        census[key] = census.get(key, 0) + 1
-    return {_unflatten(k, n): c for k, c in census.items()}
+    if mode == "directed":
+        rows = [f * n for f in fiber]
+        for perm in itertools.permutations(range(nd)):
+            flat = bytearray(n * n)
+            for r, q in zip(rows, perm):
+                flat[r + fiber[q]] += 1
+            yield perm, flat
+    else:
+        for order in all_pairings(range(nd)):
+            flat = bytearray(n * n)
+            for t in range(0, nd, 2):
+                u, v = fiber[order[t]], fiber[order[t + 1]]
+                flat[u * n + v] += 1
+                flat[v * n + u] += 1
+            yield order, flat
 
 
-def adjacency_census_undirected(
-    n: int, d: int, budget: OracleBudget = DEFAULT_BUDGET
+def adjacency_census(
+    n: int, d: int, mode: str, budget: OracleBudget = DEFAULT_BUDGET
 ) -> dict[tuple[tuple[int, ...], ...], int]:
-    """Tally of adjacency matrices over all pairings of the points."""
-    if (n * d) % 2:
-        raise InvalidParamsError(f"pairings need an even point count, got nd = {n * d}")
-    _check_budget(n, d, "undirected", budget)
-    census: dict[bytes, int] = {}
-    flat = bytearray(n * n)
-    for order in all_pairings(range(n * d)):
-        for i in range(n * n):
-            flat[i] = 0
-        for t in range(0, len(order), 2):
-            u, v = order[t] // d, order[t + 1] // d
-            flat[u * n + v] += 1
-            flat[v * n + u] += 1
-        key = bytes(flat)
-        census[key] = census.get(key, 0) + 1
+    """Tally of adjacency matrices over every outcome of the model."""
+    census = Counter(bytes(flat) for _, flat in _outcomes(n, d, mode, budget))
     return {_unflatten(k, n): c for k, c in census.items()}
 
 
@@ -210,18 +185,15 @@ def certify_identities(
     the closed-form class counts; also checks that the tally is constant
     within each class and that the brute master sum matches."""
     report = CertificationReport(n=n, d=d, p=p, mode=mode)
+    census = adjacency_census(n, d, mode, budget)
     if mode == "directed":
-        census = adjacency_census_directed(n, d, budget)
         count_fn = exactcount.count_graphs_directed
         model_size = exactcount.model_size_directed(n, d)
         report.master_exact = exactcount.master_sum_directed(n, d, p)
-    elif mode == "undirected":
-        census = adjacency_census_undirected(n, d, budget)
+    else:
         count_fn = exactcount.count_graphs_undirected
         model_size = exactcount.model_size_undirected(n, d)
         report.master_exact = exactcount.master_sum_undirected(n, d, p)
-    else:
-        raise InvalidParamsError(f"mode must be directed|undirected, got {mode!r}")
 
     tallies = _vector_tallies(census, n, p)
     by_class: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}

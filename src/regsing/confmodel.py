@@ -149,22 +149,6 @@ def has_duplicate_columns(n: int, d: int, mode: str, order: np.ndarray) -> bool:
     return _has_repeated_multiset(_fibre_targets(n, d, mode, order, columns=True))
 
 
-def duplicate_row_detect(g) -> bool:
-    """True iff two distinct adjacency rows are equal as integer vectors.
-
-    A sufficient certificate of singularity over the rationals (the
-    difference of the two vertex rows is in the left kernel).
-    """
-    rows = g.adjacency if isinstance(g, Graph) else g
-    seen = set()
-    for row in rows:
-        key = tuple(int(x) for x in row)
-        if key in seen:
-            return True
-        seen.add(key)
-    return False
-
-
 def graph_to_json(g: Graph) -> dict:
     return {
         "n": g.params.n,

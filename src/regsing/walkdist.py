@@ -50,7 +50,6 @@ class LatticeDistribution:
     p: int
     n: int
     table: dict[tuple[int, ...], int]
-    exact: bool = True
 
 
 def phi(vector: Sequence[int], p) -> tuple[int, ...]:
@@ -92,39 +91,60 @@ def build_support(d: int, p) -> SupportTable:
     return SupportTable(d=d, p=p, atoms=tuple(atoms))
 
 
+def _moments(pairs, p: int) -> MomentData:
+    """Exact mean and covariance of a law given as (vector, count) pairs.
+
+    Sums count*m_j and count*m_j*m_k as integers and divides once by the
+    total count.
+    """
+    total = 0
+    first = [0] * p
+    second = [[0] * p for _ in range(p)]
+    for m, cnt in pairs:
+        total += cnt
+        for j in range(p):
+            if m[j]:
+                w = cnt * m[j]
+                first[j] += w
+                row = second[j]
+                for k in range(p):
+                    if m[k]:
+                        row[k] += w * m[k]
+    mean = tuple(Fraction(x, total) for x in first)
+    cov = tuple(
+        tuple(Fraction(second[j][k], total) - mean[j] * mean[k] for k in range(p))
+        for j in range(p)
+    )
+    return MomentData(mean=mean, cov=cov)
+
+
 def moments(s: SupportTable) -> MomentData:
     """Exact rational mean vector and covariance matrix of one step."""
-    total = s.total
-    mean = [Fraction(0)] * s.p
-    raw2 = [[Fraction(0)] * s.p for _ in range(s.p)]
-    for u, mult in s.atoms:
-        for j in range(s.p):
-            if u[j]:
-                mean[j] += Fraction(mult * u[j], total)
-                for k in range(s.p):
-                    if u[k]:
-                        raw2[j][k] += Fraction(mult * u[j] * u[k], total)
-    cov = tuple(
-        tuple(raw2[j][k] - mean[j] * mean[k] for k in range(s.p)) for j in range(s.p)
-    )
-    return MomentData(mean=tuple(mean), cov=cov)
+    return _moments(s.atoms, s.p)
 
 
-def char_fn(s: SupportTable, t: Sequence[float]) -> complex:
-    """Characteristic function E[exp(i<t, X>)] of one step."""
+def char_fn(s: SupportTable, t) -> complex | np.ndarray:
+    """Characteristic function E[exp(i<t, X>)] of one step.
+
+    `t` is one point of shape (p,), giving a complex number, or k points
+    as the rows of a (k, p) array, giving a complex array of length k.
+    """
     t = np.asarray(t, dtype=float)
-    if t.shape != (s.p,):
-        raise ShapeError(f"t must have length {s.p}")
-    u = np.array([a for a, _ in s.atoms], dtype=float)
-    w = np.array([m for _, m in s.atoms], dtype=float)
-    return complex(np.sum(w * np.exp(1j * (u @ t))) / s.total)
+    if t.shape[-1:] != (s.p,) or t.ndim > 2:
+        raise ShapeError(f"t must have shape ({s.p},) or (k, {s.p}), got {t.shape}")
+    atoms = np.array([u for u, _ in s.atoms], dtype=float)
+    mults = np.array([m for _, m in s.atoms], dtype=float)
+    phi_t = np.exp(1j * t @ atoms.T) @ (mults / float(s.total))
+    return complex(phi_t) if t.ndim == 1 else phi_t
 
 
-def char_fn_centered(s: SupportTable, t: Sequence[float]) -> complex:
-    """Characteristic function of the mean-centered step X - (d/p)*ones."""
+def char_fn_centered(s: SupportTable, t) -> complex | np.ndarray:
+    """Characteristic function of the mean-centered step X - (d/p)*ones,
+    with the same shape rule as `char_fn`."""
     t = np.asarray(t, dtype=float)
-    mu = s.d / s.p
-    return complex(np.exp(-1j * mu * float(t.sum())) * char_fn(s, t))
+    phi_t = char_fn(s, t)
+    shifted = np.exp(-1j * (s.d / s.p) * t.sum(axis=-1)) * phi_t
+    return complex(shifted) if t.ndim == 1 else shifted
 
 
 def walk_tables(s: SupportTable, n: int) -> list[dict[tuple[int, ...], int]]:
@@ -148,69 +168,22 @@ def walk_tables(s: SupportTable, n: int) -> list[dict[tuple[int, ...], int]]:
     return tables
 
 
-def walk_distribution(s: SupportTable, n: int, exact: bool = True) -> LatticeDistribution:
-    """The n-step endpoint law.
-
-    exact=True (default) gives big-integer counts.  exact=False stores
-    natural-log counts as floats, a lossy mode for n far beyond exact
-    reach; the result is flagged by its `exact` field.
-    """
-    if exact:
-        return LatticeDistribution(d=s.d, p=s.p, n=n, table=walk_tables(s, n)[-1])
-    if n < 0:
-        raise DomainError(f"step count must be >= 0, got {n}")
-    zero = (0,) * s.p
-    log_table: dict[tuple[int, ...], float] = {zero: 0.0}
-    log_mults = [(u, math.log(mult)) for u, mult in s.atoms]
-    for _ in range(n):
-        nxt: dict[tuple[int, ...], float] = {}
-        for m, lc in log_table.items():
-            for u, lm in log_mults:
-                key = tuple(a + b for a, b in zip(m, u))
-                v = lc + lm
-                if key in nxt:
-                    nxt[key] = np.logaddexp(nxt[key], v)
-                else:
-                    nxt[key] = v
-        log_table = nxt
-    return LatticeDistribution(d=s.d, p=s.p, n=n, table=log_table, exact=False)
+def walk_distribution(s: SupportTable, n: int) -> LatticeDistribution:
+    """The n-step endpoint law, with exact big-integer counts (the last
+    table of `walk_tables`)."""
+    return LatticeDistribution(d=s.d, p=s.p, n=n, table=walk_tables(s, n)[-1])
 
 
 def table_moments(dist: LatticeDistribution) -> MomentData:
-    """Exact rational mean/covariance of an exact endpoint table."""
-    if not dist.exact:
-        raise DomainError("moments of a log-space table are not exact; build with exact=True")
-    total = sum(dist.table.values())
-    p = dist.p
-    mean = [Fraction(0)] * p
-    raw2 = [[Fraction(0)] * p for _ in range(p)]
-    for m, cnt in dist.table.items():
-        for j in range(p):
-            if m[j]:
-                mean[j] += Fraction(cnt * m[j], total)
-                for k in range(p):
-                    if m[k]:
-                        raw2[j][k] += Fraction(cnt * m[j] * m[k], total)
-    cov = tuple(
-        tuple(raw2[j][k] - mean[j] * mean[k] for k in range(p)) for j in range(p)
-    )
-    return MomentData(mean=tuple(mean), cov=cov)
+    """Exact rational mean/covariance of an endpoint table."""
+    return _moments(dist.table.items(), dist.p)
 
 
 def distribution_to_json(dist: LatticeDistribution) -> dict:
-    entries = [
-        {"m": list(m), "count": str(c) if dist.exact else float(c)}
-        for m, c in sorted(dist.table.items())
-    ]
-    return {"n": dist.n, "d": dist.d, "p": dist.p, "exact": dist.exact, "entries": entries}
+    entries = [{"m": list(m), "count": str(c)} for m, c in sorted(dist.table.items())]
+    return {"n": dist.n, "d": dist.d, "p": dist.p, "entries": entries}
 
 
 def distribution_from_json(data: dict) -> LatticeDistribution:
-    exact = bool(data.get("exact", True))
-    table = {
-        tuple(int(x) for x in e["m"]): int(e["count"]) if exact else float(e["count"])
-        for e in data["entries"]
-    }
-    return LatticeDistribution(
-        d=int(data["d"]), p=int(data["p"]), n=int(data["n"]), table=table, exact=exact
-    )
+    table = {tuple(int(x) for x in e["m"]): int(e["count"]) for e in data["entries"]}
+    return LatticeDistribution(d=int(data["d"]), p=int(data["p"]), n=int(data["n"]), table=table)

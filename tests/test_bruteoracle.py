@@ -19,48 +19,51 @@ def test_all_pairings_counts():
 
 
 def test_enumerate_directed_complete():
-    graphs = list(bruteoracle.enumerate_directed(2, 2))
-    assert len(graphs) == math.factorial(4)
-    for g in graphs:
-        a = g.adjacency
-        assert all(sum(row) == 2 for row in a)
-        assert all(sum(a[i][j] for i in range(2)) == 2 for j in range(2))
+    for n, d in [(2, 2), (3, 2), (2, 3)]:
+        census = bruteoracle.adjacency_census(n, d, "directed")
+        assert sum(census.values()) == exactcount.model_size_directed(n, d)
+        for a in census:
+            assert all(sum(row) == d for row in a)
+            assert all(sum(a[i][j] for i in range(n)) == d for j in range(n))
 
 
 def test_enumerate_undirected_complete():
-    graphs = list(bruteoracle.enumerate_undirected(2, 3))
-    assert len(graphs) == 15
-    for g in graphs:
-        a = g.adjacency
-        assert a[0][1] == a[1][0]
-        assert a[0][0] % 2 == 0 and a[1][1] % 2 == 0
-        assert sum(a[0]) == 3
+    for n, d in [(2, 3), (3, 2), (4, 3)]:
+        census = bruteoracle.adjacency_census(n, d, "undirected")
+        assert sum(census.values()) == exactcount.model_size_undirected(n, d)
+        for a in census:
+            assert all(a[i][j] == a[j][i] for i in range(n) for j in range(n))
+            assert all(a[i][i] % 2 == 0 for i in range(n))
+            assert all(sum(row) == d for row in a)
 
 
 def test_directed_census_anchor():
-    census = bruteoracle.adjacency_census_directed(2, 3)
+    census = bruteoracle.adjacency_census(2, 3, "directed")
     assert census[((3, 0), (0, 3))] == 36
     assert census[((2, 1), (1, 2))] == 324
     assert sum(census.values()) == math.factorial(6)
 
 
 def test_matrix_census_agrees_with_permutation_census():
-    assert bruteoracle.matrix_census_directed(2, 3) == bruteoracle.adjacency_census_directed(2, 3)
-    assert bruteoracle.matrix_census_directed(3, 2) == bruteoracle.adjacency_census_directed(3, 2)
+    assert bruteoracle.matrix_census_directed(2, 3) == bruteoracle.adjacency_census(2, 3, "directed")
+    assert bruteoracle.matrix_census_directed(3, 2) == bruteoracle.adjacency_census(3, 2, "directed")
 
 
 def test_budget_checks():
+    census = bruteoracle.adjacency_census
     with pytest.raises(BudgetExceededError):
-        list(bruteoracle.enumerate_directed(4, 3))
+        census(4, 3, "directed")
     with pytest.raises(BudgetExceededError):
-        list(bruteoracle.enumerate_undirected(6, 3))
+        census(6, 3, "undirected")
     with pytest.raises(InvalidParamsError):
-        list(bruteoracle.enumerate_undirected(3, 3))
+        census(3, 3, "undirected")
     tight = bruteoracle.OracleBudget(max_points_directed=3, max_points_undirected=3)
     with pytest.raises(BudgetExceededError):
-        list(bruteoracle.enumerate_directed(2, 2, budget=tight))
+        census(2, 2, "directed", budget=tight)
+    with pytest.raises(BudgetExceededError):
+        census(2, 2, "undirected", budget=tight)
     roomy = bruteoracle.OracleBudget(max_points_directed=4)
-    assert len(list(bruteoracle.enumerate_directed(2, 2, budget=roomy))) == 24
+    assert sum(census(2, 2, "directed", budget=roomy).values()) == 24
 
 
 @pytest.mark.parametrize(

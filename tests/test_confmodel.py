@@ -126,7 +126,7 @@ def test_duplicate_row_detect_agrees_with_numpy_and_implies_singularity():
         g = confmodel.sample_directed(30, 3, seed=seed)
         a = np.array(g.adjacency)
         has_dup = len(np.unique(a, axis=0)) < a.shape[0]
-        assert confmodel.duplicate_row_detect(g) == has_dup
+        assert confmodel.has_duplicate_rows(30, 3, "directed", np.array(g.witness)) == has_dup
         if has_dup:
             checked += 1
             assert gfcore.rank_integer(g.adjacency) < 30

@@ -117,7 +117,7 @@ def test_pairing_matrix_enumeration_matches_scan(sig, d, p):
 def test_pairing_matrix_weight_and_census():
     # weights times fiber multinomials reproduce the pairing census on
     # two vertices of degree 3
-    census = bruteoracle.adjacency_census_undirected(2, 3)
+    census = bruteoracle.adjacency_census(2, 3, "undirected")
     loopy = ((2, 1), (1, 2))
     crossing = ((0, 3), (3, 0))
     assert census[loopy] == 9

@@ -117,6 +117,12 @@ def test_char_fn_values_and_shape_check():
     assert walkdist.char_fn(s, (0.0, math.pi)) == pytest.approx(1.0)
     with pytest.raises(ShapeError):
         walkdist.char_fn(s, (0.0, 0.0, 0.0))
+    # k points as rows give the k single-point values
+    pts = np.random.default_rng(2).uniform(-7, 7, size=(9, 2))
+    stacked = np.array([walkdist.char_fn(s, t) for t in pts])
+    assert np.abs(walkdist.char_fn(s, pts) - stacked).max() <= 1e-15
+    with pytest.raises(ShapeError):
+        walkdist.char_fn(s, np.zeros((9, 3)))
 
 
 def test_char_fn_centered_same_modulus():
@@ -127,6 +133,10 @@ def test_char_fn_centered_same_modulus():
         a = walkdist.char_fn(s, t)
         b = walkdist.char_fn_centered(s, t)
         assert abs(a) == pytest.approx(abs(b), abs=1e-14)
+    pts = rng.uniform(-7, 7, size=(20, 3))
+    centered = walkdist.char_fn_centered(s, pts)
+    assert centered.shape == (20,)
+    assert np.abs(np.abs(centered) - np.abs(walkdist.char_fn(s, pts))).max() <= 1e-14
 
 
 def brute_two_step_table(s):
@@ -180,18 +190,6 @@ def test_char_fn_power_matches_table_transform():
             c * np.exp(1j * np.dot(t, m)) for m, c in dist.table.items()
         ) / total
         assert via_power == pytest.approx(via_table, abs=1e-12)
-
-
-def test_log_mode_tracks_exact_counts():
-    s = walkdist.build_support(3, 2)
-    exact = walkdist.walk_distribution(s, 12)
-    logd = walkdist.walk_distribution(s, 12, exact=False)
-    assert not logd.exact
-    assert set(logd.table) == set(exact.table)
-    for m, c in exact.table.items():
-        assert logd.table[m] == pytest.approx(math.log(c), rel=1e-12)
-    with pytest.raises(DomainError):
-        walkdist.table_moments(logd)
 
 
 def test_distribution_json_round_trip():
