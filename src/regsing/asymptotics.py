@@ -330,6 +330,15 @@ def rate_directed_opt(
     bound.  Classes with empty symbols push the infimum to infinity;
     those carry the boundary flag and typically report the explicit
     bound.
+
+    Convergence means ||grad|| <= grad_tol.  When the Newton decrement
+    -<grad, step> is below the rounding of the objective f, 4 eps
+    max(1, |f|), Armijo backtracking cannot see any decrease, so the
+    full Newton step is taken unchecked.  If d frak_n lies in the hull
+    of the step atoms a with weights w_a, Jensen gives f >= min log w_a
+    at every tilt; once f drops one below that floor, d frak_n is
+    proven to lie outside the hull, no walk realizes the class, and the
+    value is exactly -inf with converged=False.
     """
     nu = _check_simplex(frak_n, p)
     support = build_support(d, p)
@@ -344,6 +353,8 @@ def rate_directed_opt(
 
     z = np.zeros(p - 1)
     f = objective(z)
+    jensen_floor = float(log_w.min()) - 1.0
+    eps = np.finfo(float).eps
     converged = False
     for _ in range(max_iter):
         t = np.concatenate(([0.0], z))
@@ -358,17 +369,25 @@ def rate_directed_opt(
         cov = centered.T @ (q[:, None] * centered)
         hess = cov[1:, 1:] + 1e-12 * np.eye(p - 1)
         step = -np.linalg.solve(hess, grad)
-        # Armijo backtracking keeps the Newton step inside the region
-        # where the quadratic model is trusted
-        scale = 1.0
-        while scale > 1e-12:
-            cand = z + scale * step
-            f_cand = objective(cand)
-            if f_cand <= f + 1e-4 * scale * float(grad @ step):
-                z, f = cand, f_cand
-                break
-            scale /= 2.0
+        decrement = -float(grad @ step)
+        if decrement <= 4 * eps * max(1.0, abs(f)):
+            z = z + step
+            f = objective(z)
         else:
+            # Armijo backtracking keeps the Newton step inside the region
+            # where the quadratic model is trusted
+            scale = 1.0
+            while scale > 1e-12:
+                cand = z + scale * step
+                f_cand = objective(cand)
+                if f_cand <= f - 1e-4 * scale * decrement:
+                    z, f = cand, f_cand
+                    break
+                scale /= 2.0
+            else:
+                break
+        if f < jensen_floor:
+            f = -math.inf
             break
     entropy = sum(float(n_k) * math.log(n_k) for n_k in nu if n_k > 0.0)
     assembled = (d - 1) * math.log(p) + (d - 1) * entropy + f

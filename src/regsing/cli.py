@@ -18,7 +18,14 @@ import sys
 from fractions import Fraction
 
 from . import asymptotics, bruteoracle, confmodel, exactcount, experiments, gfcore
-from .errors import BudgetExceededError, CostGuardError
+from .errors import (
+    BudgetExceededError,
+    CostGuardError,
+    DomainError,
+    InvalidModulusError,
+    InvalidParamsError,
+    ShapeError,
+)
 
 CSV_COLUMNS = (
     "n",
@@ -56,15 +63,15 @@ def _parse_float_list(text: str) -> list[float]:
 def _parse_step(text: str) -> float:
     """Grid steps come as plain floats or as '2pi/K'."""
     cleaned = text.strip().lower().replace(" ", "")
-    if cleaned.startswith("2pi/"):
-        try:
-            return 2.0 * math.pi / int(cleaned[4:])
-        except (ValueError, ZeroDivisionError) as exc:
-            raise argparse.ArgumentTypeError(f"bad grid step: {text!r}") from exc
     try:
-        return float(cleaned)
-    except ValueError as exc:
+        if cleaned.startswith("2pi/"):
+            return 2.0 * math.pi / int(cleaned[4:])
+        step = float(cleaned)
+    except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"bad grid step: {text!r}") from exc
+    if not math.isfinite(step):
+        raise argparse.ArgumentTypeError(f"bad grid step: {text!r}")
+    return step
 
 
 def _default_workers() -> int:
@@ -79,6 +86,8 @@ def _ensure_seed(args) -> int:
     if args.seed is None:
         args.seed = secrets.randbits(63)
         print(f"generated seed: {args.seed}", file=sys.stderr)
+    elif args.seed < 0:
+        raise DomainError(f"--seed must be nonnegative, got {args.seed}")
     return args.seed
 
 
@@ -149,11 +158,14 @@ def _cmd_sample(args) -> int:
 
 
 def _read_matrix(args) -> list[list[int]]:
-    if args.matrix_file:
-        with open(args.matrix_file, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    else:
-        data = json.load(sys.stdin)
+    try:
+        if args.matrix_file:
+            with open(args.matrix_file, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        else:
+            data = json.load(sys.stdin)
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"matrix input is not UTF-8 text: {exc}") from exc
     if isinstance(data, dict):
         data = data.get("matrix", data.get("rows"))
     return gfcore.matrix_from_json(data)
@@ -253,6 +265,8 @@ def _cmd_rate(args) -> int:
         if args.frak_m is None:
             raise argparse.ArgumentTypeError("--frak-m is required for undirected rates")
         rows = [_parse_float_list(row) for row in args.frak_m.split(";")]
+        if len({len(row) for row in rows}) > 1:
+            raise DomainError(f"--frak-m rows have differing lengths: {args.frak_m!r}")
         value = asymptotics.rate_undirected_explicit(rows, args.d, args.p)
         payload = {
             "mode": "undirected",
@@ -451,6 +465,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Bad input maps to exit code 2; any other ValueError is a bug and propagates.
+USAGE_ERRORS = (
+    InvalidModulusError,
+    ShapeError,
+    DomainError,
+    InvalidParamsError,
+    argparse.ArgumentTypeError,
+    json.JSONDecodeError,
+)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -461,7 +486,7 @@ def main(argv=None) -> int:
     except (BudgetExceededError, CostGuardError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, argparse.ArgumentTypeError) as exc:
+    except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,9 +1,10 @@
 """Exception types shared across the package.
 
 Validation failures (bad modulus, shapes, parameter combinations) are
-ValueErrors; refusals to start work whose cost exceeds a configured cap
-are RuntimeErrors.  The CLI maps the first family to exit code 2 and the
-second to exit code 3.
+the four ValueError subclasses below; refusals to start work whose cost
+exceeds a configured cap are RuntimeErrors.  The CLI maps the first
+family to exit code 2 and the second to exit code 3.  Any other
+ValueError is a bug, and the CLI lets it propagate.
 """
 
 

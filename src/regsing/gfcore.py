@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidModulusError, ShapeError
+from .errors import DomainError, InvalidModulusError, ShapeError
 
 try:
     from gmpy2 import mpz
@@ -285,6 +285,20 @@ def matrix_to_json(matrix: Matrix) -> list[list[str]]:
     return [[str(int(x)) for x in row] for row in matrix]
 
 
+def _json_int(x) -> int:
+    if isinstance(x, float) and not x.is_integer():
+        raise ValueError(f"{x!r} is not an integer")
+    return int(x)
+
+
 def matrix_from_json(data) -> list[list[int]]:
-    """Parse a matrix serialized by matrix_to_json (strings or numbers)."""
-    return _checked_rows([[int(x) for x in row] for row in data])
+    """Parse a matrix serialized by matrix_to_json (strings or numbers).
+
+    An entry that is not an integer, or data that is not a list of rows,
+    raises DomainError.
+    """
+    try:
+        rows = [[_json_int(x) for x in row] for row in data]
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"matrix entries must be integers: {exc}") from exc
+    return _checked_rows(rows)

@@ -1,10 +1,14 @@
 """Characteristic-function scans, local CLT closure, rate functions, operator check."""
 
+import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 from scipy.stats import chi2
 
 from regsing import asymptotics as am
@@ -187,8 +191,8 @@ def test_rate_opt_at_uniform_and_boundary_flag():
 def test_rate_opt_below_explicit():
     # convergence is not asserted: when d*frak_n leaves the hull of the
     # step support the infimum escapes to -inf and the evaluation
-    # reports converged=False with a hugely negative value, which is
-    # the honest answer (no walk realizes such a class)
+    # reports exactly -inf with converged=False, which is the honest
+    # answer (no walk realizes such a class)
     rng = np.random.default_rng(11)
     for p, d in [(2, 3), (3, 3), (3, 4), (5, 3)]:
         for _ in range(30):
@@ -200,10 +204,131 @@ def test_rate_opt_below_explicit():
 
 def test_rate_opt_flags_infeasible_class():
     # at p=2, d=3 both step atoms have a positive first coordinate, so
-    # a class with frak_n_0 < 1/3 admits no realization at all
-    opt = am.rate_directed_opt((0.1, 0.9), 3, 2)
-    assert not opt.converged
-    assert opt.value < am.rate_directed_explicit((0.1, 0.9), 3, 2)
+    # a class with frak_n_0 < 1/3 admits no realization at all, and the
+    # value is -inf whatever the iteration budget
+    for max_iter in (50, 200, 800):
+        opt = am.rate_directed_opt((0.1, 0.9), 3, 2, max_iter=max_iter)
+        assert not opt.converged
+        assert opt.value == -math.inf
+
+
+def outside_hull(frak_n, d, p):
+    """LP oracle: d * frak_n is no convex combination of the step atoms."""
+    atoms = np.array([u for u, _ in walkdist.build_support(d, p).atoms], dtype=float).T
+    k = atoms.shape[1]
+    res = linprog(
+        np.zeros(k),
+        A_eq=np.vstack([atoms, np.ones(k)]),
+        b_eq=np.append(d * np.asarray(frak_n, dtype=float), 1.0),
+        bounds=(0, None),
+        method="highs",
+    )
+    assert res.status in (0, 2)
+    return res.status == 2
+
+
+def test_rate_opt_minus_inf_exactly_outside_hull():
+    # -inf is a proof that d*frak_n leaves the hull, and every class
+    # that stays outside after a 20% pull toward the centre gets it;
+    # every other class converges
+    rng = np.random.default_rng(17)
+    n_inf = n_deep = 0
+    for p, d in [(2, 3), (3, 3), (3, 4), (5, 3), (3, 5), (5, 5)]:
+        centre = np.full(p, 1.0 / p)
+        for i in range(40):
+            x = rng.dirichlet(np.ones(p))
+            if i % 4 == 0:
+                x[rng.integers(p)] = 0.0
+                x /= x.sum()
+            opt = am.rate_directed_opt(x, d, p)
+            if opt.value == -math.inf:
+                assert not opt.converged
+                assert outside_hull(x, d, p)
+                n_inf += 1
+            else:
+                assert opt.converged
+            if outside_hull(0.8 * x + 0.2 * centre, d, p):
+                assert opt.value == -math.inf
+                n_deep += 1
+    assert n_inf > n_deep > 0
+
+
+def mp_rate_directed(frak_n, d, p, dps=40):
+    """Legendre value by damped Newton in mpmath at dps digits, over step
+    atoms tallied from every d-tuple of residues with sum 0 mod p."""
+    with mpmath.workdps(dps):
+        tally = Counter(
+            tuple(v.count(k) for k in range(p))
+            for v in itertools.product(range(p), repeat=d)
+            if sum(v) % p == 0
+        )
+        atoms = [(u, mpmath.log(mpmath.mpf(c) / p ** (d - 1))) for u, c in tally.items()]
+        nu = [mpmath.mpf(float(x)) for x in frak_n]
+
+        def evaluate(z):
+            t = [mpmath.mpf(0)] + list(z)
+            scores = [lw + mpmath.fsum(uk * tk for uk, tk in zip(u, t)) for u, lw in atoms]
+            top = max(scores)
+            e = [mpmath.exp(sc - top) for sc in scores]
+            total = mpmath.fsum(e)
+            f = top + mpmath.log(total) - d * mpmath.fsum(tk * nk for tk, nk in zip(t, nu))
+            q = [ei / total for ei in e]
+            mean = [mpmath.fsum(qa * u[k] for qa, (u, _) in zip(q, atoms)) for k in range(p)]
+            grad = mpmath.matrix([mean[k] - d * nu[k] for k in range(1, p)])
+            hess = mpmath.matrix(p - 1, p - 1)
+            for j in range(1, p):
+                for k in range(1, p):
+                    hess[j - 1, k - 1] = mpmath.fsum(
+                        qa * (u[j] - mean[j]) * (u[k] - mean[k]) for qa, (u, _) in zip(q, atoms)
+                    )
+            return f, grad, hess
+
+        z = mpmath.matrix(p - 1, 1)
+        f, grad, hess = evaluate(z)
+        for _ in range(200):
+            if mpmath.norm(grad) < mpmath.mpf(10) ** (5 - dps):
+                break
+            step = mpmath.lu_solve(hess, -grad)
+            slope = mpmath.fsum(g * s for g, s in zip(grad, step))
+            scale = mpmath.mpf(1)
+            while True:
+                cand = z + scale * step
+                f_cand, g_cand, h_cand = evaluate(cand)
+                if f_cand <= f + scale * slope / 10**4:
+                    break
+                scale /= 2
+            z, f, grad, hess = cand, f_cand, g_cand, h_cand
+        else:
+            raise AssertionError("mpmath Newton did not converge")
+        entropy = mpmath.fsum(x * mpmath.log(x) for x in nu if x > 0)
+        return float((d - 1) * mpmath.log(p) + (d - 1) * entropy + f)
+
+
+@pytest.mark.parametrize(
+    "frak_n, d, p",
+    [
+        ((0.5454952131240033, 0.4545047868759967), 5, 2),
+        ((0.34751409778716846, 0.3852932112587641, 0.26719269095406745), 4, 3),
+        (
+            (
+                0.10064794590725265,
+                0.3749561507119538,
+                0.06023603695934891,
+                0.3277629125871151,
+                0.13639695383432934,
+            ),
+            3,
+            5,
+        ),
+    ],
+)
+def test_rate_opt_converges_where_armijo_stalled(frak_n, d, p):
+    # at these classes the gradient stalls just above grad_tol while the
+    # Newton decrement sits below the rounding of the objective, so no
+    # backtracked step can show a decrease; the full step must finish
+    opt = am.rate_directed_opt(frak_n, d, p)
+    assert opt.converged
+    assert opt.value == pytest.approx(mp_rate_directed(frak_n, d, p), abs=1e-12)
 
 
 def test_tilt_objective_gauge_invariance():

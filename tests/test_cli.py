@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 
 import pytest
 
@@ -84,6 +85,15 @@ def test_rate_directed(capsys):
     assert data["explicit_bound"] <= 1e-9
     assert data["value"] <= data["explicit_bound"] + 1e-9
     assert data["converged"] is True
+
+
+def test_rate_directed_infeasible_is_minus_infinity(capsys):
+    code, out, _ = run_cli(capsys, "rate", "--frak-n", "0.1,0.9", "--d", "3", "--p", "2")
+    assert code == 0
+    assert '"value": -Infinity' in out
+    data = json.loads(out)
+    assert data["value"] == -math.inf
+    assert data["converged"] is False
 
 
 def test_rate_undirected_uniform(capsys):
@@ -188,6 +198,33 @@ def test_exit_code_2_on_domain_errors(capsys):
         capsys, "cf-scan", "--d", "3", "--p", "2", "--delta", "0.1", "--step", "0.1"
     )
     assert code == 2
+
+
+def test_exit_code_2_on_malformed_input(capsys, monkeypatch):
+    for text in ("[[1.5, 2], [3, 4]]", '[["a"]]', "[[null]]", "not json"):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, _, err = run_cli(capsys, "rank", "--p", "5")
+        assert code == 2
+        assert err.startswith("error: ")
+    code, _, err = run_cli(
+        capsys, "rate", "--mode", "undirected", "--frak-m", "0.25,0.25;0.5", "--d", "3", "--p", "2"
+    )
+    assert code == 2
+    assert "differing lengths" in err
+    assert run_cli(capsys, "sample", "--n", "3", "--d", "3", "--seed", "-1")[0] == 2
+    code, _, _ = run_cli(
+        capsys, "cf-scan", "--d", "3", "--p", "2", "--delta", "0.1", "--step", "nan"
+    )
+    assert code == 2
+
+
+def test_internal_value_error_is_not_exit_code_2(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(cli.asymptotics, "cf_scan", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        cli.main(["cf-scan", "--d", "3", "--p", "2", "--delta", "0.1", "--step", "2pi/8"])
 
 
 def test_exit_code_2_on_argparse_errors(capsys):

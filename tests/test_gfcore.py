@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regsing import confmodel, gfcore
-from regsing.errors import InvalidModulusError, ShapeError
+from regsing.errors import DomainError, InvalidModulusError, ShapeError
 
 SMALL_PRIMES = (2, 3, 5, 7, 31, 97)
 
@@ -213,6 +213,15 @@ def test_matrix_json_round_trip_big_entries():
     encoded = gfcore.matrix_to_json(m)
     assert encoded[0][0] == str(10**30)
     assert gfcore.matrix_from_json(encoded) == m
+    assert gfcore.matrix_from_json([["3", 4.0]]) == [[3, 4]]
+
+
+def test_matrix_from_json_rejects_non_integers():
+    for data in ([[1.5]], [["x"]], [[None]], [["1.0"]], [[float("inf")]], None, [3]):
+        with pytest.raises(DomainError):
+            gfcore.matrix_from_json(data)
+    with pytest.raises(ShapeError):
+        gfcore.matrix_from_json([[1, 2], [3]])
 
 
 def test_rank_mod_p_ndarray_shapes():
