@@ -1,7 +1,7 @@
 """Counting identities, asymptotic diagnostics, and Monte Carlo for
 kernels of adjacency matrices of random d-regular multigraphs.
 
-Exact layer: gfcore (rank/kernel over F_p and Z), confmodel (samplers),
+Exact layer: gfcore (rank/kernel over F_p and Z), confmodel (sampler),
 walkdist (histogram-walk step law and n-step tables), exactcount
 (per-class kernel counts and master sums), bruteoracle (full-model
 enumeration at tiny sizes).  Floating layer: asymptotics (local-CLT
@@ -12,7 +12,6 @@ everything for the shell.
 
 from .asymptotics import (
     cf_scan,
-    gaussian_closure_directed,
     lclt_directed,
     operator_L_check,
     rate_directed_explicit,
@@ -20,7 +19,7 @@ from .asymptotics import (
     rate_undirected_explicit,
 )
 from .bruteoracle import certify_identities
-from .confmodel import Graph, GraphParams, sample, sample_directed, sample_undirected
+from .confmodel import Graph, GraphParams, sample
 from .exactcount import (
     count_graphs_directed,
     count_graphs_undirected,
@@ -41,7 +40,6 @@ __all__ = [
     "cf_scan",
     "count_graphs_directed",
     "count_graphs_undirected",
-    "gaussian_closure_directed",
     "kernel_count",
     "lclt_directed",
     "master_sum_directed",
@@ -57,8 +55,6 @@ __all__ = [
     "rate_undirected_explicit",
     "run_mc",
     "sample",
-    "sample_directed",
-    "sample_undirected",
     "scaling_probe",
     "singularity_bound_from_master",
     "walk_distribution",

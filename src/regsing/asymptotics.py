@@ -2,10 +2,9 @@
 
 Everything exact lives in exactcount; this module holds the analytic
 side: characteristic-function scans over the torus, local-limit
-approximants for per-class master terms, the closed Gaussian value of
-the near-uniform regime, large-deviation rate functions with Legendre
-minimization, and the spectral check of the quadratic-form operator
-behind the symmetric-matrix Gaussian closure.
+approximants for per-class master terms, large-deviation rate functions
+with Legendre minimization, and the spectral check of the
+quadratic-form operator of the symmetric-matrix local limit.
 """
 
 from __future__ import annotations
@@ -13,17 +12,15 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy import integrate
 from scipy.special import logsumexp
-from scipy.stats import chi2
 
 from .errors import CostGuardError, DomainError, ShapeError
-from .exactcount import class_signatures, class_term_directed, validate_signature
-from .walkdist import build_support, char_fn, walk_tables
+from .exactcount import validate_signature
+from .walkdist import build_support, char_fn
 
 TWO_PI = 2.0 * math.pi
 
@@ -49,63 +46,23 @@ def helmert_basis(p: int) -> np.ndarray:
     return o
 
 
-@dataclass(frozen=True)
-class CfDomain:
-    """Union of tubes around the lines where |phi| reaches 1.
-
-    A point t belongs to tube j when t - 2*pi*j*(0, 1/p, ..., (p-1)/p)
-    lies within squared distance delta of the all-ones line, modulo
-    2*pi shifts.  The component along the all-ones direction is free:
-    shifting t by a multiple of 2*pi*(1, ..., 1) moves it through a full
-    period without changing the orthogonal part.
-    """
-
-    p: int
-    delta: float
-
-    def __post_init__(self):
-        if self.p < 2:
-            raise DomainError(f"need p >= 2, got {self.p}")
-        # the two-value shift window in _tube_mask needs the tube radius
-        # sqrt(delta) below pi
-        if not 0.0 < self.delta < math.pi**2:
-            raise DomainError(f"delta must lie in (0, pi^2), got {self.delta}")
-
-    def line_point(self, j: int) -> np.ndarray:
-        """Base point of line j: 2*pi*j*(0, 1/p, ..., (p-1)/p)."""
-        return TWO_PI * j * np.arange(self.p) / self.p
-
-    def contains(self, t: Sequence[float], j: int | None = None) -> bool:
-        """Whether t lies in tube j, or in any tube when j is None."""
-        pts = np.asarray(t, dtype=float).reshape(1, -1)
-        if pts.shape[1] != self.p:
-            raise ShapeError(f"point has {pts.shape[1]} coordinates, need {self.p}")
-        o = helmert_basis(self.p)
-        js = range(self.p) if j is None else (j % self.p,)
-        return bool(_tube_mask(pts, self.p, self.delta, o, js)[0])
-
-
-def _tube_mask(
-    points: np.ndarray,
-    p: int,
-    delta: float,
-    o: np.ndarray,
-    js: Sequence[int] | range | None = None,
-) -> np.ndarray:
+def _tube_mask(points: np.ndarray, p: int, delta: float, o: np.ndarray) -> np.ndarray:
     """Boolean mask of rows of `points` lying in some excluded tube.
 
-    After reducing into [0, 2*pi)^p, a point within sqrt(delta) < pi of
-    the all-ones line differs from a constant vector by less than pi per
-    coordinate, so the integer shifts realizing the nearest
-    representative span at most two consecutive values per coordinate;
-    a common shift along all-ones is free, leaving the {0, 1}^p window.
+    The tubes surround the lines where |phi| reaches 1: a point t lies in
+    tube j when t - 2*pi*j*(0, 1/p, ..., (p-1)/p) is within squared
+    distance delta of the all-ones line, modulo 2*pi shifts; `o` is
+    `helmert_basis(p)`.  After reducing into [0, 2*pi)^p, a point within
+    sqrt(delta) < pi of the all-ones line differs from a constant vector
+    by less than pi per coordinate, so the integer shifts realizing the
+    nearest representative span at most two consecutive values per
+    coordinate; a common shift along all-ones is free, leaving the
+    {0, 1}^p window.
     """
-    if js is None:
-        js = range(p)
     mask = np.zeros(len(points), dtype=bool)
     base = TWO_PI * np.arange(p) / p
     shifts = np.array(list(itertools.product((0.0, 1.0), repeat=p)))
-    for j in js:
+    for j in range(p):
         w = np.mod(points - j * base, TWO_PI)
         for k in shifts:
             x = (w + TWO_PI * k) @ o
@@ -128,14 +85,7 @@ class CfScanReport:
     near_one_outside: int
 
 
-def cf_scan(
-    d: int,
-    p: int,
-    delta: float,
-    grid_step: float,
-    *,
-    point_cap: int = SCAN_POINT_CAP,
-) -> CfScanReport:
+def cf_scan(d: int, p: int, delta: float, grid_step: float) -> CfScanReport:
     """Scan |phi| on a uniform torus grid outside the excluded tubes.
 
     |phi| is constant along the all-ones direction, so every orbit has a
@@ -145,15 +95,18 @@ def cf_scan(
     grid the slice stands in for.
     """
     support = build_support(d, p)
-    domain = CfDomain(p, delta)
+    # the two-value shift window in _tube_mask needs the tube radius
+    # sqrt(delta) below pi
+    if not 0.0 < delta < math.pi**2:
+        raise DomainError(f"delta must lie in (0, pi^2), got {delta}")
     if grid_step <= 0:
         raise DomainError(f"grid step must be positive, got {grid_step}")
     k = round(TWO_PI / grid_step)
     if k < 1 or abs(TWO_PI / k - grid_step) > 1e-9 * grid_step:
         raise DomainError(f"grid step {grid_step} does not divide 2*pi evenly")
-    if k**p > point_cap:
+    if k**p > SCAN_POINT_CAP:
         raise CostGuardError(
-            f"torus grid {k}^{p} exceeds the {point_cap}-point cost guard"
+            f"torus grid {k}^{p} exceeds the {SCAN_POINT_CAP}-point cost guard"
         )
     o = helmert_basis(p)
     axis = TWO_PI * np.arange(k) / k
@@ -223,56 +176,14 @@ def lclt_directed(sig: Sequence[int], d: int, p: int) -> LcltValue:
     return LcltValue(value=value, applicable=applicable)
 
 
-def near_uniform_classes(n: int, p: int, b: float) -> list[tuple[int, ...]]:
-    """Nonzero classes whose histogram deviation satisfies
-    sum_j (sig_j/n - 1/p)^2 <= b * ln(n) / n."""
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
-    if b < 0:
-        raise DomainError(f"need b >= 0, got {b}")
-    radius = b * math.log(n) / n
-    out = []
-    for sig in class_signatures(n, p):
-        dev = sum((c / n - 1.0 / p) ** 2 for c in sig)
-        if dev <= radius + 1e-15:
-            out.append(sig)
-    return out
-
-
-def restricted_master_directed(n: int, d: int, p: int, b: float) -> Fraction:
-    """Exact master sum restricted to the near-uniform window."""
-    tables = walk_tables(build_support(d, p), n)
-    total = Fraction(0)
-    for sig in near_uniform_classes(n, p, b):
-        total += class_term_directed(sig, d, p, tables=tables)
-    return total
-
-
-def gaussian_closure_directed(n: int, d: int, p: int, b: float) -> float:
-    """Closed Gaussian value of the near-uniform class total.
-
-    The class sum is a Riemann sum of the local-limit density over a
-    lattice of covolume sqrt(p)/n^(p-1), thinned by the congruence to
-    one residue in p; the closed integral collapses to a chi-square
-    tail with p - 1 degrees of freedom and threshold p * b * ln(n).
-    """
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
-    if d < 1:
-        raise DomainError(f"need d >= 1, got {d}")
-    if p < 2:
-        raise DomainError(f"need p >= 2, got {p}")
-    if b < 0:
-        raise DomainError(f"need b >= 0, got {b}")
-    return float(chi2.cdf(p * b * math.log(n), df=p - 1))
-
-
 def _check_simplex(frak_n: Sequence[float], p: int) -> np.ndarray:
     nu = np.asarray(frak_n, dtype=float)
     if nu.shape != (p,):
         raise ShapeError(f"need {p} frequencies, got shape {nu.shape}")
     if (nu < 0).any():
         raise DomainError("frequencies must be nonnegative")
+    if not np.isfinite(nu).all():
+        raise DomainError("frequencies must be finite")
     if abs(float(nu.sum()) - 1.0) > 1e-9:
         raise DomainError(f"frequencies must sum to 1, got {float(nu.sum())!r}")
     return nu
@@ -409,6 +320,8 @@ def rate_undirected_explicit(frak_m: Sequence[Sequence[float]], d: int, p: int) 
         raise ShapeError(f"need a {p} x {p} matrix, got shape {m.shape}")
     if (m < 0).any():
         raise DomainError("entries must be nonnegative")
+    if not np.isfinite(m).all():
+        raise DomainError("entries must be finite")
     if np.abs(m - m.T).max() > 1e-12:
         raise DomainError("matrix must be symmetric")
     if abs(float(m.sum()) - 1.0) > 1e-9:

@@ -9,6 +9,7 @@ errors, 3 budget or cost-guard refusals.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import json
 import math
@@ -42,8 +43,27 @@ CSV_COLUMNS = (
 )
 
 
-def _fraction_json(x: Fraction) -> dict:
-    return {"num": str(x.numerator), "den": str(x.denominator), "approx": float(x)}
+# Report fields written as decimal strings (big integers), and the one
+# left out so that identical seeds give identical bytes
+DECIMAL_FIELDS = frozenset({"kernel_total", "kernel_sq_total"})
+EXCLUDED_FIELDS = frozenset({"wall_time_s"})
+
+
+def _json_default(obj):
+    """`json.dumps` hook: a dataclass becomes an object of its fields in
+    declaration order, a Fraction an exact num/den pair with a float
+    approximation; tuples are JSON arrays already."""
+    if isinstance(obj, Fraction):
+        return {"num": str(obj.numerator), "den": str(obj.denominator), "approx": float(obj)}
+    if dataclasses.is_dataclass(obj):
+        out = {}
+        for f in dataclasses.fields(obj):
+            if f.name in EXCLUDED_FIELDS:
+                continue
+            value = getattr(obj, f.name)
+            out[f.name] = str(value) if f.name in DECIMAL_FIELDS else value
+        return out
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -99,8 +119,8 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit_json(args, payload: dict) -> None:
-    _emit(args, json.dumps(payload, indent=2) + "\n")
+def _emit_json(args, payload) -> None:
+    _emit(args, json.dumps(payload, indent=2, default=_json_default) + "\n")
 
 
 def _mc_csv_row(r: experiments.McReport) -> list[str]:
@@ -125,28 +145,6 @@ def _csv_text(rows: list[list[str]]) -> str:
     for row in rows:
         buf.write(",".join(row) + "\n")
     return buf.getvalue()
-
-
-def _mc_report_json(r: experiments.McReport) -> dict:
-    # wall time is excluded so identical seeds give identical bytes
-    return {
-        "n": r.n,
-        "d": r.d,
-        "p": r.p,
-        "mode": r.mode,
-        "trials": r.trials,
-        "seed": r.seed,
-        "singular_count": r.singular_count,
-        "estimate": r.estimate,
-        "wilson_ci_95": list(r.wilson_ci_95),
-        "kernel_total": str(r.kernel_total),
-        "kernel_sq_total": str(r.kernel_sq_total),
-        "kernel_positive": r.kernel_positive,
-        "mean_kernel_count": r.mean_kernel_count,
-        "duplicate_rows": r.duplicate_rows,
-        "duplicate_row_rate": r.duplicate_row_rate,
-        "escalations": r.escalations,
-    }
 
 
 def _cmd_sample(args) -> int:
@@ -218,8 +216,8 @@ def _cmd_master_sum(args) -> int:
         "d": args.d,
         "p": args.p,
         "mode": args.mode,
-        **_fraction_json(master),
-        "singularity_bound": {**_fraction_json(bound), "vacuous": bound >= 1},
+        **_json_default(master),
+        "singularity_bound": {**_json_default(bound), "vacuous": bound >= 1},
     }
     _emit_json(args, payload)
     return 0
@@ -235,8 +233,8 @@ def _cmd_oracle_check(args) -> int:
         "classes": len(report.classes),
         "mismatches": report.mismatches,
         "class_consistent": report.class_consistent,
-        "master_exact": _fraction_json(report.master_exact),
-        "master_brute": _fraction_json(report.master_brute),
+        "master_exact": report.master_exact,
+        "master_brute": report.master_brute,
         "passed": report.passed,
     }
     _emit_json(args, payload)
@@ -280,21 +278,7 @@ def _cmd_rate(args) -> int:
 
 
 def _cmd_cf_scan(args) -> int:
-    report = asymptotics.cf_scan(args.d, args.p, args.delta, args.step)
-    payload = {
-        "d": report.d,
-        "p": report.p,
-        "delta": report.delta,
-        "grid_step": report.grid_step,
-        "grid_size": report.grid_size,
-        "n_points": report.n_points,
-        "n_outside": report.n_outside,
-        "max_abs_outside": report.max_abs_outside,
-        "argmax": None if report.argmax is None else list(report.argmax),
-        "margin": report.margin,
-        "near_one_outside": report.near_one_outside,
-    }
-    _emit_json(args, payload)
+    _emit_json(args, asymptotics.cf_scan(args.d, args.p, args.delta, args.step))
     return 0
 
 
@@ -334,7 +318,7 @@ def _cmd_mc(args) -> int:
     if args.format == "csv":
         _emit(args, _csv_text([_mc_csv_row(report)]))
     else:
-        _emit_json(args, _mc_report_json(report))
+        _emit_json(args, report)
     return 0
 
 
@@ -350,19 +334,8 @@ def _cmd_scaling(args) -> int:
     )
     if args.format == "csv":
         _emit(args, _csv_text([_mc_csv_row(r) for r in report.rows]))
-        return 0
-    payload = {
-        "d": report.d,
-        "mode": report.mode,
-        "trials": report.trials,
-        "seed": report.seed,
-        "rows": [_mc_report_json(r) for r in report.rows],
-        "slope": report.slope,
-        "slope_stderr": report.slope_stderr,
-        "window": list(report.window),
-        "in_window": report.in_window,
-    }
-    _emit_json(args, payload)
+    else:
+        _emit_json(args, report)
     return 0
 
 

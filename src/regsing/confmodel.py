@@ -46,14 +46,16 @@ class Graph:
     seed: int | None = None
 
 
-def _generator(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+def seed_sequence(seed: int, *path: int) -> np.random.SeedSequence:
+    """The package's one entropy layout; no other code builds a SeedSequence.
 
-
-def _seed_field(seed) -> int | None:
-    return int(seed) if isinstance(seed, (int, np.integer)) else None
+    `seed` alone drives `sample`; (seed, 0, i) drives Monte Carlo trial
+    i, (seed, 1) the integer-mode 31-bit prime and (seed, 2, idx) the
+    sub-seed of row idx of a scaling probe.  SeedSequence(s) and
+    SeedSequence((s,)) give the same state, so every path shares one
+    tuple layout.
+    """
+    return np.random.SeedSequence((seed, *path))
 
 
 def directed_adjacency(n: int, d: int, perm: np.ndarray) -> np.ndarray:
@@ -74,38 +76,33 @@ def undirected_adjacency(n: int, d: int, order: np.ndarray) -> np.ndarray:
     return a
 
 
-def sample_directed(n: int, d: int, seed) -> Graph:
-    """Sample the directed model: witness is the point permutation."""
-    params = GraphParams(n=n, d=d, mode="directed")
-    rng = _generator(seed)
-    perm = rng.permutation(n * d)  # the generator's native Fisher-Yates shuffle
-    a = directed_adjacency(n, d, perm)
-    return Graph(
-        params=params,
-        adjacency=tuple(tuple(int(x) for x in row) for row in a),
-        witness=tuple(int(x) for x in perm),
-        seed=_seed_field(seed),
-    )
+def adjacency(n: int, d: int, mode: str, order: np.ndarray) -> np.ndarray:
+    """Adjacency of the outcome generated by a permutation of the nd
+    points: the permutation itself (directed) or the pairing of
+    consecutive entries (undirected)."""
+    if mode == "directed":
+        return directed_adjacency(n, d, order)
+    return undirected_adjacency(n, d, order)
 
 
-def sample_undirected(n: int, d: int, seed) -> Graph:
-    """Sample the undirected model: witness pairs consecutive entries."""
-    params = GraphParams(n=n, d=d, mode="undirected")
-    rng = _generator(seed)
-    order = rng.permutation(n * d)
-    a = undirected_adjacency(n, d, order)
+def sample(params: GraphParams, seed) -> Graph:
+    """Draw one outcome; the witness is the permutation of the nd points.
+
+    `seed` is a nonnegative int, or a Generator used as given (the
+    returned graph then records no seed).
+    """
+    if isinstance(seed, np.random.Generator):
+        rng, seed_field = seed, None
+    else:
+        rng, seed_field = np.random.default_rng(seed_sequence(seed)), int(seed)
+    order = rng.permutation(params.n * params.d)  # the generator's native Fisher-Yates shuffle
+    a = adjacency(params.n, params.d, params.mode, order)
     return Graph(
         params=params,
         adjacency=tuple(tuple(int(x) for x in row) for row in a),
         witness=tuple(int(x) for x in order),
-        seed=_seed_field(seed),
+        seed=seed_field,
     )
-
-
-def sample(params: GraphParams, seed) -> Graph:
-    if params.mode == "directed":
-        return sample_directed(params.n, params.d, seed)
-    return sample_undirected(params.n, params.d, seed)
 
 
 def _fibre_targets(n: int, d: int, mode: str, order: np.ndarray, columns: bool) -> np.ndarray:
@@ -159,12 +156,3 @@ def graph_to_json(g: Graph) -> dict:
         "seed": g.seed,
     }
 
-
-def graph_from_json(data: dict) -> Graph:
-    params = GraphParams(n=int(data["n"]), d=int(data["d"]), mode=data["mode"])
-    return Graph(
-        params=params,
-        adjacency=tuple(tuple(int(x) for x in row) for row in data["adjacency"]),
-        witness=tuple(int(x) for x in data["witness"]),
-        seed=data.get("seed"),
-    )

@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .errors import CostGuardError, DomainError, InvalidParamsError
-from .walkdist import SupportTable, build_support, compositions, walk_tables
+from .walkdist import build_support, compositions, walk_tables
 
 PAIRING_MATRIX_CAP = 1_000_000
 
@@ -175,25 +175,21 @@ def count_graphs_undirected(
     return total
 
 
-def class_signatures(n: int, p: int, *, skip_zero_class: bool = True) -> Iterator[tuple[int, ...]]:
-    """Histogram classes of F_p^n vectors; skips the all-zeros class
-    (n_0 = n) by default, as the master sums do."""
+def class_signatures(n: int, p: int) -> Iterator[tuple[int, ...]]:
+    """Histogram classes of nonzero F_p^n vectors: the all-zeros class
+    (n_0 = n) is skipped, as the master sums do."""
     for sig in compositions(n, p):
-        if skip_zero_class and sig[0] == n:
-            continue
-        yield sig
+        if sig[0] != n:
+            yield sig
 
 
-def class_term_directed(
-    sig: Sequence[int], d: int, p: int, *, tables: list[dict] | None = None
-) -> Fraction:
+def class_term_directed(sig: Sequence[int], d: int, p: int) -> Fraction:
     """One class's master-sum contribution:
     multinomial(n; sig) * count / (nd)!."""
     sig = validate_signature(sig, p)
     n = sum(sig)
     return Fraction(
-        multinomial(n, sig) * count_graphs_directed(sig, d, p, tables=tables),
-        model_size_directed(n, d),
+        multinomial(n, sig) * count_graphs_directed(sig, d, p), model_size_directed(n, d)
     )
 
 

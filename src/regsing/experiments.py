@@ -21,10 +21,10 @@ import numpy as np
 
 from .confmodel import (
     GraphParams,
-    directed_adjacency,
+    adjacency,
     has_duplicate_columns,
     has_duplicate_rows,
-    undirected_adjacency,
+    seed_sequence,
 )
 from .errors import InvalidParamsError
 from .exactcount import master_sum_directed, master_sum_undirected
@@ -32,6 +32,9 @@ from .gfcore import certify_nonsingular, det_integer, is_prime, rank_mod_p, requ
 
 # 95% two-sided normal quantile
 Z95 = 1.959963984540054
+
+# widening of the scaling window's lower exponent -(d-2)
+SCALING_SLACK = 0.5
 
 
 @dataclass(frozen=True)
@@ -58,8 +61,8 @@ class McConfig:
 class McReport:
     n: int
     d: int
-    mode: str
     p: int | None
+    mode: str
     trials: int
     seed: int
     singular_count: int
@@ -75,13 +78,14 @@ class McReport:
     wall_time_s: float
 
 
-def wilson_ci(successes: int, trials: int, z: float = Z95) -> tuple[float, float]:
-    """Wilson score interval; well behaved when the estimate sits near 0."""
+def wilson_ci(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval; well behaved when the estimate sits near 0."""
     if trials < 1:
         raise InvalidParamsError(f"trials must be >= 1, got {trials}")
     if not 0 <= successes <= trials:
         raise InvalidParamsError(f"successes {successes} outside [0, {trials}]")
     ph = successes / trials
+    z = Z95
     denom = 1.0 + z * z / trials
     center = (ph + z * z / (2 * trials)) / denom
     half = z * math.sqrt(ph * (1 - ph) / trials + z * z / (4 * trials * trials)) / denom
@@ -95,7 +99,7 @@ def _mc_prime(seed: int) -> int:
     prime that divides a nonzero determinant only costs an escalation,
     never a wrong answer.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 1)))
+    rng = np.random.default_rng(seed_sequence(seed, 1))
     while True:
         cand = int(rng.integers(1 << 30, 1 << 31)) | 1
         if is_prime(cand):
@@ -132,15 +136,14 @@ def _run_block(
         "duplicate_rows": 0,
         "escalations": 0,
     }
-    adjacency = directed_adjacency if mode == "directed" else undirected_adjacency
     for i in range(lo, hi):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0, i)))
+        rng = np.random.default_rng(seed_sequence(seed, 0, i))
         order = rng.permutation(n * d)
         dup_rows = has_duplicate_rows(n, d, mode, order)
         if dup_rows:
             tally["duplicate_rows"] += 1
         if p is not None:
-            rank = rank_mod_p(adjacency(n, d, order), p)
+            rank = rank_mod_p(adjacency(n, d, mode, order), p)
             kernel = p ** (n - rank) - 1
             tally["kernel_total"] += kernel
             tally["kernel_sq_total"] += kernel * kernel
@@ -153,7 +156,7 @@ def _run_block(
         if dup_rows or has_duplicate_columns(n, d, mode, order):
             tally["singular"] += 1
             continue
-        a = adjacency(n, d, order)
+        a = adjacency(n, d, mode, order)
         if certify_nonsingular(a) or rank_mod_p(a, prime) == n:
             continue
         tally["escalations"] += 1
@@ -291,25 +294,24 @@ def scaling_probe(
     *,
     mode: str = "directed",
     workers: int = 1,
-    slack: float = 0.5,
 ) -> ScalingReport:
     """Integer-mode singularity frequency against n, with a log-log fit.
 
     The fitted slope is report-only; the window pairs the polynomial
-    lower-bound exponent -(d-2), widened by `slack`, with the upper
+    lower-bound exponent -(d-2), widened by SCALING_SLACK, with the upper
     bound exponent for the decay rate.
     """
     if len(n_list) < 1:
         raise InvalidParamsError("n_list must not be empty")
     rows = []
     for idx, n in enumerate(n_list):
-        sub_seed = int(np.random.SeedSequence(entropy=(seed, 2, idx)).generate_state(1)[0])
+        sub_seed = int(seed_sequence(seed, 2, idx).generate_state(1)[0])
         cfg = McConfig(
             n=n, d=d, mode=mode, p=None, trials=trials, seed=sub_seed, workers=workers
         )
         rows.append(run_mc(cfg))
     frak_d = min(0.25, (d - 2) / (2 * d))
-    window = (-(d - 2) - slack, -frak_d)
+    window = (-(d - 2) - SCALING_SLACK, -frak_d)
     pts = [
         (math.log(r.n), math.log(r.estimate)) for r in rows if r.singular_count > 0
     ]

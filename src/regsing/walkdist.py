@@ -138,15 +138,6 @@ def char_fn(s: SupportTable, t) -> complex | np.ndarray:
     return complex(phi_t) if t.ndim == 1 else phi_t
 
 
-def char_fn_centered(s: SupportTable, t) -> complex | np.ndarray:
-    """Characteristic function of the mean-centered step X - (d/p)*ones,
-    with the same shape rule as `char_fn`."""
-    t = np.asarray(t, dtype=float)
-    phi_t = char_fn(s, t)
-    shifted = np.exp(-1j * (s.d / s.p) * t.sum(axis=-1)) * phi_t
-    return complex(shifted) if t.ndim == 1 else shifted
-
-
 def walk_tables(s: SupportTable, n: int) -> list[dict[tuple[int, ...], int]]:
     """Exact endpoint tables for 0..n steps (index k holds the k-step law)."""
     if n < 0:
@@ -178,12 +169,3 @@ def table_moments(dist: LatticeDistribution) -> MomentData:
     """Exact rational mean/covariance of an endpoint table."""
     return _moments(dist.table.items(), dist.p)
 
-
-def distribution_to_json(dist: LatticeDistribution) -> dict:
-    entries = [{"m": list(m), "count": str(c)} for m, c in sorted(dist.table.items())]
-    return {"n": dist.n, "d": dist.d, "p": dist.p, "entries": entries}
-
-
-def distribution_from_json(data: dict) -> LatticeDistribution:
-    table = {tuple(int(x) for x in e["m"]): int(e["count"]) for e in data["entries"]}
-    return LatticeDistribution(d=int(data["d"]), p=int(data["p"]), n=int(data["n"]), table=table)

@@ -12,8 +12,6 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
-from scipy.stats import chi2
 
 from regsing import asymptotics as am
 from regsing import bruteoracle, exactcount, experiments, walkdist

@@ -1,8 +1,12 @@
 """Command-line interface: JSON/CSV output, exit codes, seed handling."""
 
+import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -218,6 +222,23 @@ def test_exit_code_2_on_malformed_input(capsys, monkeypatch):
     assert code == 2
 
 
+def test_exit_code_2_on_nan_frequencies(capsys):
+    code, _, err = run_cli(capsys, "rate", "--frak-n", "nan,nan", "--d", "3", "--p", "2")
+    assert code == 2
+    assert "finite" in err
+    code, _, err = run_cli(
+        capsys, "rate", "--mode", "undirected", "--frak-m", "nan,0;0,nan", "--d", "3", "--p", "2"
+    )
+    assert code == 2
+    assert "finite" in err
+
+
+def test_import_leaves_scipy_stats_out():
+    code = "import sys, regsing.cli; sys.exit('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
 def test_internal_value_error_is_not_exit_code_2(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("internal fault")
@@ -244,3 +265,36 @@ def test_exit_code_3_on_cost_guard(capsys):
 def test_exit_code_3_on_budget(capsys):
     code, _, _ = run_cli(capsys, "oracle-check", "--n", "4", "--d", "3", "--p", "2")
     assert code == 3
+
+
+# sha256 of stdout, recorded before the sampler, seeding and JSON-encoder
+# paths were merged; any byte that moves fails here
+FROZEN_STDOUT = [
+    (("sample", "--n", "6", "--d", "3", "--seed", "11"),
+     "cf56ab2390db91d397a355e7d03ed66d7a2e8eb2f0fa4240cecc72466b48af83"),
+    (("sample", "--n", "7", "--d", "4", "--mode", "undirected", "--seed", "5"),
+     "749a6369a45b6c5aa233e7ac74a1ad46cc65e2a54fe5a7ddf40062d5936b7d57"),
+    (("mc", "--n", "20", "--d", "3", "--seed", "3", "--trials", "200", "--workers", "1"),
+     "56d959d4fdaece016ec137be2baa25f2e3ccf00416f33102f8b2f4b4b68ece5a"),
+    (("mc", "--n", "12", "--d", "4", "--p", "3", "--mode", "undirected", "--seed", "1",
+      "--trials", "200", "--workers", "1"),
+     "856ee5b2c80daf98909684fa681ddcd3e626c031e9cd702e9f912cabda12612d"),
+    (("scaling", "--d", "3", "--n-list", "10,20", "--seed", "2", "--trials", "100",
+      "--workers", "1"),
+     "cd179385dfdd3c7d5d77617bae487f80bfbc3d18db593151e5c4be8041079d9f"),
+    (("cf-scan", "--d", "3", "--p", "2", "--delta", "0.1", "--step", "2pi/64"),
+     "8d0f3c2b7af20eebbe84d822a4581bd12a51394473a094bdeb797dd0fed5875f"),
+    (("master-sum", "--n", "8", "--d", "3", "--p", "3"),
+     "65c4501ae7de67ad3ca2bf89900daa9b7c038190a1b99e56cc6885890e01a12f"),
+    (("oracle-check", "--n", "2", "--d", "3", "--p", "2", "--mode", "undirected"),
+     "759cca78644658abcfbda28914c7bf58abcbff8a0249eabd4a4dad9103208f35"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest", FROZEN_STDOUT, ids=[f"{argv[0]}-{i}" for i, (argv, _) in enumerate(FROZEN_STDOUT)]
+)
+def test_frozen_stdout_bytes(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

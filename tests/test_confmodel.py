@@ -1,5 +1,7 @@
 """Configuration-model sampling: exactness of the parametrization and uniformity."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -37,18 +39,18 @@ def test_params_validation():
 
 
 def test_single_vertex_directed_is_all_loops():
-    g = confmodel.sample_directed(1, 3, seed=7)
+    g = confmodel.sample(confmodel.GraphParams(1, 3, "directed"), 7)
     assert g.adjacency == ((3,),)
 
 
 def test_two_vertex_degree_one_undirected_forced():
     for seed in range(5):
-        g = confmodel.sample_undirected(2, 1, seed=seed)
+        g = confmodel.sample(confmodel.GraphParams(2, 1, "undirected"), seed)
         assert g.adjacency == ((0, 1), (1, 0))
 
 
 def test_directed_row_and_column_sums():
-    g = confmodel.sample_directed(17, 4, seed=11)
+    g = confmodel.sample(confmodel.GraphParams(17, 4, "directed"), 11)
     a = np.array(g.adjacency)
     assert a.shape == (17, 17)
     assert (a >= 0).all()
@@ -57,7 +59,7 @@ def test_directed_row_and_column_sums():
 
 
 def test_undirected_symmetry_even_diagonal_degree():
-    g = confmodel.sample_undirected(16, 3, seed=11)
+    g = confmodel.sample(confmodel.GraphParams(16, 3, "undirected"), 11)
     a = np.array(g.adjacency)
     assert (a == a.T).all()
     assert (np.diag(a) % 2 == 0).all()
@@ -66,19 +68,19 @@ def test_undirected_symmetry_even_diagonal_degree():
 
 
 def test_same_seed_reproduces_different_seed_varies():
-    g1 = confmodel.sample_directed(20, 3, seed=5)
-    g2 = confmodel.sample_directed(20, 3, seed=5)
-    g3 = confmodel.sample_directed(20, 3, seed=6)
+    g1 = confmodel.sample(confmodel.GraphParams(20, 3, "directed"), 5)
+    g2 = confmodel.sample(confmodel.GraphParams(20, 3, "directed"), 5)
+    g3 = confmodel.sample(confmodel.GraphParams(20, 3, "directed"), 6)
     assert g1.adjacency == g2.adjacency
     assert g1.witness == g2.witness
     assert g1.adjacency != g3.adjacency
 
 
 def test_witness_replay():
-    g = confmodel.sample_directed(9, 3, seed=3)
+    g = confmodel.sample(confmodel.GraphParams(9, 3, "directed"), 3)
     rebuilt = confmodel.directed_adjacency(9, 3, np.array(g.witness))
     assert tuple(tuple(int(x) for x in row) for row in rebuilt) == g.adjacency
-    h = confmodel.sample_undirected(8, 3, seed=3)
+    h = confmodel.sample(confmodel.GraphParams(8, 3, "undirected"), 3)
     rebuilt = confmodel.undirected_adjacency(8, 3, np.array(h.witness))
     assert tuple(tuple(int(x) for x in row) for row in rebuilt) == h.adjacency
 
@@ -98,8 +100,9 @@ def test_directed_sampler_uniformity_chi_square():
     rng = np.random.default_rng(20240811)
     trials = 100_000
     counts = {}
+    params = confmodel.GraphParams(2, 3, "directed")
     for _ in range(trials):
-        g = confmodel.sample_directed(2, 3, rng)
+        g = confmodel.sample(params, rng)
         counts[g.adjacency] = counts.get(g.adjacency, 0) + 1
     stat, unknown = _chi_square(counts, DIRECTED_CENSUS_2_3, trials)
     assert unknown == 0
@@ -111,8 +114,9 @@ def test_undirected_sampler_uniformity_chi_square():
     rng = np.random.default_rng(20240812)
     trials = 100_000
     counts = {}
+    params = confmodel.GraphParams(2, 3, "undirected")
     for _ in range(trials):
-        g = confmodel.sample_undirected(2, 3, rng)
+        g = confmodel.sample(params, rng)
         counts[g.adjacency] = counts.get(g.adjacency, 0) + 1
     stat, unknown = _chi_square(counts, UNDIRECTED_CENSUS_2_3, trials)
     assert unknown == 0
@@ -123,7 +127,7 @@ def test_undirected_sampler_uniformity_chi_square():
 def test_duplicate_row_detect_agrees_with_numpy_and_implies_singularity():
     checked = 0
     for seed in range(300):
-        g = confmodel.sample_directed(30, 3, seed=seed)
+        g = confmodel.sample(confmodel.GraphParams(30, 3, "directed"), seed)
         a = np.array(g.adjacency)
         has_dup = len(np.unique(a, axis=0)) < a.shape[0]
         assert confmodel.has_duplicate_rows(30, 3, "directed", np.array(g.witness)) == has_dup
@@ -135,10 +139,35 @@ def test_duplicate_row_detect_agrees_with_numpy_and_implies_singularity():
 
 
 def test_graph_json_round_trip():
-    g = confmodel.sample_undirected(6, 3, seed=2)
-    data = confmodel.graph_to_json(g)
-    back = confmodel.graph_from_json(data)
+    g = confmodel.sample(confmodel.GraphParams(6, 3, "undirected"), 2)
+    data = json.loads(json.dumps(confmodel.graph_to_json(g)))
+    back = confmodel.Graph(
+        params=confmodel.GraphParams(data["n"], data["d"], data["mode"]),
+        adjacency=tuple(tuple(row) for row in data["adjacency"]),
+        witness=tuple(data["witness"]),
+        seed=data["seed"],
+    )
     assert back == g
+
+
+def test_seed_sequence_layout():
+    # a bare seed and a one-entry tuple give the same state, so sample's
+    # stream is unchanged by the shared tuple layout
+    for s in (0, 5, 2**40 + 3, 123456789):
+        want = np.random.SeedSequence(s).generate_state(4)
+        assert (confmodel.seed_sequence(s).generate_state(4) == want).all()
+        for path in ((0, 7), (1,), (2, 3)):
+            want = np.random.SeedSequence(entropy=(s, *path)).generate_state(4)
+            assert (confmodel.seed_sequence(s, *path).generate_state(4) == want).all()
+
+
+def test_generator_seed_is_used_as_given():
+    params = confmodel.GraphParams(5, 4, "undirected")
+    g = confmodel.sample(params, np.random.default_rng(confmodel.seed_sequence(9)))
+    assert g.seed is None
+    h = confmodel.sample(params, 9)
+    assert h.seed == 9
+    assert (g.adjacency, g.witness) == (h.adjacency, h.witness)
 
 
 def _repeated_lines(a):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from regsing import bruteoracle, exactcount
+from regsing import bruteoracle, exactcount, walkdist
 from regsing.errors import CostGuardError, DomainError
 
 # Frozen master sums (directed d=3, p=2), certified against the closed
@@ -33,7 +33,7 @@ def test_multinomial_examples_and_row_sum():
     n, p = 5, 3
     total = sum(
         exactcount.multinomial(n, sig)
-        for sig in exactcount.class_signatures(n, p, skip_zero_class=False)
+        for sig in walkdist.compositions(n, p)
     )
     assert total == p**n
 
@@ -57,7 +57,7 @@ def test_class_signatures_count():
     sigs = list(exactcount.class_signatures(n, p))
     assert len(sigs) == math.comb(n + p - 1, p - 1) - 1
     assert all(sum(s) == n and s[0] < n for s in sigs)
-    with_zero = list(exactcount.class_signatures(n, p, skip_zero_class=False))
+    with_zero = list(walkdist.compositions(n, p))
     assert len(with_zero) == len(sigs) + 1
 
 

@@ -1,7 +1,6 @@
 """Step-law support, moments, characteristic function, and endpoint tables."""
 
 import itertools
-import json
 import math
 from fractions import Fraction
 
@@ -125,20 +124,6 @@ def test_char_fn_values_and_shape_check():
         walkdist.char_fn(s, np.zeros((9, 3)))
 
 
-def test_char_fn_centered_same_modulus():
-    s = walkdist.build_support(4, 3)
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        t = rng.uniform(-7, 7, size=3)
-        a = walkdist.char_fn(s, t)
-        b = walkdist.char_fn_centered(s, t)
-        assert abs(a) == pytest.approx(abs(b), abs=1e-14)
-    pts = rng.uniform(-7, 7, size=(20, 3))
-    centered = walkdist.char_fn_centered(s, pts)
-    assert centered.shape == (20,)
-    assert np.abs(np.abs(centered) - np.abs(walkdist.char_fn(s, pts))).max() <= 1e-14
-
-
 def brute_two_step_table(s):
     tally = {}
     atoms = list(s.atoms)
@@ -191,10 +176,3 @@ def test_char_fn_power_matches_table_transform():
         ) / total
         assert via_power == pytest.approx(via_table, abs=1e-12)
 
-
-def test_distribution_json_round_trip():
-    s = walkdist.build_support(3, 3)
-    dist = walkdist.walk_distribution(s, 6)
-    data = json.loads(json.dumps(walkdist.distribution_to_json(dist)))
-    back = walkdist.distribution_from_json(data)
-    assert back == dist
