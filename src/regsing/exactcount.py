@@ -29,9 +29,13 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .errors import CostGuardError, DomainError, InvalidParamsError
-from .walkdist import build_support, compositions, walk_tables
+from .gfcore import require_prime
+from .walkdist import WalkTables, build_support, compositions, walk_tables
 
 PAIRING_MATRIX_CAP = 1_000_000
+# Refuse walk tables whose predicted size (entries times count width,
+# see predicted_table_bits) exceeds this many bits.
+TABLE_BITS_CAP = 2**31
 
 
 def multinomial(n: int, parts: Sequence[int]) -> int:
@@ -66,22 +70,50 @@ def model_size_undirected(n: int, d: int) -> int:
     return math.factorial(nd) // (2 ** (nd // 2) * math.factorial(nd // 2))
 
 
-def count_graphs_directed(
-    sig: Sequence[int], d: int, p: int, *, tables: list[dict] | None = None
-) -> int:
-    """Directed outcomes G with A(G)v = 0, v any fixed vector of class sig."""
-    sig = validate_signature(sig, p)
-    n = sum(sig)
-    if tables is None:
-        tables = walk_tables(build_support(d, p), n)
-    target = tuple(d * x for x in sig)
-    walks = tables[n].get(target, 0)
+def predicted_table_bits(n: int, d: int, p: int) -> int:
+    """Predicted size of the walk tables for 0..n steps: entries times
+    count width.
+
+    The k-step table has at most comb(kd + p - 1, p - 1) entries (the
+    compositions of kd into p parts); summed over k = 0..n that is at
+    most comb((n + 1)d + p - 1, p) / d by the hockey-stick identity.  No
+    count exceeds p**(n(d-1)), so none is wider than n(d-1)*log2(p) bits.
+    """
+    p = require_prime(p)
+    if d < 1:
+        raise DomainError(f"d must be >= 1, got {d}")
+    if n < 0:
+        raise DomainError(f"step count must be >= 0, got {n}")
+    width = max(1, math.ceil(n * (d - 1) * math.log2(p)))
+    return math.comb((n + 1) * d + p - 1, p) // d * width
+
+
+def _tables(n: int, d: int, p: int) -> WalkTables:
+    """The walk tables for 0..n steps; CostGuardError, before any table
+    work, when they are predicted above TABLE_BITS_CAP."""
+    predicted = predicted_table_bits(n, d, p)
+    if predicted > TABLE_BITS_CAP:
+        raise CostGuardError(
+            f"walk tables for n={n}, d={d}, p={p} are predicted at {predicted:.3e} bits, "
+            f"over the cap of {TABLE_BITS_CAP:.3e}"
+        )
+    return walk_tables(build_support(d, p), n)
+
+
+def _count_directed(sig: tuple[int, ...], d: int, tables: WalkTables) -> int:
+    walks = tables[sum(sig)].get(d * tables.key(sig), 0)
     if walks == 0:
         return 0
     out = walks
     for x in sig:
         out *= math.factorial(d * x)
     return out
+
+
+def count_graphs_directed(sig: Sequence[int], d: int, p: int) -> int:
+    """Directed outcomes G with A(G)v = 0, v any fixed vector of class sig."""
+    sig = validate_signature(sig, p)
+    return _count_directed(sig, d, _tables(sum(sig), d, p))
 
 
 def enumerate_pairing_matrices(
@@ -154,25 +186,26 @@ def pairing_matrix_weight(mat: Sequence[Sequence[int]]) -> int:
     return w
 
 
-def count_graphs_undirected(
-    sig: Sequence[int], d: int, p: int, *, tables: list[dict] | None = None
-) -> int:
-    """Pairings G with A(G)v = 0, v any fixed vector of class sig."""
-    sig = validate_signature(sig, p)
-    n = sum(sig)
-    if (n * d) % 2:
-        raise InvalidParamsError(f"undirected count needs 2 | dn, got nd = {n * d}")
-    if tables is None:
-        tables = walk_tables(build_support(d, p), max(sig, default=0))
+def _count_undirected(sig: tuple[int, ...], d: int, p: int, tables: WalkTables) -> int:
+    key = tables.key
     total = 0
     for mat in enumerate_pairing_matrices(sig, d, p):
         term = pairing_matrix_weight(mat)
         for i in range(p):
             if term == 0:
                 break
-            term *= tables[sig[i]].get(mat[i], 0)
+            term *= tables[sig[i]].get(key(mat[i]), 0)
         total += term
     return total
+
+
+def count_graphs_undirected(sig: Sequence[int], d: int, p: int) -> int:
+    """Pairings G with A(G)v = 0, v any fixed vector of class sig."""
+    sig = validate_signature(sig, p)
+    n = sum(sig)
+    if (n * d) % 2:
+        raise InvalidParamsError(f"undirected count needs 2 | dn, got nd = {n * d}")
+    return _count_undirected(sig, d, p, _tables(max(sig, default=0), d, p))
 
 
 def class_signatures(n: int, p: int) -> Iterator[tuple[int, ...]]:
@@ -195,10 +228,10 @@ def class_term_directed(sig: Sequence[int], d: int, p: int) -> Fraction:
 
 def master_sum_directed(n: int, d: int, p: int) -> Fraction:
     """Expected number of nonzero kernel vectors of the directed model, exact."""
-    tables = walk_tables(build_support(d, p), n)
+    tables = _tables(n, d, p)
     total = 0
     for sig in class_signatures(n, p):
-        total += multinomial(n, sig) * count_graphs_directed(sig, d, p, tables=tables)
+        total += multinomial(n, sig) * _count_directed(sig, d, tables)
     return Fraction(total, model_size_directed(n, d))
 
 
@@ -206,10 +239,10 @@ def master_sum_undirected(n: int, d: int, p: int) -> Fraction:
     """Expected number of nonzero kernel vectors of the undirected model, exact."""
     if (n * d) % 2:
         raise InvalidParamsError(f"undirected model needs 2 | dn, got nd = {n * d}")
-    tables = walk_tables(build_support(d, p), n)
+    tables = _tables(n, d, p)
     total = 0
     for sig in class_signatures(n, p):
-        total += multinomial(n, sig) * count_graphs_undirected(sig, d, p, tables=tables)
+        total += multinomial(n, sig) * _count_undirected(sig, d, p, tables)
     return Fraction(total, model_size_undirected(n, d))
 
 

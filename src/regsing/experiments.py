@@ -10,7 +10,9 @@ determinant.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -111,6 +113,35 @@ def pool_workers(workers: int, blocks: int, cpus: int) -> int:
     return max(1, min(workers, blocks, cpus))
 
 
+# Thread-count variables of the BLAS builds numpy may load
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextlib.contextmanager
+def worker_pool(procs: int):
+    """A process pool whose workers each run a single-threaded BLAS.
+
+    The workers are spawned, not forked, so each loads numpy afresh and
+    reads the BLAS thread variables, set to 1 while the pool runs; a
+    forked worker would keep the parent's BLAS threads, and `procs`
+    workers would oversubscribe the cores.  The parent's environment is
+    restored when the pool closes.
+    """
+    saved = {k: os.environ.get(k) for k in BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    try:
+        with ProcessPoolExecutor(
+            max_workers=procs, mp_context=multiprocessing.get_context("spawn")
+        ) as pool:
+            yield pool
+    finally:
+        for k, v in saved.items():
+            if v is None:
+                os.environ.pop(k, None)
+            else:
+                os.environ[k] = v
+
+
 def _run_block(
     n: int,
     d: int,
@@ -184,7 +215,7 @@ def run_mc(cfg: McConfig) -> McReport:
             for lo, hi in blocks
         ]
     else:
-        with ProcessPoolExecutor(max_workers=procs) as pool:
+        with worker_pool(procs) as pool:
             futures = [
                 pool.submit(
                     _run_block, cfg.n, cfg.d, cfg.mode, cfg.p, cfg.seed, lo, hi, prime

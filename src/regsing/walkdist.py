@@ -8,13 +8,19 @@ each carrying multiplicity d!/prod_k u_k!.
 
 The n-step endpoint table holds exact big-integer counts: entry m is
 p**(n(d-1)) * P(S_n = m), i.e. the number of ordered atom sequences
-(with multiplicity) summing to m.  It is built by n sequential
-convolutions so every intermediate table is available too.
+(with multiplicity) summing to m.  `walk_tables` serves the tables for
+0..n steps from one store per support, keyed by the integer
+key(m) = sum_j m_j * R**j, so a convolution step adds one integer to a
+key instead of building a tuple.  The store keeps the tables of the
+most recent (d, p) only and extends them one convolution at a time
+when more steps are asked for; `walk_distribution` decodes one table
+into a fresh dict keyed by histogram tuples.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -138,31 +144,106 @@ def char_fn(s: SupportTable, t) -> complex | np.ndarray:
     return complex(phi_t) if t.ndim == 1 else phi_t
 
 
-def walk_tables(s: SupportTable, n: int) -> list[dict[tuple[int, ...], int]]:
-    """Exact endpoint tables for 0..n steps (index k holds the k-step law)."""
+class WalkTables(list):
+    """Endpoint tables for steps 0..n, keyed by `key`.
+
+    Index k holds the k-step table as a dict from key(m) to the count of
+    m.  The dicts are shared with the store's cache, so callers read
+    them and never write to them.
+    """
+
+    def __init__(self, tables, p: int, bits: int):
+        super().__init__(tables)
+        self.p = p
+        self.bits = bits
+
+    def key(self, m: Sequence[int]) -> int:
+        """key(m) = sum_j m_j * R**j with radix R = 2**bits; every
+        coordinate held is below R, so key(m + u) = key(m) + key(u)."""
+        return _encode(m, self.bits)
+
+    def histograms(self, k: int) -> dict[tuple[int, ...], int]:
+        """Table k as a fresh dict keyed by histogram tuples."""
+        return {_decode(key, self.bits, self.p): c for key, c in self[k].items()}
+
+
+def _encode(m: Sequence[int], bits: int) -> int:
+    out = 0
+    for x in reversed(m):
+        out = (out << bits) | x
+    return out
+
+
+def _decode(key: int, bits: int, p: int) -> tuple[int, ...]:
+    mask = (1 << bits) - 1
+    return tuple([(key >> shift) & mask for shift in range(0, bits * p, bits)])
+
+
+class _WalkStore:
+    """The tables of one support for steps 0..k, extended on demand.
+
+    Coordinates of a k-step endpoint are at most k*d, so the radix
+    2**bits holds every step up to (2**bits - 1) // d.  A request past
+    that re-encodes the held tables under a radix for at least twice as
+    many steps.
+    """
+
+    def __init__(self, s: SupportTable, n: int):
+        self.support = s
+        self.bits = (max(n, 1) * s.d).bit_length()
+        self.tables: list[dict[int, int]] = [{0: 1}]
+
+    def extend(self, n: int) -> None:
+        s = self.support
+        if n * s.d >= 1 << self.bits:
+            old, self.bits = self.bits, max(self.bits + 1, (n * s.d).bit_length())
+            self.tables = [
+                {_encode(_decode(k, old, s.p), self.bits): c for k, c in t.items()}
+                for t in self.tables
+            ]
+        # atoms grouped by multiplicity: one product per group and entry
+        by_mult: dict[int, list[int]] = {}
+        for u, mult in s.atoms:
+            by_mult.setdefault(mult, []).append(_encode(u, self.bits))
+        groups = list(by_mult.items())
+        while len(self.tables) <= n:
+            prev = self.tables[-1]
+            nxt: dict[int, int] = {}
+            get = nxt.get
+            for k, cnt in prev.items():
+                for mult, keys in groups:
+                    step = cnt * mult
+                    for u in keys:
+                        key = k + u
+                        nxt[key] = get(key, 0) + step
+            self.tables.append(nxt)
+
+
+# The store of the most recent support only: callers alternate between
+# a few (d, p), and holding every one of them costs more memory than
+# rebuilding.  The lock keeps a store from being extended or replaced
+# by two threads at once.
+_store: _WalkStore | None = None
+_store_lock = threading.Lock()
+
+
+def walk_tables(s: SupportTable, n: int) -> WalkTables:
+    """Exact endpoint tables for 0..n steps (index k holds the k-step
+    law), integer-keyed, from the cached store of the last support."""
+    global _store
     if n < 0:
         raise DomainError(f"step count must be >= 0, got {n}")
-    zero = (0,) * s.p
-    tables: list[dict[tuple[int, ...], int]] = [{zero: 1}]
-    for _ in range(n):
-        prev = tables[-1]
-        nxt: dict[tuple[int, ...], int] = {}
-        for m, cnt in prev.items():
-            for u, mult in s.atoms:
-                key = tuple(a + b for a, b in zip(m, u))
-                step = cnt * mult
-                if key in nxt:
-                    nxt[key] += step
-                else:
-                    nxt[key] = step
-        tables.append(nxt)
-    return tables
+    with _store_lock:
+        if _store is None or _store.support != s:
+            _store = _WalkStore(s, n)
+        _store.extend(n)
+        return WalkTables(_store.tables[: n + 1], s.p, _store.bits)
 
 
 def walk_distribution(s: SupportTable, n: int) -> LatticeDistribution:
-    """The n-step endpoint law, with exact big-integer counts (the last
-    table of `walk_tables`)."""
-    return LatticeDistribution(d=s.d, p=s.p, n=n, table=walk_tables(s, n)[-1])
+    """The n-step endpoint law, with exact big-integer counts, as a fresh
+    histogram-keyed dict (the last table of `walk_tables`, decoded)."""
+    return LatticeDistribution(d=s.d, p=s.p, n=n, table=walk_tables(s, n).histograms(n))
 
 
 def table_moments(dist: LatticeDistribution) -> MomentData:

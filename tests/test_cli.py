@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from regsing import cli
+from regsing import cli, exactcount
 
 
 def run_cli(capsys, *argv):
@@ -260,6 +260,21 @@ def test_exit_code_3_on_cost_guard(capsys):
     )
     assert code == 3
     assert err
+
+
+@pytest.mark.parametrize("argv", [
+    ("master-sum", "--n", "200", "--d", "6", "--p", "7"),
+    ("master-sum", "--n", "200", "--d", "6", "--p", "7", "--mode", "undirected"),
+    ("exact-count", "--sig", "100,100,0,0,0,0,0", "--d", "6", "--p", "7"),
+])
+def test_exit_code_3_on_table_cost_guard(monkeypatch, capsys, argv):
+    def no_tables(*args):
+        raise AssertionError("walk-table work started")
+
+    monkeypatch.setattr(exactcount, "walk_tables", no_tables)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == "" and "predicted" in err
 
 
 def test_exit_code_3_on_budget(capsys):

@@ -132,6 +132,39 @@ def test_pairing_matrix_cost_guard():
         exactcount.enumerate_pairing_matrices((4, 4), 3, 2, cap=2)
 
 
+def test_predicted_table_bits_bounds_the_tables():
+    # (4+1)*3 + 2 - 1 = 16: comb(16, 2) // 3 = 40 entries of at most 4*2*1 = 8 bits
+    assert exactcount.predicted_table_bits(4, 3, 2) == 40 * 8
+    for n, d, p in [(8, 3, 2), (6, 3, 3), (5, 4, 3), (4, 3, 5), (3, 4, 7)]:
+        tables = walkdist.walk_tables(walkdist.build_support(d, p), n)
+        entries = sum(len(t) for t in tables)
+        width = max(c.bit_length() for t in tables for c in t.values())
+        assert entries * width <= exactcount.predicted_table_bits(n, d, p)
+
+
+def test_table_cost_guard_admits_the_largest_exact_inputs():
+    for n, d, p in [(256, 3, 2), (128, 3, 3), (32, 3, 3), (20, 4, 3), (12, 3, 5), (12, 4, 5)]:
+        assert exactcount.predicted_table_bits(n, d, p) <= exactcount.TABLE_BITS_CAP
+
+
+def test_table_cost_guard_refuses_before_any_table_work(monkeypatch):
+    def no_tables(*args):
+        raise AssertionError("walk-table work started")
+
+    monkeypatch.setattr(exactcount, "walk_tables", no_tables)
+    assert exactcount.predicted_table_bits(200, 6, 7) > exactcount.TABLE_BITS_CAP
+    for call in (
+        lambda: exactcount.master_sum_directed(200, 6, 7),
+        lambda: exactcount.master_sum_undirected(200, 6, 7),
+        lambda: exactcount.count_graphs_directed((100, 100, 0, 0, 0, 0, 0), 6, 7),
+        lambda: exactcount.count_graphs_undirected((200, 0, 0, 0, 0, 0, 0), 6, 7),
+    ):
+        with pytest.raises(CostGuardError, match="predicted"):
+            call()
+    with pytest.raises(DomainError):
+        exactcount.predicted_table_bits(-1, 3, 2)
+
+
 def test_master_denominators_divide_model_sizes():
     for n in (2, 3, 4):
         m = exactcount.master_sum_directed(n, 3, 2)

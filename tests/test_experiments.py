@@ -1,5 +1,7 @@
 """Monte Carlo drivers: reproducibility, tallies, and exact cross-checks."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,18 @@ def test_pool_workers_clamp():
     assert experiments.pool_workers(64, 3, 16) == 3
     assert experiments.pool_workers(10**6, 4 * 10**6, 2) == 2
     assert experiments.pool_workers(4, 0, 8) == 1
+
+
+def test_worker_pool_runs_single_threaded_blas(monkeypatch):
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    with experiments.worker_pool(2) as pool:
+        probes = [pool.submit(os.getenv, k) for k in experiments.BLAS_THREAD_VARS]
+        seen = [f.result(timeout=120) for f in probes]
+    assert seen == ["1"] * len(experiments.BLAS_THREAD_VARS)
+    # the parent's environment is restored, unset variables included
+    assert os.environ["OMP_NUM_THREADS"] == "3"
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
 
 
 def test_undirected_mode_runs_and_replays():

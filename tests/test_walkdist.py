@@ -136,10 +136,10 @@ def brute_two_step_table(s):
 def test_walk_tables_frozen_and_brute_two_steps():
     s = walkdist.build_support(3, 2)
     tables = walkdist.walk_tables(s, 2)
-    assert tables[-1] == TABLE_D3_P2_N2
-    assert tables[-1] == brute_two_step_table(s)
+    assert tables.histograms(2) == TABLE_D3_P2_N2
+    assert tables.histograms(2) == brute_two_step_table(s)
     zero = (0, 0)
-    assert tables[0] == {zero: 1}
+    assert tables.histograms(0) == {zero: 1}
 
 
 def test_walk_distribution_total_mass():
