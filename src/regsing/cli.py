@@ -13,7 +13,6 @@ import dataclasses
 import io
 import json
 import math
-import os
 import secrets
 import sys
 from fractions import Fraction
@@ -92,14 +91,6 @@ def _parse_step(text: str) -> float:
     if not math.isfinite(step):
         raise argparse.ArgumentTypeError(f"bad grid step: {text!r}")
     return step
-
-
-def _default_workers() -> int:
-    raw = os.environ.get("REGSING_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _ensure_seed(args) -> int:
@@ -419,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mode", choices=("directed", "undirected"), default="directed")
     sp.add_argument("--trials", type=int, default=1000)
     sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--workers", type=int, default=_default_workers())
+    sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     add_common(sp)
     sp.set_defaults(func=_cmd_mc)
@@ -430,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mode", choices=("directed", "undirected"), default="directed")
     sp.add_argument("--trials", type=int, default=1000)
     sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--workers", type=int, default=_default_workers())
+    sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     add_common(sp)
     sp.set_defaults(func=_cmd_scaling)

@@ -2,13 +2,14 @@
 
 Matrices are plain sequences of equal-length rows of Python ints, so
 nothing ever overflows; `rank_mod_p` also takes integer numpy arrays
-as they are.  Elimination mod p runs on int64 numpy arrays when
-products of two residues fit in a signed 64-bit word (p < 2**31);
-larger primes fall back to pure-Python arithmetic, which keeps the same
-pivot order.  Integer rank and determinant use fraction-free (Bareiss)
-elimination: every intermediate entry is an exact minor of the input,
-and every division is exact.  `certify_nonsingular` is the one
-floating-point routine, and it only ever proves, never guesses.
+as they are.  Elimination mod p has one core: it runs on int64 numpy
+arrays when products of two residues fit in a signed 64-bit word
+(p < 2**31), and on object arrays of Python ints above that, with the
+same pivot order.  Integer rank and determinant use fraction-free
+(Bareiss) elimination on Python ints: every intermediate entry is an
+exact minor of the input, and every division is exact.
+`certify_nonsingular` is the one floating-point routine, and it only
+ever proves, never guesses.
 """
 
 from __future__ import annotations
@@ -19,17 +20,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidModulusError, ShapeError
 
-try:
-    from gmpy2 import mpz
-    from gmpy2 import divexact as _divexact
-except ImportError:  # pragma: no cover - optional speedup only
-    mpz = int
-
-    def _divexact(a: int, b: int) -> int:
-        # exact quotient, so floor division is the true quotient
-        return a // b
-
-# Products of two residues must fit in int64 for the vectorized path.
+# Products of two residues must fit in int64 for the int64 core.
 NUMPY_PRIME_LIMIT = 1 << 31
 # Unit roundoff of float64, and the largest magnitude below which every
 # integer is exact in float64.
@@ -94,39 +85,32 @@ def rank_mod_p(matrix: Matrix, p) -> int:
     Entries are reduced mod p on entry.  Pivoting picks the first
     nonzero entry in column order, so the pivot sequence is a pure
     function of the input.  An integer ndarray skips the conversion to
-    rows of Python ints when p < 2**31.
+    rows of Python ints.
     """
     p = require_prime(p)
-    if (
-        isinstance(matrix, np.ndarray)
-        and np.can_cast(matrix.dtype, np.int64)
-        and p < NUMPY_PRIME_LIMIT
-    ):
+    if isinstance(matrix, np.ndarray) and np.can_cast(matrix.dtype, np.int64):
         if matrix.ndim != 2:
             raise ShapeError(f"expected a 2-d matrix, got {matrix.ndim} dimensions")
-        if 0 in matrix.shape:
+        a = matrix
+    else:
+        rows = _checked_rows(matrix)
+        if not rows or not rows[0]:
             return 0
-        # np.mod returns a fresh array, so the caller's matrix is untouched
-        return _rank_mod_numpy_arr(np.mod(matrix.astype(np.int64, copy=False), p), p)
-    rows = _checked_rows(matrix)
-    if not rows or not rows[0]:
+        try:
+            a = np.array(rows, dtype=np.int64)
+        except OverflowError:
+            # entries beyond int64: reduce exactly first
+            a = np.array(rows, dtype=object) % p
+    if 0 in a.shape:
         return 0
-    if p < NUMPY_PRIME_LIMIT:
-        return _rank_mod_numpy(rows, p)
-    return _rank_mod_python(rows, p)
-
-
-def _rank_mod_numpy(rows: list[list[int]], p: int) -> int:
-    try:
-        a = np.array(rows, dtype=np.int64)
-    except OverflowError:
-        # entries beyond int64: reduce exactly first
-        a = (np.array(rows, dtype=object) % p).astype(np.int64)
-    return _rank_mod_numpy_arr(a % p, p)
+    dtype = np.int64 if p < NUMPY_PRIME_LIMIT else object
+    # np.mod returns a fresh array, so the caller's matrix is untouched
+    return _rank_mod_numpy_arr(np.mod(a.astype(dtype, copy=False), p), p)
 
 
 def _rank_mod_numpy_arr(a: np.ndarray, p: int) -> int:
-    """Elimination core; `a` must be int64 with entries in [0, p). Mutates a."""
+    """Elimination core; `a` holds entries in [0, p), as int64 when
+    p < 2**31 and as Python ints otherwise.  Mutates a."""
     nr, nc = a.shape
     r = 0
     for c in range(nc):
@@ -144,29 +128,6 @@ def _rank_mod_numpy_arr(a: np.ndarray, p: int) -> int:
         nz = np.nonzero(col)[0]
         if nz.size:
             a[r + 1 :, c:][nz] = (a[r + 1 :, c:][nz] - np.outer(col[nz], a[r, c:])) % p
-        r += 1
-    return r
-
-
-def _rank_mod_python(rows: list[list[int]], p: int) -> int:
-    a = [[x % p for x in row] for row in rows]
-    nr, nc = len(a), len(a[0])
-    r = 0
-    for c in range(nc):
-        if r == nr:
-            break
-        pivot = next((i for i in range(r, nr) if a[i][c]), None)
-        if pivot is None:
-            continue
-        if pivot != r:
-            a[r], a[pivot] = a[pivot], a[r]
-        inv = pow(a[r][c], -1, p)
-        ar = a[r] = [x * inv % p for x in a[r]]
-        for i in range(r + 1, nr):
-            f = a[i][c]
-            if f:
-                ai = a[i]
-                a[i] = [(x - f * y) % p for x, y in zip(ai, ar)]
         r += 1
     return r
 
@@ -232,8 +193,8 @@ def _bareiss(rows: list[list[int]]) -> tuple[int, int, int]:
     """
     nr = len(rows)
     nc = len(rows[0]) if nr else 0
-    a = [[mpz(x) for x in row] for row in rows]
-    prev = mpz(1)
+    a = [list(row) for row in rows]
+    prev = 1
     sign = 1
     r = 0
     for c in range(nc):
@@ -251,11 +212,12 @@ def _bareiss(rows: list[list[int]]) -> tuple[int, int, int]:
             ai = a[i]
             f = ai[c]
             for j in range(c + 1, nc):
-                ai[j] = _divexact(pc * ai[j] - f * ar[j], prev)
-            ai[c] = mpz(0)
+                # exact quotient, so floor division is the true quotient
+                ai[j] = (pc * ai[j] - f * ar[j]) // prev
+            ai[c] = 0
         prev = pc
         r += 1
-    return r, int(prev), sign
+    return r, prev, sign
 
 
 def rank_integer(matrix: Matrix) -> int:

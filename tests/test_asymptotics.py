@@ -9,6 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import linprog
+from scipy.special import logsumexp
 
 from regsing import asymptotics as am
 from regsing import exactcount, walkdist
@@ -431,3 +432,26 @@ def test_operator_closed_integral_anchor():
     want = math.sqrt(math.pi / 12) * math.sqrt(math.pi / 4)
     assert rep.closed_integral == pytest.approx(want, rel=1e-12)
     assert rep.quadrature_integral == pytest.approx(want, abs=1e-8)
+    # at p = 2 the eigenvalues are -d n and -n, so the integral is
+    # pi / (n sqrt(d))
+    for n, d in [(1, 1), (4, 3), (10, 3), (3, 50), (100, 7), (1000, 3)]:
+        rep = am.operator_L_check(2, n, d)
+        want = math.pi / (n * math.sqrt(d))
+        assert rep.closed_integral == pytest.approx(want, rel=1e-12)
+        assert rep.quadrature_integral == pytest.approx(want, rel=1e-12)
+
+
+def test_logsumexp_matches_scipy_bit_for_bit():
+    # seeded inputs: lengths 1 to 400, scales 1e-3 to 300, ties with the
+    # maximum and integer-valued (heavily tied) arrays
+    rng = np.random.default_rng(8)
+    for k in range(3000):
+        n = int(rng.integers(1, 401))
+        a = rng.normal(size=n) * 10 ** rng.uniform(-3, math.log10(300))
+        if k % 3 == 1:
+            a[rng.integers(0, n, size=max(1, n // 4))] = a.max()
+        elif k % 3 == 2:
+            a = np.round(a)
+        assert am._logsumexp(a) == logsumexp(a)
+    for a in ([0.0], [-700.0], [5.0, 5.0], [1e-300, -1e-300, 0.0]):
+        assert am._logsumexp(np.array(a)) == logsumexp(a)

@@ -233,10 +233,15 @@ def test_exit_code_2_on_nan_frequencies(capsys):
     assert "finite" in err
 
 
-def test_import_leaves_scipy_stats_out():
-    code = "import sys, regsing.cli; sys.exit('scipy.stats' in sys.modules)"
+def test_import_leaves_scipy_out():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    for module in ("regsing", "regsing.cli"):
+        code = (
+            f"import sys, {module}; "
+            "sys.exit(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy') or 0)"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, f"import {module} loaded {proc.stderr}"
 
 
 def test_internal_value_error_is_not_exit_code_2(capsys, monkeypatch):
@@ -283,7 +288,10 @@ def test_exit_code_3_on_budget(capsys):
 
 
 # sha256 of stdout, recorded before the sampler, seeding and JSON-encoder
-# paths were merged; any byte that moves fails here
+# paths were merged (the rate and rank entries: before scipy and the
+# pure-Python rank path were dropped); any byte that moves fails here.
+# Every invocation reads FROZEN_MATRIX on stdin; only `rank` uses it.
+FROZEN_MATRIX = json.dumps([[2, 7, 1], [8, 2, 8], [1, 8, 28182818284590452353602874]])
 FROZEN_STDOUT = [
     (("sample", "--n", "6", "--d", "3", "--seed", "11"),
      "cf56ab2390db91d397a355e7d03ed66d7a2e8eb2f0fa4240cecc72466b48af83"),
@@ -303,13 +311,24 @@ FROZEN_STDOUT = [
      "65c4501ae7de67ad3ca2bf89900daa9b7c038190a1b99e56cc6885890e01a12f"),
     (("oracle-check", "--n", "2", "--d", "3", "--p", "2", "--mode", "undirected"),
      "759cca78644658abcfbda28914c7bf58abcbff8a0249eabd4a4dad9103208f35"),
+    (("rate", "--frak-n", "0.5,0.3,0.2", "--d", "3", "--p", "3"),
+     "cf3ded89c1a04a9ec99977fed00d9e673b616b88c88b4be584dfd1a8ab2ca4d9"),
+    (("rate", "--frak-n", "0.1,0.9", "--d", "3", "--p", "2"),
+     "648fc9d3cfbf0cfffff3704d31f65f829ea0c142baa9982f0a34350f17aceb3b"),
+    (("rate", "--mode", "undirected", "--frak-m", "0.1,0.2;0.2,0.5", "--d", "4", "--p", "2"),
+     "c0c713917babf53a707f625dc55c7df114cdcc13d615abe8840ef6b20b3bb3b6"),
+    (("rank", "--p", "2305843009213693951"),
+     "9406870bc4d9bbfc1bc6bb65566a6b688280f6949aaf0718cb26beda8531fcc8"),
+    (("rank",),
+     "f739437d54b713610170e71d41206866a87f5fbd61803662a1903cb5210e1196"),
 ]
 
 
 @pytest.mark.parametrize(
     "argv,digest", FROZEN_STDOUT, ids=[f"{argv[0]}-{i}" for i, (argv, _) in enumerate(FROZEN_STDOUT)]
 )
-def test_frozen_stdout_bytes(capsys, argv, digest):
+def test_frozen_stdout_bytes(capsys, monkeypatch, argv, digest):
+    monkeypatch.setattr("sys.stdin", io.StringIO(FROZEN_MATRIX))
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

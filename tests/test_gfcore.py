@@ -12,7 +12,7 @@ from regsing.errors import DomainError, InvalidModulusError, ShapeError
 
 SMALL_PRIMES = (2, 3, 5, 7, 31, 97)
 
-# Mersenne prime above the numpy cutoff; forces the pure-python path.
+# Mersenne prime above the int64 cutoff; forces the object-dtype core.
 M61 = (1 << 61) - 1
 
 
@@ -161,7 +161,27 @@ def test_rank_mod_p_matches_oracle(rows, p):
 def test_large_prime_path_matches_rational_rank(rows):
     # With entries in [-9, 9] and size <= 5 every minor is far below M61,
     # so rank over F_M61 equals the rational rank.
-    assert gfcore.rank_mod_p(rows, M61) == gauss_oracle_rational(rows)[0]
+    want = gauss_oracle_rational(rows)[0]
+    assert gfcore.rank_mod_p(rows, M61) == want
+    assert gfcore.rank_mod_p(np.array(rows, dtype=np.int64), M61) == want
+
+
+def test_rank_mod_p_entries_beyond_int64():
+    # rows 0 and 2 agree mod 2, so the rank drops there; the determinant,
+    # -(5 * 10**30 - 6), is divisible by neither 3 nor M61
+    rows = [[10**30, 1, 2], [3, 10**30 + 7, 5], [2 * 10**30, 3, 4]]
+    rank, det = gauss_oracle_rational(rows)
+    assert rank == 3 and det == -(5 * 10**30 - 6)
+    assert gfcore.rank_mod_p(rows, 2) == rank_oracle_mod_p(rows, 2) == 2
+    assert gfcore.rank_mod_p(rows, 3) == rank_oracle_mod_p(rows, 3) == rank
+    assert gfcore.rank_mod_p(rows, M61) == rank
+    # row 2 = row 0 + row 1: singular over the rationals, so at every p;
+    # residue products near M61**2 would overflow int64 here
+    rows = [rows[0], rows[1], [a + b for a, b in zip(rows[0], rows[1])]]
+    rank = gauss_oracle_rational(rows)[0]
+    assert rank == 2
+    for p in (2, 3, M61):
+        assert gfcore.rank_mod_p(rows, p) == rank_oracle_mod_p(rows, p) == rank
 
 
 @settings(max_examples=100, deadline=None)
