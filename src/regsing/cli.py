@@ -165,20 +165,19 @@ def _cmd_rank(args) -> int:
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
     payload: dict = {"rows": rows, "cols": cols}
+    # one elimination per input: the kernel count follows from the rank,
+    # and a nonzero determinant gives the rank
     if args.p is not None:
         rank = gfcore.rank_mod_p(matrix, args.p)
-        payload["p"] = args.p
-        payload["rank"] = rank
+        payload.update(p=args.p, rank=rank)
         if rows == cols:
-            payload["kernel_count"] = str(gfcore.kernel_count(matrix, args.p))
-            payload["singular"] = rank < rows
+            payload.update(kernel_count=str(args.p ** (rows - rank) - 1), singular=rank < rows)
+    elif rows == cols:
+        det = gfcore.det_integer(matrix)
+        rank = gfcore.rank_integer(matrix) if det == 0 else rows
+        payload.update(p=None, rank=rank, det=str(det), singular=rank < rows)
     else:
-        rank = gfcore.rank_integer(matrix)
-        payload["p"] = None
-        payload["rank"] = rank
-        if rows == cols:
-            payload["det"] = str(gfcore.det_integer(matrix))
-            payload["singular"] = rank < rows
+        payload.update(p=None, rank=gfcore.rank_integer(matrix))
     _emit_json(args, payload)
     return 0
 

@@ -18,7 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParamsError
+from .errors import CostGuardError, InvalidParamsError
+
+# Cap on n*n and n*d: 4096 vertices, a 128 MiB int64 adjacency.
+DENSE_ENTRIES_CAP = 2**24
 
 
 @dataclass(frozen=True)
@@ -35,6 +38,10 @@ class GraphParams:
         if self.mode == "undirected" and (self.n * self.d) % 2:
             raise InvalidParamsError(
                 f"undirected model needs an even point count, got n*d = {self.n * self.d}"
+            )
+        if max(self.n * self.n, self.n * self.d) > DENSE_ENTRIES_CAP:
+            raise CostGuardError(
+                f"n={self.n}, d={self.d}: n*n and n*d must not exceed {DENSE_ENTRIES_CAP}"
             )
 
 

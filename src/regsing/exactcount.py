@@ -15,7 +15,9 @@ Undirected outcomes additionally fix how many pair endpoints join
 symbol class i to symbol class j; those "data matrices" M (symmetric,
 even diagonal, row sums d*n_i, row-wise weighted congruence) each carry
 a pairing weight prod_{i<j} m_ij! * prod_i m_ii!/(2^{m_ii/2}(m_ii/2)!)
-and a product of per-class walk counts.
+and a product of per-class walk counts, so the class count is
+sum_M weight(M) * prod_i walks_{n_i}(row i of M), summed in one
+backtracking pass that builds no list of matrices.
 
 Master sums divide the class totals by the model size; they estimate
 the expected number of nonzero kernel vectors, and divided by (p-1)
@@ -32,6 +34,7 @@ from .errors import CostGuardError, DomainError, InvalidParamsError
 from .gfcore import require_prime
 from .walkdist import WalkTables, build_support, compositions, walk_tables
 
+# Refuse an undirected class once this many data matrices complete.
 PAIRING_MATRIX_CAP = 1_000_000
 # Refuse walk tables whose predicted size (entries times count width,
 # see predicted_table_bits) exceeds this many bits.
@@ -116,86 +119,59 @@ def count_graphs_directed(sig: Sequence[int], d: int, p: int) -> int:
     return _count_directed(sig, d, _tables(sum(sig), d, p))
 
 
-def enumerate_pairing_matrices(
-    sig: Sequence[int], d: int, p: int, *, cap: int = PAIRING_MATRIX_CAP
-) -> list[tuple[tuple[int, ...], ...]]:
-    """All data matrices for the class: symmetric p x p, even diagonal,
-    row sums d*n_i, and sum_j j*m_ij = 0 mod p in every row.
-
-    Row-wise backtracking; partial row sums and column capacities prune
-    before the congruence check.  Raises CostGuardError when more than
-    `cap` matrices would be produced (the count grows quickly at p >= 5
-    and large d*n_i).
-    """
-    sig = validate_signature(sig, p)
-    rows = [d * x for x in sig]
-    m = [[0] * p for _ in range(p)]
-    out: list[tuple[tuple[int, ...], ...]] = []
-
-    def fill_row(i: int):
-        if i == p:
-            out.append(tuple(tuple(r) for r in m))
-            if len(out) > cap:
-                raise CostGuardError(
-                    f"more than {cap} data matrices for class {sig}; raise cap to proceed"
-                )
-            return
-        fixed = sum(m[j][i] for j in range(i))
-        budget = rows[i] - fixed
-        if budget < 0:
-            return
-        choose(i, i, budget)
-
-    def choose(i: int, j: int, rem: int):
-        # pick m[i][j] for j >= i; diagonal entries must be even
-        if j == p - 1:
-            v = rem
-            if j == i and v % 2:
-                return
-            if j > i and v > rows[j] - sum(m[k][j] for k in range(i)):
-                return
-            m[i][j] = m[j][i] = v
-            if sum(k * m[i][k] for k in range(p)) % p == 0:
-                fill_row(i + 1)
-            m[i][j] = m[j][i] = 0
-            return
-        if j == i:
-            top, step = rem, 2
-        else:
-            top = min(rem, rows[j] - sum(m[k][j] for k in range(i)))
-            step = 1
-        for v in range(0, top + 1, step):
-            m[i][j] = m[j][i] = v
-            choose(i, j + 1, rem - v)
-        m[i][j] = m[j][i] = 0
-
-    fill_row(0)
-    return out
-
-
-def pairing_matrix_weight(mat: Sequence[Sequence[int]]) -> int:
-    """Ways to realize the data matrix as endpoint pairs: off-diagonal
-    entries contribute m_ij! matchings, diagonals m_ii!/(2^{m_ii/2}(m_ii/2)!)."""
-    p = len(mat)
-    w = 1
-    for i in range(p):
-        mii = mat[i][i]
-        w *= math.factorial(mii) // (2 ** (mii // 2) * math.factorial(mii // 2))
-        for j in range(i + 1, p):
-            w *= math.factorial(mat[i][j])
-    return w
-
-
 def _count_undirected(sig: tuple[int, ...], d: int, p: int, tables: WalkTables) -> int:
-    key = tables.key
-    total = 0
-    for mat in enumerate_pairing_matrices(sig, d, p):
-        term = pairing_matrix_weight(mat)
-        for i in range(p):
-            if term == 0:
-                break
-            term *= tables[sig[i]].get(key(mat[i]), 0)
-        total += term
+    """Sum of weight(M) * prod_i walks(row i) over the data matrices M
+    of the class, in one pass that fills M row by row (entries j >= i).
+
+    free[j] is what row and column j still need and fixed[j] the key of
+    row j's entries left of its diagonal, both set in place and restored.
+    A complete row ends its branch unless its walk count is nonzero;
+    that also checks its sum and congruence.
+    """
+    fact = [math.factorial(v) for v in range(d * max(sig) + 1)]
+    # an even diagonal entry v pairs v endpoints within the class
+    loops = [fact[v] // (2 ** (v // 2) * fact[v // 2]) for v in range(len(fact))]
+    unit = [tables.key([int(j == k) for k in range(p)]) for j in range(p)]
+    walks = [tables[x] for x in sig]
+    free = [d * x for x in sig]
+    fixed = [0] * p
+    last = p - 1
+    total = matrices = 0
+
+    def fill(i: int, j: int, rem: int, key: int, term: int) -> None:
+        nonlocal total, matrices
+        if j == last:  # the last entry is whatever the row still needs
+            if (rem % 2) if j == i else (rem > free[j]):  # odd diagonal, full column
+                return
+            w = walks[i].get(key + rem * unit[j], 0)
+            if not w:
+                return
+            term *= w * (loops if j == i else fact)[rem]
+            if i == last:
+                matrices += 1
+                if matrices > PAIRING_MATRIX_CAP:
+                    raise CostGuardError(
+                        f"more than {PAIRING_MATRIX_CAP} data matrices for class {sig}"
+                    )
+                total += term
+                return
+            free[j] -= rem
+            fixed[j] += rem * unit[i]
+            fill(i + 1, i + 1, free[i + 1], fixed[i + 1], term)
+            free[j] += rem
+            fixed[j] -= rem * unit[i]
+        elif j == i:
+            for v in range(0, rem + 1, 2):
+                fill(i, j + 1, rem - v, key + v * unit[j], term * loops[v])
+        else:
+            for v in range(min(rem, free[j]) + 1):
+                free[j] -= v
+                fixed[j] += v * unit[i]
+                fill(i, j + 1, rem - v, key + v * unit[j], term * fact[v])
+                free[j] += v
+                fixed[j] -= v * unit[i]
+
+    fill(0, 0, free[0], 0, 1)
     return total
 
 

@@ -248,7 +248,7 @@ def matrix_to_json(matrix: Matrix) -> list[list[str]]:
 
 
 def _json_int(x) -> int:
-    if isinstance(x, float) and not x.is_integer():
+    if isinstance(x, bool) or (isinstance(x, float) and not x.is_integer()):
         raise ValueError(f"{x!r} is not an integer")
     return int(x)
 
@@ -256,9 +256,11 @@ def _json_int(x) -> int:
 def matrix_from_json(data) -> list[list[int]]:
     """Parse a matrix serialized by matrix_to_json (strings or numbers).
 
-    An entry that is not an integer, or data that is not a list of rows,
-    raises DomainError.
+    The matrix and each of its rows must be JSON arrays and every entry
+    an integer, not a bool; anything else raises DomainError.
     """
+    if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
+        raise DomainError("a matrix must be a JSON array of row arrays")
     try:
         rows = [[_json_int(x) for x in row] for row in data]
     except (TypeError, ValueError) as exc:

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from regsing import cli, exactcount
+from regsing import cli, confmodel, exactcount, experiments, gfcore
 
 
 def run_cli(capsys, *argv):
@@ -205,7 +205,10 @@ def test_exit_code_2_on_domain_errors(capsys):
 
 
 def test_exit_code_2_on_malformed_input(capsys, monkeypatch):
-    for text in ("[[1.5, 2], [3, 4]]", '[["a"]]', "[[null]]", "not json"):
+    for text in (
+        "[[1.5, 2], [3, 4]]", '[["a"]]', "[[null]]", "not json",
+        '"1234"', '["12", "34"]', '{"rows": "12"}', "[[true, 0], [0, 1]]",
+    ):
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
         code, _, err = run_cli(capsys, "rank", "--p", "5")
         assert code == 2
@@ -282,6 +285,42 @@ def test_exit_code_3_on_table_cost_guard(monkeypatch, capsys, argv):
     assert out == "" and "predicted" in err
 
 
+def test_exit_code_3_on_dense_size_guard(monkeypatch, capsys):
+    def no_adjacency(*args):
+        raise AssertionError("dense adjacency built")
+
+    monkeypatch.setattr(confmodel, "adjacency", no_adjacency)
+    monkeypatch.setattr(experiments, "adjacency", no_adjacency)
+    for argv in (
+        ("sample", "--n", "5000", "--d", "3", "--seed", "0"),
+        ("mc", "--n", "5000", "--d", "3", "--trials", "1", "--workers", "1"),
+        ("scaling", "--d", "3", "--n-list", "5000", "--trials", "1", "--workers", "1"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3, argv
+        assert out == "" and "must not exceed" in err
+
+
+def test_rank_runs_one_elimination(monkeypatch, capsys):
+    calls = {"mod_p": 0, "bareiss": 0}
+
+    def counted(name, func):
+        def wrapper(*args):
+            calls[name] += 1
+            return func(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(gfcore, "_rank_mod_numpy_arr", counted("mod_p", gfcore._rank_mod_numpy_arr))
+    monkeypatch.setattr(gfcore, "_bareiss", counted("bareiss", gfcore._bareiss))
+    for argv in (("rank", "--p", "5"), ("rank",)):
+        monkeypatch.setattr("sys.stdin", io.StringIO("[[1, 2], [3, 4]]"))
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["singular"] is False
+    assert calls == {"mod_p": 1, "bareiss": 1}
+
+
 def test_exit_code_3_on_budget(capsys):
     code, _, _ = run_cli(capsys, "oracle-check", "--n", "4", "--d", "3", "--p", "2")
     assert code == 3
@@ -289,7 +328,8 @@ def test_exit_code_3_on_budget(capsys):
 
 # sha256 of stdout, recorded before the sampler, seeding and JSON-encoder
 # paths were merged (the rate and rank entries: before scipy and the
-# pure-Python rank path were dropped); any byte that moves fails here.
+# pure-Python rank path were dropped; the last three undirected entries:
+# before the one-pass class count); any byte that moves fails here.
 # Every invocation reads FROZEN_MATRIX on stdin; only `rank` uses it.
 FROZEN_MATRIX = json.dumps([[2, 7, 1], [8, 2, 8], [1, 8, 28182818284590452353602874]])
 FROZEN_STDOUT = [
@@ -321,6 +361,12 @@ FROZEN_STDOUT = [
      "9406870bc4d9bbfc1bc6bb65566a6b688280f6949aaf0718cb26beda8531fcc8"),
     (("rank",),
      "f739437d54b713610170e71d41206866a87f5fbd61803662a1903cb5210e1196"),
+    (("master-sum", "--n", "6", "--d", "4", "--p", "5", "--mode", "undirected"),
+     "efc0c645fcf3821d1bed5f86d1c2acc19b2c33f0fcc4ce90c98c0b49315b45b6"),
+    (("master-sum", "--n", "4", "--d", "4", "--p", "7", "--mode", "undirected"),
+     "771e3c842e407e34c7c6020a39dab987e19ef5d7d4138c8a50908e1d898eb934"),
+    (("exact-count", "--sig", "2,1,1,1,1", "--d", "4", "--p", "5", "--mode", "undirected"),
+     "6e75509bc163b0a328d2b87e740e3e11551df1aa857e5103532c3302f8cce4e0"),
 ]
 
 

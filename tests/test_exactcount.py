@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from regsing import bruteoracle, exactcount, walkdist
-from regsing.errors import CostGuardError, DomainError
+from regsing import bruteoracle, cli, exactcount, walkdist
+from regsing.errors import CostGuardError, DomainError, InvalidParamsError
 
 # Frozen master sums (directed d=3, p=2), certified against the closed
 # binomial form of the walk counts before freezing.
@@ -105,13 +105,112 @@ def brute_pairing_matrices(sig, d, p):
     return out
 
 
+def pairing_matrix_weight(mat):
+    """Ways to realize the data matrix as endpoint pairs: off-diagonal
+    entries contribute m_ij! matchings, diagonals m_ii!/(2^{m_ii/2}(m_ii/2)!)."""
+    p = len(mat)
+    w = 1
+    for i in range(p):
+        mii = mat[i][i]
+        w *= math.factorial(mii) // (2 ** (mii // 2) * math.factorial(mii // 2))
+        for j in range(i + 1, p):
+            w *= math.factorial(mat[i][j])
+    return w
+
+
+def enumerate_pairing_matrices(sig, d, p):
+    """All data matrices for the class, listed: symmetric p x p, even
+    diagonal, row sums d*n_i, and sum_j j*m_ij = 0 mod p in every row.
+
+    The reference kernel for the one-pass count: row-wise backtracking
+    that re-sums column capacities at each node and checks the
+    congruence on each complete row.
+    """
+    rows = [d * x for x in sig]
+    m = [[0] * p for _ in range(p)]
+    out = []
+
+    def fill_row(i):
+        if i == p:
+            out.append(tuple(tuple(r) for r in m))
+            return
+        budget = rows[i] - sum(m[j][i] for j in range(i))
+        if budget >= 0:
+            choose(i, i, budget)
+
+    def choose(i, j, rem):
+        if j == p - 1:
+            v = rem
+            if j == i and v % 2:
+                return
+            if j > i and v > rows[j] - sum(m[k][j] for k in range(i)):
+                return
+            m[i][j] = m[j][i] = v
+            if sum(k * m[i][k] for k in range(p)) % p == 0:
+                fill_row(i + 1)
+            m[i][j] = m[j][i] = 0
+            return
+        if j == i:
+            top, step = rem, 2
+        else:
+            top, step = min(rem, rows[j] - sum(m[k][j] for k in range(i))), 1
+        for v in range(0, top + 1, step):
+            m[i][j] = m[j][i] = v
+            choose(i, j + 1, rem - v)
+        m[i][j] = m[j][i] = 0
+
+    fill_row(0)
+    return out
+
+
+def reference_count_undirected(sig, d, p, matrices):
+    """Sum of weight(M) * prod_i walks_{n_i}(row i) over the given matrices."""
+    tables = walkdist.walk_tables(walkdist.build_support(d, p), max(sig))
+    walks = [tables.histograms(k) for k in range(max(sig) + 1)]
+    total = 0
+    for mat in matrices:
+        term = pairing_matrix_weight(mat)
+        for i in range(p):
+            term *= walks[sig[i]].get(tuple(mat[i]), 0)
+        total += term
+    return total
+
+
 @pytest.mark.parametrize(
     "sig,d,p",
     [((1, 1), 3, 2), ((2, 0), 3, 2), ((0, 2), 3, 2), ((1, 1, 1), 3, 3), ((0, 1, 1), 3, 3)],
 )
 def test_pairing_matrix_enumeration_matches_scan(sig, d, p):
-    got = set(exactcount.enumerate_pairing_matrices(sig, d, p))
-    assert got == brute_pairing_matrices(sig, d, p)
+    # the listing kernel finds exactly the scanned matrices, and the
+    # one-pass count equals the sum over the scan
+    scanned = brute_pairing_matrices(sig, d, p)
+    assert set(enumerate_pairing_matrices(sig, d, p)) == scanned
+    want = reference_count_undirected(sig, d, p, scanned)
+    if sum(sig) * d % 2:
+        # an odd point count admits no data matrix, and no pairing
+        assert not scanned
+        with pytest.raises(InvalidParamsError):
+            exactcount.count_graphs_undirected(sig, d, p)
+    else:
+        assert exactcount.count_graphs_undirected(sig, d, p) == want
+
+
+# (d, p, n): 296 classes in all, empty symbols included (every
+# composition of n into p parts is a class, the all-zeros one too)
+REFERENCE_GRID = [
+    (3, 2, 8), (4, 3, 6), (3, 3, 6), (4, 5, 4), (5, 5, 2),
+    (6, 7, 2), (4, 7, 2), (2, 3, 4), (1, 2, 4), (2, 5, 4),
+]
+
+
+def test_one_pass_count_matches_listing_kernel():
+    classes = 0
+    for d, p, n in REFERENCE_GRID:
+        for sig in walkdist.compositions(n, p):
+            want = reference_count_undirected(sig, d, p, enumerate_pairing_matrices(sig, d, p))
+            assert exactcount.count_graphs_undirected(sig, d, p) == want, (sig, d, p)
+            classes += 1
+    assert classes == 296
 
 
 def test_pairing_matrix_weight_and_census():
@@ -122,14 +221,21 @@ def test_pairing_matrix_weight_and_census():
     crossing = ((0, 3), (3, 0))
     assert census[loopy] == 9
     assert census[crossing] == 6
-    assert exactcount.pairing_matrix_weight([[2, 1], [1, 2]]) == 1
-    assert exactcount.pairing_matrix_weight([[0, 3], [3, 0]]) == 6
-    assert exactcount.pairing_matrix_weight([[4, 0], [0, 2]]) == 3
+    assert pairing_matrix_weight([[2, 1], [1, 2]]) == 1
+    assert pairing_matrix_weight([[0, 3], [3, 0]]) == 6
+    assert pairing_matrix_weight([[4, 0], [0, 2]]) == 3
 
 
-def test_pairing_matrix_cost_guard():
-    with pytest.raises(CostGuardError):
-        exactcount.enumerate_pairing_matrices((4, 4), 3, 2, cap=2)
+def test_pairing_matrix_cost_guard(monkeypatch, capsys):
+    # (4, 4) at d=3, p=2 completes three data matrices
+    monkeypatch.setattr(exactcount, "PAIRING_MATRIX_CAP", 2)
+    with pytest.raises(CostGuardError, match="data matrices"):
+        exactcount.count_graphs_undirected((4, 4), 3, 2)
+    argv = ["master-sum", "--n", "8", "--d", "3", "--p", "2", "--mode", "undirected"]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().out == ""
+    monkeypatch.setattr(exactcount, "PAIRING_MATRIX_CAP", 3)
+    assert exactcount.count_graphs_undirected((4, 4), 3, 2) > 0
 
 
 def test_predicted_table_bits_bounds_the_tables():

@@ -237,7 +237,10 @@ def test_matrix_json_round_trip_big_entries():
 
 
 def test_matrix_from_json_rejects_non_integers():
-    for data in ([[1.5]], [["x"]], [[None]], [["1.0"]], [[float("inf")]], None, [3]):
+    for data in (
+        [[1.5]], [["x"]], [[None]], [["1.0"]], [[float("inf")]], None, [3],
+        "1234", ["12", "34"], [[True]], [[1, False]], ((1, 2), (3, 4)),
+    ):
         with pytest.raises(DomainError):
             gfcore.matrix_from_json(data)
     with pytest.raises(ShapeError):
