@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import CostGuardError, DomainError, ShapeError
 from .exactcount import validate_signature
-from .walkdist import build_support, char_fn
+from .walkdist import SupportTable, build_support, char_fn
 
 TWO_PI = 2.0 * math.pi
 
@@ -34,6 +34,14 @@ NEAR_ONE_EPS = 1e-9
 
 SCAN_POINT_CAP = 100_000_000
 SCAN_CHUNK = 1 << 16
+
+# Newton iteration cap and gradient-norm convergence test of the
+# directed rate
+MAX_NEWTON_ITER = 200
+GRAD_TOL = 1e-12
+
+# symmetry and zero-sum tolerance for operator inputs
+SYM_TOL = 1e-12
 
 
 def helmert_basis(p: int) -> np.ndarray:
@@ -199,9 +207,11 @@ def rate_directed_explicit(frak_n: Sequence[float], d: int, p: int) -> float:
     prod_k frak_n[k]^(u_k * (d-1)/d), with the 0^0 = 1 convention.
     Returns -inf when every product vanishes.
     """
-    nu = _check_simplex(frak_n, p)
-    support = build_support(d, p)
-    alpha = (d - 1) / d
+    return _explicit_bound(_check_simplex(frak_n, p), build_support(d, p))
+
+
+def _explicit_bound(nu: np.ndarray, support: SupportTable) -> float:
+    alpha = (support.d - 1) / support.d
     total = 0.0
     for atom, mult in support.atoms:
         term = float(mult)
@@ -235,16 +245,10 @@ class RateEvaluation:
     minimizer: tuple[float, ...]
     converged: bool
     boundary: bool
+    explicit_bound: float
 
 
-def rate_directed_opt(
-    frak_n: Sequence[float],
-    d: int,
-    p: int,
-    *,
-    max_iter: int = 200,
-    grad_tol: float = 1e-12,
-) -> RateEvaluation:
+def rate_directed_opt(frak_n: Sequence[float], d: int, p: int) -> RateEvaluation:
     """Directed rate by Legendre minimization of the tilted objective.
 
     Minimizes log E[exp(<t, X>)] - d <t, frak_n> by damped Newton.  The
@@ -254,9 +258,9 @@ def rate_directed_opt(
     value is the assembled rate, capped by the explicit-tilt upper
     bound.  Classes with empty symbols push the infimum to infinity;
     those carry the boundary flag and typically report the explicit
-    bound.
+    bound, which the evaluation also carries.
 
-    Convergence means ||grad|| <= grad_tol.  When the Newton decrement
+    Convergence means ||grad|| <= GRAD_TOL.  When the Newton decrement
     -<grad, step> is below the rounding of the objective f, 4 eps
     max(1, |f|), Armijo backtracking cannot see any decrease, so the
     full Newton step is taken unchecked.  If d frak_n lies in the hull
@@ -270,7 +274,7 @@ def rate_directed_opt(
     atoms = np.array([u for u, _ in support.atoms], dtype=float)
     log_w = np.array([math.log(m) for _, m in support.atoms]) - (d - 1) * math.log(p)
     boundary = bool((nu == 0.0).any())
-    explicit = rate_directed_explicit(nu, d, p)
+    explicit = _explicit_bound(nu, support)
 
     def objective(z: np.ndarray) -> float:
         t = np.concatenate(([0.0], z))
@@ -281,13 +285,13 @@ def rate_directed_opt(
     jensen_floor = float(log_w.min()) - 1.0
     eps = np.finfo(float).eps
     converged = False
-    for _ in range(max_iter):
+    for _ in range(MAX_NEWTON_ITER):
         t = np.concatenate(([0.0], z))
         scores = atoms @ t + log_w
         q = np.exp(scores - _logsumexp(scores))
         mean = q @ atoms
         grad = (mean - d * nu)[1:]
-        if np.linalg.norm(grad) <= grad_tol:
+        if np.linalg.norm(grad) <= GRAD_TOL:
             converged = True
             break
         centered = atoms - mean
@@ -318,9 +322,7 @@ def rate_directed_opt(
     assembled = (d - 1) * math.log(p) + (d - 1) * entropy + f
     value = min(assembled, explicit)
     minimizer = (0.0, *(float(v) for v in z))
-    return RateEvaluation(
-        value=value, minimizer=minimizer, converged=converged, boundary=boundary
-    )
+    return RateEvaluation(value, minimizer, converged, boundary, explicit)
 
 
 def rate_undirected_explicit(frak_m: Sequence[Sequence[float]], d: int, p: int) -> float:
@@ -341,6 +343,7 @@ def rate_undirected_explicit(frak_m: Sequence[Sequence[float]], d: int, p: int) 
     if abs(float(m.sum()) - 1.0) > 1e-9:
         raise DomainError(f"entries must sum to 1, got {float(m.sum())!r}")
     marg = m.sum(axis=1)
+    support = build_support(d, p)
     term1 = 0.0
     for i in range(p):
         for j in range(p):
@@ -351,18 +354,18 @@ def rate_undirected_explicit(frak_m: Sequence[Sequence[float]], d: int, p: int) 
     for i in range(p):
         if marg[i] > 0.0:
             row = m[i] / marg[i]
-            term2 += marg[i] * rate_directed_explicit(row, d, p)
+            term2 += marg[i] * _explicit_bound(_check_simplex(row, p), support)
     return term1 + term2
 
 
-def require_sym_zero(a: Sequence[Sequence[float]], tol: float = 1e-12) -> np.ndarray:
+def require_sym_zero(a: Sequence[Sequence[float]]) -> np.ndarray:
     """Validate a symmetric matrix with zero total entry sum."""
     m = np.asarray(a, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ShapeError(f"need a square matrix, got shape {m.shape}")
-    if np.abs(m - m.T).max() > tol:
+    if np.abs(m - m.T).max() > SYM_TOL:
         raise DomainError("matrix must be symmetric")
-    if abs(float(m.sum())) > tol:
+    if abs(float(m.sum())) > SYM_TOL:
         raise DomainError("total entry sum must be zero")
     return m
 

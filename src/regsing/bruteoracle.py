@@ -2,7 +2,7 @@
 
 The directed model is every permutation of the nd points; the
 undirected model is every perfect pairing.  One outcome stream walks
-either model, after the enumeration budget and the parity of nd are
+either model, after the point-count guard and the parity of nd are
 checked, and `adjacency_census` tallies it by adjacency matrix.  That
 census is the oracle that certifies the per-class counting identities:
 for each vector v over F_p, tally the outcomes whose adjacency kills v,
@@ -29,17 +29,13 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import exactcount
-from .errors import BudgetExceededError, InvalidParamsError
+from .errors import CostGuardError, InvalidParamsError
 from .walkdist import compositions, phi
 
-
-@dataclass(frozen=True)
-class OracleBudget:
-    max_points_directed: int = 9  # (nd)! <= 362880
-    max_points_undirected: int = 12  # (nd-1)!! <= 10395
-
-
-DEFAULT_BUDGET = OracleBudget()
+# Largest point counts nd the oracles enumerate: (nd)! <= 362880
+# permutations, (nd-1)!! <= 10395 pairings
+MAX_POINTS_DIRECTED = 9
+MAX_POINTS_UNDIRECTED = 12
 
 
 def all_pairings(items: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -57,9 +53,7 @@ def all_pairings(items: Sequence[int]) -> Iterator[tuple[int, ...]]:
             yield (first, partner) + tail
 
 
-def _outcomes(
-    n: int, d: int, mode: str, budget: OracleBudget
-) -> Iterator[tuple[tuple[int, ...], bytearray]]:
+def _outcomes(n: int, d: int, mode: str) -> Iterator[tuple[tuple[int, ...], bytearray]]:
     """Every outcome of the model as (witness, row-major n*n adjacency).
 
     The witness is the permutation of the nd points (directed, in
@@ -69,18 +63,15 @@ def _outcomes(
     """
     nd = n * d
     if mode == "directed":
-        cap = budget.max_points_directed
+        cap = MAX_POINTS_DIRECTED
     elif mode == "undirected":
         if nd % 2:
             raise InvalidParamsError(f"pairings need an even point count, got nd = {nd}")
-        cap = budget.max_points_undirected
+        cap = MAX_POINTS_UNDIRECTED
     else:
         raise InvalidParamsError(f"mode must be directed|undirected, got {mode!r}")
     if nd > cap:
-        raise BudgetExceededError(
-            f"{mode} enumeration needs nd <= {cap}, got nd = {nd}; "
-            f"pass a larger OracleBudget to force"
-        )
+        raise CostGuardError(f"{mode} enumeration needs nd <= {cap}, got nd = {nd}")
     fiber = [t // d for t in range(nd)]
     if mode == "directed":
         rows = [f * n for f in fiber]
@@ -99,11 +90,9 @@ def _outcomes(
             yield order, flat
 
 
-def adjacency_census(
-    n: int, d: int, mode: str, budget: OracleBudget = DEFAULT_BUDGET
-) -> dict[tuple[tuple[int, ...], ...], int]:
+def adjacency_census(n: int, d: int, mode: str) -> dict[tuple[tuple[int, ...], ...], int]:
     """Tally of adjacency matrices over every outcome of the model."""
-    census = Counter(bytes(flat) for _, flat in _outcomes(n, d, mode, budget))
+    census = Counter(bytes(flat) for _, flat in _outcomes(n, d, mode))
     return {_unflatten(k, n): c for k, c in census.items()}
 
 
@@ -178,14 +167,12 @@ def _vector_tallies(census: dict, n: int, p: int) -> list[int]:
     return [int(x) for x in tallies]
 
 
-def certify_identities(
-    n: int, d: int, p: int, mode: str, budget: OracleBudget = DEFAULT_BUDGET
-) -> CertificationReport:
+def certify_identities(n: int, d: int, p: int, mode: str) -> CertificationReport:
     """Tally |{G : A(G)v = 0}| for every v by enumeration and compare with
     the closed-form class counts; also checks that the tally is constant
     within each class and that the brute master sum matches."""
     report = CertificationReport(n=n, d=d, p=p, mode=mode)
-    census = adjacency_census(n, d, mode, budget)
+    census = adjacency_census(n, d, mode)
     if mode == "directed":
         count_fn = exactcount.count_graphs_directed
         model_size = exactcount.model_size_directed(n, d)

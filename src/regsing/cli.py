@@ -3,7 +3,7 @@
 JSON is the canonical output format (big integers as decimal strings,
 rationals as num/den pairs with a float approximation); mc and scaling
 also project to CSV.  Exit codes: 0 success, 2 argument or domain
-errors, 3 budget or cost-guard refusals.
+errors, 3 cost-guard refusals.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from fractions import Fraction
 
 from . import asymptotics, bruteoracle, confmodel, exactcount, experiments, gfcore
 from .errors import (
-    BudgetExceededError,
     CostGuardError,
     DomainError,
     InvalidModulusError,
@@ -165,16 +164,14 @@ def _cmd_rank(args) -> int:
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
     payload: dict = {"rows": rows, "cols": cols}
-    # one elimination per input: the kernel count follows from the rank,
-    # and a nonzero determinant gives the rank
+    # one elimination per input: the kernel count follows from the rank
     if args.p is not None:
         rank = gfcore.rank_mod_p(matrix, args.p)
         payload.update(p=args.p, rank=rank)
         if rows == cols:
             payload.update(kernel_count=str(args.p ** (rows - rank) - 1), singular=rank < rows)
     elif rows == cols:
-        det = gfcore.det_integer(matrix)
-        rank = gfcore.rank_integer(matrix) if det == 0 else rows
+        rank, det = gfcore.rank_det_integer(matrix)
         payload.update(p=None, rank=rank, det=str(det), singular=rank < rows)
     else:
         payload.update(p=None, rank=gfcore.rank_integer(matrix))
@@ -236,7 +233,6 @@ def _cmd_rate(args) -> int:
         if args.frak_n is None:
             raise argparse.ArgumentTypeError("--frak-n is required for directed rates")
         nu = _parse_float_list(args.frak_n)
-        explicit = asymptotics.rate_directed_explicit(nu, args.d, args.p)
         ev = asymptotics.rate_directed_opt(nu, args.d, args.p)
         payload = {
             "mode": "directed",
@@ -244,7 +240,7 @@ def _cmd_rate(args) -> int:
             "p": args.p,
             "frak_n": nu,
             "value": ev.value,
-            "explicit_bound": explicit,
+            "explicit_bound": ev.explicit_bound,
             "minimizer": list(ev.minimizer),
             "converged": ev.converged,
             "boundary": ev.boundary,
@@ -446,7 +442,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (BudgetExceededError, CostGuardError) as exc:
+    except CostGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except USAGE_ERRORS as exc:

@@ -1,10 +1,10 @@
 """Exception types shared across the package.
 
 Validation failures (bad modulus, shapes, parameter combinations) are
-the four ValueError subclasses below; refusals to start work whose cost
-exceeds a configured cap are RuntimeErrors.  The CLI maps the first
-family to exit code 2 and the second to exit code 3.  Any other
-ValueError is a bug, and the CLI lets it propagate.
+the four ValueError subclasses below; a refusal of work whose size
+exceeds a fixed cap is a CostGuardError, the one cost guard.  The CLI
+maps the first family to exit code 2 and the guard to exit code 3.
+Any other ValueError is a bug, and the CLI lets it propagate.
 """
 
 
@@ -22,10 +22,6 @@ class DomainError(ValueError):
 
 class InvalidParamsError(ValueError):
     """Parameter combination is invalid (e.g. odd number of points to pair)."""
-
-
-class BudgetExceededError(RuntimeError):
-    """Exhaustive enumeration would exceed the configured budget."""
 
 
 class CostGuardError(RuntimeError):

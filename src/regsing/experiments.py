@@ -108,9 +108,9 @@ def _mc_prime(seed: int) -> int:
             return cand
 
 
-def pool_workers(workers: int, blocks: int, cpus: int) -> int:
-    """Processes worth starting: never more than the blocks or the CPUs."""
-    return max(1, min(workers, blocks, cpus))
+def pool_workers(workers: int, trials: int, cpus: int) -> int:
+    """Processes worth starting: never more than the trials or the CPUs."""
+    return max(1, min(workers, trials, cpus))
 
 
 # Thread-count variables of the BLAS builds numpy may load
@@ -204,11 +204,11 @@ def run_mc(cfg: McConfig) -> McReport:
     """
     start = time.perf_counter()
     prime = _mc_prime(cfg.seed) if cfg.p is None else None
-    blocks: list[tuple[int, int]] = []
-    chunk = max(1, -(-cfg.trials // max(4 * cfg.workers, 1)))
-    for lo in range(0, cfg.trials, chunk):
-        blocks.append((lo, min(lo + chunk, cfg.trials)))
-    procs = pool_workers(cfg.workers, len(blocks), os.cpu_count() or 1)
+    # blocks are cut for the processes that start, at most four each, so
+    # a worker count beyond the CPUs never shreds the trials
+    procs = pool_workers(cfg.workers, cfg.trials, os.cpu_count() or 1)
+    chunk = -(-cfg.trials // (4 * procs))
+    blocks = [(lo, min(lo + chunk, cfg.trials)) for lo in range(0, cfg.trials, chunk)]
     if procs == 1:
         tallies = [
             _run_block(cfg.n, cfg.d, cfg.mode, cfg.p, cfg.seed, lo, hi, prime)
@@ -334,13 +334,13 @@ def scaling_probe(
     """
     if len(n_list) < 1:
         raise InvalidParamsError("n_list must not be empty")
-    rows = []
-    for idx, n in enumerate(n_list):
-        sub_seed = int(seed_sequence(seed, 2, idx).generate_state(1)[0])
-        cfg = McConfig(
-            n=n, d=d, mode=mode, p=None, trials=trials, seed=sub_seed, workers=workers
-        )
-        rows.append(run_mc(cfg))
+    # every row is validated, size guard included, before the first runs
+    configs = [
+        McConfig(n=n, d=d, mode=mode, trials=trials, workers=workers,
+                 seed=int(seed_sequence(seed, 2, idx).generate_state(1)[0]))
+        for idx, n in enumerate(n_list)
+    ]
+    rows = [run_mc(cfg) for cfg in configs]
     frak_d = min(0.25, (d - 2) / (2 * d))
     window = (-(d - 2) - SCALING_SLACK, -frak_d)
     pts = [

@@ -228,23 +228,22 @@ def rank_integer(matrix: Matrix) -> int:
     return _bareiss(rows)[0]
 
 
-def det_integer(matrix: Matrix) -> int:
-    """Exact determinant of a square integer matrix (Bareiss)."""
+def rank_det_integer(matrix: Matrix) -> tuple[int, int]:
+    """Rank over the rationals and exact determinant of a square integer
+    matrix, from one Bareiss elimination."""
     rows = _checked_rows(matrix)
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ShapeError("determinant needs a square matrix")
     if n == 0:
-        return 1
+        return 0, 1
     rank, last_pivot, sign = _bareiss(rows)
-    if rank < n:
-        return 0
-    return sign * last_pivot
+    return rank, sign * last_pivot if rank == n else 0
 
 
-def matrix_to_json(matrix: Matrix) -> list[list[str]]:
-    """Serialize as arrays of decimal strings (entries may exceed 64 bits)."""
-    return [[str(int(x)) for x in row] for row in matrix]
+def det_integer(matrix: Matrix) -> int:
+    """Exact determinant of a square integer matrix (Bareiss)."""
+    return rank_det_integer(matrix)[1]
 
 
 def _json_int(x) -> int:
@@ -254,7 +253,8 @@ def _json_int(x) -> int:
 
 
 def matrix_from_json(data) -> list[list[int]]:
-    """Parse a matrix serialized by matrix_to_json (strings or numbers).
+    """Parse a JSON matrix whose entries are integers or decimal strings
+    (entries may exceed 64 bits).
 
     The matrix and each of its rows must be JSON arrays and every entry
     an integer, not a bool; anything else raises DomainError.

@@ -172,15 +172,17 @@ def test_rate_opt_below_explicit():
             x = rng.dirichlet(np.ones(p))
             opt = am.rate_directed_opt(x, d, p)
             explicit = am.rate_directed_explicit(x, d, p)
+            assert opt.explicit_bound == explicit
             assert opt.value <= explicit + 1e-9
 
 
-def test_rate_opt_flags_infeasible_class():
+def test_rate_opt_flags_infeasible_class(monkeypatch):
     # at p=2, d=3 both step atoms have a positive first coordinate, so
     # a class with frak_n_0 < 1/3 admits no realization at all, and the
-    # value is -inf whatever the iteration budget
+    # value is -inf whatever the iteration cap
     for max_iter in (50, 200, 800):
-        opt = am.rate_directed_opt((0.1, 0.9), 3, 2, max_iter=max_iter)
+        monkeypatch.setattr(am, "MAX_NEWTON_ITER", max_iter)
+        opt = am.rate_directed_opt((0.1, 0.9), 3, 2)
         assert not opt.converged
         assert opt.value == -math.inf
 

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from regsing import bruteoracle, exactcount
-from regsing.errors import BudgetExceededError, InvalidParamsError
+from regsing.errors import CostGuardError, InvalidParamsError
 
 
 def test_all_pairings_counts():
@@ -49,21 +49,22 @@ def test_matrix_census_agrees_with_permutation_census():
     assert bruteoracle.matrix_census_directed(3, 2) == bruteoracle.adjacency_census(3, 2, "directed")
 
 
-def test_budget_checks():
+def test_budget_checks(monkeypatch):
     census = bruteoracle.adjacency_census
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(CostGuardError):
         census(4, 3, "directed")
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(CostGuardError):
         census(6, 3, "undirected")
     with pytest.raises(InvalidParamsError):
         census(3, 3, "undirected")
-    tight = bruteoracle.OracleBudget(max_points_directed=3, max_points_undirected=3)
-    with pytest.raises(BudgetExceededError):
-        census(2, 2, "directed", budget=tight)
-    with pytest.raises(BudgetExceededError):
-        census(2, 2, "undirected", budget=tight)
-    roomy = bruteoracle.OracleBudget(max_points_directed=4)
-    assert sum(census(2, 2, "directed", budget=roomy).values()) == 24
+    monkeypatch.setattr(bruteoracle, "MAX_POINTS_DIRECTED", 3)
+    monkeypatch.setattr(bruteoracle, "MAX_POINTS_UNDIRECTED", 3)
+    with pytest.raises(CostGuardError):
+        census(2, 2, "directed")
+    with pytest.raises(CostGuardError):
+        census(2, 2, "undirected")
+    monkeypatch.setattr(bruteoracle, "MAX_POINTS_DIRECTED", 4)
+    assert sum(census(2, 2, "directed").values()) == 24
 
 
 @pytest.mark.parametrize(

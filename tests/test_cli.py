@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from regsing import cli, confmodel, exactcount, experiments, gfcore
+from regsing import asymptotics, cli, confmodel, exactcount, experiments, gfcore
 
 
 def run_cli(capsys, *argv):
@@ -98,6 +98,21 @@ def test_rate_directed_infeasible_is_minus_infinity(capsys):
     data = json.loads(out)
     assert data["value"] == -math.inf
     assert data["converged"] is False
+
+
+def test_rate_builds_support_once(monkeypatch, capsys):
+    calls = []
+    build = asymptotics.build_support
+    monkeypatch.setattr(
+        asymptotics, "build_support", lambda d, p: calls.append((d, p)) or build(d, p)
+    )
+    for argv in (
+        ("rate", "--frak-n", "0.5,0.3,0.2", "--d", "3", "--p", "3"),
+        ("rate", "--mode", "undirected", "--frak-m", "0.1,0.2;0.2,0.5", "--d", "4", "--p", "2"),
+    ):
+        calls.clear()
+        assert run_cli(capsys, *argv)[0] == 0
+        assert len(calls) == 1, argv
 
 
 def test_rate_undirected_uniform(capsys):
@@ -262,12 +277,33 @@ def test_exit_code_2_on_argparse_errors(capsys):
     assert run_cli(capsys, "mc", "--n", "8", "--d", "3", "--step")[0] == 2
 
 
-def test_exit_code_3_on_cost_guard(capsys):
-    code, _, err = run_cli(
-        capsys, "cf-scan", "--d", "3", "--p", "7", "--delta", "0.1", "--step", "2pi/16"
-    )
+# Each guard refuses before the work it guards: the spied function
+# fails the test if it is ever called.
+GUARDED = {
+    "dense-cap": (("sample", "--n", "5000", "--d", "3", "--seed", "0"),
+                  "regsing.confmodel.adjacency"),
+    "walk-table-bits": (("master-sum", "--n", "200", "--d", "6", "--p", "7"),
+                        "regsing.exactcount.walk_tables"),
+    "cf-scan-points": (("cf-scan", "--d", "3", "--p", "7", "--delta", "0.1", "--step", "2pi/16"),
+                       "regsing.asymptotics._tube_mask"),
+    "oracle-directed": (("oracle-check", "--n", "4", "--d", "3", "--p", "2"),
+                        "itertools.permutations"),
+    "oracle-undirected": (("oracle-check", "--n", "6", "--d", "3", "--p", "2",
+                           "--mode", "undirected"), "regsing.bruteoracle.all_pairings"),
+    "scaling-rows": (("scaling", "--d", "3", "--n-list", "200,5000", "--trials", "300",
+                      "--seed", "1"), "regsing.experiments.run_mc"),
+}
+
+
+@pytest.mark.parametrize("argv,work", GUARDED.values(), ids=GUARDED.keys())
+def test_exit_code_3_before_any_work(monkeypatch, capsys, argv, work):
+    def spy(*args, **kwargs):
+        raise AssertionError(f"{work} ran before the guard refused")
+
+    monkeypatch.setattr(work, spy)
+    code, out, err = run_cli(capsys, *argv)
     assert code == 3
-    assert err
+    assert out == "" and err.startswith("error: ")
 
 
 @pytest.mark.parametrize("argv", [
@@ -313,17 +349,16 @@ def test_rank_runs_one_elimination(monkeypatch, capsys):
 
     monkeypatch.setattr(gfcore, "_rank_mod_numpy_arr", counted("mod_p", gfcore._rank_mod_numpy_arr))
     monkeypatch.setattr(gfcore, "_bareiss", counted("bareiss", gfcore._bareiss))
-    for argv in (("rank", "--p", "5"), ("rank",)):
-        monkeypatch.setattr("sys.stdin", io.StringIO("[[1, 2], [3, 4]]"))
+    for argv, matrix, singular in (
+        (("rank", "--p", "5"), "[[1, 2], [3, 4]]", False),
+        (("rank",), "[[1, 2], [3, 4]]", False),
+        (("rank",), "[[1, 2], [2, 4]]", True),
+    ):
+        monkeypatch.setattr("sys.stdin", io.StringIO(matrix))
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
-        assert json.loads(out)["singular"] is False
-    assert calls == {"mod_p": 1, "bareiss": 1}
-
-
-def test_exit_code_3_on_budget(capsys):
-    code, _, _ = run_cli(capsys, "oracle-check", "--n", "4", "--d", "3", "--p", "2")
-    assert code == 3
+        assert json.loads(out)["singular"] is singular
+    assert calls == {"mod_p": 1, "bareiss": 2}
 
 
 # sha256 of stdout, recorded before the sampler, seeding and JSON-encoder

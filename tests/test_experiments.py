@@ -1,5 +1,7 @@
 """Monte Carlo drivers: reproducibility, tallies, and exact cross-checks."""
 
+import concurrent.futures
+import contextlib
 import os
 
 import numpy as np
@@ -120,6 +122,38 @@ def test_pool_workers_clamp():
     assert experiments.pool_workers(64, 3, 16) == 3
     assert experiments.pool_workers(10**6, 4 * 10**6, 2) == 2
     assert experiments.pool_workers(4, 0, 8) == 1
+
+
+def test_run_mc_cuts_at_most_four_blocks_per_process(monkeypatch):
+    blocks, pools = [], []
+    empty = experiments._run_block(8, 3, "directed", None, 1, 0, 0, None)
+
+    def stub(n, d, mode, p, seed, lo, hi, prime):
+        blocks.append((lo, hi))
+        return dict(empty)
+
+    @contextlib.contextmanager
+    def inline_pool(procs):
+        # a one-thread stand-in: no worker process is ever started
+        pools.append(procs)
+        with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
+            yield pool
+
+    monkeypatch.setattr(experiments, "_run_block", stub)
+    monkeypatch.setattr(experiments, "worker_pool", inline_pool)
+    for cpus in (1, 3):
+        monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+        for workers in (1, cpus, 10**6):
+            blocks.clear()
+            pools.clear()
+            cfg = experiments.McConfig(n=8, d=3, trials=100_000, seed=1, workers=workers)
+            experiments.run_mc(cfg)
+            procs = min(workers, cpus)
+            assert pools == ([procs] if procs > 1 else [])
+            assert len(blocks) <= 4 * procs
+            # the blocks partition the trials in order
+            assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
+            assert blocks[-1][1] == cfg.trials
 
 
 def test_worker_pool_runs_single_threaded_blas(monkeypatch):
