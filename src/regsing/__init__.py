@@ -28,7 +28,7 @@ from .exactcount import (
     singularity_bound_from_master,
 )
 from .experiments import McConfig, mc_vs_exact, run_mc, scaling_probe
-from .gfcore import kernel_count, rank_integer, rank_mod_p
+from .gfcore import rank_integer, rank_mod_p
 from .walkdist import build_support, moments, phi, walk_distribution
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "cf_scan",
     "count_graphs_directed",
     "count_graphs_undirected",
-    "kernel_count",
     "lclt_directed",
     "master_sum_directed",
     "master_sum_undirected",

@@ -20,7 +20,6 @@ the permutation stream as the primary oracle.
 from __future__ import annotations
 
 import itertools
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -30,7 +29,7 @@ import numpy as np
 
 from . import exactcount
 from .errors import CostGuardError, InvalidParamsError
-from .walkdist import compositions, phi
+from .walkdist import phi
 
 # Largest point counts nd the oracles enumerate: (nd)! <= 362880
 # permutations, (nd-1)!! <= 10395 pairings
@@ -98,39 +97,6 @@ def adjacency_census(n: int, d: int, mode: str) -> dict[tuple[tuple[int, ...], .
 
 def _unflatten(flat: bytes, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n))
-
-
-def matrix_census_directed(n: int, d: int) -> dict[tuple[tuple[int, ...], ...], int]:
-    """Second directed oracle: enumerate matrices with row/column sums d,
-    weighted by (d!)^(2n) / prod A_kl! permutations each."""
-    row_choices = list(compositions(d, n))
-    rows_out: list[list[tuple[int, ...]]] = []
-
-    def rec(row_idx: int, col_load: tuple[int, ...], current: list[tuple[int, ...]]):
-        if row_idx == n:
-            if all(c == d for c in col_load):
-                rows_out.append(list(current))
-            return
-        remaining_rows = n - row_idx - 1
-        for comp in row_choices:
-            new_load = tuple(a + b for a, b in zip(col_load, comp))
-            # each column still needs at most d per remaining row
-            if any(c > d or d - c > remaining_rows * d for c in new_load):
-                continue
-            current.append(comp)
-            rec(row_idx + 1, new_load, current)
-            current.pop()
-
-    rec(0, (0,) * n, [])
-    base = math.factorial(d) ** (2 * n)
-    census = {}
-    for mat in rows_out:
-        w = base
-        for row in mat:
-            for x in row:
-                w //= math.factorial(x)
-        census[tuple(mat)] = w
-    return census
 
 
 @dataclass

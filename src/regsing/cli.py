@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -424,6 +425,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args leaves the parser as it was, so one parser, built on first
+# use, serves every call in the process
+_parser = functools.cache(build_parser)
+
+
 # Bad input maps to exit code 2; any other ValueError is a bug and propagates.
 USAGE_ERRORS = (
     InvalidModulusError,
@@ -436,9 +442,8 @@ USAGE_ERRORS = (
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -112,11 +112,13 @@ def sample(params: GraphParams, seed) -> Graph:
     )
 
 
-def _fibre_targets(n: int, d: int, mode: str, order: np.ndarray, columns: bool) -> np.ndarray:
+def fibre_targets(
+    n: int, d: int, mode: str, order: np.ndarray, columns: bool = False
+) -> np.ndarray:
     """Row t // d lists, for each point t, the fibre it is joined to.
 
     A vertex's adjacency row counts the fibres its d points are joined
-    to, so two rows are equal exactly when their target multisets are.
+    to, so these target rows are the sparse form of the adjacency rows.
     Columns of the directed model read the inverse permutation; the
     undirected matrix is symmetric, so its columns are its rows.
     """
@@ -133,24 +135,31 @@ def _fibre_targets(n: int, d: int, mode: str, order: np.ndarray, columns: bool) 
     return (partner // d).reshape(n, d)
 
 
-def _has_repeated_multiset(targets: np.ndarray) -> bool:
+def has_duplicate_rows(targets: np.ndarray) -> bool:
+    """True iff two rows of `targets` (from `fibre_targets`) hold the same
+    multiset, that is, iff the adjacency has two equal rows (two equal
+    columns, for column targets).
+
+    Sorts each row, then the rows, in O(nd log nd), without building
+    the adjacency matrix.
+    """
     s = np.sort(targets, axis=1)
     s = s[np.lexsort(s.T)]
     return bool((s[1:] == s[:-1]).all(axis=1).any())
 
 
-def has_duplicate_rows(n: int, d: int, mode: str, order: np.ndarray) -> bool:
-    """True iff the sample generated by `order` has two equal adjacency rows.
-
-    Reads the permutation (directed) or pairing (undirected) directly,
-    in O(nd log nd), without building the adjacency matrix.
-    """
-    return _has_repeated_multiset(_fibre_targets(n, d, mode, order, columns=False))
-
-
-def has_duplicate_columns(n: int, d: int, mode: str, order: np.ndarray) -> bool:
-    """True iff the sample generated by `order` has two equal adjacency columns."""
-    return _has_repeated_multiset(_fibre_targets(n, d, mode, order, columns=True))
+def sparse_rows(targets: np.ndarray) -> list[dict[int, int]]:
+    """The adjacency rows as {column: entry} dicts, read from target rows:
+    an entry counts the repeats of its fibre."""
+    d = targets.shape[1]
+    rows = []
+    for t in targets.tolist():
+        row = dict.fromkeys(t, 1)
+        if len(row) < d:
+            for c in row:
+                row[c] = t.count(c)
+        rows.append(row)
+    return rows
 
 
 def graph_to_json(g: Graph) -> dict:

@@ -192,16 +192,6 @@ def class_signatures(n: int, p: int) -> Iterator[tuple[int, ...]]:
             yield sig
 
 
-def class_term_directed(sig: Sequence[int], d: int, p: int) -> Fraction:
-    """One class's master-sum contribution:
-    multinomial(n; sig) * count / (nd)!."""
-    sig = validate_signature(sig, p)
-    n = sum(sig)
-    return Fraction(
-        multinomial(n, sig) * count_graphs_directed(sig, d, p), model_size_directed(n, d)
-    )
-
-
 def master_sum_directed(n: int, d: int, p: int) -> Fraction:
     """Expected number of nonzero kernel vectors of the directed model, exact."""
     tables = _tables(n, d, p)

@@ -118,7 +118,11 @@ def test_lclt_tracks_exact_class_term():
     errs = []
     for n in (8, 16, 32, 64):
         sig = (n // 2, n // 2)
-        exact = float(exactcount.class_term_directed(sig, 3, 2))
+        # the class's master-sum term: multinomial(n; sig) * count / (nd)!
+        exact = float(Fraction(
+            exactcount.multinomial(n, sig) * exactcount.count_graphs_directed(sig, 3, 2),
+            exactcount.model_size_directed(n, 3),
+        ))
         approx = am.lclt_directed(sig, 3, 2).value
         errs.append(abs(approx - exact) / exact)
     assert errs[-1] < 0.1

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -413,3 +414,46 @@ def test_frozen_stdout_bytes(capsys, monkeypatch, argv, digest):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# Subcommands, exit-2 and exit-3 errors and --help, for the parser-reuse test
+REUSE_ARGV = [
+    ("sample", "--n", "5", "--d", "3", "--seed", "4"),
+    ("rank", "--p", "5"),
+    ("rank",),
+    ("master-sum", "--n", "4", "--d", "3", "--p", "2"),
+    ("rate", "--frak-n", "0.5,0.3,0.2", "--d", "3", "--p", "3"),
+    ("lclt", "--sig", "8,8", "--d", "3", "--p", "2"),
+    ("mc", "--n", "6", "--d", "3", "--p", "2", "--seed", "1", "--trials", "20", "--format", "csv"),
+    ("mc", "--n", "8", "--d", "3", "--seed", "2", "--trials", "20"),
+    ("master-sum", "--n", "3", "--d", "3", "--p", "4"),
+    ("sample", "--d", "3"),
+    ("no-such-command",),
+    ("mc", "--n", "8", "--d", "3", "--step"),
+    ("cf-scan", "--d", "3", "--p", "2", "--delta", "0.1", "--step", "nan"),
+    ("sample", "--n", "5000", "--d", "3", "--seed", "0"),
+    ("master-sum", "--n", "200", "--d", "6", "--p", "7"),
+    ("--help",),
+    ("mc", "--help"),
+]
+
+
+def test_parser_reuse_matches_fresh_calls(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")
+
+    def call(argv):
+        monkeypatch.setattr("sys.stdin", io.StringIO(FROZEN_MATRIX))
+        return run_cli(capsys, *argv)
+
+    fresh = []
+    for argv in REUSE_ARGV:
+        cli._parser.cache_clear()
+        fresh.append(call(argv))
+    assert {code for code, _, _ in fresh} == {0, 2, 3}
+    cli._parser.cache_clear()
+    order = list(range(len(REUSE_ARGV))) * 3
+    random.Random(5).shuffle(order)
+    for k in order:
+        assert call(REUSE_ARGV[k]) == fresh[k], REUSE_ARGV[k]
+    # one parser served all of them
+    assert cli._parser.cache_info().misses == 1

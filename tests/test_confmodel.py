@@ -130,7 +130,8 @@ def test_duplicate_row_detect_agrees_with_numpy_and_implies_singularity():
         g = confmodel.sample(confmodel.GraphParams(30, 3, "directed"), seed)
         a = np.array(g.adjacency)
         has_dup = len(np.unique(a, axis=0)) < a.shape[0]
-        assert confmodel.has_duplicate_rows(30, 3, "directed", np.array(g.witness)) == has_dup
+        targets = confmodel.fibre_targets(30, 3, "directed", np.array(g.witness))
+        assert confmodel.has_duplicate_rows(targets) == has_dup
         if has_dup:
             checked += 1
             assert gfcore.rank_integer(g.adjacency) < 30
@@ -188,8 +189,10 @@ def test_permutation_duplicate_checks_match_dense_unique(mode):
                 a = confmodel.directed_adjacency(n, d, order)
             else:
                 a = confmodel.undirected_adjacency(n, d, order)
-            rows = confmodel.has_duplicate_rows(n, d, mode, order)
-            cols = confmodel.has_duplicate_columns(n, d, mode, order)
+            rows = confmodel.has_duplicate_rows(confmodel.fibre_targets(n, d, mode, order))
+            cols = confmodel.has_duplicate_rows(
+                confmodel.fibre_targets(n, d, mode, order, columns=True)
+            )
             assert rows == _repeated_lines(a)
             assert cols == _repeated_lines(a.T)
             seen["row"] += rows

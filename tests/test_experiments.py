@@ -51,7 +51,7 @@ def test_single_trial_replays_exactly():
     cfg = experiments.McConfig(n=6, d=3, mode="directed", p=3, trials=1, seed=5)
     report = experiments.run_mc(cfg)
     a = replay_trial(cfg, 0)
-    kernel = gfcore.kernel_count([list(map(int, row)) for row in a], 3)
+    kernel = 3 ** (cfg.n - gfcore.rank_mod_p(a, 3)) - 1
     assert report.kernel_total == kernel
     assert report.singular_count == int(kernel > 0)
 
@@ -91,10 +91,13 @@ def test_divisible_degree_always_singular():
     assert r.estimate == 1.0
 
 
+# (n, mode, trials, seed): n=50 directed and the undirected case both
+# reach the exact determinant
+INTEGER_CASES = ((12, "directed", 300, 9), (50, "directed", 150, 3), (16, "undirected", 200, 3))
+
+
 def test_integer_mode_matches_exact_determinants():
-    # n=50 directed and the undirected case both reach the exact determinant
-    for n, mode, trials, seed in ((12, "directed", 300, 9), (50, "directed", 150, 3),
-                                  (16, "undirected", 200, 3)):
+    for n, mode, trials, seed in INTEGER_CASES:
         cfg = experiments.McConfig(n=n, d=3, mode=mode, trials=trials, seed=seed)
         r = experiments.run_mc(cfg)
         assert r.p is None
@@ -114,6 +117,53 @@ def test_integer_mode_matches_exact_determinants():
         assert r.duplicate_row_rate == dups / cfg.trials
         if n > 12:
             assert r.escalations > 0
+
+
+def dense_ladder_block(n, d, mode, seed, lo, hi, prime):
+    """Reference kernel: the integer ladder with every rung on the dense
+    adjacency, as it ran before the sparse reduction."""
+    tally = dict.fromkeys(("singular", "kernel_total", "kernel_sq_total", "kernel_positive",
+                           "duplicate_rows", "escalations"), 0)
+    for i in range(lo, hi):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0, i)))
+        a = confmodel.adjacency(n, d, mode, rng.permutation(n * d))
+        dup_rows = len(np.unique(a, axis=0)) < n
+        tally["duplicate_rows"] += dup_rows
+        if dup_rows or len(np.unique(a.T, axis=0)) < n:
+            tally["singular"] += 1
+            continue
+        if gfcore.certify_nonsingular(a) or gfcore.rank_mod_p(a, prime) == n:
+            continue
+        tally["escalations"] += 1
+        tally["singular"] += gfcore.det_integer(a.tolist()) == 0
+    return tally
+
+
+@pytest.mark.parametrize("n,mode,trials,seed", INTEGER_CASES)
+def test_integer_mode_escalations_match_the_dense_ladder(n, mode, trials, seed):
+    prime = experiments._mc_prime(seed)
+    tally = experiments._run_block(n, 3, mode, None, seed, 0, trials, prime)
+    assert tally == dense_ladder_block(n, 3, mode, seed, 0, trials, prime)
+    if n > 12:
+        assert tally["escalations"] > 0
+
+
+def test_field_mode_never_builds_the_adjacency(monkeypatch):
+    def no_adjacency(*args):
+        raise AssertionError("dense adjacency built")
+
+    cases = [experiments.McConfig(n=30, d=3, mode="directed", p=5, trials=40, seed=2),
+             experiments.McConfig(n=12, d=4, mode="undirected", p=2, trials=40, seed=6)]
+    ranks = [[gfcore.rank_mod_p(replay_trial(cfg, i), cfg.p) for i in range(cfg.trials)]
+             for cfg in cases]
+    monkeypatch.setattr(experiments, "adjacency", no_adjacency)
+    monkeypatch.setattr(confmodel, "adjacency", no_adjacency)
+    for cfg, rank in zip(cases, ranks):
+        tally = experiments._run_block(cfg.n, cfg.d, cfg.mode, cfg.p, cfg.seed, 0, cfg.trials, None)
+        kernels = [cfg.p ** (cfg.n - r) - 1 for r in rank]
+        assert tally["singular"] == sum(r < cfg.n for r in rank)
+        assert tally["kernel_total"] == sum(kernels)
+        assert tally["kernel_sq_total"] == sum(k * k for k in kernels)
 
 
 def test_pool_workers_clamp():
@@ -174,7 +224,7 @@ def test_undirected_mode_runs_and_replays():
     truth = 0
     for i in range(cfg.trials):
         a = [list(map(int, row)) for row in replay_trial(cfg, i)]
-        truth += int(gfcore.kernel_count(a, 2) > 0)
+        truth += int(gfcore.rank_mod_p(a, 2) < cfg.n)
     assert r.singular_count == truth
 
 

@@ -1,6 +1,7 @@
 """Exact linear algebra: ranks over F_p, integer ranks and determinants."""
 
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ SMALL_PRIMES = (2, 3, 5, 7, 31, 97)
 
 # Mersenne prime above the int64 cutoff; forces the object-dtype core.
 M61 = (1 << 61) - 1
+# A 31-bit prime, the size integer-mode Monte Carlo draws.
+P31 = (1 << 31) - 1
 
 
 def rank_oracle_mod_p(rows, p):
@@ -135,12 +138,21 @@ def test_rank_mod_p_rejects_ragged():
         gfcore.rank_mod_p([[1, 2], [3]], 5)
 
 
+def kernel_count(matrix, p):
+    """Number of nonzero null vectors of a square matrix over F_p:
+    p**(n - rank) - 1, zero exactly when it is nonsingular mod p."""
+    n = len(matrix)
+    if any(len(r) != n for r in matrix):
+        raise ShapeError(f"kernel counting needs a square matrix, got {n} rows")
+    return p ** (n - gfcore.rank_mod_p(matrix, p)) - 1
+
+
 def test_kernel_count_square_only():
-    assert gfcore.kernel_count([[1, 0], [0, 1]], 3) == 0
-    assert gfcore.kernel_count([[1, 2], [2, 4]], 3) == 2
-    assert gfcore.kernel_count([[0]], 5) == 4
+    assert kernel_count([[1, 0], [0, 1]], 3) == 0
+    assert kernel_count([[1, 2], [2, 4]], 3) == 2
+    assert kernel_count([[0]], 5) == 4
     with pytest.raises(ShapeError):
-        gfcore.kernel_count([[1, 2, 3], [4, 5, 6]], 5)
+        kernel_count([[1, 2, 3], [4, 5, 6]], 5)
 
 
 @settings(max_examples=120, deadline=None)
@@ -308,3 +320,109 @@ def test_certify_nonsingular_falls_through_when_ill_conditioned():
     assert gfcore.certify_nonsingular(np.zeros((0, 0), dtype=np.int64))
     with pytest.raises(ShapeError):
         gfcore.certify_nonsingular([[1, 2, 3], [4, 5, 6]])
+
+
+def test_exact_routines_refuse_non_integral_entries():
+    with pytest.raises(DomainError):
+        gfcore.det_integer([[2.9, 0], [0, 1]])
+    with pytest.raises(DomainError):
+        gfcore.rank_integer([[0.5]])
+    with pytest.raises(DomainError):
+        gfcore.rank_mod_p(np.array([[1.5, 0], [0, 2.5]]), 5)
+    for bad in (float("nan"), float("inf"), np.float32(0.5), True):
+        with pytest.raises(DomainError):
+            gfcore.det_integer([[bad]])
+    # integral floats and numpy integers still parse
+    assert gfcore.det_integer([[np.int64(2), 0], [0, 3.0]]) == 6
+    assert gfcore.rank_integer([[np.float32(4.0), np.int8(2)]]) == 1
+    assert gfcore.rank_mod_p(np.array([[1.0, 0], [0, 2.0]]), 5) == 2
+
+
+def _sparse(dense):
+    return [{j: v for j, v in enumerate(row) if v} for row in dense]
+
+
+def _assert_square_core(core, size, p=None):
+    assert len(core) == size
+    assert all(len(row) == size and all(type(x) is int for x in row) for row in core)
+    if p is not None:
+        assert all(0 <= x < p for row in core for x in row)
+
+
+@pytest.mark.parametrize("mode", ["directed", "undirected"])
+def test_reduce_sparse_matches_dense_elimination_on_samples(mode):
+    seen = {"loop": 0, "multi": 0, "core": 0}
+    for n in (3, 4, 12, 30, 100):
+        for d in (3, 4):
+            if mode == "undirected" and (n * d) % 2:
+                continue
+            for seed in range(6 if n < 100 else 2):
+                rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, n, d)))
+                order = rng.permutation(n * d)
+                a = confmodel.adjacency(n, d, mode, order)
+                rows = confmodel.sparse_rows(confmodel.fibre_targets(n, d, mode, order))
+                assert rows == _sparse(a.tolist())
+                for p in (2, 3, 5, P31):
+                    pivots, core = gfcore.reduce_sparse(rows, p)
+                    _assert_square_core(core, n - pivots, p)
+                    assert pivots + gfcore.rank_mod_p(core, p) == gfcore.rank_mod_p(a, p)
+                pivots, core = gfcore.reduce_sparse(rows)
+                _assert_square_core(core, n - pivots)
+                for q in (2, 3, P31):
+                    assert pivots + gfcore.rank_mod_p(core, q) == gfcore.rank_mod_p(a, q)
+                assert abs(gfcore.det_integer(core)) == abs(gfcore.det_integer(a.tolist()))
+                assert rows == _sparse(a.tolist())  # the input is left as it was
+                seen["loop"] += bool(np.trace(a))
+                seen["multi"] += bool((a - np.diag(np.diag(a)) > 1).any())
+                seen["core"] += pivots < n
+    assert all(seen.values()), seen
+
+
+sparse_square_matrices = st.integers(min_value=1, max_value=14).flatmap(
+    lambda n: st.tuples(
+        st.lists(
+            st.lists(st.sampled_from((0, 0, 0, 0, 0, 1, -1, 1, 2, -3, 7)), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        ),
+        st.sets(st.integers(min_value=0, max_value=n - 1), max_size=2),
+        st.sets(st.integers(min_value=0, max_value=n - 1), max_size=2),
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_square_matrices, st.sampled_from((0, 2, gfcore.SPARSE_PIVOT_MAX)))
+def test_reduce_sparse_matches_oracles_on_random_sparse_matrices(drawn, switch):
+    dense, empty_rows, empty_cols = drawn
+    n = len(dense)
+    dense = [
+        [0 if i in empty_rows or j in empty_cols else x for j, x in enumerate(row)]
+        for i, row in enumerate(dense)
+    ]
+    rows = _sparse(dense)
+    # switch 0 leaves the whole matrix to the core, 2 splits it
+    with mock.patch.object(gfcore, "SPARSE_PIVOT_MAX", switch):
+        for p in SMALL_PRIMES + (M61,):
+            pivots, core = gfcore.reduce_sparse(rows, p)
+            _assert_square_core(core, n - pivots, p)
+            assert pivots + gfcore.rank_mod_p(core, p) == rank_oracle_mod_p(dense, p)
+        pivots, core = gfcore.reduce_sparse(rows)
+    _assert_square_core(core, n - pivots)
+    rank, det = gauss_oracle_rational(dense)
+    assert pivots + gauss_oracle_rational(core)[0] == rank
+    assert abs(gfcore.det_integer(core)) == abs(det)
+    assert rows == _sparse(dense)
+
+
+def test_reduce_sparse_pivots_over_the_integers_only_on_units():
+    # no entry is +-1, so nothing pivots; mod 3 every nonzero entry does
+    rows = [{0: 2, 1: 3}, {0: 3, 1: 2}]
+    assert gfcore.reduce_sparse(rows) == (0, [[2, 3], [3, 2]])
+    assert gfcore.reduce_sparse(rows, 3) == (2, [])
+    # mod 2 the 2s vanish, leaving an empty column and an empty row
+    assert gfcore.reduce_sparse([{0: 2, 1: 1}, {0: 2}], 2) == (1, [[0]])
+    with pytest.raises(ShapeError):
+        gfcore.reduce_sparse([{0: 1, 2: 1}, {1: 1}])
+    with pytest.raises(InvalidModulusError):
+        gfcore.reduce_sparse([{0: 1}], 4)
