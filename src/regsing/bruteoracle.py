@@ -1,20 +1,19 @@
 """Ground-truth enumeration of the entire model at tiny sizes.
 
 The directed model is every permutation of the nd points; the
-undirected model is every perfect pairing.  One outcome stream walks
-either model, after the point-count guard and the parity of nd are
-checked, and `adjacency_census` tallies it by adjacency matrix.  That
-census is the oracle that certifies the per-class counting identities:
-for each vector v over F_p, tally the outcomes whose adjacency kills v,
-then compare with the closed-form counts, class by class and vector by
-vector.
+undirected model is every perfect pairing.  `adjacency_census` tallies
+either model by adjacency matrix, after the point-count guard and the
+parity of nd are checked.  The directed census walks the permutations
+in lexicographic blocks of at most 7! rows (`permutation_blocks`), maps
+each to an exact integer key of its matrix and tallies the keys with
+`np.unique`; the pairings, at most 10395 of them, are walked in Python.
+Both visit every outcome once and never use a weight formula or a
+symmetry, so the census stays independent of `exactcount`.
 
-A second, independent directed oracle enumerates adjacency matrices
-with all row and column sums d directly and weights each by the number
-of permutations inducing it, (d!)^(2n) / prod_{k,l} A_kl!.  That weight
-formula is derived, not quoted, so it is only trusted after being
-validated against the permutation census (see tests); it never replaces
-the permutation stream as the primary oracle.
+That census is the oracle that certifies the per-class counting
+identities: for each vector v over F_p, tally the outcomes whose
+adjacency kills v, then compare with the closed-form counts, class by
+class and vector by vector.
 """
 
 from __future__ import annotations
@@ -29,12 +28,18 @@ import numpy as np
 
 from . import exactcount
 from .errors import CostGuardError, InvalidParamsError
+from .gfcore import require_prime
 from .walkdist import phi
 
 # Largest point counts nd the oracles enumerate: (nd)! <= 362880
 # permutations, (nd-1)!! <= 10395 pairings
 MAX_POINTS_DIRECTED = 9
 MAX_POINTS_UNDIRECTED = 12
+# Largest p**n the certification tallies: it holds every vector of
+# F_p^n, and each census matrix is applied to all of them
+MAX_VECTORS = 4096
+# The directed census enumerates blocks of at most BLOCK_POINTS! rows
+BLOCK_POINTS = 7
 
 
 def all_pairings(items: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -52,14 +57,40 @@ def all_pairings(items: Sequence[int]) -> Iterator[tuple[int, ...]]:
             yield (first, partner) + tail
 
 
-def _outcomes(n: int, d: int, mode: str) -> Iterator[tuple[tuple[int, ...], bytearray]]:
-    """Every outcome of the model as (witness, row-major n*n adjacency).
+def _prepend(first: int, perms: np.ndarray) -> np.ndarray:
+    """`first` followed by each row of perms renumbered to skip it; the
+    renumbering is monotone, so lexicographic order is kept."""
+    out = np.empty((len(perms), perms.shape[1] + 1), dtype=np.uint8)
+    out[:, 0] = first
+    out[:, 1:] = perms + (perms >= first)
+    return out
 
-    The witness is the permutation of the nd points (directed, in
-    lexicographic order) or the flattened pairing (undirected, in the
-    order of `all_pairings`).  Undirected loops count twice on the
-    diagonal.
+
+def permutation_blocks(k: int) -> Iterator[np.ndarray]:
+    """Every permutation of range(k), in lexicographic order, as the
+    uint8 rows of blocks of at most BLOCK_POINTS! rows.
+
+    Each block fixes one arrangement of the first k - BLOCK_POINTS
+    points and appends the permutations of the rest.
     """
+    tail = np.zeros((1, 0), dtype=np.uint8)
+    for size in range(1, min(k, BLOCK_POINTS) + 1):
+        tail = np.concatenate([_prepend(first, tail) for first in range(size)])
+
+    def blocks(size: int) -> Iterator[np.ndarray]:
+        if size == tail.shape[1]:
+            yield tail
+            return
+        for first in range(size):
+            for block in blocks(size - 1):
+                yield _prepend(first, block)
+
+    return blocks(k)
+
+
+def _check_model(n: int, d: int, mode: str) -> None:
+    """Refuse an unknown mode, an odd point count to pair, or more points
+    than the enumeration cap of the mode."""
     nd = n * d
     if mode == "directed":
         cap = MAX_POINTS_DIRECTED
@@ -71,28 +102,64 @@ def _outcomes(n: int, d: int, mode: str) -> Iterator[tuple[tuple[int, ...], byte
         raise InvalidParamsError(f"mode must be directed|undirected, got {mode!r}")
     if nd > cap:
         raise CostGuardError(f"{mode} enumeration needs nd <= {cap}, got nd = {nd}")
-    fiber = [t // d for t in range(nd)]
-    if mode == "directed":
-        rows = [f * n for f in fiber]
-        for perm in itertools.permutations(range(nd)):
-            flat = bytearray(n * n)
-            for r, q in zip(rows, perm):
-                flat[r + fiber[q]] += 1
-            yield perm, flat
-    else:
-        for order in all_pairings(range(nd)):
-            flat = bytearray(n * n)
-            for t in range(0, nd, 2):
-                u, v = fiber[order[t]], fiber[order[t + 1]]
-                flat[u * n + v] += 1
-                flat[v * n + u] += 1
-            yield order, flat
+
+
+def _directed_census(n: int, d: int) -> dict[bytes, int]:
+    """Tally of the row-major n*n adjacency bytes over every permutation.
+
+    Point t lies in fibre t // d, and a permutation adds one to cell
+    (fibre(t), fibre(perm[t])) for every t.  Entries are at most d, so
+    the base-(d+1) number sum_t (d+1)**(fibre(t)*n + fibre(perm[t])) is
+    an exact key of the matrix while (d+1)**(n*n) < 2**63; past that the
+    uint8 rows themselves are tallied.
+    """
+    nd, cells = n * d, n * n
+    points = np.arange(nd)
+    fibre = points // d
+    cell = fibre[:, None] * n + fibre  # cell of point t sent to point q
+    tally: Counter = Counter()
+    if (d + 1) ** cells < 2**63:
+        weight = (d + 1) ** cell
+        for block in permutation_blocks(nd):
+            # column by column: a 2-D gather is slower and twice the memory
+            keys = sum(weight[t, block[:, t]] for t in range(nd))
+            keys, counts = np.unique(keys, return_counts=True)
+            tally.update(dict(zip(keys.tolist(), counts.tolist())))
+        keys = np.fromiter(tally, dtype=np.int64, count=len(tally))
+        rows = (keys[:, None] // (d + 1) ** np.arange(cells) % (d + 1)).astype(np.uint8)
+        return {row.tobytes(): c for row, c in zip(rows, tally.values())}
+    for block in permutation_blocks(nd):
+        hits = cell[points, block] + cells * np.arange(len(block))[:, None]
+        rows = np.bincount(hits.ravel(), minlength=len(block) * cells).astype(np.uint8)
+        # each row viewed as one opaque n*n-byte value; tolist gives bytes
+        rows, counts = np.unique(rows.view(f"V{cells}"), return_counts=True)
+        tally.update(dict(zip(rows.tolist(), counts.tolist())))
+    return dict(tally)
+
+
+def _pairing_census(n: int, d: int) -> Counter:
+    """Tally of the row-major n*n adjacency bytes over every pairing, in
+    the order of `all_pairings`; a loop counts twice on the diagonal."""
+    fiber = [t // d for t in range(n * d)]
+    tally: Counter = Counter()
+    for order in all_pairings(range(n * d)):
+        flat = bytearray(n * n)
+        for t in range(0, n * d, 2):
+            u, v = fiber[order[t]], fiber[order[t + 1]]
+            flat[u * n + v] += 1
+            flat[v * n + u] += 1
+        tally[bytes(flat)] += 1
+    return tally
+
+
+def _census(n: int, d: int, mode: str) -> dict[bytes, int]:
+    _check_model(n, d, mode)
+    return _directed_census(n, d) if mode == "directed" else _pairing_census(n, d)
 
 
 def adjacency_census(n: int, d: int, mode: str) -> dict[tuple[tuple[int, ...], ...], int]:
     """Tally of adjacency matrices over every outcome of the model."""
-    census = Counter(bytes(flat) for _, flat in _outcomes(n, d, mode))
-    return {_unflatten(k, n): c for k, c in census.items()}
+    return {_unflatten(k, n): c for k, c in _census(n, d, mode).items()}
 
 
 def _unflatten(flat: bytes, n: int) -> tuple[tuple[int, ...], ...]:
@@ -122,12 +189,12 @@ class CertificationReport:
     passed: bool = False
 
 
-def _vector_tallies(census: dict, n: int, p: int) -> list[int]:
+def _vector_tallies(census: dict[bytes, int], n: int, p: int) -> list[int]:
     """For every v in F_p^n (lex order), the number of outcomes killing v."""
     vectors = np.array(list(itertools.product(range(p), repeat=n)), dtype=np.int64).T
     tallies = np.zeros(p**n, dtype=np.int64)
-    for mat, weight in census.items():
-        a = np.array(mat, dtype=np.int64)
+    for flat, weight in census.items():
+        a = np.frombuffer(flat, dtype=np.uint8).reshape(n, n).astype(np.int64)
         dead = ~np.any((a @ vectors) % p, axis=0)
         tallies[dead] += weight
     return [int(x) for x in tallies]
@@ -136,9 +203,16 @@ def _vector_tallies(census: dict, n: int, p: int) -> list[int]:
 def certify_identities(n: int, d: int, p: int, mode: str) -> CertificationReport:
     """Tally |{G : A(G)v = 0}| for every v by enumeration and compare with
     the closed-form class counts; also checks that the tally is constant
-    within each class and that the brute master sum matches."""
+    within each class and that the brute master sum matches.
+
+    Every guard runs before the census: the model's point count, p**n
+    against MAX_VECTORS, then the walk-table guard of the master sum.
+    """
+    p = require_prime(p)
+    _check_model(n, d, mode)
+    if p**n > MAX_VECTORS:
+        raise CostGuardError(f"certification needs p**n <= {MAX_VECTORS} vectors, got {p}**{n}")
     report = CertificationReport(n=n, d=d, p=p, mode=mode)
-    census = adjacency_census(n, d, mode)
     if mode == "directed":
         count_fn = exactcount.count_graphs_directed
         model_size = exactcount.model_size_directed(n, d)
@@ -148,6 +222,7 @@ def certify_identities(n: int, d: int, p: int, mode: str) -> CertificationReport
         model_size = exactcount.model_size_undirected(n, d)
         report.master_exact = exactcount.master_sum_undirected(n, d, p)
 
+    census = _census(n, d, mode)
     tallies = _vector_tallies(census, n, p)
     by_class: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
     for idx, v in enumerate(itertools.product(range(p), repeat=n)):

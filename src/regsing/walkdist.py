@@ -19,6 +19,7 @@ into a fresh dict keyed by histogram tuples.
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -29,6 +30,10 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 from .gfcore import require_prime
+
+# Entries per chunk of `_moments`, and the widest limb it splits counts into
+MOMENT_CHUNK = 1024
+LIMB_BITS = 30
 
 
 @dataclass(frozen=True)
@@ -100,25 +105,38 @@ def build_support(d: int, p) -> SupportTable:
 def _moments(pairs, p: int) -> MomentData:
     """Exact mean and covariance of a law given as (vector, count) pairs.
 
-    Sums count*m_j and count*m_j*m_k as integers and divides once by the
-    total count.
+    Takes the pairs MOMENT_CHUNK at a time into an int64 coordinate
+    matrix M and splits each count into limbs of `bits` bits.  Per limb,
+    limb @ M and (M.T * limb) @ M are that limb's share of the sums of
+    count*m_j and count*m_j*m_k; they are exact in int64 while
+    rows * max(M)**2 * 2**bits < 2**63, so a chunk is cut into slices of
+    at most that many rows, and limbs narrower than LIMB_BITS leave room
+    for coordinates of 2**16.5 and more.  The shares are shifted back
+    into Python ints, and the sums divided once by the total count.
     """
     total = 0
-    first = [0] * p
-    second = [[0] * p for _ in range(p)]
-    for m, cnt in pairs:
-        total += cnt
-        for j in range(p):
-            if m[j]:
-                w = cnt * m[j]
-                first[j] += w
-                row = second[j]
-                for k in range(p):
-                    if m[k]:
-                        row[k] += w * m[k]
-    mean = tuple(Fraction(x, total) for x in first)
+    first = np.zeros(p, dtype=object)
+    second = np.zeros((p, p), dtype=object)
+    pairs = iter(pairs)
+    while chunk := list(itertools.islice(pairs, MOMENT_CHUNK)):
+        coords = np.array([m for m, _ in chunk], dtype=np.int64).reshape(len(chunk), p)
+        counts = np.array([c for _, c in chunk], dtype=object)
+        width = max(c.bit_length() for _, c in chunk)
+        square = max(int(coords.max()), 1) ** 2
+        bits = min(LIMB_BITS, 62 - square.bit_length())
+        if bits < 1:
+            raise DomainError(f"coordinates up to {coords.max()} are too large for int64 moments")
+        rows = (2**63 - 1) // (square << bits)
+        for lo in range(0, len(chunk), rows):
+            m, cnt = coords[lo : lo + rows], counts[lo : lo + rows]
+            for shift in range(0, width, bits):
+                limb = ((cnt >> shift) & ((1 << bits) - 1)).astype(np.int64)
+                total += int(limb.sum()) << shift
+                first += (limb @ m).astype(object) << shift
+                second += ((m.T * limb) @ m).astype(object) << shift
+    mean = tuple(Fraction(int(x), total) for x in first)
     cov = tuple(
-        tuple(Fraction(second[j][k], total) - mean[j] * mean[k] for k in range(p))
+        tuple(Fraction(int(second[j, k]), total) - mean[j] * mean[k] for k in range(p))
         for j in range(p)
     )
     return MomentData(mean=mean, cov=cov)

@@ -1,11 +1,55 @@
 """Brute-force enumeration oracles and identity certification."""
 
+import itertools
 import math
 
+import numpy as np
 import pytest
 
 from regsing import bruteoracle, exactcount, walkdist
 from regsing.errors import CostGuardError, InvalidParamsError
+
+# every directed model the census enumerates, nd <= 9; (8, 1) and (9, 1)
+# have (d+1)**(n*n) >= 2**63 and take the uint8-row tally
+DIRECTED_MODELS = [(n, d) for n in range(1, 10) for d in range(1, 10) if n * d <= 9]
+
+
+def reference_directed_outcomes(n, d):
+    """The Python outcome stream the numpy census replaced: the row-major
+    adjacency of every permutation of the nd points, in lexicographic
+    order; point t lies in fibre t // d."""
+    fiber = [t // d for t in range(n * d)]
+    rows = [f * n for f in fiber]
+    for perm in itertools.permutations(range(n * d)):
+        flat = bytearray(n * n)
+        for r, q in zip(rows, perm):
+            flat[r + fiber[q]] += 1
+        yield flat
+
+
+@pytest.mark.parametrize("block_points", [1, 3, 7])
+def test_permutation_blocks_are_lexicographic_permutations(monkeypatch, block_points):
+    monkeypatch.setattr(bruteoracle, "BLOCK_POINTS", block_points)
+    for k in range(10 if block_points == 7 else 7):
+        want = itertools.permutations(range(k))
+        for block in bruteoracle.permutation_blocks(k):
+            assert block.dtype == np.uint8
+            assert block.shape[1] == k and len(block) <= math.factorial(block_points)
+            for row in block.tolist():
+                assert tuple(row) == next(want)
+        assert next(want, None) is None
+
+
+@pytest.mark.parametrize("n,d", DIRECTED_MODELS, ids=[f"{n}-{d}" for n, d in DIRECTED_MODELS])
+def test_directed_census_matches_the_python_stream(n, d):
+    census = bruteoracle._directed_census(n, d)
+    # consume the reference stream against the census, holding one dict
+    left = dict(census)
+    for flat in reference_directed_outcomes(n, d):
+        key = bytes(flat)
+        assert left.get(key, 0) > 0, f"outcome {key!r} over-counted or missing"
+        left[key] -= 1
+    assert not any(left.values())
 
 
 def test_all_pairings_counts():
@@ -98,6 +142,31 @@ def test_budget_checks(monkeypatch):
         census(2, 2, "undirected")
     monkeypatch.setattr(bruteoracle, "MAX_POINTS_DIRECTED", 4)
     assert sum(census(2, 2, "directed").values()) == 24
+
+
+@pytest.mark.parametrize("n,d,p", [
+    (9, 1, 11),  # 11**9 vectors
+    (3, 1, 1009),  # 1009**3 vectors
+    (1, 9, 4093),  # walk tables predicted above TABLE_BITS_CAP
+    (4, 3, 2),  # 12 points
+])
+def test_certify_guards_run_before_any_work(monkeypatch, n, d, p):
+    def spy(*args):
+        raise AssertionError("work started before the guard refused")
+
+    for name in ("_census", "_vector_tallies"):
+        monkeypatch.setattr(bruteoracle, name, spy)
+    monkeypatch.setattr(exactcount, "walk_tables", spy)
+    with pytest.raises(CostGuardError):
+        bruteoracle.certify_identities(n, d, p, "directed")
+
+
+def test_vector_cap_is_inclusive(monkeypatch):
+    monkeypatch.setattr(bruteoracle, "MAX_VECTORS", 25)
+    assert bruteoracle.certify_identities(2, 3, 5, "directed").passed
+    monkeypatch.setattr(bruteoracle, "MAX_VECTORS", 24)
+    with pytest.raises(CostGuardError, match="p\\*\\*n"):
+        bruteoracle.certify_identities(2, 3, 5, "directed")
 
 
 @pytest.mark.parametrize(

@@ -288,7 +288,11 @@ GUARDED = {
     "cf-scan-points": (("cf-scan", "--d", "3", "--p", "7", "--delta", "0.1", "--step", "2pi/16"),
                        "regsing.asymptotics._tube_mask"),
     "oracle-directed": (("oracle-check", "--n", "4", "--d", "3", "--p", "2"),
-                        "itertools.permutations"),
+                        "regsing.bruteoracle.permutation_blocks"),
+    "oracle-vectors": (("oracle-check", "--n", "9", "--d", "1", "--p", "11"),
+                       "regsing.bruteoracle._census"),
+    "oracle-tables": (("oracle-check", "--n", "1", "--d", "9", "--p", "4093"),
+                      "regsing.bruteoracle._census"),
     "oracle-undirected": (("oracle-check", "--n", "6", "--d", "3", "--p", "2",
                            "--mode", "undirected"), "regsing.bruteoracle.all_pairings"),
     "scaling-rows": (("scaling", "--d", "3", "--n-list", "200,5000", "--trials", "300",
@@ -365,7 +369,8 @@ def test_rank_runs_one_elimination(monkeypatch, capsys):
 # sha256 of stdout, recorded before the sampler, seeding and JSON-encoder
 # paths were merged (the rate and rank entries: before scipy and the
 # pure-Python rank path were dropped; the last three undirected entries:
-# before the one-pass class count); any byte that moves fails here.
+# before the one-pass class count; the two directed oracle-check entries:
+# before the numpy census); any byte that moves fails here.
 # Every invocation reads FROZEN_MATRIX on stdin; only `rank` uses it.
 FROZEN_MATRIX = json.dumps([[2, 7, 1], [8, 2, 8], [1, 8, 28182818284590452353602874]])
 FROZEN_STDOUT = [
@@ -387,6 +392,10 @@ FROZEN_STDOUT = [
      "65c4501ae7de67ad3ca2bf89900daa9b7c038190a1b99e56cc6885890e01a12f"),
     (("oracle-check", "--n", "2", "--d", "3", "--p", "2", "--mode", "undirected"),
      "759cca78644658abcfbda28914c7bf58abcbff8a0249eabd4a4dad9103208f35"),
+    (("oracle-check", "--n", "3", "--d", "3", "--p", "2"),
+     "7a874f18228949182b56cd1330df24f2965dbbc685c04801f62cda37b4c98cf2"),
+    (("oracle-check", "--n", "4", "--d", "2", "--p", "2"),
+     "99736040b339e75811c525f1726911846ed706d1a92613e0b4eef896edba46e7"),
     (("rate", "--frak-n", "0.5,0.3,0.2", "--d", "3", "--p", "3"),
      "cf3ded89c1a04a9ec99977fed00d9e673b616b88c88b4be584dfd1a8ab2ca4d9"),
     (("rate", "--frak-n", "0.1,0.9", "--d", "3", "--p", "2"),

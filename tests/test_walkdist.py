@@ -3,6 +3,7 @@
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -107,6 +108,80 @@ def test_moments_match_enumeration_even_at_small_d():
         mean, cov = brute_moments(d, p)
         assert m.mean == mean
         assert m.cov == cov
+
+
+def reference_moments(pairs, p):
+    """The Python loop `_moments` replaced: sums count*m_j and
+    count*m_j*m_k as Python ints and divides once by the total count."""
+    total = 0
+    first = [0] * p
+    second = [[0] * p for _ in range(p)]
+    for m, cnt in pairs:
+        total += cnt
+        for j in range(p):
+            if m[j]:
+                w = cnt * m[j]
+                first[j] += w
+                row = second[j]
+                for k in range(p):
+                    if m[k]:
+                        row[k] += w * m[k]
+    mean = tuple(Fraction(x, total) for x in first)
+    cov = tuple(
+        tuple(Fraction(second[j][k], total) - mean[j] * mean[k] for k in range(p))
+        for j in range(p)
+    )
+    return walkdist.MomentData(mean=mean, cov=cov)
+
+
+# the (d, p, n) tables of the benchmark's exact workload (WALK_GRID)
+WALK_GRID = ((5, 5, 3), (5, 5, 4), (6, 5, 3), (6, 5, 4), (5, 7, 3), (4, 7, 4), (6, 7, 3))
+
+
+@pytest.mark.parametrize("d,p,n", WALK_GRID)
+def test_table_moments_match_the_reference_loop(d, p, n):
+    s = walkdist.build_support(d, p)
+    assert walkdist.moments(s) == reference_moments(s.atoms, p)
+    dist = walkdist.walk_distribution(s, n)
+    assert walkdist.table_moments(dist) == reference_moments(dist.table.items(), p)
+
+
+# coordinates past 92681, the largest with 92681**2 * 2**30 < 2**63,
+# force narrower limbs and slices of a few rows; counts up to 2**130
+# take five or more limbs
+moment_tables = st.sampled_from((2, 3, 5, 7)).flatmap(
+    lambda p: st.tuples(
+        st.just(p),
+        st.lists(
+            st.tuples(
+                st.tuples(*[st.one_of(st.integers(0, 4), st.integers(0, 2**30))] * p),
+                st.one_of(st.integers(1, 3), st.integers(1, 2**130)),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(moment_tables, st.sampled_from((1, 2, 3, 7, 1024)))
+def test_moments_match_the_reference_loop_on_random_tables(table, chunk):
+    p, pairs = table
+    with mock.patch.object(walkdist, "MOMENT_CHUNK", chunk):
+        assert walkdist._moments(pairs, p) == reference_moments(pairs, p)
+
+
+def test_moments_at_the_int64_edge():
+    for x in (92681, 92682, 2**30, 1518500249):
+        pairs = [((x, 0), 2**100 + 1), ((0, x), 3), ((1, 1), 2**64 - 1)]
+        assert walkdist._moments(pairs, 2) == reference_moments(pairs, 2)
+        # rows whose limbs are all ones overflow int64 unless sliced
+        pairs = [((x, x), 2**130 - 1)] * 40
+        assert walkdist._moments(pairs, 2) == reference_moments(pairs, 2)
+    # 1518500250**2 >= 2**61: not even a one-bit limb fits beside it
+    with pytest.raises(DomainError, match="too large"):
+        walkdist._moments([((1518500250, 0), 1)], 2)
 
 
 def test_char_fn_values_and_shape_check():
