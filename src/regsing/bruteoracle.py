@@ -40,6 +40,9 @@ MAX_POINTS_UNDIRECTED = 12
 MAX_VECTORS = 4096
 # The directed census enumerates blocks of at most BLOCK_POINTS! rows
 BLOCK_POINTS = 7
+# Largest product of stacked census matrices and vectors the tallies
+# hold at once: 4 MiB of float32
+TALLY_CHUNK_ENTRIES = 1 << 20
 
 
 def all_pairings(items: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -190,13 +193,26 @@ class CertificationReport:
 
 
 def _vector_tallies(census: dict[bytes, int], n: int, p: int) -> list[int]:
-    """For every v in F_p^n (lex order), the number of outcomes killing v."""
-    vectors = np.array(list(itertools.product(range(p), repeat=n)), dtype=np.int64).T
+    """For every v in F_p^n (lex order), the number of outcomes killing v.
+
+    The census matrices are stacked k at a time into one (k*n, n) block
+    and multiplied by the table of all vectors, k bounded so that the
+    product holds at most TALLY_CHUNK_ENTRIES entries; a block adds its
+    outcome counts times its (k, p**n) table of killed vectors.  The
+    product runs in float32 BLAS and is exact: its entries are sums of
+    at most n products of a uint8 entry and a residue, below
+    255 * n * (p - 1) < 2**24 whenever p**n <= MAX_VECTORS.
+    """
+    vectors = np.array(list(itertools.product(range(p), repeat=n)), dtype=np.float32).T
     tallies = np.zeros(p**n, dtype=np.int64)
-    for flat, weight in census.items():
-        a = np.frombuffer(flat, dtype=np.uint8).reshape(n, n).astype(np.int64)
-        dead = ~np.any((a @ vectors) % p, axis=0)
-        tallies[dead] += weight
+    items = iter(census.items())
+    step = max(1, TALLY_CHUNK_ENTRIES // (n * p**n))
+    while chunk := list(itertools.islice(items, step)):
+        flats, weights = zip(*chunk)
+        block = np.frombuffer(b"".join(flats), dtype=np.uint8).reshape(-1, n)
+        residues = (block.astype(np.float32) @ vectors).astype(np.int32) % p
+        dead = ~residues.reshape(-1, n, p**n).any(axis=1)
+        tallies += np.array(weights, dtype=np.int64) @ dead
     return [int(x) for x in tallies]
 
 

@@ -268,10 +268,14 @@ def certify_nonsingular(matrix) -> bool:
     Below 1 that makes RA, hence A, invertible.  The test asks for 1/2:
     the slack covers the rounding and any underflow of the check
     itself.  Entries beyond 2**53, which float64 would round, are never
-    certified.  Rump, "Verification methods", Acta Numerica 2010;
-    Higham, Accuracy and Stability of Numerical Algorithms, ch. 3.
+    certified.  A sequence of no rows, such as the empty core of
+    `reduce_sparse`, is the 0x0 matrix, which is nonsingular.  Rump,
+    "Verification methods", Acta Numerica 2010; Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 3.
     """
     a = np.asarray(matrix)
+    if a.shape == (0,):
+        a = a.reshape(0, 0)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"certification needs a square matrix, got shape {a.shape}")
     n = a.shape[0]

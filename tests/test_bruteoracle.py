@@ -198,3 +198,34 @@ def test_certification_covers_every_class():
     zero_row = next(row for row in report.classes if row.sig[0] == 2)
     assert zero_row.expected == math.factorial(6)
     assert report.master_exact == exactcount.master_sum_directed(2, 3, 3)
+
+
+def reference_vector_tallies(census, n, p):
+    """The per-matrix loop the stacked tallies replaced: one product of
+    each census matrix with the vector table."""
+    vectors = np.array(list(itertools.product(range(p), repeat=n)), dtype=np.int64).T
+    tallies = np.zeros(p**n, dtype=np.int64)
+    for flat, weight in census.items():
+        a = np.frombuffer(flat, dtype=np.uint8).reshape(n, n).astype(np.int64)
+        dead = ~np.any((a @ vectors) % p, axis=0)
+        tallies[dead] += weight
+    return [int(x) for x in tallies]
+
+
+# the criterion 1 and 2 certification cases, plus a p = 5 and a p = 7 one
+TALLY_CASES = [
+    (2, 3, 2, "directed"), (2, 3, 3, "directed"), (2, 3, 5, "directed"), (3, 3, 2, "directed"),
+    (2, 4, 2, "directed"), (2, 4, 3, "directed"), (4, 2, 2, "directed"), (3, 2, 7, "directed"),
+    (2, 3, 2, "undirected"), (2, 3, 3, "undirected"), (4, 3, 2, "undirected"),
+    (2, 4, 2, "undirected"), (3, 4, 2, "undirected"), (2, 5, 5, "undirected"),
+]
+
+
+@pytest.mark.parametrize("chunk", [1, 100, bruteoracle.TALLY_CHUNK_ENTRIES])
+@pytest.mark.parametrize("n,d,p,mode", TALLY_CASES, ids=[f"{m[0]}{n}-{d}-{p}" for n, d, p, m in TALLY_CASES])
+def test_vector_tallies_match_the_per_matrix_loop(monkeypatch, chunk, n, d, p, mode):
+    census = bruteoracle._census(n, d, mode)
+    want = reference_vector_tallies(census, n, p)
+    # a chunk of 1 stacks one matrix at a time, 100 cuts uneven blocks
+    monkeypatch.setattr(bruteoracle, "TALLY_CHUNK_ENTRIES", chunk)
+    assert bruteoracle._vector_tallies(census, n, p) == want

@@ -91,9 +91,13 @@ def test_divisible_degree_always_singular():
     assert r.estimate == 1.0
 
 
-# (n, mode, trials, seed): n=50 directed and the undirected case both
-# reach the exact determinant
-INTEGER_CASES = ((12, "directed", 300, 9), (50, "directed", 150, 3), (16, "undirected", 200, 3))
+# (n, mode, trials, seed): every case past n = 12 reaches the exact
+# determinant.  The last two lie at or above REDUCE_FIRST_N, where the
+# float certificate runs on the core; there about one trial in 2,000
+# escalates, and these seeds escalate early (n = 200: trial 2; n = 160,
+# undirected with loops and multi-edges: trial 1).
+INTEGER_CASES = ((12, "directed", 300, 9), (50, "directed", 150, 3), (16, "undirected", 200, 3),
+                 (200, "directed", 12, 390), (160, "undirected", 12, 935))
 
 
 def test_integer_mode_matches_exact_determinants():
@@ -146,6 +150,23 @@ def test_integer_mode_escalations_match_the_dense_ladder(n, mode, trials, seed):
     assert tally == dense_ladder_block(n, 3, mode, seed, 0, trials, prime)
     if n > 12:
         assert tally["escalations"] > 0
+
+
+def test_integer_mode_builds_the_adjacency_only_below_the_cut_off(monkeypatch):
+    cut = experiments.REDUCE_FIRST_N
+    cases = [(cut - 1, "directed", 7), (cut, "directed", 8), (cut, "undirected", 9)]
+    dense = []
+
+    def spy(n, d, mode, order):
+        dense.append(n)
+        return confmodel.adjacency(n, d, mode, order)
+
+    monkeypatch.setattr(experiments, "adjacency", spy)
+    for n, mode, seed in cases:
+        prime = experiments._mc_prime(seed)
+        tally = experiments._run_block(n, 3, mode, None, seed, 0, 20, prime)
+        assert tally == dense_ladder_block(n, 3, mode, seed, 0, 20, prime)
+    assert dense and set(dense) == {cut - 1}
 
 
 def test_field_mode_never_builds_the_adjacency(monkeypatch):

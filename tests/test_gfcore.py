@@ -322,6 +322,17 @@ def test_certify_nonsingular_falls_through_when_ill_conditioned():
         gfcore.certify_nonsingular([[1, 2, 3], [4, 5, 6]])
 
 
+def test_certify_nonsingular_takes_the_empty_core_as_0x0():
+    # a full unit-pivot reduction leaves no rows; like det_integer and
+    # rank_mod_p, the certificate reads them as the 0x0 matrix
+    pivots, core = gfcore.reduce_sparse([{0: 1}, {1: 1}])
+    assert (pivots, core) == (2, [])
+    assert gfcore.certify_nonsingular(core)
+    assert gfcore.det_integer(core) == 1 and gfcore.rank_mod_p(core, 5) == 0
+    with pytest.raises(ShapeError):
+        gfcore.certify_nonsingular([[]])
+
+
 def test_exact_routines_refuse_non_integral_entries():
     with pytest.raises(DomainError):
         gfcore.det_integer([[2.9, 0], [0, 1]])
