@@ -14,7 +14,6 @@ and Weideman, SIAM Review 2014).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -63,20 +62,27 @@ def _tube_mask(points: np.ndarray, p: int, delta: float, o: np.ndarray) -> np.nd
     The tubes surround the lines where |phi| reaches 1: a point t lies in
     tube j when t - 2*pi*j*(0, 1/p, ..., (p-1)/p) is within squared
     distance delta of the all-ones line, modulo 2*pi shifts; `o` is
-    `helmert_basis(p)`.  After reducing into [0, 2*pi)^p, a point within
-    sqrt(delta) < pi of the all-ones line differs from a constant vector
-    by less than pi per coordinate, so the integer shifts realizing the
-    nearest representative span at most two consecutive values per
-    coordinate; a common shift along all-ones is free, leaving the
-    {0, 1}^p window.
+    `helmert_basis(p)`.  After reducing into w in [0, 2*pi)^p, a point
+    within sqrt(delta) < pi of the all-ones line differs from a constant
+    vector by less than pi per coordinate, so the integer shifts
+    realizing the nearest representative span at most two consecutive
+    values per coordinate; a common shift along all-ones is free,
+    leaving shift vectors in {0, 1}^p.  Of those, only the p + 1 that
+    lift the r smallest coordinates of w (r = 0..p) can pass: a set
+    lifting w_a but not some w_b <= w_a leaves two coordinates at least
+    2*pi apart, at squared distance at least 2*pi^2 > pi^2 > delta from
+    the line.  Ties are alike, so any order of equal coordinates serves.
+    r = 0 and r = p are the same shift up to rounding, and both are
+    tried, so the mask is the one all 2^p shift vectors give, bit for
+    bit.
     """
     mask = np.zeros(len(points), dtype=bool)
     base = TWO_PI * np.arange(p) / p
-    shifts = np.array(list(itertools.product((0.0, 1.0), repeat=p)))
     for j in range(p):
         w = np.mod(points - j * base, TWO_PI)
-        for k in shifts:
-            x = (w + TWO_PI * k) @ o
+        rank = w.argsort(axis=1).argsort(axis=1)
+        for r in range(p + 1):
+            x = (w + TWO_PI * (rank < r)) @ o
             mask |= np.einsum("ij,ij->i", x, x) <= delta
     return mask
 
@@ -101,17 +107,24 @@ def cf_scan(d: int, p: int, delta: float, grid_step: float) -> CfScanReport:
 
     |phi| is constant along the all-ones direction, so every orbit has a
     representative on the slice t_0 = 0 and the scan covers the slice
-    grid of size k^(p-1), with k = 2*pi/grid_step.  The step must divide
-    2*pi evenly.  The cost guard applies to the nominal p-dimensional
-    grid the slice stands in for.
+    grid of size k^(p-1), with k = 2*pi/grid_step.  The step must be
+    positive and divide 2*pi evenly, with the step and 2*pi/step finite,
+    and delta must lie in (0, pi^2); otherwise DomainError.  The cost
+    guard (CostGuardError) applies to the nominal p-dimensional grid the
+    slice stands in for.
+    The grid is walked SCAN_CHUNK points at a time: `_tube_mask` drops
+    the points in the tubes with p(p+1) small matmuls per chunk, and
+    |phi| is evaluated only on the rest, through one `char_fn` call.
     """
     support = build_support(d, p)
     # the two-value shift window in _tube_mask needs the tube radius
     # sqrt(delta) below pi
     if not 0.0 < delta < math.pi**2:
         raise DomainError(f"delta must lie in (0, pi^2), got {delta}")
-    if grid_step <= 0:
-        raise DomainError(f"grid step must be positive, got {grid_step}")
+    if not 0.0 < grid_step < math.inf or math.isinf(TWO_PI / grid_step):
+        raise DomainError(
+            f"grid step must be positive and finite, with 2*pi/step finite, got {grid_step}"
+        )
     k = round(TWO_PI / grid_step)
     if k < 1 or abs(TWO_PI / k - grid_step) > 1e-9 * grid_step:
         raise DomainError(f"grid step {grid_step} does not divide 2*pi evenly")
@@ -135,15 +148,16 @@ def cf_scan(d: int, p: int, delta: float, grid_step: float) -> CfScanReport:
         outside = ~_tube_mask(pts, p, delta, o)
         if not outside.any():
             continue
+        kept = pts[outside]
         # centering the step only multiplies phi by a unit phase, so the
         # raw step's |phi| is the centered one's
-        vals = np.abs(char_fn(support, pts[outside]))
-        n_outside += int(outside.sum())
+        vals = np.abs(char_fn(support, kept))
+        n_outside += len(kept)
         near_one_outside += int((vals > 1.0 - NEAR_ONE_EPS).sum())
         top = int(np.argmax(vals))
         if vals[top] > max_abs:
             max_abs = float(vals[top])
-            argmax = tuple(float(v) for v in pts[outside][top])
+            argmax = tuple(float(v) for v in kept[top])
     return CfScanReport(
         d=d,
         p=p,

@@ -19,6 +19,7 @@ into a fresh dict keyed by histogram tuples.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import threading
@@ -34,6 +35,10 @@ from .gfcore import require_prime
 # Entries per chunk of `_moments`, and the widest limb it splits counts into
 MOMENT_CHUNK = 1024
 LIMB_BITS = 30
+
+# Step supports held by `build_support`; one per (d, p) in use, and the
+# CLI and the exact layer touch a few
+SUPPORT_CACHE = 64
 
 
 @dataclass(frozen=True)
@@ -86,10 +91,20 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 
 def build_support(d: int, p) -> SupportTable:
-    """Enumerate the atoms of the step distribution for parameters (d, p)."""
+    """Enumerate the atoms of the step distribution for parameters (d, p).
+
+    The inputs are checked on every call; the table of a valid (d, p) is
+    built once and then served from a cache of the SUPPORT_CACHE most
+    recent ones, so repeated callers share one immutable table.
+    """
     p = require_prime(p)
     if d < 1:
         raise DomainError(f"d must be >= 1, got {d}")
+    return _support(d, p)
+
+
+@functools.lru_cache(maxsize=SUPPORT_CACHE, typed=True)
+def _support(d: int, p: int) -> SupportTable:
     fact = math.factorial
     atoms = []
     for u in compositions(d, p):
@@ -152,13 +167,20 @@ def char_fn(s: SupportTable, t) -> complex | np.ndarray:
 
     `t` is one point of shape (p,), giving a complex number, or k points
     as the rows of a (k, p) array, giving a complex array of length k.
+    The phases <t, u> over the atoms u come from a real matmul, and exp
+    is taken of 1j * phase.  That gives the same bits as exp of the
+    complex matmul (1j * t) @ atoms.T, whose real parts are all zero; but
+    with OpenBLAS, np.exp run right after its complex matmul took about
+    ten times as long as after the real one (24 against 2.6 ms on
+    28,672 phases, one thread).
     """
     t = np.asarray(t, dtype=float)
     if t.shape[-1:] != (s.p,) or t.ndim > 2:
         raise ShapeError(f"t must have shape ({s.p},) or (k, {s.p}), got {t.shape}")
     atoms = np.array([u for u, _ in s.atoms], dtype=float)
     mults = np.array([m for _, m in s.atoms], dtype=float)
-    phi_t = np.exp(1j * t @ atoms.T) @ (mults / float(s.total))
+    phases = t @ atoms.T
+    phi_t = np.exp(1j * phases) @ (mults / float(s.total))
     return complex(phi_t) if t.ndim == 1 else phi_t
 
 

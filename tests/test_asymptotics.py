@@ -104,6 +104,102 @@ def test_scan_step_validation_and_cost_guard():
     # 64^5 > 1e8: refused before any scan work
     with pytest.raises(CostGuardError):
         am.cf_scan(3, 5, 0.1, TWO_PI / 64)
+    # 2*pi/5e-324 overflows to inf
+    for step in (0.0, math.nan, math.inf, -math.inf, 5e-324):
+        with pytest.raises(DomainError, match="grid step"):
+            am.cf_scan(3, 2, 0.1, step)
+
+
+def reference_tube_mask(points, p, delta, o):
+    """The kernel `_tube_mask` replaced: every shift vector in {0, 1}^p
+    for every tube, p * 2^p products."""
+    mask = np.zeros(len(points), dtype=bool)
+    base = TWO_PI * np.arange(p) / p
+    shifts = np.array(list(itertools.product((0.0, 1.0), repeat=p)))
+    for j in range(p):
+        w = np.mod(points - j * base, TWO_PI)
+        for k in shifts:
+            x = (w + TWO_PI * k) @ o
+            mask |= np.einsum("ij,ij->i", x, x) <= delta
+    return mask
+
+
+def reference_char_fn(s, t):
+    """The expression `char_fn` replaced: exp of a complex matmul."""
+    t = np.asarray(t, dtype=float)
+    atoms = np.array([u for u, _ in s.atoms], dtype=float)
+    mults = np.array([m for _, m in s.atoms], dtype=float)
+    return np.exp(1j * t @ atoms.T) @ (mults / float(s.total))
+
+
+def slice_grid(p, k):
+    """The points `cf_scan` visits: the t_0 = 0 slice of the k-grid."""
+    axis = TWO_PI * np.arange(k) / k
+    coords = np.unravel_index(np.arange(k ** (p - 1)), (k,) * (p - 1))
+    pts = np.zeros((k ** (p - 1), p))
+    for i, c in enumerate(coords):
+        pts[:, i + 1] = axis[c]
+    return pts
+
+
+def tube_boundary_points(p, delta, rng, per_tube=200):
+    """Points on the tube lines, with negative coordinates among them, and
+    at squared distance delta*(1 +- 1e-15) or exactly delta from the lines
+    on either side, half of those moved by random 2*pi lattice shifts."""
+    o = am.helmert_basis(p)
+    out = []
+    for j in range(p):
+        base = TWO_PI * j * np.arange(p) / p
+        line = base + rng.uniform(-TWO_PI, TWO_PI, size=(per_tube, 1))
+        g = rng.standard_normal((per_tube, p - 1))
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        scale = np.sqrt(delta * rng.choice([1 - 1e-15, 1.0, 1 + 1e-15], size=(per_tube, 1)))
+        lattice = TWO_PI * rng.integers(-3, 4, size=(per_tube, p))
+        out += [line, line + scale * g @ o.T + lattice, line - scale * g @ o.T]
+    return np.concatenate(out)
+
+
+DELTAS = (0.1, 0.37, 2.0, 9.5)
+# the scan grids of the tests and the benchmark, and p = 5, 7 at k <= 13
+MASK_GRIDS = [(p, k) for p in (2, 3) for k in (8, 16, 32, 33, 64)]
+MASK_GRIDS += [(5, 8), (5, 13), (7, 4)]
+
+
+@pytest.mark.parametrize("p,k", MASK_GRIDS)
+def test_tube_mask_and_char_fn_match_the_reference_on_scan_grids(p, k):
+    pts = slice_grid(p, k)
+    o = am.helmert_basis(p)
+    for delta in DELTAS:
+        got = am._tube_mask(pts, p, delta, o)
+        assert np.array_equal(got, reference_tube_mask(pts, p, delta, o)), delta
+    for d in (3, 4, 5, 6):
+        s = walkdist.build_support(d, p)
+        assert walkdist.char_fn(s, pts).tobytes() == reference_char_fn(s, pts).tobytes(), d
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_tube_mask_matches_the_reference_on_tube_boundaries(p):
+    rng = np.random.default_rng(100 + p)
+    o = am.helmert_basis(p)
+    for delta in (1e-12, 0.1, 0.37, 1.0, 2.0, 5.0, 9.5, math.pi**2 * (1 - 1e-12)):
+        pts = tube_boundary_points(p, delta, rng)
+        got = am._tube_mask(pts, p, delta, o)
+        want = reference_tube_mask(pts, p, delta, o)
+        assert np.array_equal(got, want), delta
+        # below delta = 1 the tubes leave part of the torus uncovered,
+        # so points land on both sides of the boundary
+        if delta <= 1.0:
+            assert 0 < want.sum() < len(want), delta
+
+
+def test_cf_scan_reports_match_the_reference_kernels(monkeypatch):
+    setups = list(itertools.product((3, 4, 5, 6), ((2, 64), (3, 32), (3, 33), (5, 8))))
+    setups.append((3, (7, 4)))
+    got = [am.cf_scan(d, p, delta, TWO_PI / k) for (d, (p, k)) in setups for delta in DELTAS]
+    monkeypatch.setattr(am, "_tube_mask", reference_tube_mask)
+    monkeypatch.setattr(am, "char_fn", reference_char_fn)
+    want = [am.cf_scan(d, p, delta, TWO_PI / k) for (d, (p, k)) in setups for delta in DELTAS]
+    assert got == want
 
 
 def test_lclt_anchor_and_applicability():

@@ -214,10 +214,12 @@ def test_exit_code_2_on_domain_errors(capsys):
         capsys, "sample", "--n", "3", "--d", "3", "--mode", "undirected", "--seed", "0"
     )
     assert code == 2
-    code, _, _ = run_cli(
-        capsys, "cf-scan", "--d", "3", "--p", "2", "--delta", "0.1", "--step", "0.1"
-    )
-    assert code == 2
+    for step in ("0.1", "5e-324"):
+        code, _, err = run_cli(
+            capsys, "cf-scan", "--d", "3", "--p", "2", "--delta", "0.1", "--step", step
+        )
+        assert code == 2
+        assert err.startswith("error: ")
 
 
 def test_exit_code_2_on_malformed_input(capsys, monkeypatch):
@@ -413,6 +415,10 @@ FROZEN_STDOUT = [
      "7a874f18228949182b56cd1330df24f2965dbbc685c04801f62cda37b4c98cf2"),
     (("oracle-check", "--n", "4", "--d", "2", "--p", "2"),
      "99736040b339e75811c525f1726911846ed706d1a92613e0b4eef896edba46e7"),
+    (("cf-scan", "--d", "3", "--p", "5", "--delta", "0.1", "--step", "2pi/8"),
+     "f6f86378cf84f8bc7189c6f1ee95ed66799fcaaf1873f00f3c1bb57524430c0d"),
+    (("cf-scan", "--d", "5", "--p", "3", "--delta", "0.1", "--step", "2pi/64"),
+     "b993fdc52ba7a8048ca14bc232cbb0a84c7887a32fea42743551b7fd4c6923e8"),
 ]
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regsing import walkdist
-from regsing.errors import DomainError, ShapeError
+from regsing.errors import DomainError, InvalidModulusError, ShapeError
 
 # Frozen supports, cross-checked below against tuple enumeration.
 SUPPORT_D3_P2 = (((1, 2), 3), ((3, 0), 1))
@@ -65,6 +65,23 @@ def test_build_support_matches_tuple_enumeration(dp):
     for u, _ in s.atoms:
         assert sum(u) == d
         assert sum(j * u[j] for j in range(p)) % p == 0
+
+
+def test_build_support_cached_after_validation():
+    s = walkdist.build_support(3, 5)
+    assert walkdist.build_support(3, 5) is s
+    assert walkdist.build_support(3, np.int64(5)) is s
+    assert walkdist._support.cache_info().maxsize == walkdist.SUPPORT_CACHE
+    # bad inputs are refused on every call, also after the good (3, 5)
+    for _ in range(2):
+        with pytest.raises(InvalidModulusError):
+            walkdist.build_support(3, 4)
+        with pytest.raises(InvalidModulusError):
+            walkdist.build_support(3, 5.0)
+        with pytest.raises(DomainError):
+            walkdist.build_support(0, 5)
+        with pytest.raises(TypeError):
+            walkdist.build_support(3.0, 5)
 
 
 def test_moments_closed_form_needs_three_factors():
