@@ -65,6 +65,14 @@ def seed_sequence(seed: int, *path: int) -> np.random.SeedSequence:
     return np.random.SeedSequence((seed, *path))
 
 
+def check_seed(seed) -> int:
+    """A seed as an int; anything but a nonnegative integer (a bool
+    included) raises InvalidParamsError."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidParamsError(f"seed must be a nonnegative integer, got {seed!r}")
+    return int(seed)
+
+
 def directed_adjacency(n: int, d: int, perm: np.ndarray) -> np.ndarray:
     a = np.zeros((n, n), dtype=np.int64)
     src = np.arange(n * d) // d
@@ -101,7 +109,8 @@ def sample(params: GraphParams, seed) -> Graph:
     if isinstance(seed, np.random.Generator):
         rng, seed_field = seed, None
     else:
-        rng, seed_field = np.random.default_rng(seed_sequence(seed)), int(seed)
+        seed_field = check_seed(seed)
+        rng = np.random.default_rng(seed_sequence(seed_field))
     order = rng.permutation(params.n * params.d)  # the generator's native Fisher-Yates shuffle
     a = adjacency(params.n, params.d, params.mode, order)
     return Graph(
@@ -148,16 +157,20 @@ def has_duplicate_rows(targets: np.ndarray) -> bool:
     return bool((s[1:] == s[:-1]).all(axis=1).any())
 
 
-def sparse_rows(targets: np.ndarray) -> list[dict[int, int]]:
+def sparse_rows(targets: np.ndarray, p: int | None = None) -> list[dict[int, int]]:
     """The adjacency rows as {column: entry} dicts, read from target rows:
-    an entry counts the repeats of its fibre."""
+    an entry counts the repeats of its fibre.  With a modulus p the
+    entries are reduced mod p, and those that vanish are left out."""
     d = targets.shape[1]
+    reduce = p is not None and p <= d
     rows = []
     for t in targets.tolist():
         row = dict.fromkeys(t, 1)
         if len(row) < d:
             for c in row:
                 row[c] = t.count(c)
+            if reduce:
+                row = {c: v % p for c, v in row.items() if v % p}
         rows.append(row)
     return rows
 

@@ -3,16 +3,18 @@
 Matrices are plain sequences of equal-length rows of Python ints, so
 nothing ever overflows; `rank_mod_p` also takes integer numpy arrays
 as they are, and every entry must be an integer (an integral float
-passes, a fractional or non-finite one is refused).  Elimination mod p
-has one core: it runs on int64 numpy arrays when products of two
-residues fit in a signed 64-bit word (p < 2**31), and on object arrays
-of Python ints above that, with the same pivot order.  Integer rank and
-determinant use fraction-free (Bareiss) elimination on Python ints:
-every intermediate entry is an exact minor of the input, and every
-division is exact.  `reduce_sparse` eliminates a sparse matrix given as
-row dicts down to a small dense core for those routines, mod p or with
-unit pivots over the integers.  `certify_nonsingular` is the one
-floating-point routine, and it only ever proves, never guesses.
+passes; a bool, a fractional or a non-finite one is refused, and so is
+a bool array).  Elimination mod p has one core: it runs on int64 numpy
+arrays when products of two residues fit in a signed 64-bit word
+(p < 2**31), and on object arrays of Python ints above that, with the
+same pivot order.  Integer rank and determinant use fraction-free
+(Bareiss) elimination on Python ints: every intermediate entry is an
+exact minor of the input, and every division is exact.  `reduce_sparse`
+eliminates a sparse matrix given as row dicts down to a small dense
+core for those routines, mod p or with unit pivots over the integers;
+`_eliminate` is its unchecked kernel, for callers whose rows are valid
+by construction.  `certify_nonsingular` is the one floating-point
+routine, and it only ever proves, never guesses.
 """
 
 from __future__ import annotations
@@ -117,6 +119,8 @@ def rank_mod_p(matrix: Matrix, p) -> int:
     """
     p = require_prime(p)
     if isinstance(matrix, np.ndarray) and np.can_cast(matrix.dtype, np.int64):
+        if matrix.dtype == np.bool_:
+            raise DomainError("matrix entries must be integers, not bools")
         if matrix.ndim != 2:
             raise ShapeError(f"expected a 2-d matrix, got {matrix.ndim} dimensions")
         a = matrix
@@ -182,9 +186,8 @@ def reduce_sparse(rows: Sequence[Mapping[int, int]], p=None) -> tuple[int, list[
     if p is not None:
         p = require_prime(p)
     n = len(rows)
-    work: list[dict[int, int] | None] = []
-    cols: list = [set() for _ in range(n)]
-    for i, row in enumerate(rows):
+    work = []
+    for row in rows:
         entries = {}
         for c, v in row.items():
             if not 0 <= c < n:
@@ -194,59 +197,102 @@ def reduce_sparse(rows: Sequence[Mapping[int, int]], p=None) -> tuple[int, list[
                 v %= p
             if v:
                 entries[c] = v
-                cols[c].add(i)
         work.append(entries)
-    # (nonzero count, column); an entry is stale once the count moved
-    heap = [(len(s), c) for c, s in enumerate(cols)]
+    return _eliminate(work, p)
+
+
+def _eliminate(work: list[dict[int, int]], p: int | None) -> tuple[int, list[list[int]]]:
+    """The elimination of `reduce_sparse`, on rows it may consume.
+
+    `work` holds one dict per row of nonzero int entries in columns
+    range(len(work)), in [1, p) when the prime p is given; nothing is
+    checked, and the dicts are emptied or changed in place.
+    """
+    n = len(work)
+    cols: list = [set() for _ in range(n)]
+    for i, entries in enumerate(work):
+        for c in entries:
+            cols[c].add(i)
+    # count << shift | column, for each column that may pivot: one int
+    # orders like the pair (nonzero count, column) and compares faster.
+    # An entry is stale once the count moved.  A column whose count exceeds
+    # the limit is left out until a pivot changes its count again, so
+    # the heap runs empty when every live column has more than `limit`
+    # nonzeros.
+    limit = SPARSE_PIVOT_MAX
+    shift = n.bit_length()
+    mask = (1 << shift) - 1
+    heap = [len(s) << shift | c for c, s in enumerate(cols) if len(s) <= limit]
     heapq.heapify(heap)
+    heappop, heappush = heapq.heappop, heapq.heappush
     live = [True] * n
     pivots = 0
     while heap:
-        count, c = heapq.heappop(heap)
+        key = heappop(heap)
+        c = key & mask
         members = cols[c]
-        if not live[c] or count != len(members):
+        if not live[c] or key >> shift != len(members):
             continue
-        if count > SPARSE_PIVOT_MAX:
-            break
         # a column without a usable pivot stays in the core
         live[c] = False
-        if p is None:
-            usable = [i for i in members if work[i][c] in (1, -1)]
-        else:
-            usable = members
+        usable = members if p is not None else [i for i in members if work[i][c] in (1, -1)]
         if not usable:
             continue
-        r = min(usable, key=lambda i: len(work[i]))
+        # the first shortest row, in the iteration order of `usable`
+        r = -1
+        shortest = n + 1
+        for i in usable:
+            k = len(work[i])
+            if k < shortest:
+                r, shortest = i, k
         prow = work[r]
         work[r] = None
-        inv = prow.pop(c)
-        if p is not None:
-            inv = pow(inv, -1, p)
-        rest = list(prow.items())
-        for j, _ in rest:
+        pc = prow.pop(c)
+        for j in prow:
             cols[j].discard(r)
         members.discard(r)
-        for i in members:
-            ri = work[i]
-            f = ri.pop(c) * inv
-            for j, v in rest:
-                if j in ri:
-                    x = ri[j] - f * v
-                    if p is not None:
-                        x %= p
-                    if x:
-                        ri[j] = x
-                    else:
-                        del ri[j]
-                        cols[j].discard(i)
-                else:
-                    ri[j] = -f * v if p is None else -f * v % p
-                    cols[j].add(i)
+        if members:
+            if p is None:
+                rest = list(prow.items())
+                for i in members:
+                    ri = work[i]
+                    f = ri.pop(c) * pc
+                    for j, v in rest:
+                        if j not in ri:
+                            ri[j] = -f * v
+                            cols[j].add(i)
+                        else:
+                            x = ri[j] - f * v
+                            if x:
+                                ri[j] = x
+                            else:
+                                del ri[j]
+                                cols[j].discard(i)
+            else:
+                # the pivot row scaled by -1/pivot: row i gains f * w
+                inv = pow(pc, -1, p)
+                rest = [(j, -v * inv % p) for j, v in prow.items()]
+                for i in members:
+                    ri = work[i]
+                    f = ri.pop(c)
+                    for j, w in rest:
+                        if j not in ri:
+                            ri[j] = f * w % p
+                            cols[j].add(i)
+                        else:
+                            x = (ri[j] + f * w) % p
+                            if x:
+                                ri[j] = x
+                            else:
+                                del ri[j]
+                                cols[j].discard(i)
         cols[c] = None
         pivots += 1
-        for j, _ in rest:
+        for j in prow:
             if live[j]:
-                heapq.heappush(heap, (len(cols[j]), j))
+                k = len(cols[j])
+                if k <= limit:
+                    heappush(heap, k << shift | j)
     index = {j: k for k, j in enumerate(j for j in range(n) if cols[j] is not None)}
     core = []
     for entries in work:
@@ -268,12 +314,14 @@ def certify_nonsingular(matrix) -> bool:
     Below 1 that makes RA, hence A, invertible.  The test asks for 1/2:
     the slack covers the rounding and any underflow of the check
     itself.  Entries beyond 2**53, which float64 would round, are never
-    certified.  A sequence of no rows, such as the empty core of
-    `reduce_sparse`, is the 0x0 matrix, which is nonsingular.  Rump,
-    "Verification methods", Acta Numerica 2010; Higham, Accuracy and
-    Stability of Numerical Algorithms, ch. 3.
+    certified, and a bool matrix raises DomainError.  A sequence of no
+    rows, such as the empty core of `reduce_sparse`, is the 0x0 matrix,
+    which is nonsingular.  Rump, "Verification methods", Acta Numerica
+    2010; Higham, Accuracy and Stability of Numerical Algorithms, ch. 3.
     """
     a = np.asarray(matrix)
+    if a.dtype == np.bool_:
+        raise DomainError("matrix entries must be integers, not bools")
     if a.shape == (0,):
         a = a.reshape(0, 0)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:

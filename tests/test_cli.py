@@ -371,8 +371,9 @@ def test_rank_runs_one_elimination(monkeypatch, capsys):
 # sha256 of stdout, recorded before the sampler, seeding and JSON-encoder
 # paths were merged (the rate and rank entries: before scipy and the
 # pure-Python rank path were dropped; the last three undirected entries:
-# before the one-pass class count; the two directed oracle-check entries at
-# the end: before the numpy census); any byte that moves fails here. New
+# before the one-pass class count; the two directed oracle-check entries:
+# before the numpy census; the three tiny-n mc entries at the end: before
+# the field-mode memo); any byte that moves fails here. New
 # entries go at the end so the index in each test id stays put.
 # Every invocation reads FROZEN_MATRIX on stdin; only `rank` uses it.
 FROZEN_MATRIX = json.dumps([[2, 7, 1], [8, 2, 8], [1, 8, 28182818284590452353602874]])
@@ -419,6 +420,15 @@ FROZEN_STDOUT = [
      "f6f86378cf84f8bc7189c6f1ee95ed66799fcaaf1873f00f3c1bb57524430c0d"),
     (("cf-scan", "--d", "5", "--p", "3", "--delta", "0.1", "--step", "2pi/64"),
      "b993fdc52ba7a8048ca14bc232cbb0a84c7887a32fea42743551b7fd4c6923e8"),
+    (("mc", "--n", "3", "--d", "3", "--p", "2", "--seed", "4", "--trials", "2000",
+      "--workers", "1"),
+     "c892697cfbb9be6e1f3464d8a810993a023ccde3602783ce2f378c589301e916"),
+    (("mc", "--n", "4", "--d", "3", "--p", "2", "--mode", "undirected", "--seed", "4",
+      "--trials", "2000", "--workers", "1"),
+     "d3fcec17dbe727553f27ca7d6cc49171e8d5659868ffee6082c096f3ec842446"),
+    (("mc", "--n", "2", "--d", "3", "--p", "3", "--seed", "4", "--trials", "500",
+      "--workers", "1"),
+     "a9cd46128d7ca17825b7804d201e28123a3b86b9b7cc6dc1d76a14502c87c09f"),
 ]
 
 

@@ -171,6 +171,12 @@ def test_generator_seed_is_used_as_given():
     assert (g.adjacency, g.witness) == (h.adjacency, h.witness)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "9"])
+def test_sample_refuses_seeds_that_are_not_nonnegative_integers(seed):
+    with pytest.raises(InvalidParamsError):
+        confmodel.sample(confmodel.GraphParams(3, 3, "directed"), seed)
+
+
 def _repeated_lines(a):
     return len(np.unique(a, axis=0)) < a.shape[0]
 

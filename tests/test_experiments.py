@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import contextlib
+import dataclasses
 import os
 
 import numpy as np
@@ -30,6 +31,18 @@ def test_config_validation():
     with pytest.raises(InvalidParamsError):
         experiments.McConfig(n=3, d=3, mode="undirected", trials=10, seed=0)
     experiments.McConfig(n=4, d=3, mode="undirected", trials=10, seed=0)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("seed", -1), ("seed", 1.5), ("seed", True), ("seed", "3"),
+    ("trials", True), ("trials", 2.0), ("workers", True), ("workers", 1.0),
+])
+def test_config_refuses_non_integer_seed_trials_and_workers(field, value):
+    # refused up front, as a validation error, never numpy's bare ValueError
+    cfg = dict(n=3, d=3, p=2, trials=10, seed=0)
+    cfg[field] = value
+    with pytest.raises(InvalidParamsError):
+        experiments.McConfig(**cfg)
 
 
 def test_wilson_interval_sanity():
@@ -280,3 +293,57 @@ def test_scaling_probe_reproducible():
     b = experiments.scaling_probe(3, [20, 40], trials=200, seed=8)
     assert a.slope == b.slope
     assert [r.singular_count for r in a.rows] == [r.singular_count for r in b.rows]
+
+
+def _outcome(report):
+    return dataclasses.replace(report, wall_time_s=0.0)
+
+
+def test_field_memo_keeps_tallies(monkeypatch):
+    # n*d from 6 to 12; p = 3 divides d = 3, so entries vanish mod p
+    cases = [experiments.McConfig(n=2, d=3, p=3, trials=300, seed=21),
+             experiments.McConfig(n=3, d=3, p=2, trials=300, seed=22),
+             experiments.McConfig(n=4, d=3, p=2, mode="undirected", trials=300, seed=23),
+             experiments.McConfig(n=4, d=3, p=5, trials=300, seed=24)]
+    monkeypatch.setattr(experiments, "_field_memo", {})
+    monkeypatch.setattr(experiments, "MEMO_MAX_POINTS", 0)
+    fresh = [_outcome(experiments.run_mc(cfg)) for cfg in cases]
+    assert not experiments._field_memo
+    monkeypatch.setattr(experiments, "MEMO_MAX_POINTS", 13)
+    for _ in range(2):  # a cold memo, then a warm one
+        assert [_outcome(experiments.run_mc(cfg)) for cfg in cases] == fresh
+    assert experiments._field_memo
+    # spawned workers read the module's own cut-off
+    two = dataclasses.replace(cases[1], workers=2)
+    assert _outcome(experiments.run_mc(two)) == fresh[1]
+
+
+def test_field_memo_is_consulted_only_up_to_the_cut_off(monkeypatch):
+    lookups = []
+
+    class Spy(dict):
+        def get(self, key):
+            lookups.append(key[:3])
+            return super().get(key)
+
+    monkeypatch.setattr(experiments, "_field_memo", Spy())
+    cut = experiments.MEMO_MAX_POINTS
+    assert cut == 12
+    experiments._run_block(5, 3, "directed", 2, 1, 0, 40, None)  # n*d = 15
+    experiments._run_block(7, 2, "undirected", 3, 1, 0, 40, None)  # 14
+    experiments._run_block(3, 3, "directed", None, 1, 0, 40, experiments._mc_prime(1))
+    assert lookups == []
+    experiments._run_block(4, 3, "directed", 2, 1, 0, 40, None)  # 12
+    assert lookups == [(4, 3, 2)] * 40
+
+
+def test_field_memo_stays_within_its_entry_cap(monkeypatch):
+    cfg = experiments.McConfig(n=4, d=3, p=2, trials=400, seed=31)
+    monkeypatch.setattr(experiments, "MEMO_MAX_POINTS", 0)
+    fresh = _outcome(experiments.run_mc(cfg))
+    monkeypatch.setattr(experiments, "MEMO_MAX_POINTS", 12)
+    monkeypatch.setattr(experiments, "MEMO_MAX_ENTRIES", 5)
+    monkeypatch.setattr(experiments, "_field_memo", {})
+    for _ in range(2):
+        assert _outcome(experiments.run_mc(cfg)) == fresh
+        assert len(experiments._field_memo) == 5
