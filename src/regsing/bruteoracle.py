@@ -28,7 +28,7 @@ import numpy as np
 
 from . import exactcount
 from .errors import CostGuardError, InvalidParamsError
-from .gfcore import require_prime
+from .gfcore import require_int, require_prime
 from .walkdist import phi
 
 # Largest point counts nd the oracles enumerate: (nd)! <= 362880
@@ -221,10 +221,13 @@ def certify_identities(n: int, d: int, p: int, mode: str) -> CertificationReport
     the closed-form class counts; also checks that the tally is constant
     within each class and that the brute master sum matches.
 
-    Every guard runs before the census: the model's point count, p**n
-    against MAX_VECTORS, then the walk-table guard of the master sum.
+    Every guard runs before the census: n, d >= 1, the model's point
+    count, p**n against MAX_VECTORS, then the walk-table guard of the
+    master sum.
     """
     p = require_prime(p)
+    n = require_int("n", n, 1)
+    d = require_int("d", d, 1)
     _check_model(n, d, mode)
     if p**n > MAX_VECTORS:
         raise CostGuardError(f"certification needs p**n <= {MAX_VECTORS} vectors, got {p}**{n}")

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import io
 import json
 import math
 import secrets
@@ -65,18 +64,13 @@ def _json_default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _parse_int_list(text: str) -> list[int]:
+def _parse_list(text: str, kind=int) -> list:
+    """A comma-separated list of ints or floats; empty items are skipped."""
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
+        return [kind(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}") from exc
-
-
-def _parse_float_list(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}") from exc
+        noun = "integer" if kind is int else "float"
+        raise argparse.ArgumentTypeError(f"not a comma-separated {noun} list: {text!r}") from exc
 
 
 def _parse_step(text: str) -> float:
@@ -93,13 +87,12 @@ def _parse_step(text: str) -> float:
     return step
 
 
-def _ensure_seed(args) -> int:
+def _ensure_seed(args) -> None:
+    """Draw and report a seed when none was given; the sampler and the
+    Monte Carlo configs validate a given one."""
     if args.seed is None:
         args.seed = secrets.randbits(63)
         print(f"generated seed: {args.seed}", file=sys.stderr)
-    elif args.seed < 0:
-        raise DomainError(f"--seed must be nonnegative, got {args.seed}")
-    return args.seed
 
 
 def _emit(args, text: str) -> None:
@@ -130,12 +123,14 @@ def _mc_csv_row(r: experiments.McReport) -> list[str]:
     ]
 
 
-def _csv_text(rows: list[list[str]]) -> str:
-    buf = io.StringIO()
-    buf.write(",".join(CSV_COLUMNS) + "\n")
-    for row in rows:
-        buf.write(",".join(row) + "\n")
-    return buf.getvalue()
+def _emit_report(args, report, rows) -> int:
+    """`report` as JSON, or its McReport `rows` as CSV under a header."""
+    if args.format == "csv":
+        lines = [CSV_COLUMNS, *map(_mc_csv_row, rows)]
+        _emit(args, "".join(",".join(line) + "\n" for line in lines))
+    else:
+        _emit_json(args, report)
+    return 0
 
 
 def _cmd_sample(args) -> int:
@@ -155,6 +150,9 @@ def _read_matrix(args) -> list[list[int]]:
             data = json.load(sys.stdin)
     except UnicodeDecodeError as exc:
         raise DomainError(f"matrix input is not UTF-8 text: {exc}") from exc
+    except ValueError as exc:
+        # malformed JSON, or an integer past the int-string digit limit
+        raise DomainError(str(exc)) from exc
     if isinstance(data, dict):
         data = data.get("matrix", data.get("rows"))
     return gfcore.matrix_from_json(data)
@@ -181,7 +179,7 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_exact_count(args) -> int:
-    sig = tuple(_parse_int_list(args.sig))
+    sig = tuple(_parse_list(args.sig))
     if args.mode == "directed":
         count = exactcount.count_graphs_directed(sig, args.d, args.p)
     else:
@@ -213,19 +211,7 @@ def _cmd_master_sum(args) -> int:
 
 def _cmd_oracle_check(args) -> int:
     report = bruteoracle.certify_identities(args.n, args.d, args.p, args.mode)
-    payload = {
-        "n": report.n,
-        "d": report.d,
-        "p": report.p,
-        "mode": report.mode,
-        "classes": len(report.classes),
-        "mismatches": report.mismatches,
-        "class_consistent": report.class_consistent,
-        "master_exact": report.master_exact,
-        "master_brute": report.master_brute,
-        "passed": report.passed,
-    }
-    _emit_json(args, payload)
+    _emit_json(args, {**_json_default(report), "classes": len(report.classes)})
     return 0 if report.passed else 1
 
 
@@ -233,23 +219,13 @@ def _cmd_rate(args) -> int:
     if args.mode == "directed":
         if args.frak_n is None:
             raise argparse.ArgumentTypeError("--frak-n is required for directed rates")
-        nu = _parse_float_list(args.frak_n)
+        nu = _parse_list(args.frak_n, float)
         ev = asymptotics.rate_directed_opt(nu, args.d, args.p)
-        payload = {
-            "mode": "directed",
-            "d": args.d,
-            "p": args.p,
-            "frak_n": nu,
-            "value": ev.value,
-            "explicit_bound": ev.explicit_bound,
-            "minimizer": list(ev.minimizer),
-            "converged": ev.converged,
-            "boundary": ev.boundary,
-        }
+        payload = {"mode": "directed", "d": args.d, "p": args.p, "frak_n": nu, **_json_default(ev)}
     else:
         if args.frak_m is None:
             raise argparse.ArgumentTypeError("--frak-m is required for undirected rates")
-        rows = [_parse_float_list(row) for row in args.frak_m.split(";")]
+        rows = [_parse_list(row, float) for row in args.frak_m.split(";")]
         if len({len(row) for row in rows}) > 1:
             raise DomainError(f"--frak-m rows have differing lengths: {args.frak_m!r}")
         value = asymptotics.rate_undirected_explicit(rows, args.d, args.p)
@@ -270,22 +246,14 @@ def _cmd_cf_scan(args) -> int:
 
 
 def _cmd_lclt(args) -> int:
-    sig = tuple(_parse_int_list(args.sig))
+    sig = tuple(_parse_list(args.sig))
     if args.n is not None and args.n != sum(sig):
         raise argparse.ArgumentTypeError(
             f"--n {args.n} disagrees with the class total {sum(sig)}"
         )
     value = asymptotics.lclt_directed(sig, args.d, args.p)
     _emit_json(
-        args,
-        {
-            "sig": list(sig),
-            "n": sum(sig),
-            "d": args.d,
-            "p": args.p,
-            "value": value.value,
-            "applicable": value.applicable,
-        },
+        args, {"sig": list(sig), "n": sum(sig), "d": args.d, "p": args.p, **value._asdict()}
     )
     return 0
 
@@ -302,28 +270,65 @@ def _cmd_mc(args) -> int:
         workers=args.workers,
     )
     report = experiments.run_mc(cfg)
-    if args.format == "csv":
-        _emit(args, _csv_text([_mc_csv_row(report)]))
-    else:
-        _emit_json(args, report)
-    return 0
+    return _emit_report(args, report, [report])
 
 
 def _cmd_scaling(args) -> int:
     _ensure_seed(args)
     report = experiments.scaling_probe(
         args.d,
-        _parse_int_list(args.n_list),
+        _parse_list(args.n_list),
         args.trials,
         args.seed,
         mode=args.mode,
         workers=args.workers,
     )
-    if args.format == "csv":
-        _emit(args, _csv_text([_mc_csv_row(r) for r in report.rows]))
-    else:
-        _emit_json(args, report)
-    return 0
+    return _emit_report(args, report, report.rows)
+
+
+def _arg(*flags, **kwargs):
+    """One `add_argument` call as data: its flags and keyword arguments."""
+    return flags, kwargs
+
+
+_N = _arg("--n", type=int, required=True)
+_D = _arg("--d", type=int, required=True)
+_P = _arg("--p", type=int, required=True)
+_MODE = _arg("--mode", choices=("directed", "undirected"), default="directed")
+_SEED = _arg("--seed", type=int, default=None)
+_RUN = (_arg("--trials", type=int, default=1000), _SEED, _arg("--workers", type=int, default=1),
+        _arg("--format", choices=("json", "csv"), default="json"))
+_OUT = _arg("--out", help="write output to this file instead of stdout")
+
+# (name, help, handler, arguments); every subcommand takes --out last
+COMMANDS = (
+    ("sample", "draw one graph from the configuration model", _cmd_sample,
+     (_N, _D, _MODE, _SEED)),
+    ("rank", "rank of a matrix, mod p or over the integers", _cmd_rank,
+     (_arg("--p", type=int, default=None, help="prime modulus; omit for integer rank"),
+      _arg("--matrix-file", help="JSON matrix; stdin when omitted"))),
+    ("exact-count", "graphs annihilating one vector class", _cmd_exact_count,
+     (_arg("--sig", required=True, help="class signature, e.g. 0,1,1"), _D, _P, _MODE)),
+    ("master-sum", "exact expected number of nonzero kernel vectors", _cmd_master_sum,
+     (_N, _D, _P, _MODE)),
+    ("oracle-check", "certify the counting identities by brute force", _cmd_oracle_check,
+     (_N, _D, _P, _MODE)),
+    ("rate", "large-deviation rate function values", _cmd_rate,
+     (_MODE, _arg("--frak-n", help="directed frequencies, e.g. 0.5,0.3,0.2"),
+      _arg("--frak-m", help="undirected pair frequencies, rows split by ';'"), _D, _P)),
+    ("cf-scan", "characteristic-function scan outside the tubes", _cmd_cf_scan,
+     (_D, _P, _arg("--delta", type=float, required=True),
+      _arg("--step", type=_parse_step, required=True, help="grid step, float or 2pi/K"))),
+    ("lclt", "local-limit approximation of one class term", _cmd_lclt,
+     (_arg("--sig", "--class", dest="sig", required=True, help="class signature"),
+      _arg("--n", type=int, default=None, help="optional cross-check of the class total"), _D, _P)),
+    ("mc", "Monte Carlo singularity estimate", _cmd_mc,
+     (_N, _D, _arg("--p", type=int, default=None, help="prime modulus; omit for integer mode"),
+      _MODE, *_RUN)),
+    ("scaling", "integer-mode singularity frequency against n", _cmd_scaling,
+     (_D, _arg("--n-list", required=True, help="comma-separated sizes, e.g. 50,100,200"),
+      _MODE, *_RUN)),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -332,96 +337,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact and empirical toolkit for kernels of random regular multigraph adjacency matrices.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(sp):
-        sp.add_argument("--out", help="write output to this file instead of stdout")
-
-    sp = sub.add_parser("sample", help="draw one graph from the configuration model")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--mode", choices=("directed", "undirected"), default="directed")
-    sp.add_argument("--seed", type=int, default=None)
-    add_common(sp)
-    sp.set_defaults(func=_cmd_sample)
-
-    sp = sub.add_parser("rank", help="rank of a matrix, mod p or over the integers")
-    sp.add_argument("--p", type=int, default=None, help="prime modulus; omit for integer rank")
-    sp.add_argument("--matrix-file", help="JSON matrix; stdin when omitted")
-    add_common(sp)
-    sp.set_defaults(func=_cmd_rank)
-
-    sp = sub.add_parser("exact-count", help="graphs annihilating one vector class")
-    sp.add_argument("--sig", required=True, help="class signature, e.g. 0,1,1")
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--mode", choices=("directed", "undirected"), default="directed")
-    add_common(sp)
-    sp.set_defaults(func=_cmd_exact_count)
-
-    sp = sub.add_parser("master-sum", help="exact expected number of nonzero kernel vectors")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--mode", choices=("directed", "undirected"), default="directed")
-    add_common(sp)
-    sp.set_defaults(func=_cmd_master_sum)
-
-    sp = sub.add_parser("oracle-check", help="certify the counting identities by brute force")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--mode", choices=("directed", "undirected"), default="directed")
-    add_common(sp)
-    sp.set_defaults(func=_cmd_oracle_check)
-
-    sp = sub.add_parser("rate", help="large-deviation rate function values")
-    sp.add_argument("--mode", choices=("directed", "undirected"), default="directed")
-    sp.add_argument("--frak-n", help="directed frequencies, e.g. 0.5,0.3,0.2")
-    sp.add_argument("--frak-m", help="undirected pair frequencies, rows split by ';'")
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--p", type=int, required=True)
-    add_common(sp)
-    sp.set_defaults(func=_cmd_rate)
-
-    sp = sub.add_parser("cf-scan", help="characteristic-function scan outside the tubes")
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--delta", type=float, required=True)
-    sp.add_argument("--step", type=_parse_step, required=True, help="grid step, float or 2pi/K")
-    add_common(sp)
-    sp.set_defaults(func=_cmd_cf_scan)
-
-    sp = sub.add_parser("lclt", help="local-limit approximation of one class term")
-    sp.add_argument("--sig", "--class", dest="sig", required=True, help="class signature")
-    sp.add_argument("--n", type=int, default=None, help="optional cross-check of the class total")
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--p", type=int, required=True)
-    add_common(sp)
-    sp.set_defaults(func=_cmd_lclt)
-
-    sp = sub.add_parser("mc", help="Monte Carlo singularity estimate")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--p", type=int, default=None, help="prime modulus; omit for integer mode")
-    sp.add_argument("--mode", choices=("directed", "undirected"), default="directed")
-    sp.add_argument("--trials", type=int, default=1000)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--workers", type=int, default=1)
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
-    add_common(sp)
-    sp.set_defaults(func=_cmd_mc)
-
-    sp = sub.add_parser("scaling", help="integer-mode singularity frequency against n")
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--n-list", required=True, help="comma-separated sizes, e.g. 50,100,200")
-    sp.add_argument("--mode", choices=("directed", "undirected"), default="directed")
-    sp.add_argument("--trials", type=int, default=1000)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--workers", type=int, default=1)
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
-    add_common(sp)
-    sp.set_defaults(func=_cmd_scaling)
-
+    for name, help_text, func, arguments in COMMANDS:
+        sp = sub.add_parser(name, help=help_text)
+        for flags, kwargs in (*arguments, _OUT):
+            sp.add_argument(*flags, **kwargs)
+        sp.set_defaults(func=func)
     return parser
 
 
@@ -437,7 +357,6 @@ USAGE_ERRORS = (
     DomainError,
     InvalidParamsError,
     argparse.ArgumentTypeError,
-    json.JSONDecodeError,
 )
 
 
@@ -447,12 +366,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except CostGuardError as exc:
+    except (CostGuardError, *USAGE_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, CostGuardError) else 2
 
 
 if __name__ == "__main__":

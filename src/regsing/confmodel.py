@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CostGuardError, InvalidParamsError
+from .gfcore import require_int
 
 # Cap on n*n and n*d: 4096 vertices, a 128 MiB int64 adjacency.
 DENSE_ENTRIES_CAP = 2**24
@@ -33,8 +34,8 @@ class GraphParams:
     def __post_init__(self):
         if self.mode not in ("directed", "undirected"):
             raise InvalidParamsError(f"mode must be directed|undirected, got {self.mode!r}")
-        if self.n < 1 or self.d < 1:
-            raise InvalidParamsError(f"need n >= 1 and d >= 1, got n={self.n}, d={self.d}")
+        require_int("n", self.n, 1)
+        require_int("d", self.d, 1)
         if self.mode == "undirected" and (self.n * self.d) % 2:
             raise InvalidParamsError(
                 f"undirected model needs an even point count, got n*d = {self.n * self.d}"
@@ -63,14 +64,6 @@ def seed_sequence(seed: int, *path: int) -> np.random.SeedSequence:
     tuple layout.
     """
     return np.random.SeedSequence((seed, *path))
-
-
-def check_seed(seed) -> int:
-    """A seed as an int; anything but a nonnegative integer (a bool
-    included) raises InvalidParamsError."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise InvalidParamsError(f"seed must be a nonnegative integer, got {seed!r}")
-    return int(seed)
 
 
 def directed_adjacency(n: int, d: int, perm: np.ndarray) -> np.ndarray:
@@ -109,7 +102,7 @@ def sample(params: GraphParams, seed) -> Graph:
     if isinstance(seed, np.random.Generator):
         rng, seed_field = seed, None
     else:
-        seed_field = check_seed(seed)
+        seed_field = require_int("seed", seed, 0)
         rng = np.random.default_rng(seed_sequence(seed_field))
     order = rng.permutation(params.n * params.d)  # the generator's native Fisher-Yates shuffle
     a = adjacency(params.n, params.d, params.mode, order)

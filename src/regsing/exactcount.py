@@ -52,6 +52,7 @@ def multinomial(n: int, parts: Sequence[int]) -> int:
 
 
 def validate_signature(sig: Sequence[int], p: int) -> tuple[int, ...]:
+    require_prime(p)
     sig = tuple(int(x) for x in sig)
     if len(sig) != p:
         raise DomainError(f"class signature needs {p} entries, got {len(sig)}")

@@ -3,7 +3,7 @@
 Trials are seeded individually, so tallies are identical for any worker
 count.  Each trial reads its adjacency rows straight from the sampled
 permutation or pairing.  Mod p, a sparse elimination of those rows
-(`gfcore.reduce_sparse`) leaves a small dense core, and the rank is the
+(`gfcore._eliminate`) leaves a small dense core, and the rank is the
 pivot count plus the core's rank; no dense adjacency is built.  A
 tiny matrix, with n*d <= MEMO_MAX_POINTS, is settled once per process:
 a memo of at most MEMO_MAX_ENTRIES entries, keyed by (n, d, p) and the
@@ -35,7 +35,6 @@ import numpy as np
 from .confmodel import (
     GraphParams,
     adjacency,
-    check_seed,
     fibre_targets,
     has_duplicate_rows,
     seed_sequence,
@@ -51,6 +50,7 @@ from .gfcore import (
     det_integer,
     is_prime,
     rank_mod_p,
+    require_int,
     require_prime,
 )
 
@@ -112,11 +112,9 @@ class McConfig:
         GraphParams(n=self.n, d=self.d, mode=self.mode)
         if self.p is not None:
             require_prime(self.p)
-        check_seed(self.seed)
-        for name in ("trials", "workers"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-                raise InvalidParamsError(f"{name} must be an integer >= 1, got {value!r}")
+        require_int("seed", self.seed, 0)
+        require_int("trials", self.trials, 1)
+        require_int("workers", self.workers, 1)
 
 
 @dataclass(frozen=True)
@@ -313,20 +311,15 @@ def run_mc(cfg: McConfig) -> McReport:
     # a worker count beyond the CPUs never shreds the trials
     procs = pool_workers(cfg.workers, cfg.trials, os.cpu_count() or 1)
     chunk = -(-cfg.trials // (4 * procs))
-    blocks = [(lo, min(lo + chunk, cfg.trials)) for lo in range(0, cfg.trials, chunk)]
+    blocks = [
+        (cfg.n, cfg.d, cfg.mode, cfg.p, cfg.seed, lo, min(lo + chunk, cfg.trials), prime)
+        for lo in range(0, cfg.trials, chunk)
+    ]
     if procs == 1:
-        tallies = [
-            _run_block(cfg.n, cfg.d, cfg.mode, cfg.p, cfg.seed, lo, hi, prime)
-            for lo, hi in blocks
-        ]
+        tallies = [_run_block(*block) for block in blocks]
     else:
         with worker_pool(procs) as pool:
-            futures = [
-                pool.submit(
-                    _run_block, cfg.n, cfg.d, cfg.mode, cfg.p, cfg.seed, lo, hi, prime
-                )
-                for lo, hi in blocks
-            ]
+            futures = [pool.submit(_run_block, *block) for block in blocks]
             tallies = [f.result() for f in futures]
     total = {k: sum(t[k] for t in tallies) for k in tallies[0]}
     mean_kernel = total["kernel_total"] / cfg.trials if cfg.p is not None else None
@@ -439,6 +432,7 @@ def scaling_probe(
     """
     if len(n_list) < 1:
         raise InvalidParamsError("n_list must not be empty")
+    seed = require_int("seed", seed, 0)
     # every row is validated, size guard included, before the first runs
     configs = [
         McConfig(n=n, d=d, mode=mode, trials=trials, workers=workers,

@@ -9,22 +9,22 @@ arrays when products of two residues fit in a signed 64-bit word
 (p < 2**31), and on object arrays of Python ints above that, with the
 same pivot order.  Integer rank and determinant use fraction-free
 (Bareiss) elimination on Python ints: every intermediate entry is an
-exact minor of the input, and every division is exact.  `reduce_sparse`
-eliminates a sparse matrix given as row dicts down to a small dense
-core for those routines, mod p or with unit pivots over the integers;
-`_eliminate` is its unchecked kernel, for callers whose rows are valid
-by construction.  `certify_nonsingular` is the one floating-point
-routine, and it only ever proves, never guesses.
+exact minor of the input, and every division is exact.  The Monte
+Carlo trials eliminate their sparse rows, valid by construction, down
+to a small dense core for those routines with the unchecked
+`_eliminate`, mod p or with unit pivots over the integers.
+`certify_nonsingular` is the one floating-point routine, and it only
+ever proves, never guesses.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, InvalidModulusError, ShapeError
+from .errors import DomainError, InvalidModulusError, InvalidParamsError, ShapeError
 
 # Products of two residues must fit in int64 for the int64 core.
 NUMPY_PRIME_LIMIT = 1 << 31
@@ -81,6 +81,14 @@ def require_prime(p) -> int:
     if not is_prime(p):
         raise InvalidModulusError(f"modulus {p} is not prime")
     return p
+
+
+def require_int(name: str, value, lo: int) -> int:
+    """Validate an integer parameter, returning it as int; a bool, a
+    non-integer or a value below lo raises InvalidParamsError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < lo:
+        raise InvalidParamsError(f"{name} must be an integer >= {lo}, got {value!r}")
+    return int(value)
 
 
 def _as_int(x) -> int:
@@ -164,49 +172,26 @@ def _rank_mod_numpy_arr(a: np.ndarray, p: int) -> int:
     return r
 
 
-def reduce_sparse(rows: Sequence[Mapping[int, int]], p=None) -> tuple[int, list[list[int]]]:
+def _eliminate(work: list[dict[int, int]], p: int | None) -> tuple[int, list[list[int]]]:
     """Structured Gaussian elimination of a sparse square matrix.
 
-    `rows[i]` maps column j to the entry (i, j); columns lie in
-    range(len(rows)), and absent entries are zero.  Each step pivots on
-    the sparsest live column, in its shortest row (Markowitz-style), and
-    the pivot row and column leave the matrix; the elimination stops
-    when every live column has more than SPARSE_PIVOT_MAX nonzeros.
-    Returns the pivot count and the dense core left over: n - pivots
-    rows and columns of Python ints, empty ones included.
+    `work[i]` maps column j to the nonzero int entry (i, j), columns in
+    range(len(work)), entries in [1, p) when the prime p is given;
+    nothing is checked, and the dicts are emptied or changed in place.
+    Each step pivots on the sparsest live column, in its shortest row
+    (Markowitz-style), and the pivot row and column leave the matrix;
+    the elimination stops when every live column has more than
+    SPARSE_PIVOT_MAX nonzeros.  Returns the pivot count and the dense
+    core left over: n - pivots rows and columns of Python ints, empty
+    ones included.
 
-    With a prime p, entries are reduced mod p, every nonzero entry is a
-    pivot, and rank_p(A) = pivots + rank_p(core).  With p None the
-    elimination runs over the integers and pivots only on entries +-1,
-    which are units everywhere: the core stays integral,
-    |det A| = |det core|, and for every prime q and over the rationals,
-    rank(A) = pivots + rank(core).  LaMacchia and Odlyzko, "Solving
-    large sparse linear systems over finite fields", CRYPTO 1990.
-    """
-    if p is not None:
-        p = require_prime(p)
-    n = len(rows)
-    work = []
-    for row in rows:
-        entries = {}
-        for c, v in row.items():
-            if not 0 <= c < n:
-                raise ShapeError(f"column {c} outside a {n}x{n} matrix")
-            v = v if type(v) is int else _as_int(v)
-            if p is not None:
-                v %= p
-            if v:
-                entries[c] = v
-        work.append(entries)
-    return _eliminate(work, p)
-
-
-def _eliminate(work: list[dict[int, int]], p: int | None) -> tuple[int, list[list[int]]]:
-    """The elimination of `reduce_sparse`, on rows it may consume.
-
-    `work` holds one dict per row of nonzero int entries in columns
-    range(len(work)), in [1, p) when the prime p is given; nothing is
-    checked, and the dicts are emptied or changed in place.
+    With a prime p every nonzero entry is a pivot, and
+    rank_p(A) = pivots + rank_p(core).  With p None the elimination runs
+    over the integers and pivots only on entries +-1, which are units
+    everywhere: the core stays integral, |det A| = |det core|, and for
+    every prime q and over the rationals, rank(A) = pivots + rank(core).
+    LaMacchia and Odlyzko, "Solving large sparse linear systems over
+    finite fields", CRYPTO 1990.
     """
     n = len(work)
     cols: list = [set() for _ in range(n)]
@@ -315,7 +300,7 @@ def certify_nonsingular(matrix) -> bool:
     the slack covers the rounding and any underflow of the check
     itself.  Entries beyond 2**53, which float64 would round, are never
     certified, and a bool matrix raises DomainError.  A sequence of no
-    rows, such as the empty core of `reduce_sparse`, is the 0x0 matrix,
+    rows, such as the empty core of `_eliminate`, is the 0x0 matrix,
     which is nonsingular.  Rump, "Verification methods", Acta Numerica
     2010; Higham, Accuracy and Stability of Numerical Algorithms, ch. 3.
     """

@@ -161,6 +161,18 @@ def test_certify_guards_run_before_any_work(monkeypatch, n, d, p):
         bruteoracle.certify_identities(n, d, p, "directed")
 
 
+@pytest.mark.parametrize("n,d", [(0, 3), (2, 0), (2.0, 3), (True, 3)])
+def test_certify_refuses_sizes_that_are_not_positive_integers(monkeypatch, n, d):
+    # n = 0 once reached the tallies and divided by zero there
+    def spy(*args):
+        raise AssertionError("work started before the check refused")
+
+    for name in ("_census", "_vector_tallies"):
+        monkeypatch.setattr(bruteoracle, name, spy)
+    with pytest.raises(InvalidParamsError):
+        bruteoracle.certify_identities(n, d, 2, "directed")
+
+
 def test_vector_cap_is_inclusive(monkeypatch):
     monkeypatch.setattr(bruteoracle, "MAX_VECTORS", 25)
     assert bruteoracle.certify_identities(2, 3, 5, "directed").passed

@@ -6,8 +6,10 @@ import json
 import math
 import os
 import random
+import signal
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -483,3 +485,127 @@ def test_parser_reuse_matches_fresh_calls(capsys, monkeypatch):
         assert call(REUSE_ARGV[k]) == fresh[k], REUSE_ARGV[k]
     # one parser served all of them
     assert cli._parser.cache_info().misses == 1
+
+
+# sha256 of [exit code, stdout, stderr] under COLUMNS=80, recorded before
+# the parser was built from a table: --help for the top level and each
+# subcommand, each bare subcommand (`rank` reads FROZEN_MATRIX) and
+# argparse's refusals of bad values.  argparse's layout is that of
+# Python 3.11.  New entries go at the end so the index in each test id
+# stays put.
+FROZEN_USAGE = [
+    (("--help",),
+     "92820aa80d3486a8349d1a2e43fece397daa9b21976ec4c73cb87a6074c7a5d8"),
+    (("sample", "--help"),
+     "95453e44390381bcc2b574072d3e99c42b633182ff4c09e894c1124c5173abee"),
+    (("rank", "--help"),
+     "69189132a9650a2f53f1ead8c3590c63806ed87c81dc58c953719054bb8d3fb4"),
+    (("exact-count", "--help"),
+     "bec2dea605a6b51029a8fb93be824bdce6399ec6b365581e54263dcdfc3f6d12"),
+    (("master-sum", "--help"),
+     "ea85a5c3a111eeefdeb7667aff95926a322dfe6754bf022673ef3deb3d5f90b9"),
+    (("oracle-check", "--help"),
+     "5f903e943b2bf9e2d0266d39a3a4f3ceb2d0c070351cc8b5158a08ba63155476"),
+    (("rate", "--help"),
+     "652d4c11cd3c67fe81e6e2d609f20a55a84e7f72fe28dee1532c52fd047dfe26"),
+    (("cf-scan", "--help"),
+     "62e0aca2bda5307b9f556c95bdfb1087f54136e06ca8af4912c4a692722d0b07"),
+    (("lclt", "--help"),
+     "34d07764723bd9ea90e34e502e913c99a3d42db6f0a7a6dc3caefdaad6f6b450"),
+    (("mc", "--help"),
+     "c8e241d078b2fdbabbe90ce77ced555da622609866f86e82cf4536dcba8bc846"),
+    (("scaling", "--help"),
+     "3929d800e54b5ab7a448bd3b033c0e5d2677437ecbc03de03f19d97671d48c4e"),
+    (("sample",),
+     "663a06e9d3d1212789ec54485e18aa18b46c67f49b91d4132e7b4583d3b39956"),
+    (("rank",),
+     "927275dac5a5b4518ff324f9a205a57e1c48589758b288f8be10725a126573c1"),
+    (("exact-count",),
+     "ef6187b835e5a6eedf55c309191a390cee34d93ba0b44a029c1482fc6578ac9c"),
+    (("master-sum",),
+     "6863c5f4d569b5bfdd9047659c9c59530ea7bcd25ada7cc41acb81fe817b0d56"),
+    (("oracle-check",),
+     "e0c0f940498e070558b5a743d4bc36ebef9c4529b6a0f59c0002547e8ba2ee71"),
+    (("rate",),
+     "f893f2bd530858e465a6d1dd88d77523bcc5f1dfb142cc4197a1c00454fd4b42"),
+    (("cf-scan",),
+     "9eabc458db882498b612f8a062c3519e51b0dbf47f9ca5ddcd7e50f64c269d6d"),
+    (("lclt",),
+     "1b626fb59082cd870da3db42abb5b09afbaf51072218a9afba1a6e7722d91bee"),
+    (("mc",),
+     "afa0361baa07ed5becf140e1534fb4e0b3b845bc968b6afa88af1d36d382287d"),
+    (("scaling",),
+     "16e837b0a2c1d29213ee5dece89ba3a73d8be73a4f0d64522f9064652ce70e4c"),
+    (("mc", "--n", "x", "--d", "3"),
+     "79051224396d0a122721c4ba1688411a3e1c18d638ab70d144fa976286febaa3"),
+    (("sample", "--n", "3", "--d", "3", "--mode", "both"),
+     "c274e061da44af4c07878e1f0ebdf8303219bea8bde25f94c852faea194a006b"),
+    (("cf-scan", "--d", "3", "--p", "2", "--delta", "0.1", "--step", "2pi/x"),
+     "91de9ca347bb8b263540fc86bd6eb6cd67e2e8e55ccdda854fed7e460fd68f9b"),
+    (("scaling", "--d", "3", "--n-list", "1,a", "--seed", "1"),
+     "ba400aa0a43be7ab8b0cfca1fcfce92cefec9629f0e53b7dc585011f880f245e"),
+    (("rate", "--frak-n", "0.5,b", "--d", "3", "--p", "2"),
+     "84b10edc18e34940b259e3cecc64b52535baa3d31c1db155631953d2eec86f58"),
+    (("mc", "--n", "8", "--d", "3", "--format", "xml"),
+     "51b278464c4b24cd01fe9d4ba93a7a9ea36a5f7c1f6c90992516060919b13586"),
+    (("lclt", "--class", "1,x", "--d", "3", "--p", "2"),
+     "30f47ec4fb65f100f2db4a3ab3f8e269060080c1ca3a2f962c56687bd49c198a"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest", FROZEN_USAGE, ids=[f"{argv[0]}-{i}" for i, (argv, _) in enumerate(FROZEN_USAGE)]
+)
+def test_frozen_help_and_usage_bytes(capsys, monkeypatch, argv, digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr("sys.stdin", io.StringIO(FROZEN_MATRIX))
+    result = json.dumps(list(run_cli(capsys, *argv)))
+    assert hashlib.sha256(result.encode()).hexdigest() == digest
+
+
+# Inputs that once escaped as a traceback, a numpy warning or a runaway
+# computation; each must now be refused at once with one error line.
+# (argv, stdin, a fragment of the error)
+HOSTILE = {
+    "oracle-n0": (("oracle-check", "--n", "0", "--d", "3", "--p", "2"), "", "n must be"),
+    "oracle-d0": (("oracle-check", "--n", "2", "--d", "0", "--p", "2"), "", "d must be"),
+    "rank-long-int": (("rank", "--p", "2"), "[[" + "9" * 5000 + "]]", "4300 digits"),
+    "rank-bad-json": (("rank", "--p", "2"), "[[1,\n", "Expecting value: line 2 column 1 (char 5)"),
+    "lclt-composite": (("lclt", "--sig", "2,2", "--d", "3", "--p", "4"), "", "not prime"),
+    "exact-count-composite": (("exact-count", "--sig", "2,2", "--d", "3", "--p", "4"), "",
+                              "not prime"),
+    "rate-overflow": (("rate", "--frak-n", "1e308,1e308", "--d", "3", "--p", "2"), "",
+                      "sum to 1"),
+    "rate-undirected-overflow": (("rate", "--mode", "undirected", "--frak-m",
+                                  "1e308,1e308;1e308,1e308", "--d", "3", "--p", "2"), "",
+                                 "sum to 1"),
+    "cf-scan-step-before-support": (("cf-scan", "--d", "300", "--p", "97", "--delta", "0.1",
+                                     "--step", "0.5"), "", "grid step"),
+    "cf-scan-huge-p": (("cf-scan", "--d", "3", "--p", "1000000007", "--delta", "0.1",
+                        "--step", "2pi/3"), "", "cost guard"),
+    "sample-seed": (("sample", "--n", "3", "--d", "3", "--seed", "-1"), "", "seed must be"),
+    "mc-seed": (("mc", "--n", "3", "--d", "3", "--seed", "-1"), "", "seed must be"),
+    "scaling-seed": (("scaling", "--d", "3", "--n-list", "10", "--seed", "-1"), "",
+                     "seed must be"),
+}
+
+
+@pytest.mark.parametrize("argv,stdin,fragment", HOSTILE.values(), ids=HOSTILE.keys())
+def test_hostile_input_is_refused_at_once(capsys, monkeypatch, argv, stdin, fragment):
+    def too_slow(signum, frame):
+        raise TimeoutError(f"{argv} still running after 5 s")
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(5)
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, *argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code in (2, 3)
+    assert caught == []  # a warning would reach stderr beside the error
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert fragment in err

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from regsing import bruteoracle, cli, exactcount, walkdist
-from regsing.errors import CostGuardError, DomainError, InvalidParamsError
+from regsing.errors import CostGuardError, DomainError, InvalidModulusError, InvalidParamsError
 
 # Frozen master sums (directed d=3, p=2), certified against the closed
 # binomial form of the walk counts before freezing.
@@ -43,6 +43,9 @@ def test_validate_signature_errors():
         exactcount.validate_signature((1, 2), 3)
     with pytest.raises(DomainError):
         exactcount.validate_signature((-1, 3), 2)
+    # a composite modulus is named as such, not as a length mismatch
+    with pytest.raises(InvalidModulusError):
+        exactcount.validate_signature((2, 2), 4)
     assert exactcount.validate_signature((0, 2), 2) == (0, 2)
 
 

@@ -36,6 +36,7 @@ def test_config_validation():
 @pytest.mark.parametrize("field,value", [
     ("seed", -1), ("seed", 1.5), ("seed", True), ("seed", "3"),
     ("trials", True), ("trials", 2.0), ("workers", True), ("workers", 1.0),
+    ("n", 3.0), ("d", 3.5), ("n", True),
 ])
 def test_config_refuses_non_integer_seed_trials_and_workers(field, value):
     # refused up front, as a validation error, never numpy's bare ValueError
@@ -43,6 +44,12 @@ def test_config_refuses_non_integer_seed_trials_and_workers(field, value):
     cfg[field] = value
     with pytest.raises(InvalidParamsError):
         experiments.McConfig(**cfg)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+def test_scaling_probe_refuses_bad_seeds_before_deriving_sub_seeds(seed):
+    with pytest.raises(InvalidParamsError):
+        experiments.scaling_probe(3, [10], 5, seed)
 
 
 def test_wilson_interval_sanity():

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regsing import confmodel, gfcore
-from regsing.errors import DomainError, InvalidModulusError, ShapeError
+from regsing.errors import DomainError, InvalidModulusError, InvalidParamsError, ShapeError
 
 SMALL_PRIMES = (2, 3, 5, 7, 31, 97)
 
@@ -121,6 +121,14 @@ def test_require_prime_accepts_and_rejects():
         gfcore.require_prime("3")
     with pytest.raises(InvalidModulusError):
         gfcore.require_prime(3.0)
+
+
+def test_require_int_accepts_integers_and_refuses_the_rest():
+    assert gfcore.require_int("n", 3, 1) == 3
+    assert type(gfcore.require_int("seed", np.int64(0), 0)) is int
+    for bad in (0, -1, True, np.bool_(True), 3.0, "3", None):
+        with pytest.raises(InvalidParamsError, match="n must be an integer >= 1"):
+            gfcore.require_int("n", bad, 1)
 
 
 def test_rank_mod_p_hand_cases():
@@ -326,7 +334,7 @@ def test_certify_nonsingular_falls_through_when_ill_conditioned():
 def test_certify_nonsingular_takes_the_empty_core_as_0x0():
     # a full unit-pivot reduction leaves no rows; like det_integer and
     # rank_mod_p, the certificate reads them as the 0x0 matrix
-    pivots, core = gfcore.reduce_sparse([{0: 1}, {1: 1}])
+    pivots, core = reduce_sparse([{0: 1}, {1: 1}])
     assert (pivots, core) == (2, [])
     assert gfcore.certify_nonsingular(core)
     assert gfcore.det_integer(core) == 1 and gfcore.rank_mod_p(core, 5) == 0
@@ -389,10 +397,10 @@ def test_reduce_sparse_matches_dense_elimination_on_samples(mode):
                 rows = confmodel.sparse_rows(confmodel.fibre_targets(n, d, mode, order))
                 assert rows == _sparse(a.tolist())
                 for p in (2, 3, 5, P31):
-                    pivots, core = gfcore.reduce_sparse(rows, p)
+                    pivots, core = reduce_sparse(rows, p)
                     _assert_square_core(core, n - pivots, p)
                     assert pivots + gfcore.rank_mod_p(core, p) == gfcore.rank_mod_p(a, p)
-                pivots, core = gfcore.reduce_sparse(rows)
+                pivots, core = reduce_sparse(rows)
                 _assert_square_core(core, n - pivots)
                 for q in (2, 3, P31):
                     assert pivots + gfcore.rank_mod_p(core, q) == gfcore.rank_mod_p(a, q)
@@ -404,9 +412,32 @@ def test_reduce_sparse_matches_dense_elimination_on_samples(mode):
     assert all(seen.values()), seen
 
 
+def reduce_sparse(rows, p=None):
+    """`gfcore._eliminate` behind the checks its callers skip: columns in
+    range(len(rows)), integer entries, a prime p; entries are reduced mod
+    p and zeros dropped, and the caller's rows are left as they were."""
+    if p is not None:
+        p = gfcore.require_prime(p)
+    n = len(rows)
+    work = []
+    for row in rows:
+        entries = {}
+        for c, v in row.items():
+            if not 0 <= c < n:
+                raise ShapeError(f"column {c} outside a {n}x{n} matrix")
+            v = v if type(v) is int else gfcore._as_int(v)
+            if p is not None:
+                v %= p
+            if v:
+                entries[c] = v
+        work.append(entries)
+    return gfcore._eliminate(work, p)
+
+
 def reference_reduce_sparse(rows, p=None):
-    """`gfcore.reduce_sparse` as it was before the split into a wrapper and
-    `_eliminate`: the reference for the pivot order and the core."""
+    """The sparse elimination as it was before the split into a validating
+    wrapper (`reduce_sparse`, above) and `gfcore._eliminate`: the
+    reference for the pivot order and the core."""
     if p is not None:
         p = gfcore.require_prime(p)
     n = len(rows)
@@ -500,7 +531,7 @@ def test_eliminate_matches_the_reference_kernel_on_samples(mode):
             rows = confmodel.sparse_rows(targets)
             for p in (2, 3, 5, P31, None):
                 expected = reference_reduce_sparse(rows, p)
-                assert gfcore.reduce_sparse(rows, p) == expected
+                assert reduce_sparse(rows, p) == expected
                 assert gfcore._eliminate(confmodel.sparse_rows(targets, p), p) == expected
             assert rows == confmodel.sparse_rows(targets)
 
@@ -531,13 +562,13 @@ def test_reduce_sparse_matches_oracles_on_random_sparse_matrices(drawn, switch):
     # switch 0 leaves the whole matrix to the core, 2 splits it
     with mock.patch.object(gfcore, "SPARSE_PIVOT_MAX", switch):
         for p in SMALL_PRIMES + (M61,):
-            pivots, core = gfcore.reduce_sparse(rows, p)
+            pivots, core = reduce_sparse(rows, p)
             _assert_square_core(core, n - pivots, p)
             assert pivots + gfcore.rank_mod_p(core, p) == rank_oracle_mod_p(dense, p)
             assert (pivots, core) == reference_reduce_sparse(rows, p)
             reduced = [{j: v % p for j, v in row.items() if v % p} for row in rows]
             assert gfcore._eliminate(reduced, p) == (pivots, core)
-        pivots, core = gfcore.reduce_sparse(rows)
+        pivots, core = reduce_sparse(rows)
         assert (pivots, core) == reference_reduce_sparse(rows)
         assert gfcore._eliminate([dict(row) for row in rows], None) == (pivots, core)
     _assert_square_core(core, n - pivots)
@@ -550,11 +581,11 @@ def test_reduce_sparse_matches_oracles_on_random_sparse_matrices(drawn, switch):
 def test_reduce_sparse_pivots_over_the_integers_only_on_units():
     # no entry is +-1, so nothing pivots; mod 3 every nonzero entry does
     rows = [{0: 2, 1: 3}, {0: 3, 1: 2}]
-    assert gfcore.reduce_sparse(rows) == (0, [[2, 3], [3, 2]])
-    assert gfcore.reduce_sparse(rows, 3) == (2, [])
+    assert reduce_sparse(rows) == (0, [[2, 3], [3, 2]])
+    assert reduce_sparse(rows, 3) == (2, [])
     # mod 2 the 2s vanish, leaving an empty column and an empty row
-    assert gfcore.reduce_sparse([{0: 2, 1: 1}, {0: 2}], 2) == (1, [[0]])
+    assert reduce_sparse([{0: 2, 1: 1}, {0: 2}], 2) == (1, [[0]])
     with pytest.raises(ShapeError):
-        gfcore.reduce_sparse([{0: 1, 2: 1}, {1: 1}])
+        reduce_sparse([{0: 1, 2: 1}, {1: 1}])
     with pytest.raises(InvalidModulusError):
-        gfcore.reduce_sparse([{0: 1}], 4)
+        reduce_sparse([{0: 1}], 4)
