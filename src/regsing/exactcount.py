@@ -26,7 +26,9 @@ they upper-bound the singularity probability.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -49,6 +51,22 @@ def multinomial(n: int, parts: Sequence[int]) -> int:
     for k in parts:
         out //= math.factorial(k)
     return out
+
+
+def _factorials(top: int) -> list[int]:
+    """[0!, 1!, ..., top!]; a master sum builds it once, up to d*n."""
+    return list(itertools.accumulate(range(1, top + 1), operator.mul, initial=1))
+
+
+def _loop_weights(fact: list[int]) -> list[int]:
+    """Entry v: the pairings of v endpoints within one class, for even v
+    (a data matrix's diagonal entry), from the factorials up to v."""
+    return [fact[v] // (2 ** (v // 2) * fact[v // 2]) for v in range(len(fact))]
+
+
+def _multinomial(parts: Sequence[int], fact: list[int]) -> int:
+    """multinomial(sum(parts), parts) from a factorial table."""
+    return fact[sum(parts)] // math.prod(fact[k] for k in parts)
 
 
 def validate_signature(sig: Sequence[int], p: int) -> tuple[int, ...]:
@@ -104,34 +122,32 @@ def _tables(n: int, d: int, p: int) -> WalkTables:
     return walk_tables(build_support(d, p), n)
 
 
-def _count_directed(sig: tuple[int, ...], d: int, tables: WalkTables) -> int:
+def _count_directed(sig: tuple[int, ...], d: int, tables: WalkTables, fact: list[int]) -> int:
     walks = tables[sum(sig)].get(d * tables.key(sig), 0)
     if walks == 0:
         return 0
-    out = walks
-    for x in sig:
-        out *= math.factorial(d * x)
-    return out
+    return walks * math.prod(fact[d * x] for x in sig)
 
 
 def count_graphs_directed(sig: Sequence[int], d: int, p: int) -> int:
     """Directed outcomes G with A(G)v = 0, v any fixed vector of class sig."""
     sig = validate_signature(sig, p)
-    return _count_directed(sig, d, _tables(sum(sig), d, p))
+    n = sum(sig)
+    return _count_directed(sig, d, _tables(n, d, p), _factorials(d * n))
 
 
-def _count_undirected(sig: tuple[int, ...], d: int, p: int, tables: WalkTables) -> int:
+def _count_undirected(
+    sig: tuple[int, ...], d: int, p: int, tables: WalkTables, fact: list[int], loops: list[int]
+) -> int:
     """Sum of weight(M) * prod_i walks(row i) over the data matrices M
     of the class, in one pass that fills M row by row (entries j >= i).
 
     free[j] is what row and column j still need and fixed[j] the key of
     row j's entries left of its diagonal, both set in place and restored.
     A complete row ends its branch unless its walk count is nonzero;
-    that also checks its sum and congruence.
+    that also checks its sum and congruence.  `fact` and `loops` (see
+    _loop_weights) reach at least d * max(sig).
     """
-    fact = [math.factorial(v) for v in range(d * max(sig) + 1)]
-    # an even diagonal entry v pairs v endpoints within the class
-    loops = [fact[v] // (2 ** (v // 2) * fact[v // 2]) for v in range(len(fact))]
     unit = [tables.key([int(j == k) for k in range(p)]) for j in range(p)]
     walks = [tables[x] for x in sig]
     free = [d * x for x in sig]
@@ -182,7 +198,9 @@ def count_graphs_undirected(sig: Sequence[int], d: int, p: int) -> int:
     n = sum(sig)
     if (n * d) % 2:
         raise InvalidParamsError(f"undirected count needs 2 | dn, got nd = {n * d}")
-    return _count_undirected(sig, d, p, _tables(max(sig, default=0), d, p))
+    tables = _tables(max(sig, default=0), d, p)
+    fact = _factorials(d * max(sig, default=0))
+    return _count_undirected(sig, d, p, tables, fact, _loop_weights(fact))
 
 
 def class_signatures(n: int, p: int) -> Iterator[tuple[int, ...]]:
@@ -196,9 +214,10 @@ def class_signatures(n: int, p: int) -> Iterator[tuple[int, ...]]:
 def master_sum_directed(n: int, d: int, p: int) -> Fraction:
     """Expected number of nonzero kernel vectors of the directed model, exact."""
     tables = _tables(n, d, p)
+    fact = _factorials(d * n)
     total = 0
     for sig in class_signatures(n, p):
-        total += multinomial(n, sig) * _count_directed(sig, d, tables)
+        total += _multinomial(sig, fact) * _count_directed(sig, d, tables, fact)
     return Fraction(total, model_size_directed(n, d))
 
 
@@ -207,9 +226,11 @@ def master_sum_undirected(n: int, d: int, p: int) -> Fraction:
     if (n * d) % 2:
         raise InvalidParamsError(f"undirected model needs 2 | dn, got nd = {n * d}")
     tables = _tables(n, d, p)
+    fact = _factorials(d * n)
+    loops = _loop_weights(fact)
     total = 0
     for sig in class_signatures(n, p):
-        total += multinomial(n, sig) * _count_undirected(sig, d, p, tables)
+        total += _multinomial(sig, fact) * _count_undirected(sig, d, p, tables, fact, loops)
     return Fraction(total, model_size_undirected(n, d))
 
 

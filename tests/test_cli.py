@@ -13,7 +13,7 @@ import warnings
 
 import pytest
 
-from regsing import asymptotics, cli, confmodel, exactcount, experiments, gfcore
+from regsing import asymptotics, cli, confmodel, exactcount, experiments, gfcore, walkdist
 
 
 def run_cli(capsys, *argv):
@@ -583,11 +583,24 @@ HOSTILE = {
                                      "--step", "0.5"), "", "grid step"),
     "cf-scan-huge-p": (("cf-scan", "--d", "3", "--p", "1000000007", "--delta", "0.1",
                         "--step", "2pi/3"), "", "cost guard"),
+    "rate-huge-d": (("rate", "--frak-n", "0.5,0.5", "--d", "1000000", "--p", "2"), "",
+                    "step support"),
+    "cf-scan-huge-p-one-point": (("cf-scan", "--d", "1", "--p", "1000000007", "--delta", "0.1",
+                                  "--step", "6.283185307179586"), "", "step support"),
     "sample-seed": (("sample", "--n", "3", "--d", "3", "--seed", "-1"), "", "seed must be"),
     "mc-seed": (("mc", "--n", "3", "--d", "3", "--seed", "-1"), "", "seed must be"),
     "scaling-seed": (("scaling", "--d", "3", "--n-list", "10", "--seed", "-1"), "",
                      "seed must be"),
 }
+
+
+def test_support_guard_refuses_before_any_enumeration(monkeypatch, capsys):
+    enumerated = []
+    monkeypatch.setattr(walkdist, "_support", lambda d, p: enumerated.append((d, p)))
+    for key in ("rate-huge-d", "cf-scan-huge-p-one-point"):
+        code, out, err = run_cli(capsys, *HOSTILE[key][0])
+        assert code == 3 and out == "" and "predicted above the cap" in err
+    assert enumerated == []
 
 
 @pytest.mark.parametrize("argv,stdin,fragment", HOSTILE.values(), ids=HOSTILE.keys())

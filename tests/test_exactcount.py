@@ -25,6 +25,28 @@ MASTER_UNDIRECTED_D3_P2 = {
 }
 
 
+@pytest.mark.parametrize(
+    "master", [exactcount.master_sum_directed, exactcount.master_sum_undirected]
+)
+def test_master_sums_build_one_factorial_table(monkeypatch, master):
+    # the factorials and loop weights come from one table per master sum,
+    # so math.factorial runs as often for 65 classes as for 33
+    master(4, 3, 2)  # the step support is built and cached
+    calls = []
+    factorial = math.factorial
+    monkeypatch.setattr(exactcount.math, "factorial", lambda v: calls.append(v) or factorial(v))
+    counts = []
+    for n in (32, 64):
+        calls.clear()
+        master(n, 3, 2)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 2
+    assert master(8, 3, 2) == {
+        exactcount.master_sum_directed: MASTER_DIRECTED_D3_P2,
+        exactcount.master_sum_undirected: MASTER_UNDIRECTED_D3_P2,
+    }[master][8]
+
+
 def test_multinomial_examples_and_row_sum():
     assert exactcount.multinomial(4, (2, 2)) == 6
     assert exactcount.multinomial(3, (0, 1, 2)) == 3

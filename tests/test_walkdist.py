@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regsing import walkdist
-from regsing.errors import DomainError, InvalidModulusError, ShapeError
+from regsing.errors import CostGuardError, DomainError, InvalidModulusError, ShapeError
 
 # Frozen supports, cross-checked below against tuple enumeration.
 SUPPORT_D3_P2 = (((1, 2), 3), ((3, 0), 1))
@@ -46,8 +46,30 @@ def test_phi_examples():
 
 def test_compositions_count():
     combos = list(walkdist.compositions(3, 2))
-    assert sorted(combos) == [(0, 3), (1, 2), (2, 1), (3, 0)]
+    assert combos == [(0, 3), (1, 2), (2, 1), (3, 0)]
     assert len(list(walkdist.compositions(6, 4))) == math.comb(9, 3)
+    # lex order, and no recursion depth that grows with the number of parts
+    for total, parts in [(0, 3), (2, 1), (4, 3), (3, 5)]:
+        combos = list(walkdist.compositions(total, parts))
+        assert combos == sorted(combos) == [
+            c for c in itertools.product(range(total + 1), repeat=parts) if sum(c) == total
+        ]
+    assert next(walkdist.compositions(1, 5000)) == (0,) * 4999 + (1,)
+
+
+def test_support_cost_guard_refuses_before_enumeration(monkeypatch):
+    enumerated = []
+    with monkeypatch.context() as patch:
+        patch.setattr(walkdist, "_support", lambda d, p: enumerated.append((d, p)))
+        # 10**6 + 1 atoms of 10**6 bits; 10**9 + 7 atoms; C(5005, 3) atoms
+        for d, p in [(10**6, 2), (1, 1_000_000_007), (3, 5003), (1000, 1000003)]:
+            with pytest.raises(CostGuardError, match="predicted above the cap"):
+                walkdist.build_support(d, p)
+    assert enumerated == []
+    # the largest support in use, (6, 7), is predicted at 15,708 bits
+    assert math.comb(12, 6) * math.ceil(6 * math.log2(7)) == 15_708 < walkdist.SUPPORT_BITS_CAP
+    assert len(walkdist.build_support(6, 7).atoms) == 132
+    assert walkdist.build_support(1, 1009).atoms == (((1,) + (0,) * 1008, 1),)
 
 
 def test_build_support_frozen_atoms():

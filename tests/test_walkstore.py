@@ -3,12 +3,15 @@
 `tuple_walk_tables` is the simple kernel the store replaced: one dict
 per step, keyed by histogram tuples.  Every decoded store table must
 equal it, however the store got there (cold, extended, re-encoded
-under a wider radix, or rebuilt after another support evicted it).
+under a wider radix, or rebuilt after another support evicted it), and
+whichever step kernel ran (the dict loop, or numpy with int64 or Python
+int counts, in one chunk or many).
 """
 
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 from regsing import exactcount, walkdist
@@ -36,6 +39,20 @@ def cold(monkeypatch):
     monkeypatch.setattr(walkdist, "_store", None)
 
 
+@pytest.fixture
+def numpy_steps(monkeypatch):
+    """The (pairs, count dtype) of every numpy step, in order."""
+    calls = []
+    step = walkdist._numpy_step
+
+    def spy(prev, atoms, dtype):
+        calls.append((len(prev) * len(atoms), dtype))
+        return step(prev, atoms, dtype)
+
+    monkeypatch.setattr(walkdist, "_numpy_step", spy)
+    return calls
+
+
 def assert_matches(tables, oracle):
     assert len(tables) == len(oracle)
     for k, want in enumerate(oracle):
@@ -46,6 +63,69 @@ def assert_matches(tables, oracle):
 def test_store_matches_tuple_convolution(cold, n, d, p):
     s = walkdist.build_support(d, p)
     assert_matches(walkdist.walk_tables(s, n), tuple_walk_tables(s, n))
+
+
+@pytest.mark.parametrize("vector_pairs", [0, 10**12], ids=["numpy", "dict"])
+@pytest.mark.parametrize("n,d,p", GRID)
+def test_each_step_kernel_matches_tuple_convolution(
+    cold, monkeypatch, numpy_steps, vector_pairs, n, d, p
+):
+    monkeypatch.setattr(walkdist, "VECTOR_PAIRS", vector_pairs)
+    s = walkdist.build_support(d, p)
+    assert_matches(walkdist.walk_tables(s, n), tuple_walk_tables(s, n))
+    assert len(numpy_steps) == (n if vector_pairs == 0 else 0)
+
+
+@pytest.mark.parametrize("n,d,p", [(8, 3, 2), (6, 3, 3), (3, 5, 5), (2, 6, 7)])
+def test_numpy_steps_merge_many_chunks(cold, monkeypatch, numpy_steps, n, d, p):
+    # one entry per chunk, so that each step merges many reduced chunks,
+    # and dicts built and decoded three keys at a time
+    monkeypatch.setattr(walkdist, "VECTOR_PAIRS", 0)
+    monkeypatch.setattr(walkdist, "CHUNK_PAIRS", 3)
+    monkeypatch.setattr(walkdist, "DECODE_CHUNK", 3)
+    merged = []
+    merge = walkdist._merge
+    monkeypatch.setattr(walkdist, "_merge", lambda parts: merged.append(len(parts)) or merge(parts))
+    s = walkdist.build_support(d, p)
+    assert_matches(walkdist.walk_tables(s, n), tuple_walk_tables(s, n))
+    assert len(numpy_steps) == n
+    assert max(merged) >= 3
+
+
+@pytest.mark.parametrize("n,d,p", [(8, 6, 3), (10, 5, 3)])
+def test_numpy_counts_become_python_ints_where_the_total_reaches_2_63(
+    cold, monkeypatch, numpy_steps, n, d, p
+):
+    # the step total p**(k(d-1)) first reaches 2**63 at step n: 3**40
+    monkeypatch.setattr(walkdist, "VECTOR_PAIRS", 0)
+    assert p ** ((n - 1) * (d - 1)) < 2**63 <= p ** (n * (d - 1))
+    s = walkdist.build_support(d, p)
+    tables = walkdist.walk_tables(s, n)
+    assert [dtype for _, dtype in numpy_steps] == [np.int64] * (n - 1) + [object]
+    assert_matches(tables, tuple_walk_tables(s, n))
+    assert sum(tables[n].values()) == p ** (n * (d - 1))
+    assert all(type(c) is int for t in tables for c in t.values())
+    assert all(type(k) is int for t in tables for k in t)
+
+
+def test_default_crossover_vectorizes_the_step_past_2_63(cold, numpy_steps):
+    # (8, 6, 3): step 8 has 3,160 pairs, and its counts are Python ints
+    s = walkdist.build_support(6, 3)
+    assert_matches(walkdist.walk_tables(s, 8), tuple_walk_tables(s, 8))
+    assert numpy_steps[-1] == (3160, object)
+    assert all(pairs >= walkdist.VECTOR_PAIRS for pairs, _ in numpy_steps)
+
+
+def test_wide_keys_stay_in_the_dict_loop(cold, numpy_steps):
+    # (4, 2, 23): the radix is 4 bits, so keys are 92 bits wide and int64
+    # sums would wrap; its steps reach 4,368 pairs, past the crossover
+    assert exactcount.predicted_table_bits(4, 2, 23) <= exactcount.TABLE_BITS_CAP
+    s = walkdist.build_support(2, 23)
+    tables = walkdist.walk_tables(s, 4)
+    assert tables.bits * 23 == 92
+    assert len(tables[3]) * len(s.atoms) == 4368 >= walkdist.VECTOR_PAIRS
+    assert_matches(tables, tuple_walk_tables(s, 4))
+    assert numpy_steps == []
 
 
 @pytest.mark.parametrize("n,d,p", [(8, 3, 2), (6, 3, 3), (3, 3, 7)])
