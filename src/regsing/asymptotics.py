@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import CostGuardError, DomainError, ShapeError
 from .exactcount import validate_signature
-from .walkdist import SupportTable, build_support, char_fn
+from .walkdist import SupportTable, build_support, char_fn, require_support
 
 TWO_PI = 2.0 * math.pi
 
@@ -33,6 +33,8 @@ NEAR_ONE_EPS = 1e-9
 
 SCAN_POINT_CAP = 100_000_000
 SCAN_CHUNK = 1 << 16
+# numpy arrays have at most 64 axes; the scan grid takes one per t_1..t_{p-1}
+SCAN_MAX_AXES = 64
 
 # Newton iteration cap and gradient-norm convergence test of the
 # directed rate
@@ -111,7 +113,8 @@ def cf_scan(d: int, p: int, delta: float, grid_step: float) -> CfScanReport:
     positive and divide 2*pi evenly, with the step and 2*pi/step finite,
     and delta must lie in (0, pi^2); otherwise DomainError.  The cost
     guard (CostGuardError) applies to the nominal p-dimensional grid the
-    slice stands in for.
+    slice stands in for, then the step-support guard; past both, p - 1
+    above SCAN_MAX_AXES is a DomainError, before the support is built.
     The grid is walked SCAN_CHUNK points at a time: `_tube_mask` drops
     the points in the tubes with p(p+1) small matmuls per chunk, and
     |phi| is evaluated only on the rest, through one `char_fn` call.
@@ -132,6 +135,9 @@ def cf_scan(d: int, p: int, delta: float, grid_step: float) -> CfScanReport:
         raise CostGuardError(
             f"torus grid {k}^{p} exceeds the {SCAN_POINT_CAP}-point cost guard"
         )
+    require_support(d, p)
+    if p - 1 > SCAN_MAX_AXES:
+        raise DomainError(f"the scan grid needs p - 1 <= {SCAN_MAX_AXES} axes, got p = {p}")
     support = build_support(d, p)
     o = helmert_basis(p)
     axis = TWO_PI * np.arange(k) / k

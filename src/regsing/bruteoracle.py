@@ -3,12 +3,13 @@
 The directed model is every permutation of the nd points; the
 undirected model is every perfect pairing.  `adjacency_census` tallies
 either model by adjacency matrix, after the point-count guard and the
-parity of nd are checked.  The directed census walks the permutations
-in lexicographic blocks of at most 7! rows (`permutation_blocks`), maps
-each to an exact integer key of its matrix and tallies the keys with
-`np.unique`; the pairings, at most 10395 of them, are walked in Python.
-Both visit every outcome once and never use a weight formula or a
-symmetry, so the census stays independent of `exactcount`.
+parity of nd are checked.  The permutations come in lexicographic
+blocks of at most 7! rows (`permutation_blocks`), the pairings as
+partner rows in blocks of at most 945 (`pairing_blocks`), and one tally
+serves both streams: it maps each row to an exact integer key of its
+matrix and counts the keys with `np.unique`.  It visits every outcome
+once and never uses a weight formula or a symmetry, so the census stays
+independent of `exactcount`.
 
 That census is the oracle that certifies the per-class counting
 identities: for each vector v over F_p, tally the outcomes whose
@@ -22,7 +23,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -43,21 +44,6 @@ BLOCK_POINTS = 7
 # Largest product of stacked census matrices and vectors the tallies
 # hold at once: 4 MiB of float32
 TALLY_CHUNK_ENTRIES = 1 << 20
-
-
-def all_pairings(items: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """All perfect matchings of the items, flattened with pairs consecutive.
-
-    Pairs the first remaining item with each other remaining item, so
-    each matching appears exactly once.
-    """
-    if not items:
-        yield ()
-        return
-    first, rest = items[0], list(items[1:])
-    for i, partner in enumerate(rest):
-        for tail in all_pairings(rest[:i] + rest[i + 1 :]):
-            yield (first, partner) + tail
 
 
 def _prepend(first: int, perms: np.ndarray) -> np.ndarray:
@@ -91,6 +77,36 @@ def permutation_blocks(k: int) -> Iterator[np.ndarray]:
     return blocks(k)
 
 
+def _pair_first(partner: int, table: np.ndarray) -> np.ndarray:
+    """Point 0 paired with `partner`, followed by each partner row of
+    table relabelled onto the other points in increasing order; the
+    relabelling is monotone, so the order of the table is kept."""
+    k = table.shape[1] + 2
+    rest = np.arange(1, k - 1, dtype=np.uint8)
+    rest += rest >= partner  # the points other than 0 and partner
+    out = np.empty((len(table), k), dtype=np.uint8)
+    out[:, 0], out[:, partner] = partner, 0
+    out[:, rest] = rest[table]
+    return out
+
+
+def pairing_blocks(k: int) -> Iterator[np.ndarray]:
+    """Every perfect pairing of range(k), k even, as uint8 partner rows
+    (row[t] is the point paired with t) in blocks of at most (k-3)!!.
+
+    Point 0 is paired with 1, ..., k-1 in turn and the rest recursively
+    the same way, so the first point pairs with each later one in
+    increasing order.  Each block fixes the partner of point 0 and
+    relabels one shared table of the pairings of k - 2 points.
+    """
+    table = np.zeros((1, 0), dtype=np.uint8)
+    for size in range(2, k - 1, 2):
+        table = np.concatenate([_pair_first(partner, table) for partner in range(1, size)])
+    if k == 0:
+        return iter([table])
+    return (_pair_first(partner, table) for partner in range(1, k))
+
+
 def _check_model(n: int, d: int, mode: str) -> None:
     """Refuse an unknown mode, an odd point count to pair, or more points
     than the enumeration cap of the mode."""
@@ -107,23 +123,27 @@ def _check_model(n: int, d: int, mode: str) -> None:
         raise CostGuardError(f"{mode} enumeration needs nd <= {cap}, got nd = {nd}")
 
 
-def _directed_census(n: int, d: int) -> dict[bytes, int]:
-    """Tally of the row-major n*n adjacency bytes over every permutation.
+def _census(n: int, d: int, mode: str) -> dict[bytes, int]:
+    """Tally of the row-major n*n adjacency bytes over every outcome.
 
-    Point t lies in fibre t // d, and a permutation adds one to cell
-    (fibre(t), fibre(perm[t])) for every t.  Entries are at most d, so
-    the base-(d+1) number sum_t (d+1)**(fibre(t)*n + fibre(perm[t])) is
-    an exact key of the matrix while (d+1)**(n*n) < 2**63; past that the
-    uint8 rows themselves are tallied.
+    Point t lies in fibre t // d.  A row of either stream (a permutation,
+    or the partner of each point of a pairing) adds one to cell
+    (fibre(t), fibre(row[t])) for every t, so a pair adds one to both
+    symmetric cells and a loop two to the diagonal.  Entries are at most
+    d, so the base-(d+1) number sum_t (d+1)**(fibre(t)*n + fibre(row[t]))
+    is an exact key of the matrix while (d+1)**(n*n) < 2**63; past that
+    the uint8 rows themselves are tallied.
     """
+    _check_model(n, d, mode)
     nd, cells = n * d, n * n
+    stream = permutation_blocks if mode == "directed" else pairing_blocks
     points = np.arange(nd)
     fibre = points // d
     cell = fibre[:, None] * n + fibre  # cell of point t sent to point q
     tally: Counter = Counter()
     if (d + 1) ** cells < 2**63:
         weight = (d + 1) ** cell
-        for block in permutation_blocks(nd):
+        for block in stream(nd):
             # column by column: a 2-D gather is slower and twice the memory
             keys = sum(weight[t, block[:, t]] for t in range(nd))
             keys, counts = np.unique(keys, return_counts=True)
@@ -131,33 +151,13 @@ def _directed_census(n: int, d: int) -> dict[bytes, int]:
         keys = np.fromiter(tally, dtype=np.int64, count=len(tally))
         rows = (keys[:, None] // (d + 1) ** np.arange(cells) % (d + 1)).astype(np.uint8)
         return {row.tobytes(): c for row, c in zip(rows, tally.values())}
-    for block in permutation_blocks(nd):
+    for block in stream(nd):
         hits = cell[points, block] + cells * np.arange(len(block))[:, None]
         rows = np.bincount(hits.ravel(), minlength=len(block) * cells).astype(np.uint8)
         # each row viewed as one opaque n*n-byte value; tolist gives bytes
         rows, counts = np.unique(rows.view(f"V{cells}"), return_counts=True)
         tally.update(dict(zip(rows.tolist(), counts.tolist())))
     return dict(tally)
-
-
-def _pairing_census(n: int, d: int) -> Counter:
-    """Tally of the row-major n*n adjacency bytes over every pairing, in
-    the order of `all_pairings`; a loop counts twice on the diagonal."""
-    fiber = [t // d for t in range(n * d)]
-    tally: Counter = Counter()
-    for order in all_pairings(range(n * d)):
-        flat = bytearray(n * n)
-        for t in range(0, n * d, 2):
-            u, v = fiber[order[t]], fiber[order[t + 1]]
-            flat[u * n + v] += 1
-            flat[v * n + u] += 1
-        tally[bytes(flat)] += 1
-    return tally
-
-
-def _census(n: int, d: int, mode: str) -> dict[bytes, int]:
-    _check_model(n, d, mode)
-    return _directed_census(n, d) if mode == "directed" else _pairing_census(n, d)
 
 
 def adjacency_census(n: int, d: int, mode: str) -> dict[tuple[tuple[int, ...], ...], int]:

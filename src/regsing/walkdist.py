@@ -131,12 +131,15 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 def build_support(d: int, p) -> SupportTable:
     """Enumerate the atoms of the step distribution for parameters (d, p).
 
-    The inputs are checked on every call; the table of a valid (d, p) is
-    built once and then served from a cache of the SUPPORT_CACHE most
-    recent ones, so repeated callers share one immutable table.  A
-    support predicted above SUPPORT_BITS_CAP bits is refused with
-    CostGuardError before any composition is enumerated.
-    """
+    The inputs are checked on every call (`require_support`); the table
+    of a valid (d, p) is built once and then served from a cache of the
+    SUPPORT_CACHE most recent ones, so callers share one immutable table."""
+    return _support(d, require_support(d, p))
+
+
+def require_support(d: int, p) -> int:
+    """Check d >= 1 and p prime, and refuse with CostGuardError a support
+    predicted above SUPPORT_BITS_CAP bits; returns p as an int."""
     p = require_prime(p)
     if d < 1:
         raise DomainError(f"d must be >= 1, got {d}")
@@ -154,7 +157,7 @@ def build_support(d: int, p) -> SupportTable:
                 f"{SUPPORT_BITS_CAP:.3e} bits: C({d + p - 1}, {p - 1}) compositions "
                 f"of up to {width} bits"
             )
-    return _support(d, p)
+    return p
 
 
 @functools.lru_cache(maxsize=SUPPORT_CACHE, typed=True)

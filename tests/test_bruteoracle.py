@@ -12,6 +12,11 @@ from regsing.errors import CostGuardError, InvalidParamsError
 # every directed model the census enumerates, nd <= 9; (8, 1) and (9, 1)
 # have (d+1)**(n*n) >= 2**63 and take the uint8-row tally
 DIRECTED_MODELS = [(n, d) for n in range(1, 10) for d in range(1, 10) if n * d <= 9]
+# every undirected model, even nd <= 12; (8, 1), (10, 1) and (12, 1)
+# take the uint8-row tally
+UNDIRECTED_MODELS = [
+    (n, d) for n in range(1, 13) for d in range(1, 13) if n * d <= 12 and n * d % 2 == 0
+]
 
 
 def reference_directed_outcomes(n, d):
@@ -25,6 +30,42 @@ def reference_directed_outcomes(n, d):
         for r, q in zip(rows, perm):
             flat[r + fiber[q]] += 1
         yield flat
+
+
+def reference_pairings(items):
+    """All perfect matchings of the items, flattened with pairs
+    consecutive: the first item pairs with each later one in turn."""
+    if not items:
+        yield ()
+        return
+    first, rest = items[0], list(items[1:])
+    for i, partner in enumerate(rest):
+        for tail in reference_pairings(rest[:i] + rest[i + 1 :]):
+            yield (first, partner) + tail
+
+
+def reference_undirected_outcomes(n, d):
+    """The Python outcome stream the numpy census replaced: the row-major
+    adjacency of every pairing of the nd points, in the order of
+    `reference_pairings`; a loop counts twice on the diagonal."""
+    fiber = [t // d for t in range(n * d)]
+    for order in reference_pairings(range(n * d)):
+        flat = bytearray(n * n)
+        for t in range(0, n * d, 2):
+            u, v = fiber[order[t]], fiber[order[t + 1]]
+            flat[u * n + v] += 1
+            flat[v * n + u] += 1
+        yield flat
+
+
+def assert_census_matches(census, outcomes):
+    # consume the reference stream against the census, holding one dict
+    left = dict(census)
+    for flat in outcomes:
+        key = bytes(flat)
+        assert left.get(key, 0) > 0, f"outcome {key!r} over-counted or missing"
+        left[key] -= 1
+    assert not any(left.values())
 
 
 @pytest.mark.parametrize("block_points", [1, 3, 7])
@@ -42,24 +83,31 @@ def test_permutation_blocks_are_lexicographic_permutations(monkeypatch, block_po
 
 @pytest.mark.parametrize("n,d", DIRECTED_MODELS, ids=[f"{n}-{d}" for n, d in DIRECTED_MODELS])
 def test_directed_census_matches_the_python_stream(n, d):
-    census = bruteoracle._directed_census(n, d)
-    # consume the reference stream against the census, holding one dict
-    left = dict(census)
-    for flat in reference_directed_outcomes(n, d):
-        key = bytes(flat)
-        assert left.get(key, 0) > 0, f"outcome {key!r} over-counted or missing"
-        left[key] -= 1
-    assert not any(left.values())
+    census = bruteoracle._census(n, d, "directed")
+    assert_census_matches(census, reference_directed_outcomes(n, d))
 
 
-def test_all_pairings_counts():
-    assert list(bruteoracle.all_pairings(())) == [()]
-    assert len(list(bruteoracle.all_pairings(range(4)))) == 3
-    assert len(list(bruteoracle.all_pairings(range(6)))) == 15
-    seen = set(bruteoracle.all_pairings(range(6)))
-    assert len(seen) == 15
-    for flat in seen:
-        assert sorted(flat) == list(range(6))
+@pytest.mark.parametrize("n,d", UNDIRECTED_MODELS, ids=[f"{n}-{d}" for n, d in UNDIRECTED_MODELS])
+def test_undirected_census_matches_the_python_stream(n, d):
+    census = bruteoracle._census(n, d, "undirected")
+    assert_census_matches(census, reference_undirected_outcomes(n, d))
+
+
+@pytest.mark.parametrize("k", range(0, 13, 2))
+def test_pairing_blocks_are_involutions_in_reference_order(k):
+    want = reference_pairings(range(k))
+    rows = []
+    for block in bruteoracle.pairing_blocks(k):
+        assert block.dtype == np.uint8
+        assert block.shape[1] == k and len(block) <= math.prod(range(1, k - 2, 2))
+        for row in block.tolist():
+            # a fixed-point-free involution: row[t] is t's partner
+            assert all(row[q] == t != q for t, q in enumerate(row))
+            order = next(want)
+            assert all(row[a] == b for a, b in zip(order[0::2], order[1::2]))
+            rows.append(tuple(row))
+    assert next(want, None) is None
+    assert len(set(rows)) == len(rows) == math.prod(range(1, k, 2))
 
 
 def test_enumerate_directed_complete():

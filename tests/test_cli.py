@@ -298,7 +298,7 @@ GUARDED = {
     "oracle-tables": (("oracle-check", "--n", "1", "--d", "9", "--p", "4093"),
                       "regsing.bruteoracle._census"),
     "oracle-undirected": (("oracle-check", "--n", "6", "--d", "3", "--p", "2",
-                           "--mode", "undirected"), "regsing.bruteoracle.all_pairings"),
+                           "--mode", "undirected"), "regsing.bruteoracle.pairing_blocks"),
     "scaling-rows": (("scaling", "--d", "3", "--n-list", "200,5000", "--trials", "300",
                       "--seed", "1"), "regsing.experiments.run_mc"),
 }
@@ -431,6 +431,13 @@ FROZEN_STDOUT = [
     (("mc", "--n", "2", "--d", "3", "--p", "3", "--seed", "4", "--trials", "500",
       "--workers", "1"),
      "a9cd46128d7ca17825b7804d201e28123a3b86b9b7cc6dc1d76a14502c87c09f"),
+    # recorded before the numpy pairing census
+    (("oracle-check", "--n", "4", "--d", "3", "--p", "2", "--mode", "undirected"),
+     "2345dbb55d390db0435d3e8a808ec8f56fd2ab97fdcafb3c97a1517ec073b469"),
+    (("oracle-check", "--n", "3", "--d", "4", "--p", "2", "--mode", "undirected"),
+     "21d1869a7888650769a1bd1e1d433f8af41041172959cb00aed78f76a65dda17"),
+    (("oracle-check", "--n", "6", "--d", "2", "--p", "3", "--mode", "undirected"),
+     "834efaa0d6a45c36e9b22fab16fed36796b232308e00d315982acad456829dc9"),
 ]
 
 
@@ -591,6 +598,10 @@ HOSTILE = {
     "mc-seed": (("mc", "--n", "3", "--d", "3", "--seed", "-1"), "", "seed must be"),
     "scaling-seed": (("scaling", "--d", "3", "--n-list", "10", "--seed", "-1"), "",
                      "seed must be"),
+    # passes the grid and step-support guards; numpy arrays have at most
+    # 64 axes and the slice grid needs p - 1 of them
+    "cf-scan-over-64-axes": (("cf-scan", "--d", "1", "--p", "101", "--delta", "0.1",
+                              "--step", "6.283185307179586"), "", "p - 1 <= 64"),
 }
 
 
@@ -601,6 +612,16 @@ def test_support_guard_refuses_before_any_enumeration(monkeypatch, capsys):
         code, out, err = run_cli(capsys, *HOSTILE[key][0])
         assert code == 3 and out == "" and "predicted above the cap" in err
     assert enumerated == []
+
+
+def test_scan_axis_limit_refuses_before_the_support_or_grid(monkeypatch, capsys):
+    def spy(*args):
+        raise AssertionError("scan work started before the axis check refused")
+
+    monkeypatch.setattr(asymptotics, "_tube_mask", spy)
+    monkeypatch.setattr(walkdist, "_support", spy)
+    code, out, err = run_cli(capsys, *HOSTILE["cf-scan-over-64-axes"][0])
+    assert code == 2 and out == "" and err.startswith("error: ")
 
 
 @pytest.mark.parametrize("argv,stdin,fragment", HOSTILE.values(), ids=HOSTILE.keys())
