@@ -15,6 +15,7 @@ and Weideman, SIAM Review 2014).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -196,8 +197,8 @@ def lclt_directed(sig: Sequence[int], d: int, p: int) -> LcltValue:
     """
     sig = validate_signature(sig, p)
     n = sum(sig)
-    if n < 1:
-        raise DomainError("signature must have positive total")
+    if n < 1 or p * n > sys.float_info.max:  # p * n is turned into a float
+        raise DomainError("signature total must be positive, and p times it within float range")
     if d < 1:
         raise DomainError(f"need d >= 1, got {d}")
     applicable = (d * sum(j * c for j, c in enumerate(sig))) % p == 0
@@ -208,10 +209,11 @@ def lclt_directed(sig: Sequence[int], d: int, p: int) -> LcltValue:
     return LcltValue(value=value, applicable=applicable)
 
 
-def _check_simplex(frak_n: Sequence[float], p: int) -> np.ndarray:
-    nu = np.asarray(frak_n, dtype=float)
-    if nu.shape != (p,):
-        raise ShapeError(f"need {p} frequencies, got shape {nu.shape}")
+def _check_simplex(freqs, shape: tuple[int, ...]) -> np.ndarray:
+    """Frequencies of the given shape: nonnegative, finite, summing to 1."""
+    nu = np.asarray(freqs, dtype=float)
+    if nu.shape != shape:
+        raise ShapeError(f"need frequencies of shape {shape}, got shape {nu.shape}")
     if (nu < 0).any():
         raise DomainError("frequencies must be nonnegative")
     if not np.isfinite(nu).all():
@@ -231,7 +233,7 @@ def rate_directed_explicit(frak_n: Sequence[float], d: int, p: int) -> float:
     prod_k frak_n[k]^(u_k * (d-1)/d), with the 0^0 = 1 convention.
     Returns -inf when every product vanishes.
     """
-    return _explicit_bound(_check_simplex(frak_n, p), build_support(d, p))
+    return _explicit_bound(_check_simplex(frak_n, (p,)), build_support(d, p))
 
 
 def _explicit_bound(nu: np.ndarray, support: SupportTable) -> float:
@@ -293,7 +295,7 @@ def rate_directed_opt(frak_n: Sequence[float], d: int, p: int) -> RateEvaluation
     proven to lie outside the hull, no walk realizes the class, and the
     value is exactly -inf with converged=False.
     """
-    nu = _check_simplex(frak_n, p)
+    nu = _check_simplex(frak_n, (p,))
     support = build_support(d, p)
     atoms = np.array([u for u, _ in support.atoms], dtype=float)
     log_w = np.array([math.log(m) for _, m in support.atoms]) - (d - 1) * math.log(p)
@@ -355,19 +357,9 @@ def rate_undirected_explicit(frak_m: Sequence[Sequence[float]], d: int, p: int) 
     (d-2)/2 * sum_ij m_ij ln(n_i n_j / m_ij) plus the row-wise directed
     bounds weighted by the marginals n_i = sum_j m_ij, with 0 ln 0 = 0.
     """
-    m = np.asarray(frak_m, dtype=float)
-    if m.shape != (p, p):
-        raise ShapeError(f"need a {p} x {p} matrix, got shape {m.shape}")
-    if (m < 0).any():
-        raise DomainError("entries must be nonnegative")
-    if not np.isfinite(m).all():
-        raise DomainError("entries must be finite")
+    m = _check_simplex(frak_m, (p, p))
     if np.abs(m - m.T).max() > 1e-12:
         raise DomainError("matrix must be symmetric")
-    with np.errstate(over="ignore"):
-        total = float(m.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise DomainError(f"entries must sum to 1, got {total!r}")
     marg = m.sum(axis=1)
     support = build_support(d, p)
     term1 = 0.0
@@ -378,9 +370,8 @@ def rate_undirected_explicit(frak_m: Sequence[Sequence[float]], d: int, p: int) 
     term1 *= (d - 2) / 2
     term2 = 0.0
     for i in range(p):
-        if marg[i] > 0.0:
-            row = m[i] / marg[i]
-            term2 += marg[i] * _explicit_bound(_check_simplex(row, p), support)
+        if marg[i] > 0.0:  # row i over its marginal is a simplex point already
+            term2 += marg[i] * _explicit_bound(m[i] / marg[i], support)
     return term1 + term2
 
 

@@ -28,8 +28,9 @@ from typing import Iterator
 import numpy as np
 
 from . import exactcount
-from .errors import CostGuardError, InvalidParamsError
-from .gfcore import require_int, require_prime
+from .confmodel import GraphParams
+from .errors import CostGuardError
+from .gfcore import require_prime
 from .walkdist import phi
 
 # Largest point counts nd the oracles enumerate: (nd)! <= 362880
@@ -107,20 +108,14 @@ def pairing_blocks(k: int) -> Iterator[np.ndarray]:
     return (_pair_first(partner, table) for partner in range(1, k))
 
 
-def _check_model(n: int, d: int, mode: str) -> None:
-    """Refuse an unknown mode, an odd point count to pair, or more points
-    than the enumeration cap of the mode."""
-    nd = n * d
-    if mode == "directed":
-        cap = MAX_POINTS_DIRECTED
-    elif mode == "undirected":
-        if nd % 2:
-            raise InvalidParamsError(f"pairings need an even point count, got nd = {nd}")
-        cap = MAX_POINTS_UNDIRECTED
-    else:
-        raise InvalidParamsError(f"mode must be directed|undirected, got {mode!r}")
-    if nd > cap:
-        raise CostGuardError(f"{mode} enumeration needs nd <= {cap}, got nd = {nd}")
+def _check_model(n: int, d: int, mode: str) -> tuple[int, int]:
+    """n and d as checked by `GraphParams`; CostGuardError past the point cap."""
+    GraphParams(n, d, mode)
+    n, d = int(n), int(d)
+    cap = MAX_POINTS_DIRECTED if mode == "directed" else MAX_POINTS_UNDIRECTED
+    if n * d > cap:
+        raise CostGuardError(f"{mode} enumeration needs nd <= {cap}, got nd = {n * d}")
+    return n, d
 
 
 def _census(n: int, d: int, mode: str) -> dict[bytes, int]:
@@ -226,20 +221,11 @@ def certify_identities(n: int, d: int, p: int, mode: str) -> CertificationReport
     master sum.
     """
     p = require_prime(p)
-    n = require_int("n", n, 1)
-    d = require_int("d", d, 1)
-    _check_model(n, d, mode)
+    n, d = _check_model(n, d, mode)
     if p**n > MAX_VECTORS:
         raise CostGuardError(f"certification needs p**n <= {MAX_VECTORS} vectors, got {p}**{n}")
     report = CertificationReport(n=n, d=d, p=p, mode=mode)
-    if mode == "directed":
-        count_fn = exactcount.count_graphs_directed
-        model_size = exactcount.model_size_directed(n, d)
-        report.master_exact = exactcount.master_sum_directed(n, d, p)
-    else:
-        count_fn = exactcount.count_graphs_undirected
-        model_size = exactcount.model_size_undirected(n, d)
-        report.master_exact = exactcount.master_sum_undirected(n, d, p)
+    report.master_exact = exactcount.master_sum(n, d, p, mode)
 
     census = _census(n, d, mode)
     tallies = _vector_tallies(census, n, p)
@@ -250,7 +236,7 @@ def certify_identities(n: int, d: int, p: int, mode: str) -> CertificationReport
     nonzero_total = 0
     for sig in sorted(by_class):
         members = by_class[sig]
-        expected = count_fn(sig, d, p)
+        expected = exactcount.count_graphs(sig, d, p, mode)
         values = {t for _, t in members}
         if len(values) > 1:
             report.class_consistent = False
@@ -270,7 +256,8 @@ def certify_identities(n: int, d: int, p: int, mode: str) -> CertificationReport
         if sig[0] != n:
             nonzero_total += sum(t for _, t in members)
 
-    report.master_brute = Fraction(nonzero_total, model_size)
+    # the enumeration counts the outcomes too: (nd)! or (nd - 1)!!
+    report.master_brute = Fraction(nonzero_total, sum(census.values()))
     report.passed = (
         report.class_consistent
         and not report.mismatches

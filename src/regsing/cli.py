@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import decimal
 import functools
 import json
 import math
@@ -47,19 +48,26 @@ DECIMAL_FIELDS = frozenset({"kernel_total", "kernel_sq_total"})
 EXCLUDED_FIELDS = frozenset({"wall_time_s"})
 
 
+def _decimal(value: int) -> str:
+    """`value` in decimal at any width: str() stops at the int-string digit
+    limit, kept for the JSON that `rank` reads, and Decimal does not."""
+    return str(decimal.Decimal(value))
+
+
 def _json_default(obj):
     """`json.dumps` hook: a dataclass becomes an object of its fields in
     declaration order, a Fraction an exact num/den pair with a float
     approximation; tuples are JSON arrays already."""
     if isinstance(obj, Fraction):
-        return {"num": str(obj.numerator), "den": str(obj.denominator), "approx": float(obj)}
+        return {"num": _decimal(obj.numerator), "den": _decimal(obj.denominator),
+                "approx": float(obj)}
     if dataclasses.is_dataclass(obj):
         out = {}
         for f in dataclasses.fields(obj):
             if f.name in EXCLUDED_FIELDS:
                 continue
             value = getattr(obj, f.name)
-            out[f.name] = str(value) if f.name in DECIMAL_FIELDS else value
+            out[f.name] = _decimal(value) if f.name in DECIMAL_FIELDS else value
         return out
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
@@ -74,11 +82,12 @@ def _parse_list(text: str, kind=int) -> list:
 
 
 def _parse_step(text: str) -> float:
-    """Grid steps come as plain floats or as '2pi/K'."""
+    """Grid steps come as plain floats or as '2pi/K', rounded once from the
+    exact ratio, so a K past float range gives 0.0, not an OverflowError."""
     cleaned = text.strip().lower().replace(" ", "")
     try:
         if cleaned.startswith("2pi/"):
-            return 2.0 * math.pi / int(cleaned[4:])
+            return float(Fraction(2.0 * math.pi) / int(cleaned[4:]))
         step = float(cleaned)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"bad grid step: {text!r}") from exc
@@ -168,10 +177,11 @@ def _cmd_rank(args) -> int:
         rank = gfcore.rank_mod_p(matrix, args.p)
         payload.update(p=args.p, rank=rank)
         if rows == cols:
-            payload.update(kernel_count=str(args.p ** (rows - rank) - 1), singular=rank < rows)
+            kernel_count = _decimal(args.p ** (rows - rank) - 1)
+            payload.update(kernel_count=kernel_count, singular=rank < rows)
     elif rows == cols:
         rank, det = gfcore.rank_det_integer(matrix)
-        payload.update(p=None, rank=rank, det=str(det), singular=rank < rows)
+        payload.update(p=None, rank=rank, det=_decimal(det), singular=rank < rows)
     else:
         payload.update(p=None, rank=gfcore.rank_integer(matrix))
     _emit_json(args, payload)
@@ -180,22 +190,16 @@ def _cmd_rank(args) -> int:
 
 def _cmd_exact_count(args) -> int:
     sig = tuple(_parse_list(args.sig))
-    if args.mode == "directed":
-        count = exactcount.count_graphs_directed(sig, args.d, args.p)
-    else:
-        count = exactcount.count_graphs_undirected(sig, args.d, args.p)
+    count = exactcount.count_graphs(sig, args.d, args.p, args.mode)
     _emit_json(
         args,
-        {"sig": list(sig), "d": args.d, "p": args.p, "mode": args.mode, "count": str(count)},
+        {"sig": list(sig), "d": args.d, "p": args.p, "mode": args.mode, "count": _decimal(count)},
     )
     return 0
 
 
 def _cmd_master_sum(args) -> int:
-    if args.mode == "directed":
-        master = exactcount.master_sum_directed(args.n, args.d, args.p)
-    else:
-        master = exactcount.master_sum_undirected(args.n, args.d, args.p)
+    master = exactcount.master_sum(args.n, args.d, args.p, args.mode)
     bound = exactcount.singularity_bound_from_master(master, args.p)
     payload = {
         "n": args.n,
@@ -249,7 +253,7 @@ def _cmd_lclt(args) -> int:
     sig = tuple(_parse_list(args.sig))
     if args.n is not None and args.n != sum(sig):
         raise argparse.ArgumentTypeError(
-            f"--n {args.n} disagrees with the class total {sum(sig)}"
+            f"--n {args.n} disagrees with the class total {_decimal(sum(sig))}"
         )
     value = asymptotics.lclt_directed(sig, args.d, args.p)
     _emit_json(

@@ -38,7 +38,7 @@ class GraphParams:
         require_int("d", self.d, 1)
         if self.mode == "undirected" and (self.n * self.d) % 2:
             raise InvalidParamsError(
-                f"undirected model needs an even point count, got n*d = {self.n * self.d}"
+                f"undirected model needs an even point count n*d, got n={self.n}, d={self.d}"
             )
         if max(self.n * self.n, self.n * self.d) > DENSE_ENTRIES_CAP:
             raise CostGuardError(
@@ -66,31 +66,26 @@ def seed_sequence(seed: int, *path: int) -> np.random.SeedSequence:
     return np.random.SeedSequence((seed, *path))
 
 
-def directed_adjacency(n: int, d: int, perm: np.ndarray) -> np.ndarray:
-    a = np.zeros((n, n), dtype=np.int64)
-    src = np.arange(n * d) // d
-    np.add.at(a, (src, np.asarray(perm) // d), 1)
-    return a
-
-
-def undirected_adjacency(n: int, d: int, order: np.ndarray) -> np.ndarray:
-    a = np.zeros((n, n), dtype=np.int64)
-    order = np.asarray(order)
-    u = order[0::2] // d
-    v = order[1::2] // d
-    # loops (u == v) land on the diagonal twice, once per endpoint
-    np.add.at(a, (u, v), 1)
-    np.add.at(a, (v, u), 1)
-    return a
+def dense_adjacency(targets: np.ndarray) -> np.ndarray:
+    """The n x n adjacency from `fibre_targets` rows: entry (k, l) counts
+    the points of fibre k joined to fibre l, so an undirected loop adds 2."""
+    n = len(targets)
+    cells = np.arange(n)[:, None] * n + targets
+    return np.bincount(cells.ravel(), minlength=n * n).reshape(n, n)
 
 
 def adjacency(n: int, d: int, mode: str, order: np.ndarray) -> np.ndarray:
-    """Adjacency of the outcome generated by a permutation of the nd
-    points: the permutation itself (directed) or the pairing of
-    consecutive entries (undirected)."""
-    if mode == "directed":
-        return directed_adjacency(n, d, order)
-    return undirected_adjacency(n, d, order)
+    """Adjacency of the outcome a permutation of the nd points generates:
+    the permutation (directed) or the pairing of consecutive entries."""
+    return dense_adjacency(fibre_targets(n, d, mode, order))
+
+
+def directed_adjacency(n: int, d: int, perm: np.ndarray) -> np.ndarray:
+    return adjacency(n, d, "directed", perm)
+
+
+def undirected_adjacency(n: int, d: int, order: np.ndarray) -> np.ndarray:
+    return adjacency(n, d, "undirected", order)
 
 
 def sample(params: GraphParams, seed) -> Graph:

@@ -34,7 +34,9 @@ from typing import Iterator, Sequence
 
 from .errors import CostGuardError, DomainError, InvalidParamsError
 from .gfcore import require_prime
-from .walkdist import WalkTables, build_support, compositions, walk_tables
+from .walkdist import (
+    WalkTables, build_support, capped_binomial, compositions, require_support, walk_tables,
+)
 
 # Refuse an undirected class once this many data matrices complete.
 PAIRING_MATRIX_CAP = 1_000_000
@@ -94,31 +96,35 @@ def model_size_undirected(n: int, d: int) -> int:
 
 def predicted_table_bits(n: int, d: int, p: int) -> int:
     """Predicted size of the walk tables for 0..n steps: entries times
-    count width.
+    count width, after `require_support` checks (d, p) and its support.
 
-    The k-step table has at most comb(kd + p - 1, p - 1) entries (the
+    The k-step table has at most C(kd + p - 1, p - 1) entries (the
     compositions of kd into p parts); summed over k = 0..n that is at
-    most comb((n + 1)d + p - 1, p) / d by the hockey-stick identity.  No
+    most C((n + 1)d + p - 1, p) / d by the hockey-stick identity.  No
     count exceeds p**(n(d-1)), so none is wider than n(d-1)*log2(p) bits.
+    Past TABLE_BITS_CAP the value is only known to exceed the cap.
     """
-    p = require_prime(p)
-    if d < 1:
-        raise DomainError(f"d must be >= 1, got {d}")
+    p = require_support(d, p)
     if n < 0:
         raise DomainError(f"step count must be >= 0, got {n}")
-    width = max(1, math.ceil(n * (d - 1) * math.log2(p)))
-    return math.comb((n + 1) * d + p - 1, p) // d * width
+    entries = capped_binomial((n + 1) * d + p - 1, p, (TABLE_BITS_CAP + 1) * d) // d
+    e = n * (d - 1)  # ceil(e * log2 p) >= e refuses a huge p**e before it is built
+    width = max(1, e if entries * e > TABLE_BITS_CAP else (p**e - 1).bit_length())
+    return entries * width
+
+
+def _require_tables(n: int, d: int, p: int) -> None:
+    """CostGuardError if the tables for 0..n steps pass TABLE_BITS_CAP."""
+    if predicted_table_bits(n, d, p) > TABLE_BITS_CAP:
+        raise CostGuardError(
+            f"walk tables for n steps at d={d}, p={p} are predicted above the cap of "
+            f"{TABLE_BITS_CAP:.3e} bits"
+        )
 
 
 def _tables(n: int, d: int, p: int) -> WalkTables:
-    """The walk tables for 0..n steps; CostGuardError, before any table
-    work, when they are predicted above TABLE_BITS_CAP."""
-    predicted = predicted_table_bits(n, d, p)
-    if predicted > TABLE_BITS_CAP:
-        raise CostGuardError(
-            f"walk tables for n={n}, d={d}, p={p} are predicted at {predicted:.3e} bits, "
-            f"over the cap of {TABLE_BITS_CAP:.3e}"
-        )
+    """The walk tables for 0..n steps, built once `_require_tables` passes."""
+    _require_tables(n, d, p)
     return walk_tables(build_support(d, p), n)
 
 
@@ -197,7 +203,7 @@ def count_graphs_undirected(sig: Sequence[int], d: int, p: int) -> int:
     sig = validate_signature(sig, p)
     n = sum(sig)
     if (n * d) % 2:
-        raise InvalidParamsError(f"undirected count needs 2 | dn, got nd = {n * d}")
+        raise InvalidParamsError(f"undirected count needs 2 | dn, got d = {d}, an odd class total")
     tables = _tables(max(sig, default=0), d, p)
     fact = _factorials(d * max(sig, default=0))
     return _count_undirected(sig, d, p, tables, fact, _loop_weights(fact))
@@ -223,15 +229,25 @@ def master_sum_directed(n: int, d: int, p: int) -> Fraction:
 
 def master_sum_undirected(n: int, d: int, p: int) -> Fraction:
     """Expected number of nonzero kernel vectors of the undirected model, exact."""
-    if (n * d) % 2:
-        raise InvalidParamsError(f"undirected model needs 2 | dn, got nd = {n * d}")
+    _require_tables(n, d, p)  # before the model size: it checks parity, then takes (nd)!
+    size = model_size_undirected(n, d)
     tables = _tables(n, d, p)
     fact = _factorials(d * n)
     loops = _loop_weights(fact)
     total = 0
     for sig in class_signatures(n, p):
         total += _multinomial(sig, fact) * _count_undirected(sig, d, p, tables, fact, loops)
-    return Fraction(total, model_size_undirected(n, d))
+    return Fraction(total, size)
+
+
+def count_graphs(sig: Sequence[int], d: int, p: int, mode: str) -> int:
+    """`count_graphs_directed` or `count_graphs_undirected`, by mode."""
+    return (count_graphs_directed if mode == "directed" else count_graphs_undirected)(sig, d, p)
+
+
+def master_sum(n: int, d: int, p: int, mode: str) -> Fraction:
+    """`master_sum_directed` or `master_sum_undirected`, by mode."""
+    return (master_sum_directed if mode == "directed" else master_sum_undirected)(n, d, p)
 
 
 def singularity_bound_from_master(master: Fraction, p: int) -> Fraction:

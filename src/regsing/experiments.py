@@ -34,14 +34,14 @@ import numpy as np
 
 from .confmodel import (
     GraphParams,
-    adjacency,
+    dense_adjacency,
     fibre_targets,
     has_duplicate_rows,
     seed_sequence,
     sparse_rows,
 )
 from .errors import InvalidParamsError
-from .exactcount import master_sum_directed, master_sum_undirected
+from .exactcount import master_sum
 from .gfcore import (
     NUMPY_PRIME_LIMIT,
     _eliminate,
@@ -283,7 +283,7 @@ def _run_block(
             # kept in a name until the next trial: freeing it before the
             # certificate allocates its float arrays cost 140 more page
             # faults per trial (481 against 342, measured at n = 200)
-            a = adjacency(n, d, mode, order)
+            a = dense_adjacency(targets)
             if certify_nonsingular(a):
                 continue
         # unit pivots are units mod `prime` and keep |det|, so the core
@@ -369,10 +369,7 @@ def mc_vs_exact(
     """
     cfg = McConfig(n=n, d=d, mode=mode, p=p, trials=trials, seed=seed, workers=workers)
     report = run_mc(cfg)
-    if mode == "directed":
-        exact = master_sum_directed(n, d, p)
-    else:
-        exact = master_sum_undirected(n, d, p)
+    exact = master_sum(n, d, p, mode)
     mean = report.kernel_total / trials
     if trials > 1:
         var = (report.kernel_sq_total - trials * mean * mean) / (trials - 1)
@@ -447,7 +444,8 @@ def scaling_probe(
     ]
     slope = stderr = None
     in_window = None
-    if len(pts) >= 2:
+    # a line needs two distinct sizes; repeated ones leave the fit undefined
+    if len({x for x, _ in pts}) >= 2:
         xs = np.array([x for x, _ in pts])
         ys = np.array([y for _, y in pts])
         slope_v, intercept = np.polyfit(xs, ys, 1)

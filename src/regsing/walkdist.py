@@ -71,8 +71,8 @@ VECTOR_PAIRS = 512
 CHUNK_PAIRS = 2**14
 DECODE_CHUNK = 1024
 # Refuse a step support predicted above this many bits (compositions
-# times multiplicity width, see build_support); the largest in use,
-# (d, p) = (6, 7), is predicted at 15,708
+# times their p entries and multiplicity width, see require_support);
+# the largest in use, (d, p) = (6, 7), is predicted at 22,176
 SUPPORT_BITS_CAP = 2**24
 
 
@@ -137,26 +137,32 @@ def build_support(d: int, p) -> SupportTable:
     return _support(d, require_support(d, p))
 
 
+def capped_binomial(m: int, k: int, limit: int) -> int:
+    """C(m, k) if it is at most `limit`, else a value in (limit, C(m, k)];
+    the partial values C(m - k + i, i), k <= m - k, at least double."""
+    k, out = min(k, m - k), 1
+    for i in range(1, k + 1):
+        out = out * (m - k + i) // i
+        if out > limit:
+            break
+    return out
+
+
 def require_support(d: int, p) -> int:
     """Check d >= 1 and p prime, and refuse with CostGuardError a support
-    predicted above SUPPORT_BITS_CAP bits; returns p as an int."""
+    predicted above SUPPORT_BITS_CAP bits; returns p as an int.  Each of
+    the C(d + p - 1, d) compositions walks p entries and carries a
+    multiplicity below p**d, of ceil(d * log2 p) bits."""
     p = require_prime(p)
     if d < 1:
         raise DomainError(f"d must be >= 1, got {d}")
-    # C(d + p - 1, p - 1) compositions, each multiplicity below p**d; the
-    # binomial is built as C(m + i, i) for i up to min(d, p - 1), with
-    # m = max(d, p - 1), so each partial value at least doubles the last
-    # and an oversized support is refused within log2(cap) steps
-    width = math.ceil(d * math.log2(p))
-    m, atoms = max(d, p - 1), 1
-    for i in range(1, min(d, p - 1) + 1):
-        atoms = atoms * (m + i) // i
-        if atoms * width > SUPPORT_BITS_CAP:
-            raise CostGuardError(
-                f"the step support for d={d}, p={p} is predicted above the cap of "
-                f"{SUPPORT_BITS_CAP:.3e} bits: C({d + p - 1}, {p - 1}) compositions "
-                f"of up to {width} bits"
-            )
+    atoms = capped_binomial(d + p - 1, d, SUPPORT_BITS_CAP)
+    if atoms > SUPPORT_BITS_CAP or atoms * (p + (p**d - 1).bit_length()) > SUPPORT_BITS_CAP:
+        raise CostGuardError(
+            f"the step support for d={d}, p={p} is predicted above the cap of "
+            f"{SUPPORT_BITS_CAP:.3e} bits: C(d + p - 1, d) compositions of p entries and a "
+            "multiplicity each"
+        )
     return p
 
 

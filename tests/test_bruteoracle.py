@@ -195,7 +195,7 @@ def test_budget_checks(monkeypatch):
 @pytest.mark.parametrize("n,d,p", [
     (9, 1, 11),  # 11**9 vectors
     (3, 1, 1009),  # 1009**3 vectors
-    (1, 9, 4093),  # walk tables predicted above TABLE_BITS_CAP
+    (1, 9, 4093),  # step support predicted above SUPPORT_BITS_CAP
     (4, 3, 2),  # 12 points
 ])
 def test_certify_guards_run_before_any_work(monkeypatch, n, d, p):

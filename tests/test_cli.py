@@ -1,7 +1,9 @@
 """Command-line interface: JSON/CSV output, exit codes, seed handling."""
 
+import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -9,11 +11,16 @@ import random
 import signal
 import subprocess
 import sys
+import time
 import warnings
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from regsing import asymptotics, cli, confmodel, exactcount, experiments, gfcore, walkdist
+from regsing.errors import CostGuardError
 
 
 def run_cli(capsys, *argv):
@@ -286,7 +293,7 @@ def test_exit_code_2_on_argparse_errors(capsys):
 # fails the test if it is ever called.
 GUARDED = {
     "dense-cap": (("sample", "--n", "5000", "--d", "3", "--seed", "0"),
-                  "regsing.confmodel.adjacency"),
+                  "regsing.confmodel.dense_adjacency"),
     "walk-table-bits": (("master-sum", "--n", "200", "--d", "6", "--p", "7"),
                         "regsing.exactcount.walk_tables"),
     "cf-scan-points": (("cf-scan", "--d", "3", "--p", "7", "--delta", "0.1", "--step", "2pi/16"),
@@ -334,8 +341,8 @@ def test_exit_code_3_on_dense_size_guard(monkeypatch, capsys):
     def no_adjacency(*args):
         raise AssertionError("dense adjacency built")
 
-    monkeypatch.setattr(confmodel, "adjacency", no_adjacency)
-    monkeypatch.setattr(experiments, "adjacency", no_adjacency)
+    monkeypatch.setattr(confmodel, "dense_adjacency", no_adjacency)
+    monkeypatch.setattr(experiments, "dense_adjacency", no_adjacency)
     for argv in (
         ("sample", "--n", "5000", "--d", "3", "--seed", "0"),
         ("mc", "--n", "5000", "--d", "3", "--trials", "1", "--workers", "1"),
@@ -570,6 +577,11 @@ def test_frozen_help_and_usage_bytes(capsys, monkeypatch, argv, digest):
     assert hashlib.sha256(result.encode()).hexdigest() == digest
 
 
+# A 400-digit integer, past float range, and a 4,300-digit one, at the
+# interpreter's int-string digit limit: a sum or product of two passes it
+WIDE = "7" * 400
+WIDEST = "9" * 4300
+
 # Inputs that once escaped as a traceback, a numpy warning or a runaway
 # computation; each must now be refused at once with one error line.
 # (argv, stdin, a fragment of the error)
@@ -602,13 +614,36 @@ HOSTILE = {
     # 64 axes and the slice grid needs p - 1 of them
     "cf-scan-over-64-axes": (("cf-scan", "--d", "1", "--p", "101", "--delta", "0.1",
                               "--step", "6.283185307179586"), "", "p - 1 <= 64"),
+    # p compositions of p entries each, once predicted at 15.7 M bits
+    "master-sum-support-entries": (("master-sum", "--n", "1", "--d", "1", "--p", "786433"), "",
+                                   "step support"),
+    # once spent minutes in math.comb
+    "master-sum-huge-binomial": (("master-sum", "--n", "1000000", "--d", "1000000",
+                                  "--p", "1000003"), "", "predicted above the cap"),
+    # 400-digit values once overflowed a float in a guard or an approximant
+    "master-sum-wide-n": (("master-sum", "--n", WIDE, "--d", "3", "--p", "2"), "", "walk tables"),
+    "exact-count-wide-sig": (("exact-count", "--sig", WIDE + ",1", "--d", "3", "--p", "2"), "",
+                             "walk tables"),
+    "rate-wide-d": (("rate", "--frak-n", "0.5,0.5", "--d", WIDE, "--p", "2"), "", "step support"),
+    "lclt-wide-sig": (("lclt", "--sig", WIDE + ",1", "--d", "3", "--p", "2"), "", "float range"),
+    "cf-scan-wide-step": (("cf-scan", "--d", "3", "--p", "2", "--delta", "0.1",
+                           "--step", "2pi/" + WIDE), "", "grid step must be positive"),
+    # error messages that once printed a product or sum past the digit limit
+    "sample-widest-odd": (("sample", "--n", WIDEST, "--d", WIDEST, "--mode", "undirected",
+                           "--seed", "1"), "", "even point count"),
+    "exact-count-widest-total": (("exact-count", "--sig", WIDEST + "," + WIDEST, "--d", "3",
+                                  "--p", "2"), "", "walk tables"),
+    "exact-count-widest-odd": (("exact-count", "--sig", "1,0,1,0,1,0,0", "--d", WIDEST,
+                                "--p", "7", "--mode", "undirected"), "", "2 | dn"),
+    "lclt-widest-total": (("lclt", "--sig", WIDEST + "," + WIDEST, "--n", "1", "--d", "3",
+                           "--p", "2"), "", "disagrees"),
 }
 
 
 def test_support_guard_refuses_before_any_enumeration(monkeypatch, capsys):
     enumerated = []
     monkeypatch.setattr(walkdist, "_support", lambda d, p: enumerated.append((d, p)))
-    for key in ("rate-huge-d", "cf-scan-huge-p-one-point"):
+    for key in ("rate-huge-d", "cf-scan-huge-p-one-point", "master-sum-support-entries"):
         code, out, err = run_cli(capsys, *HOSTILE[key][0])
         assert code == 3 and out == "" and "predicted above the cap" in err
     assert enumerated == []
@@ -624,22 +659,186 @@ def test_scan_axis_limit_refuses_before_the_support_or_grid(monkeypatch, capsys)
     assert code == 2 and out == "" and err.startswith("error: ")
 
 
-@pytest.mark.parametrize("argv,stdin,fragment", HOSTILE.values(), ids=HOSTILE.keys())
-def test_hostile_input_is_refused_at_once(capsys, monkeypatch, argv, stdin, fragment):
+def run_bounded(argv, stdin=""):
+    """cli.main under a 5 s alarm, with stdin given and stdout, stderr
+    and warnings captured: (code, out, err, warnings)."""
     def too_slow(signum, frame):
         raise TimeoutError(f"{argv} still running after 5 s")
 
-    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    out, err = io.StringIO(), io.StringIO()
     previous = signal.signal(signal.SIGALRM, too_slow)
     signal.alarm(5)
     try:
-        with warnings.catch_warnings(record=True) as caught:
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                mock.patch("sys.stdin", io.StringIO(stdin)):
             warnings.simplefilter("always")
-            code, out, err = run_cli(capsys, *argv)
+            code = cli.main(list(argv))
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+    return code, out.getvalue(), err.getvalue(), caught
+
+
+@pytest.mark.parametrize("argv,stdin,fragment", HOSTILE.values(), ids=HOSTILE.keys())
+def test_hostile_input_is_refused_at_once(argv, stdin, fragment):
+    code, out, err, caught = run_bounded(argv, stdin)
     assert code in (2, 3)
     assert caught == []  # a warning would reach stderr beside the error
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
     assert fragment in err
+
+
+def test_integers_are_written_at_any_width():
+    # the count has 5,733 digits, past the int-string digit limit
+    start = time.process_time()
+    code, out, err, _ = run_bounded(("exact-count", "--sig", "5,5", "--d", "200", "--p", "2"))
+    assert time.process_time() - start < 1
+    assert code == 0 and err == ""
+    count = exactcount.count_graphs_directed((5, 5), 200, 2)
+    with bigint_strings():
+        assert len(str(count)) > 5000
+        assert int(json.loads(out)["count"]) == count
+    for value in (0, 7, -12, 10**4299, 3**20000, -(10**20000) + 1):
+        with bigint_strings():
+            want = str(value)
+        assert cli._decimal(value) == want
+
+
+@contextlib.contextmanager
+def bigint_strings():
+    """Lift the int-string digit limit for the reference conversions."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+# The hostile-input property test.  Each call starts from arguments in
+# a small valid box, n, d <= 6, p in {2, 3, 5, 7}, --trials <= 20 and
+# --workers 1, and a drawn subset of them (stdin too, for `rank`) is
+# replaced by HOSTILE_VALUES.  Large valid inputs are real work that the
+# caps admit, so they stay out: --trials and --workers take only the
+# hostile values they refuse, and `real_work` skips the rest.
+HOSTILE_VALUES = ("0", "-1", "1000000", "1" + "0" * 300, WIDE, WIDEST, "0.5", "nan", "inf", "",
+                  "4", "2305843009213693951")
+REFUSED_COUNTS = ("0", "-1", "0.5", "nan", "inf", "")
+PRIMES = (2, 3, 5, 7)
+
+
+def frequencies(draw, count):
+    """`count` nonnegative floats summing to 1."""
+    weights = draw(st.lists(st.integers(0, 4), min_size=count, max_size=count))
+    weights[0] += sum(weights) == 0
+    return [w / sum(weights) for w in weights]
+
+
+def composition(draw, n, p):
+    cuts = sorted(draw(st.lists(st.integers(0, n), min_size=p - 1, max_size=p - 1)))
+    return ",".join(map(str, (b - a for a, b in zip([0, *cuts], [*cuts, n]))))
+
+
+def symmetric_frequencies(draw, p):
+    upper = iter(frequencies(draw, p * (p + 1) // 2))
+    m = [[0.0] * p for _ in range(p)]
+    for i in range(p):
+        for j in range(i, p):
+            m[i][j] = m[j][i] = next(upper) / (1 if i == j else 2)
+    return ";".join(",".join(map(repr, row)) for row in m)
+
+
+def valid_arguments(draw, command):
+    """{flag: value, or None to leave the flag out} in the valid box;
+    the key "stdin" is what `rank` reads."""
+    n, d = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    p = draw(st.sampled_from(PRIMES))
+    mode = draw(st.sampled_from(("directed", "undirected")))
+    seed = str(draw(st.integers(0, 1000)))
+    model = {"--n": str(n), "--d": str(d), "--p": str(p), "--mode": mode}
+    run = {"--mode": mode, "--trials": str(draw(st.integers(1, 20))), "--seed": seed,
+           "--workers": "1", "--format": draw(st.sampled_from(("json", "csv")))}
+    if command == "sample":
+        return {"--n": str(n), "--d": str(d), "--mode": mode, "--seed": seed}
+    if command == "rank":
+        k = draw(st.integers(1, 4))
+        rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=k, max_size=k),
+                             min_size=k, max_size=k))
+        return {"--p": draw(st.sampled_from((str(p), None))), "stdin": json.dumps(rows)}
+    if command in ("exact-count", "lclt"):
+        sig = {"--sig": composition(draw, n, p), "--d": str(d), "--p": str(p)}
+        if command == "lclt":
+            return {**sig, "--n": draw(st.sampled_from((str(n), None)))}
+        return {**sig, "--mode": mode}
+    if command in ("master-sum", "oracle-check"):
+        return model
+    if command == "rate":
+        return {"--mode": mode, "--frak-n": ",".join(map(repr, frequencies(draw, p))),
+                "--frak-m": symmetric_frequencies(draw, p), "--d": str(d), "--p": str(p)}
+    if command == "cf-scan":
+        step = draw(st.sampled_from(("2pi/1", "2pi/3", "2pi/4", "6.283185307179586")))
+        return {"--d": str(d), "--p": str(p),
+                "--delta": draw(st.sampled_from(("0.1", "1.0", "9.8"))), "--step": step}
+    if command == "mc":
+        return {**model, "--p": draw(st.sampled_from((str(p), None))), **run}
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))
+    return {"--d": str(d), "--n-list": ",".join(map(str, sizes)), **run}
+
+
+@st.composite
+def cli_calls(draw, command):
+    """(argv, stdin): valid arguments with a drawn subset made hostile."""
+    args = valid_arguments(draw, command)
+    for flag in draw(st.sets(st.sampled_from(sorted(args)))):
+        pool = REFUSED_COUNTS if flag in ("--trials", "--workers") else HOSTILE_VALUES
+        args[flag] = draw(st.sampled_from(pool))
+    stdin = args.pop("stdin", "")
+    args = {flag: value for flag, value in args.items() if value is not None}
+    return [command, *itertools.chain.from_iterable(args.items())], args, stdin
+
+
+def as_int(text):
+    try:
+        return int(text)
+    except (TypeError, ValueError):
+        return None
+
+
+def real_work(command, args):
+    """True for a valid input that the caps admit but that is large:
+    more than 10**4 points per sample, or walk tables predicted above
+    10**8 bits (master-sum --n 6 --d 6 --p 7 took 16 s of process time
+    on a 2-vCPU VM)."""
+    d = as_int(args.get("--d"))
+    if command in ("sample", "mc", "scaling"):
+        sizes = map(as_int, args.get("--n-list", args.get("--n", "")).split(","))
+        return any(n and d and 0 < n and 0 < d and 10**4 < n * d
+                   and max(n, d) * n <= confmodel.DENSE_ENTRIES_CAP for n in sizes)
+    if command in ("master-sum", "exact-count"):
+        sig = [as_int(x) for x in args.get("--sig", "").split(",") if x.strip()]
+        if command == "master-sum":
+            steps = as_int(args["--n"])
+        else:
+            steps = sum(sig) if sig and None not in sig else None
+        try:
+            predicted = exactcount.predicted_table_bits(steps, d, as_int(args["--p"]))
+        except (TypeError, ValueError, CostGuardError):
+            return False
+        return 10**8 < predicted <= exactcount.TABLE_BITS_CAP
+    return False
+
+
+@pytest.mark.parametrize("command", [name for name, *_ in cli.COMMANDS])
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_every_input_ends_in_a_result_or_one_error_line(command, data):
+    argv, args, stdin = data.draw(cli_calls(command))
+    assume(not real_work(command, args))
+    code, out, err, caught = run_bounded(argv, stdin)
+    assert "Traceback" not in err and caught == [], argv
+    if code == 1:
+        assert command == "oracle-check" and json.loads(out)["passed"] is False, argv
+    elif code:
+        errors = [line for line in err.splitlines() if "error: " in line]
+        assert code in (2, 3) and out == "" and errors == err.splitlines()[-1:], argv

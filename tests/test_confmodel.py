@@ -85,6 +85,47 @@ def test_witness_replay():
     assert tuple(tuple(int(x) for x in row) for row in rebuilt) == h.adjacency
 
 
+def reference_directed_adjacency(n, d, perm):
+    """Reference kernel: the directed adjacency scattered point by point
+    with np.add.at, as it was built before the target rows."""
+    a = np.zeros((n, n), dtype=np.int64)
+    np.add.at(a, (np.arange(n * d) // d, np.asarray(perm) // d), 1)
+    return a
+
+
+def reference_undirected_adjacency(n, d, order):
+    """Reference kernel: each consecutive pair of `order` scattered into
+    both symmetric cells with np.add.at."""
+    a = np.zeros((n, n), dtype=np.int64)
+    order = np.asarray(order)
+    u = order[0::2] // d
+    v = order[1::2] // d
+    # loops (u == v) land on the diagonal twice, once per endpoint
+    np.add.at(a, (u, v), 1)
+    np.add.at(a, (v, u), 1)
+    return a
+
+
+@pytest.mark.parametrize("mode", ["directed", "undirected"])
+def test_dense_adjacency_matches_the_scatter_reference(mode):
+    reference = {"directed": reference_directed_adjacency,
+                 "undirected": reference_undirected_adjacency}[mode]
+    seen = {"loop": 0, "multi": 0}
+    for n in (*range(1, 13), 50, 200):
+        for d in (1, 2, 3, 4):
+            if mode == "undirected" and (n * d) % 2:
+                continue
+            for seed in range(20):
+                order = np.random.default_rng((seed, n, d)).permutation(n * d)
+                a = confmodel.dense_adjacency(confmodel.fibre_targets(n, d, mode, order))
+                want = reference(n, d, order)
+                assert a.dtype == want.dtype and (a == want).all(), (n, d, seed)
+                assert (confmodel.adjacency(n, d, mode, order) == want).all()
+                seen["loop"] += bool(np.trace(a))
+                seen["multi"] += bool((a - np.diag(np.diag(a)) > 1).any())
+    assert seen["loop"] and seen["multi"]
+
+
 def _chi_square(counts, expected_weights, total):
     stat = 0.0
     grand = sum(expected_weights.values())

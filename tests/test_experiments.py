@@ -4,6 +4,7 @@ import concurrent.futures
 import contextlib
 import dataclasses
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -177,11 +178,11 @@ def test_integer_mode_builds_the_adjacency_only_below_the_cut_off(monkeypatch):
     cases = [(cut - 1, "directed", 7), (cut, "directed", 8), (cut, "undirected", 9)]
     dense = []
 
-    def spy(n, d, mode, order):
-        dense.append(n)
-        return confmodel.adjacency(n, d, mode, order)
+    def spy(targets):
+        dense.append(len(targets))
+        return confmodel.dense_adjacency(targets)
 
-    monkeypatch.setattr(experiments, "adjacency", spy)
+    monkeypatch.setattr(experiments, "dense_adjacency", spy)
     for n, mode, seed in cases:
         prime = experiments._mc_prime(seed)
         tally = experiments._run_block(n, 3, mode, None, seed, 0, 20, prime)
@@ -197,8 +198,8 @@ def test_field_mode_never_builds_the_adjacency(monkeypatch):
              experiments.McConfig(n=12, d=4, mode="undirected", p=2, trials=40, seed=6)]
     ranks = [[gfcore.rank_mod_p(replay_trial(cfg, i), cfg.p) for i in range(cfg.trials)]
              for cfg in cases]
-    monkeypatch.setattr(experiments, "adjacency", no_adjacency)
-    monkeypatch.setattr(confmodel, "adjacency", no_adjacency)
+    monkeypatch.setattr(experiments, "dense_adjacency", no_adjacency)
+    monkeypatch.setattr(confmodel, "dense_adjacency", no_adjacency)
     for cfg, rank in zip(cases, ranks):
         tally = experiments._run_block(cfg.n, cfg.d, cfg.mode, cfg.p, cfg.seed, 0, cfg.trials, None)
         kernels = [cfg.p ** (cfg.n - r) - 1 for r in rank]
@@ -293,6 +294,16 @@ def test_scaling_probe_smoke():
     # two points cannot support a slope standard error
     assert rep.slope_stderr is None
     assert isinstance(rep.in_window, bool)
+
+
+def test_scaling_probe_fits_no_line_through_one_size():
+    # repeated sizes once reached np.polyfit on equal abscissae, which
+    # warned that the fit was poorly conditioned and returned a slope
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = experiments.scaling_probe(5, [6, 6, 6], trials=14, seed=349)
+    assert sum(r.singular_count > 0 for r in rep.rows) >= 2
+    assert rep.slope is None and rep.slope_stderr is None and rep.in_window is None
 
 
 def test_scaling_probe_reproducible():

@@ -61,15 +61,28 @@ def test_support_cost_guard_refuses_before_enumeration(monkeypatch):
     enumerated = []
     with monkeypatch.context() as patch:
         patch.setattr(walkdist, "_support", lambda d, p: enumerated.append((d, p)))
-        # 10**6 + 1 atoms of 10**6 bits; 10**9 + 7 atoms; C(5005, 3) atoms
-        for d, p in [(10**6, 2), (1, 1_000_000_007), (3, 5003), (1000, 1000003)]:
+        # 10**6 + 1 atoms of 10**6 bits; 10**9 + 7 atoms; C(5005, 3) atoms;
+        # 786,433 atoms of as many entries
+        for d, p in [(10**6, 2), (1, 1_000_000_007), (3, 5003), (1000, 1000003), (1, 786433)]:
             with pytest.raises(CostGuardError, match="predicted above the cap"):
                 walkdist.build_support(d, p)
     assert enumerated == []
-    # the largest support in use, (6, 7), is predicted at 15,708 bits
-    assert math.comb(12, 6) * math.ceil(6 * math.log2(7)) == 15_708 < walkdist.SUPPORT_BITS_CAP
+    # the largest support in use, (6, 7), is predicted at 22,176 bits:
+    # 924 compositions, each of 7 entries and a 17-bit multiplicity
+    assert math.comb(12, 6) * (7 + math.ceil(6 * math.log2(7))) == 22_176
+    assert 22_176 < walkdist.SUPPORT_BITS_CAP
     assert len(walkdist.build_support(6, 7).atoms) == 132
     assert walkdist.build_support(1, 1009).atoms == (((1,) + (0,) * 1008, 1),)
+
+
+def test_capped_binomial_is_exact_up_to_the_limit():
+    for m in range(30):
+        for k in range(m + 1):
+            for limit in (0, 1, 7, 100, 10**6):
+                got, want = walkdist.capped_binomial(m, k, limit), math.comb(m, k)
+                assert got == want if want <= limit else limit < got <= want
+    # a 400-digit m passes the limit at its first factor
+    assert walkdist.capped_binomial(10**400, 10**399, 2**24) == 10**400 - 10**399 + 1
 
 
 def test_build_support_frozen_atoms():
