@@ -96,10 +96,13 @@ def _parse_step(text: str) -> float:
     return step
 
 
-def _ensure_seed(args) -> None:
-    """Draw and report a seed when none was given; the sampler and the
-    Monte Carlo configs validate a given one."""
+def _ensure_seed(args, validate) -> None:
+    """Draw and report a seed when none was given, once `validate(0)` has
+    checked the other arguments with a stand-in seed, so a refused call
+    reports no seed; the sampler and the Monte Carlo configs validate a
+    given one."""
     if args.seed is None:
+        validate(0)
         args.seed = secrets.randbits(63)
         print(f"generated seed: {args.seed}", file=sys.stderr)
 
@@ -143,8 +146,8 @@ def _emit_report(args, report, rows) -> int:
 
 
 def _cmd_sample(args) -> int:
-    _ensure_seed(args)
     params = confmodel.GraphParams(n=args.n, d=args.d, mode=args.mode)
+    _ensure_seed(args, lambda seed: params)
     graph = confmodel.sample(params, args.seed)
     _emit_json(args, confmodel.graph_to_json(graph))
     return 0
@@ -263,30 +266,18 @@ def _cmd_lclt(args) -> int:
 
 
 def _cmd_mc(args) -> int:
-    _ensure_seed(args)
-    cfg = experiments.McConfig(
-        n=args.n,
-        d=args.d,
-        mode=args.mode,
-        p=args.p,
-        trials=args.trials,
-        seed=args.seed,
-        workers=args.workers,
-    )
-    report = experiments.run_mc(cfg)
+    config = functools.partial(experiments.McConfig, n=args.n, d=args.d, mode=args.mode,
+                               p=args.p, trials=args.trials, workers=args.workers)
+    _ensure_seed(args, lambda seed: config(seed=seed))
+    report = experiments.run_mc(config(seed=args.seed))
     return _emit_report(args, report, [report])
 
 
 def _cmd_scaling(args) -> int:
-    _ensure_seed(args)
-    report = experiments.scaling_probe(
-        args.d,
-        _parse_list(args.n_list),
-        args.trials,
-        args.seed,
-        mode=args.mode,
-        workers=args.workers,
-    )
+    probe = dict(d=args.d, n_list=_parse_list(args.n_list), trials=args.trials, mode=args.mode,
+                 workers=args.workers)
+    _ensure_seed(args, lambda seed: experiments.scaling_configs(seed=seed, **probe))
+    report = experiments.scaling_probe(seed=args.seed, **probe)
     return _emit_report(args, report, report.rows)
 
 

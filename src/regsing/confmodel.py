@@ -58,8 +58,8 @@ def seed_sequence(seed: int, *path: int) -> np.random.SeedSequence:
     """The package's one entropy layout; no other code builds a SeedSequence.
 
     `seed` alone drives `sample`; (seed, 0, i) drives Monte Carlo trial
-    i, (seed, 1) the integer-mode 31-bit prime and (seed, 2, idx) the
-    sub-seed of row idx of a scaling probe.  SeedSequence(s) and
+    i and (seed, 2, idx) the sub-seed of row idx of a scaling probe.
+    (seed, 1), which once drew a prime, is retired.  SeedSequence(s) and
     SeedSequence((s,)) give the same state, so every path shares one
     tuple layout.
     """

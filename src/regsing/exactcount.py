@@ -47,12 +47,9 @@ TABLE_BITS_CAP = 2**31
 
 def multinomial(n: int, parts: Sequence[int]) -> int:
     """n! / prod(parts!) for nonnegative parts summing to n."""
-    if sum(parts) != n:
-        raise DomainError(f"parts {parts} do not sum to {n}")
-    out = math.factorial(n)
-    for k in parts:
-        out //= math.factorial(k)
-    return out
+    if sum(parts) != n or any(k < 0 for k in parts):
+        raise DomainError(f"parts {parts} are not nonnegative parts summing to {n}")
+    return _multinomial(parts, _factorials(n))
 
 
 def _factorials(top: int) -> list[int]:
@@ -231,7 +228,7 @@ def master_sum_undirected(n: int, d: int, p: int) -> Fraction:
     """Expected number of nonzero kernel vectors of the undirected model, exact."""
     _require_tables(n, d, p)  # before the model size: it checks parity, then takes (nd)!
     size = model_size_undirected(n, d)
-    tables = _tables(n, d, p)
+    tables = walk_tables(build_support(d, p), n)
     fact = _factorials(d * n)
     loops = _loop_weights(fact)
     total = 0

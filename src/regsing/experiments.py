@@ -6,22 +6,23 @@ permutation or pairing.  Mod p, a sparse elimination of those rows
 (`gfcore._eliminate`) leaves a small dense core, and the rank is the
 pivot count plus the core's rank; no dense adjacency is built.  A
 tiny matrix, with n*d <= MEMO_MAX_POINTS, is settled once per process:
-a memo of at most MEMO_MAX_ENTRIES entries, keyed by (n, d, p) and the
-row-sorted target rows, holds its duplicate-row flag and rank mod p.
+an LRU cache of at most MEMO_MAX_ENTRIES entries, keyed by (n, d, p)
+and the row-sorted target rows, holds its duplicate-row flag and rank.
 Integer-mode singularity decisions are exact: a duplicate row or column
 certifies singularity, and a floating-point residual bound certifies
 nonsingularity.  Below REDUCE_FIRST_N vertices the bound runs on the
 dense adjacency, and only the trials it leaves are reduced, with unit
 pivots; from REDUCE_FIRST_N on every trial is reduced first and the
 bound runs on the core, whose |det| is that of the whole matrix.  Then
-full rank of the core modulo one prime certifies nonsingularity, and
-only what is left pays for a fraction-free integer determinant, of the
-core.
+full rank of the core modulo the fixed CHECK_PRIME certifies
+nonsingularity, and only what is left pays for a fraction-free integer
+determinant, of the core.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import multiprocessing
 import os
@@ -43,12 +44,9 @@ from .confmodel import (
 from .errors import InvalidParamsError
 from .exactcount import master_sum
 from .gfcore import (
-    NUMPY_PRIME_LIMIT,
     _eliminate,
-    _rank_mod_numpy_arr,
     certify_nonsingular,
     det_integer,
-    is_prime,
     rank_mod_p,
     require_int,
     require_prime,
@@ -76,8 +74,13 @@ SCALING_SLACK = 0.5
 # At n = 200 the median core is 42x42 and every core was certified.
 REDUCE_FIRST_N = 150
 
+# A matrix singular over Q is singular over every F_p, so full rank mod
+# any one prime proves det != 0, and a prime dividing a nonzero det only
+# costs an escalation.  Below 2**31 the rank test runs in int64.
+CHECK_PRIME = 2**31 - 1
+
 # Field-mode trials with n*d <= MEMO_MAX_POINTS are settled once per
-# distinct matrix: the process-wide memo maps (n, d, p, row-sorted
+# distinct matrix: the memo `_settle_tiny` maps (n, d, p, row-sorted
 # target rows), which fix the adjacency, to the duplicate-row flag and
 # the rank mod p.  At d = 3, 20,000 trials hold 4 distinct matrices at
 # n = 2, 55 at n = 3 and 1,850 at n = 4 directed, 47 at n = 4
@@ -91,11 +94,10 @@ REDUCE_FIRST_N = 150
 #   49 / 51 us (every matrix distinct).
 # What is left of a memoized trial is mostly the frozen seeding.
 MEMO_MAX_POINTS = 12
-# Entries the memo keeps, the oldest dropped first.  An entry at
-# n*d = 12 takes about 300 bytes, so a full memo holds about 1.2 MB;
+# Entries the memo keeps, least recently used dropped first.  An entry
+# at n*d = 12 takes about 300 bytes, so a full memo holds about 1.2 MB;
 # every distinct n = 4, d = 3 directed matrix met in 30,000 trials fits.
 MEMO_MAX_ENTRIES = 4096
-_field_memo: dict[tuple[int, int, int, bytes], tuple[bool, int]] = {}
 
 
 @dataclass(frozen=True)
@@ -152,20 +154,6 @@ def wilson_ci(successes: int, trials: int) -> tuple[float, float]:
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def _mc_prime(seed: int) -> int:
-    """A random 31-bit prime for the integer-mode modular rank.
-
-    Primes below 2^31 keep the rank reduction inside int64 products; a
-    prime that divides a nonzero determinant only costs an escalation,
-    never a wrong answer.
-    """
-    rng = np.random.default_rng(seed_sequence(seed, 1))
-    while True:
-        cand = int(rng.integers(1 << 30, 1 << 31)) | 1
-        if is_prime(cand):
-            return cand
-
-
 def pool_workers(workers: int, trials: int, cpus: int) -> int:
     """Processes worth starting: never more than the trials or the CPUs."""
     return max(1, min(workers, trials, cpus))
@@ -205,35 +193,30 @@ def _settle_field(targets: np.ndarray, p: int) -> tuple[bool, int]:
     target rows these are: the pivot count of the sparse elimination
     plus the rank of its core."""
     pivots, core = _eliminate(sparse_rows(targets, p), p)
-    if core:
-        a = np.array(core, dtype=np.int64 if p < NUMPY_PRIME_LIMIT else object)
-        pivots += _rank_mod_numpy_arr(a, p)
-    return has_duplicate_rows(targets), pivots
+    return has_duplicate_rows(targets), pivots + rank_mod_p(core, p)
 
 
-def _run_block(
-    n: int,
-    d: int,
-    mode: str,
-    p: int | None,
-    seed: int,
-    lo: int,
-    hi: int,
-    prime: int | None,
-) -> dict[str, int]:
-    """Tally trials lo..hi-1.
+@functools.lru_cache(maxsize=MEMO_MAX_ENTRIES)
+def _settle_tiny(n: int, d: int, p: int, rows: bytes) -> tuple[bool, int]:
+    """`_settle_field` of the row-sorted int64 target rows in `rows`."""
+    return _settle_field(np.frombuffer(rows, dtype=np.int64).reshape(n, d), p)
+
+
+def _run_block(cfg: McConfig, lo: int, hi: int) -> dict[str, int]:
+    """Tally trials lo..hi-1 of cfg.
 
     Mod p, a trial with n*d <= MEMO_MAX_POINTS is settled from the
     memo when its matrix was seen before in this process.  Integer
     mode settles each trial with the cheapest sound certificate first:
     a duplicate row or column proves det = 0, the float residual bound
-    proves det != 0, full rank mod `prime` proves det != 0, and only
-    what is left pays for the exact determinant.  The last two run
-    on the core of the unit-pivot reduction, which has the rank mod
-    `prime` and the |det| of the whole matrix.  The residual bound runs
-    on the dense adjacency below REDUCE_FIRST_N and on the core from
-    there on, where no dense adjacency is built.
+    proves det != 0, full rank mod CHECK_PRIME proves det != 0, and
+    only what is left pays for the exact determinant.  The last two
+    run on the core of the unit-pivot reduction, which has the rank
+    mod CHECK_PRIME and the |det| of the whole matrix.  The residual
+    bound runs on the dense adjacency below REDUCE_FIRST_N and on the
+    core from there on, where no dense adjacency is built.
     """
+    n, d, mode, p = cfg.n, cfg.d, cfg.mode, cfg.p
     tally = {
         "singular": 0,
         "kernel_total": 0,
@@ -242,26 +225,17 @@ def _run_block(
         "duplicate_rows": 0,
         "escalations": 0,
     }
-    if p is not None:
-        p = require_prime(p)
-        memo = _field_memo if n * d <= MEMO_MAX_POINTS else None
+    memo = p is not None and n * d <= MEMO_MAX_POINTS
     for i in range(lo, hi):
-        rng = np.random.default_rng(seed_sequence(seed, 0, i))
+        rng = np.random.default_rng(seed_sequence(cfg.seed, 0, i))
         order = rng.permutation(n * d)
         targets = fibre_targets(n, d, mode, order)
         if p is None:
             dup_rows = has_duplicate_rows(targets)
-        elif memo is None:
-            dup_rows, rank = _settle_field(targets, p)
+        elif memo:
+            dup_rows, rank = _settle_tiny(n, d, p, np.sort(targets, axis=1).tobytes())
         else:
-            key = (n, d, p, np.sort(targets, axis=1).tobytes())
-            settled = memo.get(key)
-            if settled is None:
-                settled = _settle_field(targets, p)
-                if len(memo) >= MEMO_MAX_ENTRIES:
-                    del memo[next(iter(memo))]
-                memo[key] = settled
-            dup_rows, rank = settled
+            dup_rows, rank = _settle_field(targets, p)
         if dup_rows:
             tally["duplicate_rows"] += 1
         if p is not None:
@@ -286,12 +260,12 @@ def _run_block(
             a = dense_adjacency(targets)
             if certify_nonsingular(a):
                 continue
-        # unit pivots are units mod `prime` and keep |det|, so the core
-        # settles the certificate, the rank test and the determinant
+        # unit pivots are units mod CHECK_PRIME and keep |det|, so the
+        # core settles the certificate, the rank test and the determinant
         pivots, core = _eliminate(sparse_rows(targets), None)
         if reduce_first and certify_nonsingular(core):
             continue
-        if pivots + rank_mod_p(core, prime) == n:
+        if pivots + rank_mod_p(core, CHECK_PRIME) == n:
             continue
         tally["escalations"] += 1
         if det_integer(core) == 0:
@@ -306,20 +280,16 @@ def run_mc(cfg: McConfig) -> McReport:
     so results do not depend on the worker partition.
     """
     start = time.perf_counter()
-    prime = _mc_prime(cfg.seed) if cfg.p is None else None
     # blocks are cut for the processes that start, at most four each, so
     # a worker count beyond the CPUs never shreds the trials
     procs = pool_workers(cfg.workers, cfg.trials, os.cpu_count() or 1)
     chunk = -(-cfg.trials // (4 * procs))
-    blocks = [
-        (cfg.n, cfg.d, cfg.mode, cfg.p, cfg.seed, lo, min(lo + chunk, cfg.trials), prime)
-        for lo in range(0, cfg.trials, chunk)
-    ]
+    blocks = [(lo, min(lo + chunk, cfg.trials)) for lo in range(0, cfg.trials, chunk)]
     if procs == 1:
-        tallies = [_run_block(*block) for block in blocks]
+        tallies = [_run_block(cfg, lo, hi) for lo, hi in blocks]
     else:
         with worker_pool(procs) as pool:
-            futures = [pool.submit(_run_block, *block) for block in blocks]
+            futures = [pool.submit(_run_block, cfg, lo, hi) for lo, hi in blocks]
             tallies = [f.result() for f in futures]
     total = {k: sum(t[k] for t in tallies) for k in tallies[0]}
     mean_kernel = total["kernel_total"] / cfg.trials if cfg.p is not None else None
@@ -412,6 +382,20 @@ class ScalingReport:
     in_window: bool | None
 
 
+def scaling_configs(d: int, n_list, trials: int, seed: int, *, mode: str = "directed",
+                    workers: int = 1) -> list[McConfig]:
+    """The validated config of every row of a scaling probe, size guard
+    included; row idx is seeded from the entropy path (seed, 2, idx)."""
+    if len(n_list) < 1:
+        raise InvalidParamsError("n_list must not be empty")
+    seed = require_int("seed", seed, 0)
+    return [
+        McConfig(n=n, d=d, mode=mode, trials=trials, workers=workers,
+                 seed=int(seed_sequence(seed, 2, idx).generate_state(1)[0]))
+        for idx, n in enumerate(n_list)
+    ]
+
+
 def scaling_probe(
     d: int,
     n_list: tuple[int, ...] | list[int],
@@ -427,15 +411,8 @@ def scaling_probe(
     lower-bound exponent -(d-2), widened by SCALING_SLACK, with the upper
     bound exponent for the decay rate.
     """
-    if len(n_list) < 1:
-        raise InvalidParamsError("n_list must not be empty")
-    seed = require_int("seed", seed, 0)
-    # every row is validated, size guard included, before the first runs
-    configs = [
-        McConfig(n=n, d=d, mode=mode, trials=trials, workers=workers,
-                 seed=int(seed_sequence(seed, 2, idx).generate_state(1)[0]))
-        for idx, n in enumerate(n_list)
-    ]
+    # every row is validated before the first runs
+    configs = scaling_configs(d, n_list, trials, seed, mode=mode, workers=workers)
     rows = [run_mc(cfg) for cfg in configs]
     frak_d = min(0.25, (d - 2) / (2 * d))
     window = (-(d - 2) - SCALING_SLACK, -frak_d)
@@ -459,7 +436,7 @@ def scaling_probe(
         d=d,
         mode=mode,
         trials=trials,
-        seed=seed,
+        seed=int(seed),
         rows=tuple(rows),
         slope=slope,
         slope_stderr=stderr,

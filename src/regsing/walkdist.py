@@ -21,8 +21,8 @@ A convolution step runs in one of two kernels.  Below VECTOR_PAIRS
 > 63), a Python loop adds each atom key to each entry key in a dict.
 Otherwise numpy adds the int64 keys, sorts the sums and adds up the
 products count * multiplicity per distinct key: in int64 while the
-step's total p**(k(d-1)) is below 2**63, which bounds every partial
-sum, and as Python ints in an object array above it.
+step's total p**(k(d-1)) or the previous step's largest count times
+p**(d-1) is below 2**63, and as Python ints in an object array above.
 """
 
 from __future__ import annotations
@@ -309,8 +309,9 @@ class _WalkStore:
     pairs and every key fits int64 (bits * p <= 63); wide keys, such as
     the 92 bits of (d, p) = (2, 23) at 4 steps, stay in the dict loop,
     since int64 key sums would wrap.  The numpy step's counts are int64
-    while step k's total p**(k(d-1)), an exact integer test, is below
-    2**63, and Python ints in an object array from there on.
+    while step k's total p**(k(d-1)) or max(step k-1) * p**(d-1), each
+    a bound on every partial sum, is below 2**63, and Python ints in an
+    object array from there on.
     """
 
     def __init__(self, s: SupportTable, n: int):
@@ -336,8 +337,11 @@ class _WalkStore:
         while len(self.tables) <= n:
             prev = self.tables[-1]
             if vector and len(prev) * len(atoms) >= VECTOR_PAIRS:
-                # no count of step k exceeds their sum, p**(k(d-1))
-                small = s.p ** (len(self.tables) * (s.d - 1)) < 2**63
+                # a step k count is a sum of step k-1 counts times
+                # multiplicities, which sum to p**(d-1); the second test
+                # runs only where the total p**(k(d-1)) reaches 2**63
+                small = (s.p ** (len(self.tables) * (s.d - 1)) < 2**63
+                         or max(prev.values()) * s.total < 2**63)
                 self.tables.append(_numpy_step(prev, atoms, np.int64 if small else object))
             else:
                 self.tables.append(_dict_step(prev, groups))

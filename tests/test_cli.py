@@ -610,6 +610,12 @@ HOSTILE = {
     "mc-seed": (("mc", "--n", "3", "--d", "3", "--seed", "-1"), "", "seed must be"),
     "scaling-seed": (("scaling", "--d", "3", "--n-list", "10", "--seed", "-1"), "",
                      "seed must be"),
+    # refused without --seed: no seed is drawn or reported before the error
+    "sample-no-seed": (("sample", "--n", "3", "--d", "3", "--mode", "undirected"), "",
+                       "even point count"),
+    "mc-no-seed": (("mc", "--n", "3", "--d", "3", "--p", "4"), "", "not prime"),
+    "scaling-no-seed": (("scaling", "--d", "3", "--n-list", "10,5000"), "", "must not exceed"),
+    "scaling-no-seed-empty": (("scaling", "--d", "3", "--n-list", ","), "", "must not be empty"),
     # passes the grid and step-support guards; numpy arrays have at most
     # 64 axes and the slice grid needs p - 1 of them
     "cf-scan-over-64-axes": (("cf-scan", "--d", "1", "--p", "101", "--delta", "0.1",

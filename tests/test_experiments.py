@@ -3,6 +3,7 @@
 import concurrent.futures
 import contextlib
 import dataclasses
+import functools
 import os
 import warnings
 
@@ -127,13 +128,12 @@ def test_integer_mode_matches_exact_determinants():
         r = experiments.run_mc(cfg)
         assert r.p is None
         assert r.mean_kernel_count is None
-        prime = experiments._mc_prime(cfg.seed)
         truth = 0
         dups = 0
         for i in range(cfg.trials):
             a = [list(map(int, row)) for row in replay_trial(cfg, i)]
             singular = int(gfcore.det_integer(a) == 0)
-            one = experiments._run_block(n, 3, mode, None, seed, i, i + 1, prime)
+            one = experiments._run_block(cfg, i, i + 1)
             assert one["singular"] == singular, (n, mode, i)
             truth += singular
             dups += int(len(np.unique(np.array(a), axis=0)) < cfg.n)
@@ -144,20 +144,20 @@ def test_integer_mode_matches_exact_determinants():
             assert r.escalations > 0
 
 
-def dense_ladder_block(n, d, mode, seed, lo, hi, prime):
+def dense_ladder_block(cfg, lo, hi):
     """Reference kernel: the integer ladder with every rung on the dense
     adjacency, as it ran before the sparse reduction."""
+    n = cfg.n
     tally = dict.fromkeys(("singular", "kernel_total", "kernel_sq_total", "kernel_positive",
                            "duplicate_rows", "escalations"), 0)
     for i in range(lo, hi):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0, i)))
-        a = confmodel.adjacency(n, d, mode, rng.permutation(n * d))
+        a = replay_trial(cfg, i)
         dup_rows = len(np.unique(a, axis=0)) < n
         tally["duplicate_rows"] += dup_rows
         if dup_rows or len(np.unique(a.T, axis=0)) < n:
             tally["singular"] += 1
             continue
-        if gfcore.certify_nonsingular(a) or gfcore.rank_mod_p(a, prime) == n:
+        if gfcore.certify_nonsingular(a) or gfcore.rank_mod_p(a, experiments.CHECK_PRIME) == n:
             continue
         tally["escalations"] += 1
         tally["singular"] += gfcore.det_integer(a.tolist()) == 0
@@ -166,9 +166,9 @@ def dense_ladder_block(n, d, mode, seed, lo, hi, prime):
 
 @pytest.mark.parametrize("n,mode,trials,seed", INTEGER_CASES)
 def test_integer_mode_escalations_match_the_dense_ladder(n, mode, trials, seed):
-    prime = experiments._mc_prime(seed)
-    tally = experiments._run_block(n, 3, mode, None, seed, 0, trials, prime)
-    assert tally == dense_ladder_block(n, 3, mode, seed, 0, trials, prime)
+    cfg = experiments.McConfig(n=n, d=3, mode=mode, trials=trials, seed=seed)
+    tally = experiments._run_block(cfg, 0, trials)
+    assert tally == dense_ladder_block(cfg, 0, trials)
     if n > 12:
         assert tally["escalations"] > 0
 
@@ -184,9 +184,8 @@ def test_integer_mode_builds_the_adjacency_only_below_the_cut_off(monkeypatch):
 
     monkeypatch.setattr(experiments, "dense_adjacency", spy)
     for n, mode, seed in cases:
-        prime = experiments._mc_prime(seed)
-        tally = experiments._run_block(n, 3, mode, None, seed, 0, 20, prime)
-        assert tally == dense_ladder_block(n, 3, mode, seed, 0, 20, prime)
+        cfg = experiments.McConfig(n=n, d=3, mode=mode, trials=20, seed=seed)
+        assert experiments._run_block(cfg, 0, 20) == dense_ladder_block(cfg, 0, 20)
     assert dense and set(dense) == {cut - 1}
 
 
@@ -201,7 +200,7 @@ def test_field_mode_never_builds_the_adjacency(monkeypatch):
     monkeypatch.setattr(experiments, "dense_adjacency", no_adjacency)
     monkeypatch.setattr(confmodel, "dense_adjacency", no_adjacency)
     for cfg, rank in zip(cases, ranks):
-        tally = experiments._run_block(cfg.n, cfg.d, cfg.mode, cfg.p, cfg.seed, 0, cfg.trials, None)
+        tally = experiments._run_block(cfg, 0, cfg.trials)
         kernels = [cfg.p ** (cfg.n - r) - 1 for r in rank]
         assert tally["singular"] == sum(r < cfg.n for r in rank)
         assert tally["kernel_total"] == sum(kernels)
@@ -218,9 +217,9 @@ def test_pool_workers_clamp():
 
 def test_run_mc_cuts_at_most_four_blocks_per_process(monkeypatch):
     blocks, pools = [], []
-    empty = experiments._run_block(8, 3, "directed", None, 1, 0, 0, None)
+    empty = experiments._run_block(experiments.McConfig(n=8, d=3, trials=1, seed=1), 0, 0)
 
-    def stub(n, d, mode, p, seed, lo, hi, prime):
+    def stub(cfg, lo, hi):
         blocks.append((lo, hi))
         return dict(empty)
 
@@ -317,20 +316,28 @@ def _outcome(report):
     return dataclasses.replace(report, wall_time_s=0.0)
 
 
-def test_field_memo_keeps_tallies(monkeypatch):
+@pytest.fixture
+def cold_memo():
+    """Start and end with an empty tiny-matrix memo."""
+    experiments._settle_tiny.cache_clear()
+    yield
+    experiments._settle_tiny.cache_clear()
+
+
+def test_field_memo_keeps_tallies(monkeypatch, cold_memo):
     # n*d from 6 to 12; p = 3 divides d = 3, so entries vanish mod p
     cases = [experiments.McConfig(n=2, d=3, p=3, trials=300, seed=21),
              experiments.McConfig(n=3, d=3, p=2, trials=300, seed=22),
              experiments.McConfig(n=4, d=3, p=2, mode="undirected", trials=300, seed=23),
              experiments.McConfig(n=4, d=3, p=5, trials=300, seed=24)]
-    monkeypatch.setattr(experiments, "_field_memo", {})
     monkeypatch.setattr(experiments, "MEMO_MAX_POINTS", 0)
     fresh = [_outcome(experiments.run_mc(cfg)) for cfg in cases]
-    assert not experiments._field_memo
+    assert experiments._settle_tiny.cache_info().currsize == 0
     monkeypatch.setattr(experiments, "MEMO_MAX_POINTS", 13)
     for _ in range(2):  # a cold memo, then a warm one
         assert [_outcome(experiments.run_mc(cfg)) for cfg in cases] == fresh
-    assert experiments._field_memo
+    info = experiments._settle_tiny.cache_info()
+    assert info.currsize > 0 and info.hits > 0
     # spawned workers read the module's own cut-off
     two = dataclasses.replace(cases[1], workers=2)
     assert _outcome(experiments.run_mc(two)) == fresh[1]
@@ -338,30 +345,38 @@ def test_field_memo_keeps_tallies(monkeypatch):
 
 def test_field_memo_is_consulted_only_up_to_the_cut_off(monkeypatch):
     lookups = []
+    settle = experiments._settle_tiny
 
-    class Spy(dict):
-        def get(self, key):
-            lookups.append(key[:3])
-            return super().get(key)
+    def spy(n, d, p, rows):
+        lookups.append((n, d, p))
+        return settle(n, d, p, rows)
 
-    monkeypatch.setattr(experiments, "_field_memo", Spy())
+    monkeypatch.setattr(experiments, "_settle_tiny", spy)
     cut = experiments.MEMO_MAX_POINTS
     assert cut == 12
-    experiments._run_block(5, 3, "directed", 2, 1, 0, 40, None)  # n*d = 15
-    experiments._run_block(7, 2, "undirected", 3, 1, 0, 40, None)  # 14
-    experiments._run_block(3, 3, "directed", None, 1, 0, 40, experiments._mc_prime(1))
+    config = experiments.McConfig
+    experiments._run_block(config(n=5, d=3, p=2, trials=40, seed=1), 0, 40)  # n*d = 15
+    experiments._run_block(config(n=7, d=2, mode="undirected", p=3, trials=40, seed=1), 0, 40)
+    experiments._run_block(config(n=3, d=3, trials=40, seed=1), 0, 40)  # integer mode
     assert lookups == []
-    experiments._run_block(4, 3, "directed", 2, 1, 0, 40, None)  # 12
+    experiments._run_block(config(n=4, d=3, p=2, trials=40, seed=1), 0, 40)  # 12
     assert lookups == [(4, 3, 2)] * 40
 
 
-def test_field_memo_stays_within_its_entry_cap(monkeypatch):
+def test_field_memo_stays_within_its_entry_cap(monkeypatch, cold_memo):
+    assert experiments._settle_tiny.cache_info().maxsize == experiments.MEMO_MAX_ENTRIES
     cfg = experiments.McConfig(n=4, d=3, p=2, trials=400, seed=31)
     monkeypatch.setattr(experiments, "MEMO_MAX_POINTS", 0)
     fresh = _outcome(experiments.run_mc(cfg))
+    # the same settle function behind a 5-entry cache, so that it evicts
+    small = functools.lru_cache(maxsize=5)(experiments._settle_tiny.__wrapped__)
+    monkeypatch.setattr(experiments, "_settle_tiny", small)
     monkeypatch.setattr(experiments, "MEMO_MAX_POINTS", 12)
-    monkeypatch.setattr(experiments, "MEMO_MAX_ENTRIES", 5)
-    monkeypatch.setattr(experiments, "_field_memo", {})
     for _ in range(2):
         assert _outcome(experiments.run_mc(cfg)) == fresh
-        assert len(experiments._field_memo) == 5
+        assert small.cache_info().currsize == 5
+
+
+def test_check_prime_is_a_prime_inside_the_int64_core():
+    assert gfcore.is_prime(experiments.CHECK_PRIME)
+    assert experiments.CHECK_PRIME < gfcore.NUMPY_PRIME_LIMIT

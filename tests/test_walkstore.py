@@ -92,15 +92,18 @@ def test_numpy_steps_merge_many_chunks(cold, monkeypatch, numpy_steps, n, d, p):
     assert max(merged) >= 3
 
 
-@pytest.mark.parametrize("n,d,p", [(8, 6, 3), (10, 5, 3)])
-def test_numpy_counts_become_python_ints_where_the_total_reaches_2_63(
+@pytest.mark.parametrize("n,d,p", [(9, 6, 3), (11, 5, 3)])
+def test_numpy_counts_become_python_ints_where_the_table_bound_reaches_2_63(
     cold, monkeypatch, numpy_steps, n, d, p
 ):
-    # the step total p**(k(d-1)) first reaches 2**63 at step n: 3**40
+    # the step total p**(k(d-1)) first reaches 2**63 at step n - 1: 3**40,
+    # yet no count there can, as the largest count of step n - 2 times
+    # p**(d-1) is below 2**63; that bound first reaches 2**63 at step n
     monkeypatch.setattr(walkdist, "VECTOR_PAIRS", 0)
-    assert p ** ((n - 1) * (d - 1)) < 2**63 <= p ** (n * (d - 1))
+    assert p ** ((n - 2) * (d - 1)) < 2**63 <= p ** ((n - 1) * (d - 1))
     s = walkdist.build_support(d, p)
     tables = walkdist.walk_tables(s, n)
+    assert max(tables[n - 2].values()) * s.total < 2**63 <= max(tables[n - 1].values()) * s.total
     assert [dtype for _, dtype in numpy_steps] == [np.int64] * (n - 1) + [object]
     assert_matches(tables, tuple_walk_tables(s, n))
     assert sum(tables[n].values()) == p ** (n * (d - 1))
@@ -109,10 +112,10 @@ def test_numpy_counts_become_python_ints_where_the_total_reaches_2_63(
 
 
 def test_default_crossover_vectorizes_the_step_past_2_63(cold, numpy_steps):
-    # (8, 6, 3): step 8 has 3,160 pairs, and its counts are Python ints
+    # (9, 6, 3): step 9 has 4,090 pairs, and its counts are Python ints
     s = walkdist.build_support(6, 3)
-    assert_matches(walkdist.walk_tables(s, 8), tuple_walk_tables(s, 8))
-    assert numpy_steps[-1] == (3160, object)
+    assert_matches(walkdist.walk_tables(s, 9), tuple_walk_tables(s, 9))
+    assert numpy_steps[-1] == (4090, object)
     assert all(pairs >= walkdist.VECTOR_PAIRS for pairs, _ in numpy_steps)
 
 
