@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -59,14 +59,38 @@ def helmert_basis(p: int) -> np.ndarray:
     return o
 
 
-def _tube_mask(points: np.ndarray, p: int, delta: float, o: np.ndarray) -> np.ndarray:
-    """Boolean mask of rows of `points` lying in some excluded tube.
+def _reduced_tubes(coords: tuple[np.ndarray, ...], axis: np.ndarray) -> Iterator[np.ndarray]:
+    """For each tube j in turn, the slice-grid points reduced into
+    [0, 2*pi)^p: w_j = mod(t - j*base, 2*pi) with base =
+    2*pi*(0, 1/p, ..., (p-1)/p), t_0 = 0 and t_i = axis[coords[i-1]].
+
+    Column i takes one of only len(axis) values, so it is reduced once
+    per axis value and gathered; column 0 is mod(0 - 0, 2*pi).  The
+    operands are those of reducing the points themselves, so every
+    entry has the same bits.
+    """
+    p = len(coords) + 1
+    base = TWO_PI * np.arange(p) / p
+    for j in range(p):
+        shift = j * base
+        w = np.empty((len(coords[0]), p))
+        w[:, 0] = np.mod(0.0 - shift[0], TWO_PI)
+        for i, c in enumerate(coords, 1):
+            w[:, i] = np.mod(axis - shift[i], TWO_PI)[c]
+        yield w
+
+
+def _tube_mask(
+    tubes: Iterable[np.ndarray], n: int, p: int, delta: float, o: np.ndarray
+) -> np.ndarray:
+    """Boolean mask of the n points lying in some excluded tube.
 
     The tubes surround the lines where |phi| reaches 1: a point t lies in
     tube j when t - 2*pi*j*(0, 1/p, ..., (p-1)/p) is within squared
-    distance delta of the all-ones line, modulo 2*pi shifts; `o` is
-    `helmert_basis(p)`.  After reducing into w in [0, 2*pi)^p, a point
-    within sqrt(delta) < pi of the all-ones line differs from a constant
+    distance delta of the all-ones line, modulo 2*pi shifts; `tubes`
+    yields, for each j, that difference reduced into w in [0, 2*pi)^p,
+    as an (n, p) array, and `o` is `helmert_basis(p)`.  A point within
+    sqrt(delta) < pi of the all-ones line differs from a constant
     vector by less than pi per coordinate, so the integer shifts
     realizing the nearest representative span at most two consecutive
     values per coordinate; a common shift along all-ones is free,
@@ -75,15 +99,16 @@ def _tube_mask(points: np.ndarray, p: int, delta: float, o: np.ndarray) -> np.nd
     lifting w_a but not some w_b <= w_a leaves two coordinates at least
     2*pi apart, at squared distance at least 2*pi^2 > pi^2 > delta from
     the line.  Ties are alike, so any order of equal coordinates serves.
-    r = 0 and r = p are the same shift up to rounding, and both are
-    tried, so the mask is the one all 2^p shift vectors give, bit for
-    bit.
+    Each row is sorted once; scattering 0..p-1 through the sort order
+    gives every coordinate's rank.  r = 0 and r = p are the same shift
+    up to rounding, and both are tried, so the mask is the one all 2^p
+    shift vectors give, bit for bit.
     """
-    mask = np.zeros(len(points), dtype=bool)
-    base = TWO_PI * np.arange(p) / p
-    for j in range(p):
-        w = np.mod(points - j * base, TWO_PI)
-        rank = w.argsort(axis=1).argsort(axis=1)
+    mask = np.zeros(n, dtype=bool)
+    ranks = np.arange(p)
+    for w in tubes:
+        rank = np.empty((n, p), dtype=np.intp)
+        np.put_along_axis(rank, w.argsort(axis=1), ranks, axis=1)
         for r in range(p + 1):
             x = (w + TWO_PI * (rank < r)) @ o
             mask |= np.einsum("ij,ij->i", x, x) <= delta
@@ -116,9 +141,11 @@ def cf_scan(d: int, p: int, delta: float, grid_step: float) -> CfScanReport:
     guard (CostGuardError) applies to the nominal p-dimensional grid the
     slice stands in for, then the step-support guard; past both, p - 1
     above SCAN_MAX_AXES is a DomainError, before the support is built.
-    The grid is walked SCAN_CHUNK points at a time: `_tube_mask` drops
-    the points in the tubes with p(p+1) small matmuls per chunk, and
-    |phi| is evaluated only on the rest, through one `char_fn` call.
+    The grid is walked SCAN_CHUNK points at a time: `_reduced_tubes`
+    builds one tube's reduced coordinates at a time from per-axis
+    tables, `_tube_mask` drops the points in the tubes with p(p+1) small
+    matmuls per chunk, and |phi| is evaluated only on the rest, through
+    one `char_fn` call; only those points are built in full.
     """
     # the two-value shift window in _tube_mask needs the tube radius
     # sqrt(delta) below pi
@@ -150,13 +177,12 @@ def cf_scan(d: int, p: int, delta: float, grid_step: float) -> CfScanReport:
     for start in range(0, n_points, SCAN_CHUNK):
         flat = np.arange(start, min(start + SCAN_CHUNK, n_points))
         coords = np.unravel_index(flat, (k,) * (p - 1))
-        pts = np.zeros((len(flat), p))
-        for axis_idx, c in enumerate(coords):
-            pts[:, axis_idx + 1] = axis[c]
-        outside = ~_tube_mask(pts, p, delta, o)
+        outside = ~_tube_mask(_reduced_tubes(coords, axis), len(flat), p, delta, o)
         if not outside.any():
             continue
-        kept = pts[outside]
+        kept = np.zeros((int(outside.sum()), p))
+        for i, c in enumerate(coords, 1):
+            kept[:, i] = axis[c[outside]]
         # centering the step only multiplies phi by a unit phase, so the
         # raw step's |phi| is the centered one's
         vals = np.abs(char_fn(support, kept))
@@ -294,6 +320,10 @@ def rate_directed_opt(frak_n: Sequence[float], d: int, p: int) -> RateEvaluation
     at every tilt; once f drops one below that floor, d frak_n is
     proven to lie outside the hull, no walk realizes the class, and the
     value is exactly -inf with converged=False.
+
+    Each objective call keeps its atom scores and their log-sum-exp, so
+    the iteration at an accepted point starts from them and does not
+    evaluate the same point twice.
     """
     nu = _check_simplex(frak_n, (p,))
     support = build_support(d, p)
@@ -302,19 +332,21 @@ def rate_directed_opt(frak_n: Sequence[float], d: int, p: int) -> RateEvaluation
     boundary = bool((nu == 0.0).any())
     explicit = _explicit_bound(nu, support)
 
-    def objective(z: np.ndarray) -> float:
+    def objective(z: np.ndarray) -> tuple[float, np.ndarray, float]:
+        """f at z, with the atom scores and their log-sum-exp, which
+        the next iteration starts from once z is accepted."""
         t = np.concatenate(([0.0], z))
-        return float(_logsumexp(atoms @ t + log_w) - d * t @ nu)
+        scores = atoms @ t + log_w
+        lse = _logsumexp(scores)
+        return float(lse - d * t @ nu), scores, lse
 
     z = np.zeros(p - 1)
-    f = objective(z)
+    f, scores, lse = objective(z)
     jensen_floor = float(log_w.min()) - 1.0
     eps = np.finfo(float).eps
     converged = False
     for _ in range(MAX_NEWTON_ITER):
-        t = np.concatenate(([0.0], z))
-        scores = atoms @ t + log_w
-        q = np.exp(scores - _logsumexp(scores))
+        q = np.exp(scores - lse)
         mean = q @ atoms
         grad = (mean - d * nu)[1:]
         if np.linalg.norm(grad) <= GRAD_TOL:
@@ -327,16 +359,16 @@ def rate_directed_opt(frak_n: Sequence[float], d: int, p: int) -> RateEvaluation
         decrement = -float(grad @ step)
         if decrement <= 4 * eps * max(1.0, abs(f)):
             z = z + step
-            f = objective(z)
+            f, scores, lse = objective(z)
         else:
             # Armijo backtracking keeps the Newton step inside the region
             # where the quadratic model is trusted
             scale = 1.0
             while scale > 1e-12:
                 cand = z + scale * step
-                f_cand = objective(cand)
+                f_cand, scores_cand, lse_cand = objective(cand)
                 if f_cand <= f - 1e-4 * scale * decrement:
-                    z, f = cand, f_cand
+                    z, f, scores, lse = cand, f_cand, scores_cand, lse_cand
                     break
                 scale /= 2.0
             else:

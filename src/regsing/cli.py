@@ -14,7 +14,6 @@ import decimal
 import functools
 import json
 import math
-import secrets
 import sys
 from fractions import Fraction
 
@@ -102,6 +101,8 @@ def _ensure_seed(args, validate) -> None:
     reports no seed; the sampler and the Monte Carlo configs validate a
     given one."""
     if args.seed is None:
+        import secrets  # only a run without --seed needs it
+
         validate(0)
         args.seed = secrets.randbits(63)
         print(f"generated seed: {args.seed}", file=sys.stderr)

@@ -24,10 +24,8 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
-import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -171,8 +169,13 @@ def worker_pool(procs: int):
     reads the BLAS thread variables, set to 1 while the pool runs; a
     forked worker would keep the parent's BLAS threads, and `procs`
     workers would oversubscribe the cores.  The parent's environment is
-    restored when the pool closes.
+    restored when the pool closes.  The pool modules are imported here,
+    so a run that starts no pool, and the CLI's start-up, do not load
+    them.
     """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     saved = {k: os.environ.get(k) for k in BLAS_THREAD_VARS}
     os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
     try:

@@ -49,9 +49,17 @@ def test_cf_domain_validation():
     am.cf_scan(3, 3, 0.1, TWO_PI / 8)
 
 
+def point_tubes(points, p):
+    """The reduction `_reduced_tubes` replaced, which serves any points:
+    mod(t - j*base, 2*pi) for each tube j."""
+    base = TWO_PI * np.arange(p) / p
+    for j in range(p):
+        yield np.mod(points - j * base, TWO_PI)
+
+
 def _in_tubes(t, p, delta=0.1):
     pts = np.asarray(t, dtype=float).reshape(1, p)
-    return bool(am._tube_mask(pts, p, delta, am.helmert_basis(p))[0])
+    return bool(am._tube_mask(point_tubes(pts, p), 1, p, delta, am.helmert_basis(p))[0])
 
 
 def test_cf_domain_contains_line_points():
@@ -110,14 +118,12 @@ def test_scan_step_validation_and_cost_guard():
             am.cf_scan(3, 2, 0.1, step)
 
 
-def reference_tube_mask(points, p, delta, o):
+def reference_tube_mask(tubes, n, p, delta, o):
     """The kernel `_tube_mask` replaced: every shift vector in {0, 1}^p
     for every tube, p * 2^p products."""
-    mask = np.zeros(len(points), dtype=bool)
-    base = TWO_PI * np.arange(p) / p
+    mask = np.zeros(n, dtype=bool)
     shifts = np.array(list(itertools.product((0.0, 1.0), repeat=p)))
-    for j in range(p):
-        w = np.mod(points - j * base, TWO_PI)
+    for w in tubes:
         for k in shifts:
             x = (w + TWO_PI * k) @ o
             mask |= np.einsum("ij,ij->i", x, x) <= delta
@@ -132,14 +138,25 @@ def reference_char_fn(s, t):
     return np.exp(1j * t @ atoms.T) @ (mults / float(s.total))
 
 
-def slice_grid(p, k):
-    """The points `cf_scan` visits: the t_0 = 0 slice of the k-grid."""
+def grid_coords(p, k):
+    """The axis values and the per-axis indices of the points `cf_scan`
+    visits: the t_0 = 0 slice of the k-grid."""
     axis = TWO_PI * np.arange(k) / k
-    coords = np.unravel_index(np.arange(k ** (p - 1)), (k,) * (p - 1))
-    pts = np.zeros((k ** (p - 1), p))
+    return np.unravel_index(np.arange(k ** (p - 1)), (k,) * (p - 1)), axis
+
+
+def coords_points(coords, axis):
+    """The points with t_0 = 0 and t_i = axis[coords[i-1]]."""
+    pts = np.zeros((len(coords[0]), len(coords) + 1))
     for i, c in enumerate(coords):
         pts[:, i + 1] = axis[c]
     return pts
+
+
+def reference_reduced_tubes(coords, axis):
+    """The reduction `_reduced_tubes` replaced: build the points, then
+    reduce each tube's difference over the whole array."""
+    return point_tubes(coords_points(coords, axis), len(coords) + 1)
 
 
 def tube_boundary_points(p, delta, rng, per_tube=200):
@@ -166,12 +183,24 @@ MASK_GRIDS += [(5, 8), (5, 13), (7, 4)]
 
 
 @pytest.mark.parametrize("p,k", MASK_GRIDS)
+def test_reduced_tubes_match_the_reduced_points_byte_for_byte(p, k):
+    coords, axis = grid_coords(p, k)
+    pts = coords_points(coords, axis)
+    tubes = list(am._reduced_tubes(coords, axis))
+    assert len(tubes) == p
+    for j, (w, want) in enumerate(zip(tubes, point_tubes(pts, p))):
+        assert w.shape == want.shape and w.tobytes() == want.tobytes(), j
+
+
+@pytest.mark.parametrize("p,k", MASK_GRIDS)
 def test_tube_mask_and_char_fn_match_the_reference_on_scan_grids(p, k):
-    pts = slice_grid(p, k)
+    coords, axis = grid_coords(p, k)
+    pts = coords_points(coords, axis)
     o = am.helmert_basis(p)
     for delta in DELTAS:
-        got = am._tube_mask(pts, p, delta, o)
-        assert np.array_equal(got, reference_tube_mask(pts, p, delta, o)), delta
+        got = am._tube_mask(am._reduced_tubes(coords, axis), len(pts), p, delta, o)
+        want = reference_tube_mask(point_tubes(pts, p), len(pts), p, delta, o)
+        assert np.array_equal(got, want), delta
     for d in (3, 4, 5, 6):
         s = walkdist.build_support(d, p)
         assert walkdist.char_fn(s, pts).tobytes() == reference_char_fn(s, pts).tobytes(), d
@@ -183,8 +212,8 @@ def test_tube_mask_matches_the_reference_on_tube_boundaries(p):
     o = am.helmert_basis(p)
     for delta in (1e-12, 0.1, 0.37, 1.0, 2.0, 5.0, 9.5, math.pi**2 * (1 - 1e-12)):
         pts = tube_boundary_points(p, delta, rng)
-        got = am._tube_mask(pts, p, delta, o)
-        want = reference_tube_mask(pts, p, delta, o)
+        got = am._tube_mask(point_tubes(pts, p), len(pts), p, delta, o)
+        want = reference_tube_mask(point_tubes(pts, p), len(pts), p, delta, o)
         assert np.array_equal(got, want), delta
         # below delta = 1 the tubes leave part of the torus uncovered,
         # so points land on both sides of the boundary
@@ -196,6 +225,7 @@ def test_cf_scan_reports_match_the_reference_kernels(monkeypatch):
     setups = list(itertools.product((3, 4, 5, 6), ((2, 64), (3, 32), (3, 33), (5, 8))))
     setups.append((3, (7, 4)))
     got = [am.cf_scan(d, p, delta, TWO_PI / k) for (d, (p, k)) in setups for delta in DELTAS]
+    monkeypatch.setattr(am, "_reduced_tubes", reference_reduced_tubes)
     monkeypatch.setattr(am, "_tube_mask", reference_tube_mask)
     monkeypatch.setattr(am, "char_fn", reference_char_fn)
     want = [am.cf_scan(d, p, delta, TWO_PI / k) for (d, (p, k)) in setups for delta in DELTAS]
@@ -285,6 +315,82 @@ def test_rate_opt_flags_infeasible_class(monkeypatch):
         opt = am.rate_directed_opt((0.1, 0.9), 3, 2)
         assert not opt.converged
         assert opt.value == -math.inf
+
+
+def reference_rate_directed_opt(frak_n, d, p):
+    """The Newton loop `rate_directed_opt` replaced, which evaluates
+    the scores and their log-sum-exp again at each accepted point."""
+    nu = am._check_simplex(frak_n, (p,))
+    support = walkdist.build_support(d, p)
+    atoms = np.array([u for u, _ in support.atoms], dtype=float)
+    log_w = np.array([math.log(m) for _, m in support.atoms]) - (d - 1) * math.log(p)
+    boundary = bool((nu == 0.0).any())
+    explicit = am._explicit_bound(nu, support)
+
+    def objective(z):
+        t = np.concatenate(([0.0], z))
+        return float(am._logsumexp(atoms @ t + log_w) - d * t @ nu)
+
+    z = np.zeros(p - 1)
+    f = objective(z)
+    jensen_floor = float(log_w.min()) - 1.0
+    eps = np.finfo(float).eps
+    converged = False
+    for _ in range(am.MAX_NEWTON_ITER):
+        t = np.concatenate(([0.0], z))
+        scores = atoms @ t + log_w
+        q = np.exp(scores - am._logsumexp(scores))
+        mean = q @ atoms
+        grad = (mean - d * nu)[1:]
+        if np.linalg.norm(grad) <= am.GRAD_TOL:
+            converged = True
+            break
+        centered = atoms - mean
+        cov = centered.T @ (q[:, None] * centered)
+        hess = cov[1:, 1:] + 1e-12 * np.eye(p - 1)
+        step = -np.linalg.solve(hess, grad)
+        decrement = -float(grad @ step)
+        if decrement <= 4 * eps * max(1.0, abs(f)):
+            z = z + step
+            f = objective(z)
+        else:
+            scale = 1.0
+            while scale > 1e-12:
+                cand = z + scale * step
+                f_cand = objective(cand)
+                if f_cand <= f - 1e-4 * scale * decrement:
+                    z, f = cand, f_cand
+                    break
+                scale /= 2.0
+            else:
+                break
+        if f < jensen_floor:
+            f = -math.inf
+            break
+    entropy = sum(float(n_k) * math.log(n_k) for n_k in nu if n_k > 0.0)
+    assembled = (d - 1) * math.log(p) + (d - 1) * entropy + f
+    value = min(assembled, explicit)
+    minimizer = (0.0, *(float(v) for v in z))
+    return am.RateEvaluation(value, explicit, minimizer, converged, boundary)
+
+
+def test_rate_opt_matches_the_reference_newton_loop():
+    rng = np.random.default_rng(23)
+    inputs = [
+        (tuple(rng.dirichlet(np.ones(p))), d, p)
+        for p in (2, 3, 5) for d in (3, 4, 5) for _ in range(8)
+    ]
+    inputs += [
+        ((0.1, 0.9), 3, 2),
+        ((0.5, 0.5, 0.0), 3, 3),
+        ((0.7, 0.1, 0.1, 0.1, 0.0), 3, 5),
+        ((0.5, 0.5), 1, 2),  # the -inf exit
+    ]
+    for frak_n, d, p in inputs:
+        got = am.rate_directed_opt(frak_n, d, p)
+        want = reference_rate_directed_opt(frak_n, d, p)
+        assert repr(got) == repr(want), (frak_n, d, p)
+    assert am.rate_directed_opt((0.5, 0.5), 1, 2).value == -math.inf
 
 
 def outside_hull(frak_n, d, p):

@@ -274,6 +274,18 @@ def test_import_leaves_scipy_out():
         assert proc.returncode == 0, f"import {module} loaded {proc.stderr}"
 
 
+def test_import_leaves_the_pool_and_seed_modules_out():
+    # worker_pool and _ensure_seed import these when they first need them
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    code = (
+        "import sys, regsing.cli; "
+        "sys.exit(' '.join(m for m in ('concurrent.futures', 'multiprocessing', 'secrets') "
+        "if m in sys.modules) or 0)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, f"import regsing.cli loaded {proc.stderr}"
+
+
 def test_internal_value_error_is_not_exit_code_2(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("internal fault")
