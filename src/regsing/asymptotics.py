@@ -59,59 +59,87 @@ def helmert_basis(p: int) -> np.ndarray:
     return o
 
 
-def _reduced_tubes(coords: tuple[np.ndarray, ...], axis: np.ndarray) -> Iterator[np.ndarray]:
-    """For each tube j in turn, the slice-grid points reduced into
-    [0, 2*pi)^p: w_j = mod(t - j*base, 2*pi) with base =
+def _reduced_tubes(
+    coords: tuple[np.ndarray, ...], axis: np.ndarray, delta: float
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """For each tube j in turn, the slice-grid points that can lie in
+    tube j, as (rows, w): their row numbers, and their coordinates
+    reduced into [0, 2*pi)^p, w = mod(t - j*base, 2*pi) with base =
     2*pi*(0, 1/p, ..., (p-1)/p), t_0 = 0 and t_i = axis[coords[i-1]].
 
-    Column i takes one of only len(axis) values, so it is reduced once
-    per axis value and gathered; column 0 is mod(0 - 0, 2*pi).  The
-    operands are those of reducing the points themselves, so every
-    entry has the same bits.
+    A point in tube j has a lift v of w within squared distance delta
+    of the all-ones line, so every two coordinates of v lie within
+    sqrt(2*delta) of each other.  On the slice w_0 = mod(0 - 0, 2*pi)
+    = 0, so every coordinate of w lies within sqrt(2*delta) of 0 around
+    the circle: w_i <= R or w_i >= 2*pi - R, with R = sqrt(2*delta)
+    widened by a relative 1e-9 and an absolute 1e-12 past the rounding
+    of the mask's sums.  Every other point is left out.  Column i takes
+    one of only len(axis) values, so each axis is reduced and tested
+    once per tube, and the test is gathered axis by axis for the rows
+    that passed the axes before.  The kept rows' columns are gathered
+    from the same tables: the operands are those of reducing the points
+    themselves, so every entry has the same bits.
     """
     p = len(coords) + 1
     base = TWO_PI * np.arange(p) / p
+    radius = math.sqrt(2.0 * delta) * (1.0 + 1e-9) + 1e-12
     for j in range(p):
         shift = j * base
-        w = np.empty((len(coords[0]), p))
+        tables = [np.mod(axis - shift[i], TWO_PI) for i in range(1, p)]
+        near = [(table <= radius) | (table >= TWO_PI - radius) for table in tables]
+        rows = np.flatnonzero(near[0][coords[0]])
+        for c, ok in zip(coords[1:], near[1:]):
+            rows = rows[ok[c[rows]]]
+        w = np.empty((len(rows), p))
         w[:, 0] = np.mod(0.0 - shift[0], TWO_PI)
-        for i, c in enumerate(coords, 1):
-            w[:, i] = np.mod(axis - shift[i], TWO_PI)[c]
-        yield w
+        for i, (c, table) in enumerate(zip(coords, tables), 1):
+            w[:, i] = table[c[rows]]
+        yield rows, w
 
 
 def _tube_mask(
-    tubes: Iterable[np.ndarray], n: int, p: int, delta: float, o: np.ndarray
+    tubes: Iterable[tuple[np.ndarray, np.ndarray]], n: int, p: int, delta: float, o: np.ndarray
 ) -> np.ndarray:
     """Boolean mask of the n points lying in some excluded tube.
 
     The tubes surround the lines where |phi| reaches 1: a point t lies in
     tube j when t - 2*pi*j*(0, 1/p, ..., (p-1)/p) is within squared
     distance delta of the all-ones line, modulo 2*pi shifts; `tubes`
-    yields, for each j, that difference reduced into w in [0, 2*pi)^p,
-    as an (n, p) array, and `o` is `helmert_basis(p)`.  A point within
-    sqrt(delta) < pi of the all-ones line differs from a constant
-    vector by less than pi per coordinate, so the integer shifts
-    realizing the nearest representative span at most two consecutive
-    values per coordinate; a common shift along all-ones is free,
-    leaving shift vectors in {0, 1}^p.  Of those, only the p + 1 that
-    lift the r smallest coordinates of w (r = 0..p) can pass: a set
-    lifting w_a but not some w_b <= w_a leaves two coordinates at least
-    2*pi apart, at squared distance at least 2*pi^2 > pi^2 > delta from
-    the line.  Ties are alike, so any order of equal coordinates serves.
-    Each row is sorted once; scattering 0..p-1 through the sort order
-    gives every coordinate's rank.  r = 0 and r = p are the same shift
-    up to rounding, and both are tried, so the mask is the one all 2^p
-    shift vectors give, bit for bit.
+    yields, for each j, pairs (rows, w) of row numbers among the n
+    points and those rows' difference reduced into w in [0, 2*pi)^p,
+    as a (len(rows), p) array; rows left out are taken to lie outside
+    tube j.  `o` is `helmert_basis(p)`.  A point within sqrt(delta) < pi
+    of the all-ones line differs from a constant vector by less than pi
+    per coordinate, so the integer shifts realizing the nearest
+    representative span at most two consecutive values per coordinate;
+    a common shift along all-ones is free, leaving shift vectors in
+    {0, 1}^p.  Of those, only the p + 1 that lift the r smallest
+    coordinates of w (r = 0..p) can pass: a set lifting w_a but not
+    some w_b <= w_a leaves two coordinates at least 2*pi apart, at
+    squared distance at least 2*pi^2 > pi^2 > delta from the line.  Ties
+    are alike, so any order of equal coordinates serves.  Each row is
+    sorted once; scattering 0..p-1 through the sort order gives every
+    coordinate's rank.  r = 0 and r = p are the same shift up to
+    rounding, and both are tried, so the mask is the one all 2^p shift
+    vectors give, bit for bit.
     """
     mask = np.zeros(n, dtype=bool)
     ranks = np.arange(p)
-    for w in tubes:
-        rank = np.empty((n, p), dtype=np.intp)
+    for rows, w in tubes:
+        if len(rows) == 0:
+            continue
+        if len(rows) == 1:
+            # numpy takes a one-row product through its vector kernel,
+            # which rounds otherwise than the matrix kernel of larger
+            # batches; a repeated row keeps the product a matrix one
+            rows, w = np.repeat(rows, 2), np.repeat(w, 2, axis=0)
+        rank = np.empty(w.shape, dtype=np.intp)
         np.put_along_axis(rank, w.argsort(axis=1), ranks, axis=1)
+        hit = np.zeros(len(rows), dtype=bool)
         for r in range(p + 1):
             x = (w + TWO_PI * (rank < r)) @ o
-            mask |= np.einsum("ij,ij->i", x, x) <= delta
+            hit |= np.einsum("ij,ij->i", x, x) <= delta
+        mask[rows[hit]] = True
     return mask
 
 
@@ -141,11 +169,13 @@ def cf_scan(d: int, p: int, delta: float, grid_step: float) -> CfScanReport:
     guard (CostGuardError) applies to the nominal p-dimensional grid the
     slice stands in for, then the step-support guard; past both, p - 1
     above SCAN_MAX_AXES is a DomainError, before the support is built.
-    The grid is walked SCAN_CHUNK points at a time: `_reduced_tubes`
-    builds one tube's reduced coordinates at a time from per-axis
-    tables, `_tube_mask` drops the points in the tubes with p(p+1) small
-    matmuls per chunk, and |phi| is evaluated only on the rest, through
-    one `char_fn` call; only those points are built in full.
+    The grid is walked SCAN_CHUNK points at a time.  For each tube,
+    `_reduced_tubes` tests every axis value against the sqrt(2*delta)
+    bound that a point in the tube meets on the t_0 = 0 slice, and
+    reduces only the points that pass every axis, from per-axis tables;
+    `_tube_mask` runs its p + 1 shift tests on those points alone.
+    |phi| is evaluated on the rest of the chunk, through one `char_fn`
+    call; only those points are built in full.
     """
     # the two-value shift window in _tube_mask needs the tube radius
     # sqrt(delta) below pi
@@ -177,7 +207,7 @@ def cf_scan(d: int, p: int, delta: float, grid_step: float) -> CfScanReport:
     for start in range(0, n_points, SCAN_CHUNK):
         flat = np.arange(start, min(start + SCAN_CHUNK, n_points))
         coords = np.unravel_index(flat, (k,) * (p - 1))
-        outside = ~_tube_mask(_reduced_tubes(coords, axis), len(flat), p, delta, o)
+        outside = ~_tube_mask(_reduced_tubes(coords, axis, delta), len(flat), p, delta, o)
         if not outside.any():
             continue
         kept = np.zeros((int(outside.sum()), p))
@@ -345,16 +375,18 @@ def rate_directed_opt(frak_n: Sequence[float], d: int, p: int) -> RateEvaluation
     jensen_floor = float(log_w.min()) - 1.0
     eps = np.finfo(float).eps
     converged = False
+    ridge = 1e-12 * np.eye(p - 1)
     for _ in range(MAX_NEWTON_ITER):
         q = np.exp(scores - lse)
         mean = q @ atoms
         grad = (mean - d * nu)[1:]
-        if np.linalg.norm(grad) <= GRAD_TOL:
+        # the 2-norm as np.linalg.norm computes it for a 1-d float array
+        if math.sqrt(grad @ grad) <= GRAD_TOL:
             converged = True
             break
         centered = atoms - mean
         cov = centered.T @ (q[:, None] * centered)
-        hess = cov[1:, 1:] + 1e-12 * np.eye(p - 1)
+        hess = cov[1:, 1:] + ridge
         step = -np.linalg.solve(hess, grad)
         decrement = -float(grad @ step)
         if decrement <= 4 * eps * max(1.0, abs(f)):

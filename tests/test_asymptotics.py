@@ -51,10 +51,10 @@ def test_cf_domain_validation():
 
 def point_tubes(points, p):
     """The reduction `_reduced_tubes` replaced, which serves any points:
-    mod(t - j*base, 2*pi) for each tube j."""
+    every row, with mod(t - j*base, 2*pi), for each tube j."""
     base = TWO_PI * np.arange(p) / p
     for j in range(p):
-        yield np.mod(points - j * base, TWO_PI)
+        yield np.arange(len(points)), np.mod(points - j * base, TWO_PI)
 
 
 def _in_tubes(t, p, delta=0.1):
@@ -123,10 +123,10 @@ def reference_tube_mask(tubes, n, p, delta, o):
     for every tube, p * 2^p products."""
     mask = np.zeros(n, dtype=bool)
     shifts = np.array(list(itertools.product((0.0, 1.0), repeat=p)))
-    for w in tubes:
+    for rows, w in tubes:
         for k in shifts:
             x = (w + TWO_PI * k) @ o
-            mask |= np.einsum("ij,ij->i", x, x) <= delta
+            mask[rows] |= np.einsum("ij,ij->i", x, x) <= delta
     return mask
 
 
@@ -153,9 +153,9 @@ def coords_points(coords, axis):
     return pts
 
 
-def reference_reduced_tubes(coords, axis):
+def reference_reduced_tubes(coords, axis, delta):
     """The reduction `_reduced_tubes` replaced: build the points, then
-    reduce each tube's difference over the whole array."""
+    reduce each tube's difference over the whole array, with no filter."""
     return point_tubes(coords_points(coords, axis), len(coords) + 1)
 
 
@@ -176,20 +176,33 @@ def tube_boundary_points(p, delta, rng, per_tube=200):
     return np.concatenate(out)
 
 
-DELTAS = (0.1, 0.37, 2.0, 9.5)
+# the radius sqrt(2*delta) of the filter in `_reduced_tubes` passes pi
+# at delta = pi^2/2, where it lets every point through
+DELTAS = (1e-12, 0.1, 0.37, 2.0, 9.5, math.pi**2 * (1 - 1e-12))
 # the scan grids of the tests and the benchmark, and p = 5, 7 at k <= 13
 MASK_GRIDS = [(p, k) for p in (2, 3) for k in (8, 16, 32, 33, 64)]
 MASK_GRIDS += [(5, 8), (5, 13), (7, 4)]
 
 
+def one_tube_mask(rows, w, n, p, delta):
+    """The reference mask of the points of one tube."""
+    return reference_tube_mask([(rows, w)], n, p, delta, am.helmert_basis(p))
+
+
 @pytest.mark.parametrize("p,k", MASK_GRIDS)
 def test_reduced_tubes_match_the_reduced_points_byte_for_byte(p, k):
+    # the kept rows hold every grid point of the tube, and their
+    # entries are those of reducing the points themselves
     coords, axis = grid_coords(p, k)
     pts = coords_points(coords, axis)
-    tubes = list(am._reduced_tubes(coords, axis))
-    assert len(tubes) == p
-    for j, (w, want) in enumerate(zip(tubes, point_tubes(pts, p))):
-        assert w.shape == want.shape and w.tobytes() == want.tobytes(), j
+    for delta in DELTAS:
+        tubes = list(am._reduced_tubes(coords, axis, delta))
+        assert len(tubes) == p
+        for j, ((rows, w), (_, want)) in enumerate(zip(tubes, point_tubes(pts, p))):
+            assert np.array_equal(rows, np.unique(rows)), (delta, j)
+            assert w.shape == (len(rows), p) and w.tobytes() == want[rows].tobytes(), (delta, j)
+            inside = one_tube_mask(np.arange(len(pts)), want, len(pts), p, delta)
+            assert np.isin(np.flatnonzero(inside), rows).all(), (delta, j)
 
 
 @pytest.mark.parametrize("p,k", MASK_GRIDS)
@@ -198,7 +211,7 @@ def test_tube_mask_and_char_fn_match_the_reference_on_scan_grids(p, k):
     pts = coords_points(coords, axis)
     o = am.helmert_basis(p)
     for delta in DELTAS:
-        got = am._tube_mask(am._reduced_tubes(coords, axis), len(pts), p, delta, o)
+        got = am._tube_mask(am._reduced_tubes(coords, axis, delta), len(pts), p, delta, o)
         want = reference_tube_mask(point_tubes(pts, p), len(pts), p, delta, o)
         assert np.array_equal(got, want), delta
     for d in (3, 4, 5, 6):
@@ -219,6 +232,52 @@ def test_tube_mask_matches_the_reference_on_tube_boundaries(p):
         # so points land on both sides of the boundary
         if delta <= 1.0:
             assert 0 < want.sum() < len(want), delta
+        # a point's verdict does not depend on the rows batched with it,
+        # one row alone among them
+        single = [(rows[i:i + 1], w[i:i + 1]) for rows, w in point_tubes(pts, p)
+                  for i in range(0, len(pts), 29)]
+        got = am._tube_mask(single, len(pts), p, delta, o)
+        assert np.array_equal(got[::29], want[::29]) and not got[1::29].any(), delta
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_tube_filter_keeps_every_tube_boundary_point_the_reference_puts_in_the_tube(p):
+    # the tube boundary points, moved along all-ones to t_0 = 0, reach
+    # `_reduced_tubes` through an axis that lists each coordinate once
+    rng = np.random.default_rng(200 + p)
+    for delta in (1e-12, 0.1, 0.37, 1.0, 2.0, 5.0, 9.5, math.pi**2 * (1 - 1e-12)):
+        pts = tube_boundary_points(p, delta, rng)
+        pts = pts - pts[:, :1]
+        n = len(pts)
+        axis = pts[:, 1:].ravel()
+        coords = tuple(np.arange(n) * (p - 1) + i for i in range(p - 1))
+        found = 0
+        for j, ((rows, w), (_, want)) in enumerate(
+            zip(am._reduced_tubes(coords, axis, delta), point_tubes(pts, p))
+        ):
+            assert w.tobytes() == want[rows].tobytes(), (delta, j)
+            inside = np.flatnonzero(one_tube_mask(np.arange(n), want, n, p, delta))
+            assert np.isin(inside, rows).all(), (delta, j)
+            found += len(inside)
+        assert found > 0, delta
+
+
+def test_tube_shift_tests_run_only_on_the_filtered_rows(monkeypatch):
+    # at delta = 0.1 only a few grid points per tube reach the shift tests
+    counted = []
+    tube_mask = am._tube_mask
+
+    def spy(tubes, n, p, delta, o):
+        tubes = list(tubes)
+        counted.append((sum(len(rows) for rows, _ in tubes), p * n))
+        return tube_mask(tubes, n, p, delta, o)
+
+    monkeypatch.setattr(am, "_tube_mask", spy)
+    for d, p, k, want in [(3, 5, 8, (5, 20_480)), (5, 3, 64, (243, 12_288)),
+                          (3, 3, 32, (57, 3_072)), (4, 3, 32, (57, 3_072))]:
+        counted.clear()
+        am.cf_scan(d, p, 0.1, TWO_PI / k)
+        assert counted == [want], (d, p, k)
 
 
 def test_cf_scan_reports_match_the_reference_kernels(monkeypatch):

@@ -671,6 +671,7 @@ def test_scan_axis_limit_refuses_before_the_support_or_grid(monkeypatch, capsys)
     def spy(*args):
         raise AssertionError("scan work started before the axis check refused")
 
+    monkeypatch.setattr(asymptotics, "_reduced_tubes", spy)
     monkeypatch.setattr(asymptotics, "_tube_mask", spy)
     monkeypatch.setattr(walkdist, "_support", spy)
     code, out, err = run_cli(capsys, *HOSTILE["cf-scan-over-64-axes"][0])
