@@ -9,14 +9,21 @@ tiny matrix, with n*d <= MEMO_MAX_POINTS, is settled once per process:
 an LRU cache of at most MEMO_MAX_ENTRIES entries, keyed by (n, d, p)
 and the row-sorted target rows, holds its duplicate-row flag and rank.
 Integer-mode singularity decisions are exact: a duplicate row or column
-certifies singularity, and a floating-point residual bound certifies
-nonsingularity.  Below REDUCE_FIRST_N vertices the bound runs on the
-dense adjacency, and only the trials it leaves are reduced, with unit
-pivots; from REDUCE_FIRST_N on every trial is reduced first and the
-bound runs on the core, whose |det| is that of the whole matrix.  Then
-full rank of the core modulo the fixed CHECK_PRIME certifies
-nonsingularity, and only what is left pays for a fraction-free integer
-determinant, of the core.
+certifies singularity, and a shifted Cholesky factorization of the Gram
+matrix certifies nonsingularity.  det A != 0 iff B = A^T A is positive
+definite, and a float64 Cholesky of B - sI that runs to completion
+proves lambda_min(B) > s - g/(1 - g) tr(B) - O(k^2 2^-1074) for a k x k
+B, g = gamma_{k+2}, so a shift s above that bound proves det A != 0
+(`gfcore._certify_gram`; Rump, "Verification of positive
+definiteness", BIT 46, 2006; Higham, Accuracy and Stability of
+Numerical Algorithms, Thm 10.3).  Below REDUCE_FIRST_N vertices the
+certificate runs on A^T A, counted from the target rows without
+building the adjacency, and only the trials it leaves are reduced, with
+unit pivots; from REDUCE_FIRST_N on every trial is reduced first and
+the certificate runs on the Gram matrix of the core, whose |det| is
+that of the whole matrix.  Then full rank of the core modulo the fixed
+CHECK_PRIME certifies nonsingularity, and only what is left pays for a
+fraction-free integer determinant, of the core.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ import numpy as np
 
 from .confmodel import (
     GraphParams,
-    dense_adjacency,
+    dense_gram,
     fibre_targets,
     has_duplicate_rows,
     seed_sequence,
@@ -42,6 +49,7 @@ from .confmodel import (
 from .errors import InvalidParamsError
 from .exactcount import master_sum
 from .gfcore import (
+    _certify_gram,
     _eliminate,
     certify_nonsingular,
     det_integer,
@@ -56,21 +64,27 @@ Z95 = 1.959963984540054
 # widening of the scaling window's lower exponent -(d-2)
 SCALING_SLACK = 0.5
 
-# Integer trials with n >= REDUCE_FIRST_N run the float certificate on
-# the core of the unit-pivot reduction instead of on the dense
-# adjacency.  Per trial, d = 3, one BLAS thread, the best of three
-# passes over the same 100 seeded trials without a duplicate row or
-# column (process time, 2-vCPU VM; dense = adjacency + certificate,
-# reduce first = sparse rows + reduction + certificate on the core):
-#   n    directed: dense / reduce first   undirected: dense / reduce first
-#   100       480 / 977 us                      663 / 1341 us
-#   130      1070 / 1282 us                    1475 / 2108 us
-#   140      1311 / 1507 us                    1772 / 2201 us
-#   150      1581 / 1428 us                    2499 / 2246 us
-#   160      1823 / 1490 us                    2898 / 2447 us
-#   200      4672 / 1799 us                    4879 / 3120 us
-# At n = 200 the median core is 42x42 and every core was certified.
-REDUCE_FIRST_N = 150
+# Integer trials with n >= REDUCE_FIRST_N are reduced first and run the
+# certificate on the Gram matrix of the core; below it the certificate
+# runs on A^T A of the whole adjacency and only the trials it leaves are
+# reduced.  The Cholesky costs n^3/3 flops, so the whole Gram matrix
+# loses once that outgrows the reduction.  Per trial, d = 3, one BLAS
+# thread, the best of five interleaved passes over the same 100 seeded
+# trials without a duplicate row or column, low and high of two runs
+# (process time, 2-vCPU VM; full = Gram matrix + certificate, reduce
+# first = sparse rows + reduction + certificate on the core's Gram):
+#   n    directed: full / reduce first       undirected: full / reduce first
+#   100    171-196 / 893-942 us                 175-216 / 944-1120 us
+#   200  1064-1227 / 1745-1842 us             1037-1057 / 1661-1804 us
+#   250  1703-1845 / 2155-2256 us             1569-1642 / 2193-2991 us
+#   280  2047-2111 / 2554-2582 us             2223-2340 / 2373-2400 us
+#   300  2590-2963 / 2970-3288 us             2292-2513 / 2614-3023 us
+#   320  3681-3854 / 3459-3464 us             3032-3774 / 2921-2952 us
+#   340  4043-4588 / 3336-4590 us             3968-4546 / 3749-4688 us
+#   360  5106-5168 / 5082-5164 us             5104-5298 / 5235-5237 us
+#   400  6163-6678 / 5489-5888 us             6115-6746 / 5475-5764 us
+# In one run at n = 500 full took 8.1 and 9.6 ms against 5.1 and 5.8 ms.
+REDUCE_FIRST_N = 320
 
 # A matrix singular over Q is singular over every F_p, so full rank mod
 # any one prime proves det != 0, and a prime dividing a nonzero det only
@@ -211,13 +225,14 @@ def _run_block(cfg: McConfig, lo: int, hi: int) -> dict[str, int]:
     Mod p, a trial with n*d <= MEMO_MAX_POINTS is settled from the
     memo when its matrix was seen before in this process.  Integer
     mode settles each trial with the cheapest sound certificate first:
-    a duplicate row or column proves det = 0, the float residual bound
-    proves det != 0, full rank mod CHECK_PRIME proves det != 0, and
-    only what is left pays for the exact determinant.  The last two
-    run on the core of the unit-pivot reduction, which has the rank
-    mod CHECK_PRIME and the |det| of the whole matrix.  The residual
-    bound runs on the dense adjacency below REDUCE_FIRST_N and on the
-    core from there on, where no dense adjacency is built.
+    a duplicate row or column proves det = 0, the Gram-Cholesky
+    certificate proves det != 0, full rank mod CHECK_PRIME proves
+    det != 0, and only what is left pays for the exact determinant.
+    The last two run on the core of the unit-pivot reduction, which has
+    the rank mod CHECK_PRIME and the |det| of the whole matrix.  The
+    certificate runs on A^T A of the whole adjacency below
+    REDUCE_FIRST_N and on the core's Gram matrix from there on; no
+    dense adjacency is built.
     """
     n, d, mode, p = cfg.n, cfg.d, cfg.mode, cfg.p
     tally = {
@@ -255,18 +270,14 @@ def _run_block(cfg: McConfig, lo: int, hi: int) -> dict[str, int]:
         if dup_rows or has_duplicate_rows(fibre_targets(n, d, mode, order, columns=True)):
             tally["singular"] += 1
             continue
-        reduce_first = n >= REDUCE_FIRST_N
-        if not reduce_first:
-            # kept in a name until the next trial: freeing it before the
-            # certificate allocates its float arrays cost 140 more page
-            # faults per trial (481 against 342, measured at n = 200)
-            a = dense_adjacency(targets)
-            if certify_nonsingular(a):
-                continue
+        # below the cut-off the certificate runs on the Gram matrix of the
+        # whole adjacency, and only the trials it leaves are reduced
+        if n < REDUCE_FIRST_N and _certify_gram(dense_gram(targets)):
+            continue
         # unit pivots are units mod CHECK_PRIME and keep |det|, so the
         # core settles the certificate, the rank test and the determinant
         pivots, core = _eliminate(sparse_rows(targets), None)
-        if reduce_first and certify_nonsingular(core):
+        if n >= REDUCE_FIRST_N and certify_nonsingular(core):
             continue
         if pivots + rank_mod_p(core, CHECK_PRIME) == n:
             continue

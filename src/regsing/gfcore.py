@@ -13,13 +13,20 @@ exact minor of the input, and every division is exact.  The Monte
 Carlo trials eliminate their sparse rows, valid by construction, down
 to a small dense core for those routines with the unchecked
 `_eliminate`, mod p or with unit pivots over the integers.
-`certify_nonsingular` is the one floating-point routine, and it only
-ever proves, never guesses.
+The one floating-point proof is a shifted Cholesky factorization of
+a Gram matrix B = A^T A, exact in float64: if Cholesky of B - sI runs
+to completion for a k x k B, lambda_min(B) > s - g/(1 - g) tr(B)
+- O(k^2 2^-1074) with g = gamma_{k+2}, so a shift s above that bound
+proves B positive definite and det A != 0 (`certify_nonsingular` from
+A, `_certify_gram` from a ready B; Rump, "Verification of positive
+definiteness", BIT 46, 2006; Higham, Accuracy and Stability of
+Numerical Algorithms, Thm 10.3).  It only ever proves, never guesses.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Sequence
 
 import numpy as np
@@ -32,6 +39,8 @@ NUMPY_PRIME_LIMIT = 1 << 31
 # integer is exact in float64.
 _UNIT_ROUNDOFF = 2.0**-53
 _FLOAT_EXACT = 1 << 53
+# The smallest positive (subnormal) float64.
+_UNDERFLOW_UNIT = 2.0**-1074
 # Deterministic Miller-Rabin with the witness set below is exact for all
 # n < 3.3e24, far above this cap.
 PRIME_LIMIT = 1 << 63
@@ -292,17 +301,17 @@ def _eliminate(work: list[dict[int, int]], p: int | None) -> tuple[int, list[lis
 def certify_nonsingular(matrix) -> bool:
     """One-sided floating-point proof that a square integer matrix is nonsingular.
 
-    True proves det != 0; False proves nothing.  With R = inv(A) in
-    float64 and C = fl(RA), every BLAS summation order (with or without
-    FMA) satisfies |C - RA| <= g|R||A| entrywise, g = nu/(1 - nu) and
-    u = 2**-53, so ||I - RA||_inf <= max_i sum_j (|C - I| + g|R||A|)_ij.
-    Below 1 that makes RA, hence A, invertible.  The test asks for 1/2:
-    the slack covers the rounding and any underflow of the check
-    itself.  Entries beyond 2**53, which float64 would round, are never
-    certified, and a bool matrix raises DomainError.  A sequence of no
-    rows, such as the empty core of `_eliminate`, is the 0x0 matrix,
-    which is nonsingular.  Rump, "Verification methods", Acta Numerica
-    2010; Higham, Accuracy and Stability of Numerical Algorithms, ch. 3.
+    True proves det A != 0; False proves nothing.  A is nonsingular iff
+    its Gram matrix B = A^T A is positive definite, which
+    `_certify_gram` proves.  B is formed in float64 and is exact: every
+    product a_ij a_il and every partial sum of an entry is an integer of
+    magnitude at most max|a_ij| times the largest column sum of |A|,
+    and the test asks that to stay below 2**53, so no BLAS summation
+    order (with or without FMA) rounds.  Input failing that test,
+    entries beyond 2**53 among it, is never certified; a bool matrix or
+    a fractional entry raises DomainError.  A sequence of no rows, such
+    as the empty core of `_eliminate`, is the 0x0 matrix, which is
+    nonsingular.
     """
     a = np.asarray(matrix)
     if a.dtype == np.bool_:
@@ -311,24 +320,70 @@ def certify_nonsingular(matrix) -> bool:
         a = a.reshape(0, 0)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"certification needs a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    if n == 0:
+    if a.shape[0] == 0:
         return True
+    if a.dtype.kind not in "iu":
+        a = np.array(_checked_rows(a.tolist()), dtype=object)
     if a.min() < -_FLOAT_EXACT or a.max() > _FLOAT_EXACT:
         return False
     af = a.astype(np.float64)
-    with np.errstate(all="ignore"):
-        try:
-            r = np.linalg.inv(af)
-        except np.linalg.LinAlgError:
-            return False
-        c = r @ af
-        c.flat[:: n + 1] -= 1.0
-        nu = n * _UNIT_ROUNDOFF
-        gamma = nu / (1.0 - nu)
-        # row sums of |R||A| are |R| times the row sums of |A|
-        bound = np.abs(c).sum(axis=1) + gamma * (np.abs(r) @ np.abs(af).sum(axis=1))
-        return bool(bound.max() < 0.5)
+    # a computed column sum of nonnegative integers reaches 2**53 iff the
+    # true one does, and rounding is monotone, so a computed product
+    # below 2**53 proves the true one below it
+    mag = np.abs(af)
+    if mag.max() * mag.sum(axis=0).max() >= _FLOAT_EXACT:
+        return False
+    return _certify_gram(af.T @ af)
+
+
+def _certify_gram(gram: np.ndarray) -> bool:
+    """One-sided proof that a symmetric k x k integer matrix B, such as
+    a Gram matrix A^T A, is positive definite; True proves it, False
+    proves nothing.
+
+    Nothing is checked: B must be symmetric, with integer entries that
+    float64 holds exactly, as the ones `certify_nonsingular` and
+    `confmodel.dense_gram` build.  B is not changed.
+
+    Let s be a power of two and run Cholesky on B - sI.  If it runs to
+    completion, the computed factor R satisfies R^T R = B - sI + dB
+    with |dB| <= g|R^T||R| + E entrywise, in any summation order,
+    blocked or not, with or without FMA.  Here u = 2**-53 and
+    g = gamma_{k+2} = (k+2)u/(1 - (k+2)u): Higham's gamma_{k+1} plus
+    one rounding, since OpenBLAS divides by r_jj by multiplying with a
+    computed reciprocal.  E is what underflow adds, at most 2**-1075
+    per product, k of them in an entry's inner product and r_jj times
+    one in its division, so |E_ij| <= (k + 2 + max b_jj) 2**-1074.  As
+    the 2-norm of |R^T||R| is at most
+    ||R||_F**2 = tr(R^T R) <= tr(B) + g||R||_F**2 + tr(E),
+    ||dB||_2 <= g/(1 - g)(tr(B) + tr(E)) + ||E||_2, and R^T R being
+    positive semidefinite gives lambda_min(B) >= s - ||dB||_2.  The
+    test takes bound = g/(1 - g) tr(B) + 4(k+2)(2(k+2) + max b_jj)
+    2**-1074, which covers ||dB||_2, and s the power of two in
+    (2 bound, 4 bound], whose factor 2 also covers the rounding of the
+    bound itself; then lambda_min(B) > 0.  Every b_jj - s is exact:
+    both are multiples of min(s, 1), and |b_jj - s| < 2**53 min(s, 1),
+    since s < 2**53 and b_jj <= tr(B) < 2**53 s / (2(k+2)).  A negative
+    b_jj, which would void that, rounds to a negative pivot, and the
+    factorization stops.
+    Rump, "Verification of positive definiteness", BIT 46 (2006);
+    Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.3.
+    """
+    b = gram.astype(np.float64)
+    k = len(b)
+    diag = b.diagonal()
+    top = float(diag.max())
+    nu = (k + 2) * _UNIT_ROUNDOFF
+    bound = nu / (1.0 - nu) * float(diag.sum()) + 4.0 * (k + 2) * (
+        2 * (k + 2) + top
+    ) * _UNDERFLOW_UNIT
+    shift = math.ldexp(1.0, math.frexp(2.0 * bound)[1])
+    b.flat[:: k + 1] -= shift
+    try:
+        np.linalg.cholesky(b)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _bareiss(rows: list[list[int]]) -> tuple[int, int, int]:

@@ -351,10 +351,11 @@ def test_exit_code_3_on_table_cost_guard(monkeypatch, capsys, argv):
 
 def test_exit_code_3_on_dense_size_guard(monkeypatch, capsys):
     def no_adjacency(*args):
-        raise AssertionError("dense adjacency built")
+        raise AssertionError("dense n x n matrix built")
 
+    # integer trials build the n x n Gram matrix, never the adjacency
     monkeypatch.setattr(confmodel, "dense_adjacency", no_adjacency)
-    monkeypatch.setattr(experiments, "dense_adjacency", no_adjacency)
+    monkeypatch.setattr(experiments, "dense_gram", no_adjacency)
     for argv in (
         ("sample", "--n", "5000", "--d", "3", "--seed", "0"),
         ("mc", "--n", "5000", "--d", "3", "--trials", "1", "--workers", "1"),

@@ -126,6 +126,24 @@ def test_dense_adjacency_matches_the_scatter_reference(mode):
     assert seen["loop"] and seen["multi"]
 
 
+@pytest.mark.parametrize("mode", ["directed", "undirected"])
+def test_dense_gram_is_the_gram_matrix_of_the_adjacency(mode):
+    seen = {"loop": 0, "multi": 0}
+    for n in (*range(1, 9), 50, 200):
+        for d in (1, 2, 3, 4):
+            if mode == "undirected" and (n * d) % 2:
+                continue
+            for seed in range(10):
+                order = np.random.default_rng((seed, n, d)).permutation(n * d)
+                targets = confmodel.fibre_targets(n, d, mode, order)
+                a = confmodel.dense_adjacency(targets)
+                gram = confmodel.dense_gram(targets)
+                assert gram.dtype == np.int64 and (gram == a.T @ a).all(), (n, d, seed)
+                seen["loop"] += bool(np.trace(a))
+                seen["multi"] += bool((a - np.diag(np.diag(a)) > 1).any())
+    assert seen["loop"] and seen["multi"]
+
+
 def _chi_square(counts, expected_weights, total):
     stat = 0.0
     grand = sum(expected_weights.values())

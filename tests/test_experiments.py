@@ -114,12 +114,19 @@ def test_divisible_degree_always_singular():
 
 
 # (n, mode, trials, seed): every case past n = 12 reaches the exact
-# determinant.  The last two lie at or above REDUCE_FIRST_N, where the
-# float certificate runs on the core; there about one trial in 2,000
-# escalates, and these seeds escalate early (n = 200: trial 2; n = 160,
-# undirected with loops and multi-edges: trial 1).
+# determinant.  Below REDUCE_FIRST_N the Gram-Cholesky certificate runs
+# on A^T A of the whole adjacency and only the trials it leaves are
+# reduced; at REDUCE_FIRST_N (the last case) every trial is reduced
+# first and the certificate runs on the core's Gram matrix.  A trial
+# escalates when the certificate fails (lambda_min of the Gram matrix
+# below a shift of order n**2 * 2**-50) and the rank mod CHECK_PRIME is
+# deficient, about one trial in 2,000 at these sizes.  These seeds
+# escalate early: n = 200 at trial 2; n = 160, undirected with loops
+# and multi-edges, at trial 1; n = 320, undirected, at trial 0, the one
+# escalation in trials 0 and 1 of seeds 0 to 3999.
 INTEGER_CASES = ((12, "directed", 300, 9), (50, "directed", 150, 3), (16, "undirected", 200, 3),
-                 (200, "directed", 12, 390), (160, "undirected", 12, 935))
+                 (200, "directed", 12, 390), (160, "undirected", 12, 935),
+                 (320, "undirected", 2, 1979))
 
 
 def test_integer_mode_matches_exact_determinants():
@@ -173,20 +180,54 @@ def test_integer_mode_escalations_match_the_dense_ladder(n, mode, trials, seed):
         assert tally["escalations"] > 0
 
 
-def test_integer_mode_builds_the_adjacency_only_below_the_cut_off(monkeypatch):
+@pytest.mark.parametrize("n,mode,trials,seed", INTEGER_CASES)
+def test_integer_ladder_without_the_certificate_matches_the_dense_ladder(
+    monkeypatch, n, mode, trials, seed
+):
+    # the certificate settles nearly every nonsingular trial, so the
+    # elimination, rank and determinant rungs get a run of their own
+    monkeypatch.setattr(experiments, "_certify_gram", lambda gram: False)
+    monkeypatch.setattr(experiments, "certify_nonsingular", lambda core: False)
+    cfg = experiments.McConfig(n=n, d=3, mode=mode, trials=trials, seed=seed)
+    assert experiments._run_block(cfg, 0, trials) == dense_ladder_block(cfg, 0, trials)
+
+
+def test_integer_mode_eliminates_below_the_cut_off_only_what_the_certificate_leaves(
+    monkeypatch,
+):
     cut = experiments.REDUCE_FIRST_N
-    cases = [(cut - 1, "directed", 7), (cut, "directed", 8), (cut, "undirected", 9)]
-    dense = []
+    cases = [(12, "directed", 20, 9), (cut - 1, "directed", 6, 7), (cut, "directed", 6, 8),
+             (cut, "undirected", 6, 9)]
+    configs = [experiments.McConfig(n=n, d=3, mode=mode, trials=trials, seed=seed)
+               for n, mode, trials, seed in cases]
+    wants = []
+    for cfg in configs:
+        want = 0
+        for i in range(cfg.trials):
+            a = replay_trial(cfg, i)
+            if len(np.unique(a, axis=0)) < cfg.n or len(np.unique(a.T, axis=0)) < cfg.n:
+                continue
+            want += cfg.n >= cut or not gfcore.certify_nonsingular(a)
+        wants.append(want)
 
-    def spy(targets):
-        dense.append(len(targets))
-        return confmodel.dense_adjacency(targets)
+    def no_adjacency(*args):
+        raise AssertionError("dense adjacency built")
 
-    monkeypatch.setattr(experiments, "dense_adjacency", spy)
-    for n, mode, seed in cases:
-        cfg = experiments.McConfig(n=n, d=3, mode=mode, trials=20, seed=seed)
-        assert experiments._run_block(cfg, 0, 20) == dense_ladder_block(cfg, 0, 20)
-    assert dense and set(dense) == {cut - 1}
+    def spy(work, p):
+        eliminated[-1] += 1
+        return gfcore._eliminate(work, p)
+
+    eliminated = []
+    monkeypatch.setattr(confmodel, "dense_adjacency", no_adjacency)
+    monkeypatch.setattr(experiments, "dense_adjacency", no_adjacency, raising=False)
+    monkeypatch.setattr(experiments, "_eliminate", spy)
+    for cfg in configs:
+        eliminated.append(0)
+        experiments._run_block(cfg, 0, cfg.trials)
+    assert eliminated == wants
+    # n = 12 leaves singular trials to the elimination; from the cut-off
+    # on every trial without a duplicate line is reduced
+    assert 0 < eliminated[0] < 20 and eliminated[2] > 0 and eliminated[3] > 0
 
 
 def test_field_mode_never_builds_the_adjacency(monkeypatch):
@@ -197,7 +238,7 @@ def test_field_mode_never_builds_the_adjacency(monkeypatch):
              experiments.McConfig(n=12, d=4, mode="undirected", p=2, trials=40, seed=6)]
     ranks = [[gfcore.rank_mod_p(replay_trial(cfg, i), cfg.p) for i in range(cfg.trials)]
              for cfg in cases]
-    monkeypatch.setattr(experiments, "dense_adjacency", no_adjacency)
+    monkeypatch.setattr(experiments, "dense_adjacency", no_adjacency, raising=False)
     monkeypatch.setattr(confmodel, "dense_adjacency", no_adjacency)
     for cfg, rank in zip(cases, ranks):
         tally = experiments._run_block(cfg, 0, cfg.trials)

@@ -273,33 +273,77 @@ def test_rank_mod_p_ndarray_shapes():
         gfcore.rank_mod_p(np.arange(3), 5)
 
 
+def reference_certify_inverse(matrix):
+    """Reference kernel: the inverse-based certificate the Gram test
+    replaced.  With R = inv(A) in float64 and C = fl(RA), every BLAS
+    summation order satisfies |C - RA| <= g|R||A| entrywise,
+    g = nu/(1 - nu), u = 2**-53, so ||I - RA||_inf below 1/2 proves A
+    invertible (Rump, "Verification methods", Acta Numerica 2010)."""
+    a = np.asarray(matrix)
+    n = a.shape[0]
+    if n == 0:
+        return True
+    if a.min() < -(1 << 53) or a.max() > 1 << 53:
+        return False
+    af = a.astype(np.float64)
+    with np.errstate(all="ignore"):
+        try:
+            r = np.linalg.inv(af)
+        except np.linalg.LinAlgError:
+            return False
+        c = r @ af
+        c.flat[:: n + 1] -= 1.0
+        nu = n * 2.0**-53
+        gamma = nu / (1.0 - nu)
+        bound = np.abs(c).sum(axis=1) + gamma * (np.abs(r) @ np.abs(af).sum(axis=1))
+        return bool(bound.max() < 0.5)
+
+
 @settings(max_examples=200, deadline=None)
 @given(square_matrices)
 def test_certify_nonsingular_never_certifies_a_zero_determinant(rows):
     if gfcore.certify_nonsingular(rows):
         assert gfcore.det_integer(rows) != 0
     assert gfcore.certify_nonsingular(np.array(rows)) == gfcore.certify_nonsingular(rows)
+    if reference_certify_inverse(rows):
+        assert gfcore.det_integer(rows) != 0
 
 
-@pytest.mark.parametrize("n", [12, 50])
+@pytest.mark.parametrize("n", [12, 50, 200])
 @pytest.mark.parametrize("mode", ["directed", "undirected"])
 def test_certify_nonsingular_on_trial_matrices(n, mode):
-    certified = nonsingular = 0
-    for seed in range(40):
+    # the Gram test never certifies a zero determinant, gives the same
+    # verdict from the Gram matrix the trials count, and settles nearly
+    # all that the inverse test settles
+    certified = nonsingular = reference = both = 0
+    for seed in range(150 if n < 200 else 100):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0, n)))
-        order = rng.permutation(n * 3)
-        if mode == "directed":
-            a = confmodel.directed_adjacency(n, 3, order)
-        else:
-            a = confmodel.undirected_adjacency(n, 3, order)
-        det = gfcore.det_integer(a.tolist())
-        nonsingular += det != 0
-        if gfcore.certify_nonsingular(a):
+        targets = confmodel.fibre_targets(n, 3, mode, rng.permutation(n * 3))
+        a = confmodel.dense_adjacency(targets)
+        pivots, core = gfcore._eliminate(confmodel.sparse_rows(targets), None)
+        nonzero = pivots + gfcore.rank_mod_p(core, P31) == n or gfcore.det_integer(core) != 0
+        nonsingular += nonzero
+        ok = gfcore.certify_nonsingular(a)
+        assert gfcore._certify_gram(confmodel.dense_gram(targets)) == ok
+        if ok:
             certified += 1
-            assert det != 0
-    # the certificate must settle the bulk of the nonsingular samples
-    assert nonsingular >= 10
+            assert nonzero, seed
+        by_reference = reference_certify_inverse(a)
+        reference += by_reference
+        both += by_reference and ok
+    assert nonsingular >= 60
     assert certified >= 0.9 * nonsingular
+    assert both >= 0.99 * reference
+
+
+def test_gram_certificate_shift_covers_the_rounding_bound():
+    # eigenvalues 1 and 2t - 1: the shift s, a power of two in
+    # (2 bound, 4 bound] with bound ~ gamma_{k+2} tr(B) = 4u * 2t, stays
+    # below 1 at t = 2**44 (s = 2**-4) but reaches 2 at t = 2**49
+    for t, certified in ((2**44, True), (2**49, False)):
+        gram = np.array([[t, t - 1], [t - 1, t]], dtype=np.int64)
+        assert gfcore._certify_gram(gram) is certified
+        assert gram[0, 0] == t  # the caller's matrix is left as it was
 
 
 def test_certify_nonsingular_rejects_singular_matrix_without_repeated_rows():
@@ -318,13 +362,28 @@ def test_certify_nonsingular_rejects_singular_matrix_without_repeated_rows():
 
 
 def test_certify_nonsingular_falls_through_when_ill_conditioned():
-    # det = 1, but the condition number is about 4e16 > 1/u
+    # det = 1, but A^T A has entries near 2 * 10**16 > 2**53, which
+    # float64 would round
     m = 10**8
     a = [[m, m + 1], [m - 1, m]]
     assert gfcore.det_integer(a) == 1
     assert not gfcore.certify_nonsingular(a)
-    # entries float64 cannot hold exactly are never certified
+    # det = 1 and A^T A is exact in float64, but its smallest eigenvalue,
+    # about 2**-42, is below the shift the rounding bound asks for
+    m = 2**20
+    a = [[m, m + 1], [m - 1, m]]
+    gram = np.array(a, dtype=np.float64).T @ np.array(a, dtype=np.float64)
+    assert gram.max() < 2**53
+    exact = np.array(a, dtype=object).T @ np.array(a, dtype=object)
+    assert gram.astype(np.int64).tolist() == exact.tolist()
+    assert gfcore.det_integer(a) == 1
+    assert not gfcore.certify_nonsingular(a)
+    assert reference_certify_inverse(a)
+    # entries float64 cannot hold exactly are never certified, nor is a
+    # matrix whose Gram entries pass 2**53, nonsingular as it may be
     assert not gfcore.certify_nonsingular([[2**60 + 1, 0], [0, 1]])
+    assert not gfcore.certify_nonsingular([[2**27, 0], [0, 2**27]])
+    assert gfcore.certify_nonsingular([[2**26, 0], [0, 2**26]])
     assert gfcore.certify_nonsingular([[2, 1], [1, 1]])
     assert gfcore.certify_nonsingular(np.zeros((0, 0), dtype=np.int64))
     with pytest.raises(ShapeError):
@@ -352,7 +411,12 @@ def test_exact_routines_refuse_non_integral_entries():
     for bad in (float("nan"), float("inf"), np.float32(0.5), True):
         with pytest.raises(DomainError):
             gfcore.det_integer([[bad]])
+    # the Gram test is exact only on integers
+    for bad in ([[0.5, 0], [0, 1]], np.array([[1.0, 0.0], [0.0, np.nan]])):
+        with pytest.raises(DomainError):
+            gfcore.certify_nonsingular(bad)
     # integral floats and numpy integers still parse
+    assert gfcore.certify_nonsingular(np.array([[2.0, 1.0], [1.0, 1.0]]))
     assert gfcore.det_integer([[np.int64(2), 0], [0, 3.0]]) == 6
     assert gfcore.rank_integer([[np.float32(4.0), np.int8(2)]]) == 1
     assert gfcore.rank_mod_p(np.array([[1.0, 0], [0, 2.0]]), 5) == 2
