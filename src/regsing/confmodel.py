@@ -25,6 +25,12 @@ from .gfcore import require_int
 DENSE_ENTRIES_CAP = 2**24
 
 
+def require_mode(mode: str) -> None:
+    """InvalidParamsError unless mode is directed or undirected."""
+    if mode not in ("directed", "undirected"):
+        raise InvalidParamsError(f"mode must be directed|undirected, got {mode!r}")
+
+
 @dataclass(frozen=True)
 class GraphParams:
     n: int
@@ -32,8 +38,7 @@ class GraphParams:
     mode: str  # "directed" | "undirected"
 
     def __post_init__(self):
-        if self.mode not in ("directed", "undirected"):
-            raise InvalidParamsError(f"mode must be directed|undirected, got {self.mode!r}")
+        require_mode(self.mode)
         require_int("n", self.n, 1)
         require_int("d", self.d, 1)
         if self.mode == "undirected" and (self.n * self.d) % 2:
@@ -120,23 +125,17 @@ def sample(params: GraphParams, seed) -> Graph:
     )
 
 
-def fibre_targets(
-    n: int, d: int, mode: str, order: np.ndarray, columns: bool = False
-) -> np.ndarray:
+def fibre_targets(n: int, d: int, mode: str, order: np.ndarray) -> np.ndarray:
     """Row t // d lists, for each point t, the fibre it is joined to.
 
     A vertex's adjacency row counts the fibres its d points are joined
     to, so these target rows are the sparse form of the adjacency rows.
-    Columns of the directed model read the inverse permutation; the
-    undirected matrix is symmetric, so its columns are its rows.
+    The columns of a directed adjacency are the target rows of the
+    inverse permutation, np.argsort(order); an undirected one is symmetric.
     """
     order = np.asarray(order)
     if mode == "directed":
-        if not columns:
-            return (order // d).reshape(n, d)
-        inverse = np.empty_like(order)
-        inverse[order] = np.arange(n * d)
-        return (inverse // d).reshape(n, d)
+        return (order // d).reshape(n, d)
     partner = np.empty_like(order)
     partner[order[0::2]] = order[1::2]
     partner[order[1::2]] = order[0::2]

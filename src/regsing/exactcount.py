@@ -33,7 +33,8 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .errors import CostGuardError, DomainError, InvalidParamsError
-from .gfcore import require_prime
+from .confmodel import require_mode
+from .gfcore import _as_int, require_int, require_prime
 from .walkdist import (
     WalkTables, build_support, capped_binomial, compositions, require_support, walk_tables,
 )
@@ -70,7 +71,7 @@ def _multinomial(parts: Sequence[int], fact: list[int]) -> int:
 
 def validate_signature(sig: Sequence[int], p: int) -> tuple[int, ...]:
     require_prime(p)
-    sig = tuple(int(x) for x in sig)
+    sig = tuple(_as_int(x) for x in sig)
     if len(sig) != p:
         raise DomainError(f"class signature needs {p} entries, got {len(sig)}")
     if any(x < 0 for x in sig):
@@ -101,9 +102,8 @@ def predicted_table_bits(n: int, d: int, p: int) -> int:
     count exceeds p**(n(d-1)), so none is wider than n(d-1)*log2(p) bits.
     Past TABLE_BITS_CAP the value is only known to exceed the cap.
     """
-    p = require_support(d, p)
-    if n < 0:
-        raise DomainError(f"step count must be >= 0, got {n}")
+    d, p = require_support(d, p)
+    n = require_int("n", n, 0)
     entries = capped_binomial((n + 1) * d + p - 1, p, (TABLE_BITS_CAP + 1) * d) // d
     e = n * (d - 1)  # ceil(e * log2 p) >= e refuses a huge p**e before it is built
     width = max(1, e if entries * e > TABLE_BITS_CAP else (p**e - 1).bit_length())
@@ -239,11 +239,13 @@ def master_sum_undirected(n: int, d: int, p: int) -> Fraction:
 
 def count_graphs(sig: Sequence[int], d: int, p: int, mode: str) -> int:
     """`count_graphs_directed` or `count_graphs_undirected`, by mode."""
+    require_mode(mode)
     return (count_graphs_directed if mode == "directed" else count_graphs_undirected)(sig, d, p)
 
 
 def master_sum(n: int, d: int, p: int, mode: str) -> Fraction:
     """`master_sum_directed` or `master_sum_undirected`, by mode."""
+    require_mode(mode)
     return (master_sum_directed if mode == "directed" else master_sum_undirected)(n, d, p)
 
 

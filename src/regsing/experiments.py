@@ -265,9 +265,13 @@ def _run_block(cfg: McConfig, lo: int, hi: int) -> dict[str, int]:
             if rank < n:
                 tally["singular"] += 1
             continue
-        # a duplicate row or column forces a zero determinant; the
-        # columns of A are the rows of its transpose
-        if dup_rows or has_duplicate_rows(fibre_targets(n, d, mode, order, columns=True)):
+        # a duplicate row or column forces a zero determinant; dup_rows takes in a
+        # directed A's columns, the inverse permutation's rows; an undirected A is symmetric
+        if mode == "directed" and not dup_rows:
+            inverse = np.empty_like(order)
+            inverse[order] = np.arange(n * d)
+            dup_rows = has_duplicate_rows(fibre_targets(n, d, mode, inverse))
+        if dup_rows:
             tally["singular"] += 1
             continue
         # below the cut-off the certificate runs on the Gram matrix of the

@@ -1,10 +1,13 @@
 """Exact linear algebra over prime fields and over the integers.
 
-Matrices are plain sequences of equal-length rows of Python ints, so
-nothing ever overflows; `rank_mod_p` also takes integer numpy arrays
-as they are, and every entry must be an integer (an integral float
-passes; a bool, a fractional or a non-finite one is refused, and so is
-a bool array).  Elimination mod p has one core: it runs on int64 numpy
+Every matrix argument is read by one parser, `_int_matrix`, into a 2-d
+array of int64, or of Python ints when an entry passes int64, so
+nothing ever overflows and every call refuses bad input alike: an
+integer ndarray is taken as it is, other input is read row by row, and
+every entry must be an integer (an integral float or a decimal string
+passes; a bool, a fractional or a non-finite one, or a bool array,
+raises DomainError); input that is not a sequence of equal-length rows
+raises ShapeError.  Elimination mod p has one core: it runs on int64
 arrays when products of two residues fit in a signed 64-bit word
 (p < 2**31), and on object arrays of Python ints above that, with the
 same pivot order.  Integer rank and determinant use fraction-free
@@ -113,17 +116,41 @@ def _as_int(x) -> int:
         or isinstance(x, (bool, np.bool_))
         or (not isinstance(x, (int, np.integer, str)) and v != x)
     ):
-        raise DomainError(f"matrix entries must be integers: {x!r} is not an integer")
+        raise DomainError(f"entries must be integers: {x!r} is not an integer")
     return v
 
 
-def _checked_rows(matrix: Matrix) -> list[list[int]]:
-    rows = [[x if type(x) is int else _as_int(x) for x in row] for row in matrix]
-    if rows:
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise ShapeError("ragged matrix: rows have differing lengths")
-    return rows
+def _int_matrix(matrix) -> np.ndarray:
+    """The matrix argument as a 2-d array, by the rules of the module
+    docstring; entries are read through `_as_int`, and [] is the 0x0
+    matrix."""
+    if isinstance(matrix, np.ndarray):
+        if matrix.ndim != 2:
+            raise ShapeError(f"expected a 2-d matrix, got {matrix.ndim} dimensions")
+        # a bool array is read entry by entry, and refused there
+        if matrix.dtype != np.bool_ and np.can_cast(matrix.dtype, np.int64):
+            return matrix.astype(np.int64, copy=False)
+        matrix = matrix.tolist()
+    rows = []
+    try:
+        for row in matrix:
+            if isinstance(row, (str, bytes)):
+                raise TypeError
+            rows.append([x if type(x) is int else _as_int(x) for x in row])
+    except TypeError:
+        raise ShapeError("a matrix must be a sequence of rows of entries") from None
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise ShapeError("ragged matrix: rows have differing lengths")
+    return _stack_rows(rows)
+
+
+def _stack_rows(rows: list[list[int]]) -> np.ndarray:
+    """Equal-length rows of Python ints, unchecked, as a 2-d array:
+    int64 when every entry fits, an object array otherwise."""
+    try:
+        return np.array(rows, dtype=np.int64).reshape(len(rows), len(rows[0]) if rows else 0)
+    except OverflowError:
+        return np.array(rows, dtype=object)
 
 
 def rank_mod_p(matrix: Matrix, p) -> int:
@@ -131,30 +158,12 @@ def rank_mod_p(matrix: Matrix, p) -> int:
 
     Entries are reduced mod p on entry.  Pivoting picks the first
     nonzero entry in column order, so the pivot sequence is a pure
-    function of the input.  An integer ndarray skips the conversion to
-    rows of Python ints.
+    function of the input.
     """
     p = require_prime(p)
-    if isinstance(matrix, np.ndarray) and np.can_cast(matrix.dtype, np.int64):
-        if matrix.dtype == np.bool_:
-            raise DomainError("matrix entries must be integers, not bools")
-        if matrix.ndim != 2:
-            raise ShapeError(f"expected a 2-d matrix, got {matrix.ndim} dimensions")
-        a = matrix
-    else:
-        rows = _checked_rows(matrix)
-        if not rows or not rows[0]:
-            return 0
-        try:
-            a = np.array(rows, dtype=np.int64)
-        except OverflowError:
-            # entries beyond int64: reduce exactly first
-            a = np.array(rows, dtype=object) % p
-    if 0 in a.shape:
-        return 0
     dtype = np.int64 if p < NUMPY_PRIME_LIMIT else object
-    # np.mod returns a fresh array, so the caller's matrix is untouched
-    return _rank_mod_numpy_arr(np.mod(a.astype(dtype, copy=False), p), p)
+    # np.mod makes a fresh array, and reduces big entries before the int64 core
+    return _rank_mod_numpy_arr(np.mod(_int_matrix(matrix), p).astype(dtype, copy=False), p)
 
 
 def _rank_mod_numpy_arr(a: np.ndarray, p: int) -> int:
@@ -181,7 +190,7 @@ def _rank_mod_numpy_arr(a: np.ndarray, p: int) -> int:
     return r
 
 
-def _eliminate(work: list[dict[int, int]], p: int | None) -> tuple[int, list[list[int]]]:
+def _eliminate(work: list[dict[int, int]], p: int | None) -> tuple[int, np.ndarray]:
     """Structured Gaussian elimination of a sparse square matrix.
 
     `work[i]` maps column j to the nonzero int entry (i, j), columns in
@@ -191,8 +200,8 @@ def _eliminate(work: list[dict[int, int]], p: int | None) -> tuple[int, list[lis
     (Markowitz-style), and the pivot row and column leave the matrix;
     the elimination stops when every live column has more than
     SPARSE_PIVOT_MAX nonzeros.  Returns the pivot count and the dense
-    core left over: n - pivots rows and columns of Python ints, empty
-    ones included.
+    core left over, n - pivots rows and columns, empty ones included, as
+    the integer array `_int_matrix` would make of it.
 
     With a prime p every nonzero entry is a pivot, and
     rank_p(A) = pivots + rank_p(core).  With p None the elimination runs
@@ -295,7 +304,7 @@ def _eliminate(work: list[dict[int, int]], p: int | None) -> tuple[int, list[lis
             for j, v in entries.items():
                 line[index[j]] = v
             core.append(line)
-    return pivots, core
+    return pivots, _stack_rows(core)
 
 
 def certify_nonsingular(matrix) -> bool:
@@ -308,22 +317,14 @@ def certify_nonsingular(matrix) -> bool:
     magnitude at most max|a_ij| times the largest column sum of |A|,
     and the test asks that to stay below 2**53, so no BLAS summation
     order (with or without FMA) rounds.  Input failing that test,
-    entries beyond 2**53 among it, is never certified; a bool matrix or
-    a fractional entry raises DomainError.  A sequence of no rows, such
-    as the empty core of `_eliminate`, is the 0x0 matrix, which is
-    nonsingular.
+    entries beyond 2**53 among it, is never certified; the 0x0 matrix,
+    such as the empty core of `_eliminate`, is nonsingular.
     """
-    a = np.asarray(matrix)
-    if a.dtype == np.bool_:
-        raise DomainError("matrix entries must be integers, not bools")
-    if a.shape == (0,):
-        a = a.reshape(0, 0)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    a = _int_matrix(matrix)
+    if a.shape[0] != a.shape[1]:
         raise ShapeError(f"certification needs a square matrix, got shape {a.shape}")
     if a.shape[0] == 0:
         return True
-    if a.dtype.kind not in "iu":
-        a = np.array(_checked_rows(a.tolist()), dtype=object)
     if a.min() < -_FLOAT_EXACT or a.max() > _FLOAT_EXACT:
         return False
     af = a.astype(np.float64)
@@ -426,23 +427,17 @@ def _bareiss(rows: list[list[int]]) -> tuple[int, int, int]:
 
 def rank_integer(matrix: Matrix) -> int:
     """Rank over the rationals via Bareiss elimination (exact)."""
-    rows = _checked_rows(matrix)
-    if not rows or not rows[0]:
-        return 0
-    return _bareiss(rows)[0]
+    return _bareiss(_int_matrix(matrix).tolist())[0]
 
 
 def rank_det_integer(matrix: Matrix) -> tuple[int, int]:
     """Rank over the rationals and exact determinant of a square integer
     matrix, from one Bareiss elimination."""
-    rows = _checked_rows(matrix)
-    n = len(rows)
-    if any(len(r) != n for r in rows):
+    a = _int_matrix(matrix)
+    if a.shape[0] != a.shape[1]:
         raise ShapeError("determinant needs a square matrix")
-    if n == 0:
-        return 0, 1
-    rank, last_pivot, sign = _bareiss(rows)
-    return rank, sign * last_pivot if rank == n else 0
+    rank, last_pivot, sign = _bareiss(a.tolist())
+    return rank, sign * last_pivot if rank == len(a) else 0
 
 
 def det_integer(matrix: Matrix) -> int:
@@ -455,8 +450,9 @@ def matrix_from_json(data) -> list[list[int]]:
     (entries may exceed 64 bits).
 
     The matrix and each of its rows must be JSON arrays and every entry
-    an integer, not a bool; anything else raises DomainError.
+    an integer, not a bool; anything else raises DomainError, and rows
+    of differing lengths raise ShapeError.
     """
     if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
         raise DomainError("a matrix must be a JSON array of row arrays")
-    return _checked_rows(data)
+    return _int_matrix(data).tolist()

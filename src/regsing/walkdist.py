@@ -39,7 +39,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import CostGuardError, DomainError, ShapeError
-from .gfcore import require_prime
+from .gfcore import require_int, require_prime
 
 # Entries per chunk of `_moments`, and the widest limb it splits counts into
 MOMENT_CHUNK = 1024
@@ -134,7 +134,7 @@ def build_support(d: int, p) -> SupportTable:
     The inputs are checked on every call (`require_support`); the table
     of a valid (d, p) is built once and then served from a cache of the
     SUPPORT_CACHE most recent ones, so callers share one immutable table."""
-    return _support(d, require_support(d, p))
+    return _support(*require_support(d, p))
 
 
 def capped_binomial(m: int, k: int, limit: int) -> int:
@@ -148,14 +148,13 @@ def capped_binomial(m: int, k: int, limit: int) -> int:
     return out
 
 
-def require_support(d: int, p) -> int:
-    """Check d >= 1 and p prime, and refuse with CostGuardError a support
-    predicted above SUPPORT_BITS_CAP bits; returns p as an int.  Each of
-    the C(d + p - 1, d) compositions walks p entries and carries a
-    multiplicity below p**d, of ceil(d * log2 p) bits."""
+def require_support(d: int, p) -> tuple[int, int]:
+    """Check p prime and d an integer >= 1, and refuse with CostGuardError
+    a support predicted above SUPPORT_BITS_CAP bits; returns (d, p) as
+    ints.  Each of the C(d + p - 1, d) compositions walks p entries and
+    carries a multiplicity below p**d, of ceil(d * log2 p) bits."""
     p = require_prime(p)
-    if d < 1:
-        raise DomainError(f"d must be >= 1, got {d}")
+    d = require_int("d", d, 1)
     atoms = capped_binomial(d + p - 1, d, SUPPORT_BITS_CAP)
     if atoms > SUPPORT_BITS_CAP or atoms * (p + (p**d - 1).bit_length()) > SUPPORT_BITS_CAP:
         raise CostGuardError(
@@ -163,7 +162,7 @@ def require_support(d: int, p) -> int:
             f"{SUPPORT_BITS_CAP:.3e} bits: C(d + p - 1, d) compositions of p entries and a "
             "multiplicity each"
         )
-    return p
+    return d, p
 
 
 @functools.lru_cache(maxsize=SUPPORT_CACHE, typed=True)
@@ -431,8 +430,7 @@ def walk_tables(s: SupportTable, n: int) -> WalkTables:
     """Exact endpoint tables for 0..n steps (index k holds the k-step
     law), integer-keyed, from the cached store of the last support."""
     global _store
-    if n < 0:
-        raise DomainError(f"step count must be >= 0, got {n}")
+    n = require_int("n", n, 0)
     with _store_lock:
         if _store is None or _store.support != s:
             _store = _WalkStore(s, n)

@@ -255,9 +255,13 @@ def test_permutation_duplicate_checks_match_dense_unique(mode):
             else:
                 a = confmodel.undirected_adjacency(n, d, order)
             rows = confmodel.has_duplicate_rows(confmodel.fibre_targets(n, d, mode, order))
-            cols = confmodel.has_duplicate_rows(
-                confmodel.fibre_targets(n, d, mode, order, columns=True)
-            )
+            # the columns of a directed A are the rows of the inverse
+            # permutation's targets; an undirected A is symmetric
+            cols = rows
+            if mode == "directed":
+                cols = confmodel.has_duplicate_rows(
+                    confmodel.fibre_targets(n, d, mode, np.argsort(order))
+                )
             assert rows == _repeated_lines(a)
             assert cols == _repeated_lines(a.T)
             seen["row"] += rows

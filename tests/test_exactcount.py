@@ -69,6 +69,33 @@ def test_validate_signature_errors():
     with pytest.raises(InvalidModulusError):
         exactcount.validate_signature((2, 2), 4)
     assert exactcount.validate_signature((0, 2), 2) == (0, 2)
+    # entries are refused, not truncated: (1.5, 0.5) is not class (1, 0)
+    for sig in ((1.5, 0.5), (True, 1), (1, float("nan"))):
+        with pytest.raises(DomainError, match="must be integers"):
+            exactcount.validate_signature(sig, 2)
+        with pytest.raises(DomainError, match="must be integers"):
+            exactcount.count_graphs_directed(sig, 3, 2)
+    assert exactcount.validate_signature((1.0, "2"), 2) == (1, 2)
+
+
+def test_exact_layer_checks_d_n_and_mode():
+    for call in (
+        lambda: exactcount.count_graphs_directed([1, 1], True, 2),
+        lambda: exactcount.count_graphs_undirected([1, 1], 2.0, 2),
+        lambda: exactcount.master_sum_directed(3, True, 2),
+    ):
+        with pytest.raises(InvalidParamsError, match="d must be"):
+            call()
+    for n in (2.0, True, -1):
+        with pytest.raises(InvalidParamsError, match="n must be"):
+            exactcount.master_sum_directed(n, 3, 2)
+        with pytest.raises(InvalidParamsError, match="n must be"):
+            exactcount.master_sum_undirected(n, 3, 2)
+    for mode in ("foo", "Directed", None):
+        with pytest.raises(InvalidParamsError, match="mode must be"):
+            exactcount.count_graphs((1, 1), 3, 2, mode)
+        with pytest.raises(InvalidParamsError, match="mode must be"):
+            exactcount.master_sum(3, 3, 2, mode)
 
 
 def test_model_sizes():
@@ -292,7 +319,7 @@ def test_table_cost_guard_refuses_before_any_table_work(monkeypatch):
     ):
         with pytest.raises(CostGuardError, match="predicted"):
             call()
-    with pytest.raises(DomainError):
+    with pytest.raises(InvalidParamsError, match="n must be"):
         exactcount.predicted_table_bits(-1, 3, 2)
 
 

@@ -192,6 +192,23 @@ def test_integer_ladder_without_the_certificate_matches_the_dense_ladder(
     assert experiments._run_block(cfg, 0, trials) == dense_ladder_block(cfg, 0, trials)
 
 
+def test_integer_trials_check_columns_only_when_they_differ_from_rows(monkeypatch):
+    # an undirected A is symmetric, so its columns repeat iff its rows do
+    calls = []
+
+    def spy(targets):
+        calls.append(1)
+        return confmodel.has_duplicate_rows(targets)
+
+    monkeypatch.setattr(experiments, "has_duplicate_rows", spy)
+    for mode in ("undirected", "directed"):
+        calls.clear()
+        cfg = experiments.McConfig(n=12, d=3, mode=mode, trials=30, seed=4)
+        tally = experiments._run_block(cfg, 0, cfg.trials)
+        columns = 0 if mode == "undirected" else cfg.trials - tally["duplicate_rows"]
+        assert len(calls) == cfg.trials + columns
+
+
 def test_integer_mode_eliminates_below_the_cut_off_only_what_the_certificate_leaves(
     monkeypatch,
 ):

@@ -436,6 +436,54 @@ def test_bool_arrays_are_refused_like_bool_entries():
     assert gfcore.certify_nonsingular(eye.astype(np.int64))
 
 
+MATRIX_ENTRY_POINTS = {
+    "rank_mod_p": lambda m: gfcore.rank_mod_p(m, 5),
+    "rank_mod_p_large": lambda m: gfcore.rank_mod_p(m, M61),
+    "rank_integer": gfcore.rank_integer,
+    "rank_det_integer": gfcore.rank_det_integer,
+    "det_integer": gfcore.det_integer,
+    "certify_nonsingular": gfcore.certify_nonsingular,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(MATRIX_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "bad,error",
+    [
+        ([1, 2], ShapeError),
+        (None, ShapeError),
+        ([[1, 2], [3]], ShapeError),
+        ([[True, 0], [0, 2]], DomainError),
+        (np.eye(2, dtype=bool), DomainError),
+        ([[0.5, 0], [0, 1]], DomainError),
+        (np.zeros((2, 2, 2), dtype=np.int64), ShapeError),
+        (np.arange(3), ShapeError),
+        ("1234", ShapeError),
+        (["12", "34"], ShapeError),
+    ],
+    ids=["1d", "none", "ragged", "bool-entry", "bool-array", "fraction", "3d", "1d-array",
+         "string", "string-rows"],
+)
+def test_matrix_entry_points_refuse_bad_input_alike(entry, bad, error):
+    # every rank, determinant and certificate call reads its matrix
+    # through one parser, so each bad input meets the same refusal
+    with pytest.raises(error):
+        MATRIX_ENTRY_POINTS[entry](bad)
+
+
+def test_int_matrix_reads_every_form_to_one_array():
+    want = np.array([[2, -1], [0, 3]])
+    for form in (want, want.astype(np.int8), want.astype(np.float64), want.tolist(),
+                 [[2.0, "-1"], (np.int16(0), 3)], (row for row in want.tolist())):
+        a = gfcore._int_matrix(form)
+        assert a.dtype == np.int64 and (a == want).all()
+    big = gfcore._int_matrix([[2**70, 1], [np.uint64(2**64 - 1), 0]])
+    assert big.dtype == object and big.tolist() == [[2**70, 1], [2**64 - 1, 0]]
+    assert gfcore._int_matrix(np.array([[2**64 - 1]], dtype=np.uint64)).tolist() == [[2**64 - 1]]
+    assert gfcore._int_matrix([]).shape == (0, 0)
+    assert gfcore._int_matrix([[]]).shape == (1, 0)
+
+
 def _sparse(dense):
     return [{j: v for j, v in enumerate(row) if v} for row in dense]
 
@@ -479,7 +527,8 @@ def test_reduce_sparse_matches_dense_elimination_on_samples(mode):
 def reduce_sparse(rows, p=None):
     """`gfcore._eliminate` behind the checks its callers skip: columns in
     range(len(rows)), integer entries, a prime p; entries are reduced mod
-    p and zeros dropped, and the caller's rows are left as they were."""
+    p and zeros dropped, and the caller's rows are left as they were.
+    The core comes back as rows of Python ints (`eliminate`)."""
     if p is not None:
         p = gfcore.require_prime(p)
     n = len(rows)
@@ -495,7 +544,17 @@ def reduce_sparse(rows, p=None):
             if v:
                 entries[c] = v
         work.append(entries)
-    return gfcore._eliminate(work, p)
+    return eliminate(work, p)
+
+
+def eliminate(work, p):
+    """`gfcore._eliminate`, its core as rows of Python ints after checking
+    that it is the square integer array `_int_matrix` makes of them."""
+    pivots, core = gfcore._eliminate(work, p)
+    assert core.shape == (len(work) - pivots,) * 2
+    rows = core.tolist()
+    assert core.dtype == gfcore._int_matrix(rows).dtype
+    return pivots, rows
 
 
 def reference_reduce_sparse(rows, p=None):
@@ -596,7 +655,7 @@ def test_eliminate_matches_the_reference_kernel_on_samples(mode):
             for p in (2, 3, 5, P31, None):
                 expected = reference_reduce_sparse(rows, p)
                 assert reduce_sparse(rows, p) == expected
-                assert gfcore._eliminate(confmodel.sparse_rows(targets, p), p) == expected
+                assert eliminate(confmodel.sparse_rows(targets, p), p) == expected
             assert rows == confmodel.sparse_rows(targets)
 
 
@@ -631,10 +690,10 @@ def test_reduce_sparse_matches_oracles_on_random_sparse_matrices(drawn, switch):
             assert pivots + gfcore.rank_mod_p(core, p) == rank_oracle_mod_p(dense, p)
             assert (pivots, core) == reference_reduce_sparse(rows, p)
             reduced = [{j: v % p for j, v in row.items() if v % p} for row in rows]
-            assert gfcore._eliminate(reduced, p) == (pivots, core)
+            assert eliminate(reduced, p) == (pivots, core)
         pivots, core = reduce_sparse(rows)
         assert (pivots, core) == reference_reduce_sparse(rows)
-        assert gfcore._eliminate([dict(row) for row in rows], None) == (pivots, core)
+        assert eliminate([dict(row) for row in rows], None) == (pivots, core)
     _assert_square_core(core, n - pivots)
     rank, det = gauss_oracle_rational(dense)
     assert pivots + gauss_oracle_rational(core)[0] == rank

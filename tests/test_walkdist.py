@@ -11,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regsing import walkdist
-from regsing.errors import CostGuardError, DomainError, InvalidModulusError, ShapeError
+from regsing.errors import (
+    CostGuardError, DomainError, InvalidModulusError, InvalidParamsError, ShapeError,
+)
 
 # Frozen supports, cross-checked below against tuple enumeration.
 SUPPORT_D3_P2 = (((1, 2), 3), ((3, 0), 1))
@@ -113,10 +115,23 @@ def test_build_support_cached_after_validation():
             walkdist.build_support(3, 4)
         with pytest.raises(InvalidModulusError):
             walkdist.build_support(3, 5.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(InvalidParamsError, match="d must be"):
             walkdist.build_support(0, 5)
-        with pytest.raises(TypeError):
+        with pytest.raises(InvalidParamsError, match="d must be"):
             walkdist.build_support(3.0, 5)
+
+
+def test_d_and_n_must_be_integers():
+    # a bool is not taken as 1, nor is a float truncated or left to fail
+    # deep in the table code
+    for d in (True, 3.0, "3", None):
+        with pytest.raises(InvalidParamsError, match="d must be an integer >= 1"):
+            walkdist.build_support(d, 2)
+    s = walkdist.build_support(3, 2)
+    for n in (-1, 2.5, 2.0, True):
+        with pytest.raises(InvalidParamsError, match="n must be an integer >= 0"):
+            walkdist.walk_tables(s, n)
+    assert len(walkdist.walk_tables(s, np.int64(2))) == 3
 
 
 def test_moments_closed_form_needs_three_factors():
