@@ -17,6 +17,8 @@ import math
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from . import asymptotics, bruteoracle, confmodel, exactcount, experiments, gfcore
 from .errors import (
     CostGuardError,
@@ -154,7 +156,7 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _read_matrix(args) -> list[list[int]]:
+def _read_matrix(args) -> np.ndarray:
     try:
         if args.matrix_file:
             with open(args.matrix_file, "r", encoding="utf-8") as fh:
@@ -168,13 +170,12 @@ def _read_matrix(args) -> list[list[int]]:
         raise DomainError(str(exc)) from exc
     if isinstance(data, dict):
         data = data.get("matrix", data.get("rows"))
-    return gfcore.matrix_from_json(data)
+    return gfcore._json_matrix(data)
 
 
 def _cmd_rank(args) -> int:
     matrix = _read_matrix(args)
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
+    rows, cols = matrix.shape
     payload: dict = {"rows": rows, "cols": cols}
     # one elimination per input: the kernel count follows from the rank
     if args.p is not None:

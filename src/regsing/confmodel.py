@@ -80,14 +80,17 @@ def dense_adjacency(targets: np.ndarray) -> np.ndarray:
 
 
 def dense_gram(targets: np.ndarray) -> np.ndarray:
-    """A^T A for the adjacency A of `fibre_targets` rows: entry (j, l) is
-    the sum over rows k of a_kj a_kl, the number of pairs of points
-    (s, t) of fibre k joined to fibres j and l, so it counts the
-    (t_ks, t_kt) pairs of every row, n d^2 of them; an undirected loop
-    adds 2 to a_kk, as in `dense_adjacency`."""
+    """A^T A for the adjacency A of `fibre_targets` rows, in float64:
+    entry (j, l) is the sum over rows k of a_kj a_kl, the number of
+    pairs of points (s, t) of fibre k joined to fibres j and l, so it
+    counts the (t_ks, t_kt) pairs of every row, n d^2 of them; an
+    undirected loop adds 2 to a_kk, as in `dense_adjacency`.  Every
+    entry is an integer of at most d^2, which float64 holds exactly, and
+    the count is made in float64, so `gfcore._certify_gram` can take
+    the matrix as it is."""
     n = len(targets)
-    cells = targets[:, :, None] * n + targets[:, None, :]
-    return np.bincount(cells.ravel(), minlength=n * n).reshape(n, n)
+    cells = (targets[:, :, None] * n + targets[:, None, :]).ravel()
+    return np.bincount(cells, weights=np.ones(cells.size), minlength=n * n).reshape(n, n)
 
 
 def adjacency(n: int, d: int, mode: str, order: np.ndarray) -> np.ndarray:

@@ -17,13 +17,15 @@ B, g = gamma_{k+2}, so a shift s above that bound proves det A != 0
 (`gfcore._certify_gram`; Rump, "Verification of positive
 definiteness", BIT 46, 2006; Higham, Accuracy and Stability of
 Numerical Algorithms, Thm 10.3).  Below REDUCE_FIRST_N vertices the
-certificate runs on A^T A, counted from the target rows without
-building the adjacency, and only the trials it leaves are reduced, with
-unit pivots; from REDUCE_FIRST_N on every trial is reduced first and
-the certificate runs on the Gram matrix of the core, whose |det| is
-that of the whole matrix.  Then full rank of the core modulo the fixed
-CHECK_PRIME certifies nonsingularity, and only what is left pays for a
-fraction-free integer determinant, of the core.
+certificate runs on A^T A, counted in float64 from the target rows
+without building the adjacency and shifted in place by the
+certificate, so no trial copies it, and only the trials it leaves are
+reduced, with unit pivots; from REDUCE_FIRST_N on every trial is
+reduced first and the certificate runs on the Gram matrix of the
+core, whose |det| is that of the whole matrix.  Then full rank of the
+core modulo the fixed CHECK_PRIME certifies nonsingularity, and only
+what is left pays for a fraction-free integer determinant, of the
+core.
 """
 
 from __future__ import annotations
@@ -71,20 +73,23 @@ SCALING_SLACK = 0.5
 # loses once that outgrows the reduction.  Per trial, d = 3, one BLAS
 # thread, the best of five interleaved passes over the same 100 seeded
 # trials without a duplicate row or column, low and high of two runs
-# (process time, 2-vCPU VM; full = Gram matrix + certificate, reduce
-# first = sparse rows + reduction + certificate on the core's Gram):
+# (four at 400, 440 and 480; process time, 2-vCPU VM; full = float64
+# Gram matrix + certificate in place, reduce first = sparse rows +
+# reduction + certificate on the core's Gram):
 #   n    directed: full / reduce first       undirected: full / reduce first
-#   100    171-196 / 893-942 us                 175-216 / 944-1120 us
-#   200  1064-1227 / 1745-1842 us             1037-1057 / 1661-1804 us
-#   250  1703-1845 / 2155-2256 us             1569-1642 / 2193-2991 us
-#   280  2047-2111 / 2554-2582 us             2223-2340 / 2373-2400 us
-#   300  2590-2963 / 2970-3288 us             2292-2513 / 2614-3023 us
-#   320  3681-3854 / 3459-3464 us             3032-3774 / 2921-2952 us
-#   340  4043-4588 / 3336-4590 us             3968-4546 / 3749-4688 us
-#   360  5106-5168 / 5082-5164 us             5104-5298 / 5235-5237 us
-#   400  6163-6678 / 5489-5888 us             6115-6746 / 5475-5764 us
-# In one run at n = 500 full took 8.1 and 9.6 ms against 5.1 and 5.8 ms.
-REDUCE_FIRST_N = 320
+#   280  1098-1109 / 1944-1978 us             1126-1241 / 1881-2314 us
+#   320  1665-1763 / 2357-2444 us             1621-2626 / 2401-3909 us
+#   360  1982-2083 / 2875-2928 us             1935-2685 / 2606-2808 us
+#   400  2745-3075 / 3120-3344 us             2708-4239 / 3081-4973 us
+#   420  3528-3585 / 3346-3424 us             3254-5062 / 3250-5534 us
+#   440  3473-3781 / 3418-3806 us             3292-5361 / 3394-5222 us
+#   460  4688-4977 / 3916-5271 us             4620-4683 / 3702-3704 us
+#   480  4952-5396 / 3926-5506 us             4879-5617 / 3804-4385 us
+#   520  5568-6030 / 4408-5121 us             5120-5333 / 4251-4308 us
+#   560  7616-10328 / 4931-7703 us            7620-7814 / 4710-4893 us
+# Full wins up to 400 in both modes, the two tie at 420 and 440, and
+# reduce first wins from 460 on; below 280 full wins by more still.
+REDUCE_FIRST_N = 420
 
 # A matrix singular over Q is singular over every F_p, so full rank mod
 # any one prime proves det != 0, and a prime dividing a nonzero det only

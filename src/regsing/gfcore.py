@@ -21,9 +21,11 @@ a Gram matrix B = A^T A, exact in float64: if Cholesky of B - sI runs
 to completion for a k x k B, lambda_min(B) > s - g/(1 - g) tr(B)
 - O(k^2 2^-1074) with g = gamma_{k+2}, so a shift s above that bound
 proves B positive definite and det A != 0 (`certify_nonsingular` from
-A, `_certify_gram` from a ready B; Rump, "Verification of positive
-definiteness", BIT 46, 2006; Higham, Accuracy and Stability of
-Numerical Algorithms, Thm 10.3).  It only ever proves, never guesses.
+A, `_certify_gram` from a ready float64 B, whose diagonal it shifts in
+place, so B is built once and never copied; Rump, "Verification of
+positive definiteness", BIT 46, 2006; Higham, Accuracy and Stability
+of Numerical Algorithms, Thm 10.3).  It only ever proves, never
+guesses.
 """
 
 from __future__ import annotations
@@ -337,14 +339,15 @@ def certify_nonsingular(matrix) -> bool:
     return _certify_gram(af.T @ af)
 
 
-def _certify_gram(gram: np.ndarray) -> bool:
+def _certify_gram(b: np.ndarray) -> bool:
     """One-sided proof that a symmetric k x k integer matrix B, such as
     a Gram matrix A^T A, is positive definite; True proves it, False
     proves nothing.
 
-    Nothing is checked: B must be symmetric, with integer entries that
-    float64 holds exactly, as the ones `certify_nonsingular` and
-    `confmodel.dense_gram` build.  B is not changed.
+    Nothing is checked: B must be a symmetric float64 array whose
+    entries are integers held exactly, as the ones `certify_nonsingular`
+    and `confmodel.dense_gram` build.  B is consumed: its diagonal is
+    shifted in place, and no copy is made.
 
     Let s be a power of two and run Cholesky on B - sI.  If it runs to
     completion, the computed factor R satisfies R^T R = B - sI + dB
@@ -370,7 +373,6 @@ def _certify_gram(gram: np.ndarray) -> bool:
     Rump, "Verification of positive definiteness", BIT 46 (2006);
     Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.3.
     """
-    b = gram.astype(np.float64)
     k = len(b)
     diag = b.diagonal()
     top = float(diag.max())
@@ -453,6 +455,12 @@ def matrix_from_json(data) -> list[list[int]]:
     an integer, not a bool; anything else raises DomainError, and rows
     of differing lengths raise ShapeError.
     """
+    return _json_matrix(data).tolist()
+
+
+def _json_matrix(data) -> np.ndarray:
+    """`matrix_from_json` as the array `_int_matrix` builds, which the
+    rank routines take without parsing it again."""
     if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
         raise DomainError("a matrix must be a JSON array of row arrays")
-    return _int_matrix(data).tolist()
+    return _int_matrix(data)

@@ -39,7 +39,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import CostGuardError, DomainError, ShapeError
-from .gfcore import require_int, require_prime
+from .gfcore import _as_int, require_int, require_prime
 
 # Entries per chunk of `_moments`, and the widest limb it splits counts into
 MOMENT_CHUNK = 1024
@@ -104,11 +104,13 @@ class LatticeDistribution:
 
 
 def phi(vector: Sequence[int], p) -> tuple[int, ...]:
-    """Histogram of symbol frequencies of a vector over F_p."""
+    """Histogram of symbol frequencies of a vector over F_p; entries are
+    read as `gfcore` reads matrix entries, so a bool or a fractional one
+    raises DomainError rather than being truncated."""
     p = require_prime(p)
     counts = [0] * p
     for i, x in enumerate(vector):
-        x = int(x)
+        x = x if type(x) is int else _as_int(x)
         if not 0 <= x < p:
             raise DomainError(f"entry {x} at index {i} is outside [0, {p})")
         counts[x] += 1

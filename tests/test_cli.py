@@ -390,6 +390,23 @@ def test_rank_runs_one_elimination(monkeypatch, capsys):
     assert calls == {"mod_p": 1, "bareiss": 2}
 
 
+def test_rank_parses_its_matrix_once(monkeypatch, capsys):
+    stacked = []
+    stack_rows = gfcore._stack_rows
+
+    def counted(rows):
+        stacked.append(len(rows))
+        return stack_rows(rows)
+
+    monkeypatch.setattr(gfcore, "_stack_rows", counted)
+    for argv in (("rank", "--p", "5"), ("rank",)):
+        for matrix in ("[[1, 2], [3, 4]]", "[[1, 2, 3], [4, 5, 6]]"):
+            stacked.clear()
+            monkeypatch.setattr("sys.stdin", io.StringIO(matrix))
+            code, _, _ = run_cli(capsys, *argv)
+            assert code == 0 and stacked == [2], (argv, matrix)
+
+
 # sha256 of stdout, recorded before the sampler, seeding and JSON-encoder
 # paths were merged (the rate and rank entries: before scipy and the
 # pure-Python rank path were dropped; the last three undirected entries:

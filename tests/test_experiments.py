@@ -114,16 +114,16 @@ def test_divisible_degree_always_singular():
 
 
 # (n, mode, trials, seed): every case past n = 12 reaches the exact
-# determinant.  Below REDUCE_FIRST_N the Gram-Cholesky certificate runs
-# on A^T A of the whole adjacency and only the trials it leaves are
-# reduced; at REDUCE_FIRST_N (the last case) every trial is reduced
-# first and the certificate runs on the core's Gram matrix.  A trial
-# escalates when the certificate fails (lambda_min of the Gram matrix
-# below a shift of order n**2 * 2**-50) and the rank mod CHECK_PRIME is
-# deficient, about one trial in 2,000 at these sizes.  These seeds
-# escalate early: n = 200 at trial 2; n = 160, undirected with loops
-# and multi-edges, at trial 1; n = 320, undirected, at trial 0, the one
-# escalation in trials 0 and 1 of seeds 0 to 3999.
+# determinant.  Below REDUCE_FIRST_N, as in every case here, the
+# Gram-Cholesky certificate runs on A^T A of the whole adjacency and
+# only the trials it leaves are reduced; from REDUCE_FIRST_N on every
+# trial is reduced first and the certificate runs on the core's Gram
+# matrix.  A trial escalates when the certificate fails (lambda_min of
+# the Gram matrix below a shift of order n**2 * 2**-50) and the rank mod
+# CHECK_PRIME is deficient, about one trial in 2,000 at these sizes.
+# These seeds escalate early: n = 200 at trial 2; n = 160, undirected
+# with loops and multi-edges, at trial 1; n = 320, undirected, at trial
+# 0, the one escalation in trials 0 and 1 of seeds 0 to 3999.
 INTEGER_CASES = ((12, "directed", 300, 9), (50, "directed", 150, 3), (16, "undirected", 200, 3),
                  (200, "directed", 12, 390), (160, "undirected", 12, 935),
                  (320, "undirected", 2, 1979))

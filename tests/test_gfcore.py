@@ -1,6 +1,7 @@
 """Exact linear algebra: ranks over F_p, integer ranks and determinants."""
 
 import heapq
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -336,14 +337,32 @@ def test_certify_nonsingular_on_trial_matrices(n, mode):
     assert both >= 0.99 * reference
 
 
+def test_gram_certificate_takes_the_gram_matrix_in_place():
+    # dense_gram counts in float64 and the certificate shifts that matrix
+    # in place, so the peak is the Gram matrix and Cholesky's factor, about
+    # 2 x 8n^2 bytes; any copy of the n x n matrix would make it 3
+    n = 200
+    order = np.random.default_rng(1).permutation(n * 3)
+    targets = confmodel.fibre_targets(n, 3, "directed", order)
+    assert gfcore._certify_gram(confmodel.dense_gram(targets))
+    tracemalloc.start()
+    try:
+        assert gfcore._certify_gram(confmodel.dense_gram(targets))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 8 * n * n
+
+
 def test_gram_certificate_shift_covers_the_rounding_bound():
     # eigenvalues 1 and 2t - 1: the shift s, a power of two in
     # (2 bound, 4 bound] with bound ~ gamma_{k+2} tr(B) = 4u * 2t, stays
     # below 1 at t = 2**44 (s = 2**-4) but reaches 2 at t = 2**49
-    for t, certified in ((2**44, True), (2**49, False)):
-        gram = np.array([[t, t - 1], [t - 1, t]], dtype=np.int64)
+    for t, shift, certified in ((2**44, 2**-4, True), (2**49, 2, False)):
+        gram = np.array([[t, t - 1], [t - 1, t]], dtype=np.float64)
         assert gfcore._certify_gram(gram) is certified
-        assert gram[0, 0] == t  # the caller's matrix is left as it was
+        # the matrix is consumed: its diagonal is shifted in place, exactly
+        assert (gram == [[t - shift, t - 1], [t - 1, t - shift]]).all()
 
 
 def test_certify_nonsingular_rejects_singular_matrix_without_repeated_rows():

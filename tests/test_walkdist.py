@@ -44,6 +44,11 @@ def test_phi_examples():
         walkdist.phi((0, 3), 3)
     with pytest.raises(DomainError):
         walkdist.phi((-1, 0), 2)
+    # entries are read as integers, never truncated
+    for bad in ((1.5, 0.2, True), (0, True), (0.5,), (float("nan"),), ("x",)):
+        with pytest.raises(DomainError):
+            walkdist.phi(bad, 2)
+    assert walkdist.phi((1.0, np.int64(1), "0"), 2) == (1, 2)
 
 
 def test_compositions_count():
