@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import CostGuardError, DomainError, ShapeError
-from .exactcount import validate_signature
+from .exactcount import _congruent, validate_signature
 from .walkdist import SupportTable, build_support, char_fn, require_support
 
 TWO_PI = 2.0 * math.pi
@@ -257,12 +257,11 @@ def lclt_directed(sig: Sequence[int], d: int, p: int) -> LcltValue:
         raise DomainError("signature total must be positive, and p times it within float range")
     if d < 1:
         raise DomainError(f"need d >= 1, got {d}")
-    applicable = (d * sum(j * c for j, c in enumerate(sig))) % p == 0
     o = helmert_basis(p)
     dev = np.array(sig, dtype=float) / n - 1.0 / p
     q = float(np.dot(o.T @ dev, o.T @ dev))
     value = p**1.5 * (p / (TWO_PI * n)) ** ((p - 1) / 2) * math.exp(-p * n * q / 2)
-    return LcltValue(value=value, applicable=applicable)
+    return LcltValue(value=value, applicable=_congruent(sig, d, p))
 
 
 def _check_simplex(freqs, shape: tuple[int, ...]) -> np.ndarray:

@@ -170,7 +170,7 @@ def _read_matrix(args) -> np.ndarray:
         raise DomainError(str(exc)) from exc
     if isinstance(data, dict):
         data = data.get("matrix", data.get("rows"))
-    return gfcore._json_matrix(data)
+    return gfcore.matrix_from_json(data)
 
 
 def _cmd_rank(args) -> int:

@@ -17,7 +17,10 @@ even diagonal, row sums d*n_i, row-wise weighted congruence) each carry
 a pairing weight prod_{i<j} m_ij! * prod_i m_ii!/(2^{m_ii/2}(m_ii/2)!)
 and a product of per-class walk counts, so the class count is
 sum_M weight(M) * prod_i walks_{n_i}(row i of M), summed in one
-backtracking pass that builds no list of matrices.
+backtracking pass that builds no list of matrices.  M is filled only
+over the symbols the class uses, from an explicit stack, and the pass
+is refused past PAIRING_MATRIX_CAP partial matrices.  In both models a
+class with d * sum_j j*n_j != 0 (mod p) counts 0 without any search.
 
 Master sums divide the class totals by the model size; they estimate
 the expected number of nonzero kernel vectors, and divided by (p-1)
@@ -39,7 +42,7 @@ from .walkdist import (
     WalkTables, build_support, capped_binomial, compositions, require_support, walk_tables,
 )
 
-# Refuse an undirected class once this many data matrices complete.
+# Refuse an undirected class once its fill stacks this many partial data matrices.
 PAIRING_MATRIX_CAP = 1_000_000
 # Refuse walk tables whose predicted size (entries times count width,
 # see predicted_table_bits) exceeds this many bits.
@@ -56,12 +59,6 @@ def multinomial(n: int, parts: Sequence[int]) -> int:
 def _factorials(top: int) -> list[int]:
     """[0!, 1!, ..., top!]; a master sum builds it once, up to d*n."""
     return list(itertools.accumulate(range(1, top + 1), operator.mul, initial=1))
-
-
-def _loop_weights(fact: list[int]) -> list[int]:
-    """Entry v: the pairings of v endpoints within one class, for even v
-    (a data matrix's diagonal entry), from the factorials up to v."""
-    return [fact[v] // (2 ** (v // 2) * fact[v // 2]) for v in range(len(fact))]
 
 
 def _multinomial(parts: Sequence[int], fact: list[int]) -> int:
@@ -119,91 +116,135 @@ def _require_tables(n: int, d: int, p: int) -> None:
         )
 
 
-def _tables(n: int, d: int, p: int) -> WalkTables:
-    """The walk tables for 0..n steps, built once `_require_tables` passes."""
-    _require_tables(n, d, p)
-    return walk_tables(build_support(d, p), n)
+def _congruent(sig: Sequence[int], d: int, p: int) -> bool:
+    """d * sum_j j*n_j == 0 (mod p): a class that fails has no outcome in
+    either model, as the rows of A v = 0 sum to d * sum_j v_j."""
+    return d * sum(j * x for j, x in enumerate(sig)) % p == 0
 
 
-def _count_directed(sig: tuple[int, ...], d: int, tables: WalkTables, fact: list[int]) -> int:
-    walks = tables[sum(sig)].get(d * tables.key(sig), 0)
-    if walks == 0:
-        return 0
-    return walks * math.prod(fact[d * x] for x in sig)
+def _class_count(top: int, d: int, p: int, mode: str):
+    """(count, fact) for the classes of total (directed) or largest entry
+    (undirected) at most top, once the caller's table guard has passed:
+    tables, factorials up to d * top and loop weights are built once.  A
+    class that fails `_congruent` counts 0 without a table lookup or fill."""
+    tables = walk_tables(build_support(d, p), top)
+    fact = _factorials(d * top)
+    if mode == "undirected":  # loops[v]: the pairings of v endpoints within one class, v even
+        loops = [fact[v] // (2 ** (v // 2) * fact[v // 2]) for v in range(len(fact))]
 
+    def count(sig: tuple[int, ...]) -> int:
+        if not _congruent(sig, d, p):
+            return 0
+        if mode == "undirected":
+            return _count_undirected(sig, d, tables, fact, loops)
+        walks = tables[sum(sig)].get(d * tables.key(sig), 0)  # the module docstring's formula
+        return walks and walks * math.prod(fact[d * x] for x in sig)
 
-def count_graphs_directed(sig: Sequence[int], d: int, p: int) -> int:
-    """Directed outcomes G with A(G)v = 0, v any fixed vector of class sig."""
-    sig = validate_signature(sig, p)
-    n = sum(sig)
-    return _count_directed(sig, d, _tables(n, d, p), _factorials(d * n))
+    return count, fact
 
 
 def _count_undirected(
-    sig: tuple[int, ...], d: int, p: int, tables: WalkTables, fact: list[int], loops: list[int]
+    sig: tuple[int, ...], d: int, tables: WalkTables, fact: list[int], loops: list[int]
 ) -> int:
     """Sum of weight(M) * prod_i walks(row i) over the data matrices M
-    of the class, in one pass that fills M row by row (entries j >= i).
+    of the class, filled row by row (entries j >= i) over the s symbols
+    the class uses: the row and column of a symbol with n_j = 0 are 0.
 
-    free[j] is what row and column j still need and fixed[j] the key of
-    row j's entries left of its diagonal, both set in place and restored.
-    A complete row ends its branch unless its walk count is nonzero;
-    that also checks its sum and congruence.  `fact` and `loops` (see
-    _loop_weights) reach at least d * max(sig).
+    The fill keeps an explicit stack, not Python recursion, so no depth
+    limit applies.  A frame sets entry (i, j) to v.  Off the diagonal, a
+    nonzero v is taken from free[j], what column j still needs, and added
+    to fixed[j], the key of row j left of its diagonal, and an undo frame
+    restores both once the frame's branch is done.  A row ends once it
+    needs nothing more (its other entries are 0), and its branch ends
+    there unless its walk count is nonzero; that also checks its sum and
+    congruence.  Each frame that sets an entry is a partial data matrix,
+    and the class is refused once more than PAIRING_MATRIX_CAP of those
+    are stacked.
+    `fact` and `loops` reach at least d * max(sig).
     """
-    unit = [tables.key([int(j == k) for k in range(p)]) for j in range(p)]
-    walks = [tables[x] for x in sig]
-    free = [d * x for x in sig]
-    fixed = [0] * p
-    last = p - 1
-    total = matrices = 0
-
-    def fill(i: int, j: int, rem: int, key: int, term: int) -> None:
-        nonlocal total, matrices
-        if j == last:  # the last entry is whatever the row still needs
-            if (rem % 2) if j == i else (rem > free[j]):  # odd diagonal, full column
-                return
-            w = walks[i].get(key + rem * unit[j], 0)
-            if not w:
-                return
-            term *= w * (loops if j == i else fact)[rem]
-            if i == last:
-                matrices += 1
-                if matrices > PAIRING_MATRIX_CAP:
-                    raise CostGuardError(
-                        f"more than {PAIRING_MATRIX_CAP} data matrices for class {sig}"
-                    )
-                total += term
-                return
-            free[j] -= rem
-            fixed[j] += rem * unit[i]
-            fill(i + 1, i + 1, free[i + 1], fixed[i + 1], term)
-            free[j] += rem
-            fixed[j] -= rem * unit[i]
-        elif j == i:
-            for v in range(0, rem + 1, 2):
-                fill(i, j + 1, rem - v, key + v * unit[j], term * loops[v])
+    used = [j for j, x in enumerate(sig) if x]
+    unit = [tables.key([0] * j + [1]) for j in used]
+    walks = [tables[sig[j]] for j in used]
+    free = [d * sig[j] for j in used]
+    fixed = [0] * len(used)
+    last = len(used) - 1
+    stack = [(0, -1, 0, free[0], 0, 1)] if used else []  # row 0, nothing set yet
+    total = 0 if used else 1  # a class of no symbols has the empty data matrix
+    visits = 0
+    while stack:
+        frame = stack.pop()
+        if len(frame) == 3:  # undo an off-diagonal entry
+            j, v, kv = frame
+            free[j] += v
+            fixed[j] -= kv
+            continue
+        i, j, v, rem, key, term = frame
+        if j > i and v:
+            kv = v * unit[i]
+            free[j] -= v
+            fixed[j] += kv
+            stack.append((j, v, kv))
+        if rem:
+            j += 1
         else:
-            for v in range(min(rem, free[j]) + 1):
-                free[j] -= v
-                fixed[j] += v * unit[i]
-                fill(i, j + 1, rem - v, key + v * unit[j], term * fact[v])
-                free[j] += v
-                fixed[j] -= v * unit[i]
-
-    fill(0, 0, free[0], 0, 1)
+            w = walks[i].get(key, 0)
+            if not w:
+                continue
+            if i == last:
+                total += term * w
+                continue
+            i = j = i + 1
+            rem, key, term = free[i], fixed[i], term * w
+        if j == last:  # the last entry is whatever the row still needs
+            values = (rem,) if (rem % 2 == 0 if j == i else rem <= free[j]) else ()
+        else:
+            values = range(0, rem + 1, 2) if j == i else range(min(rem, free[j]) + 1)
+        visits += len(values)
+        if visits > PAIRING_MATRIX_CAP:
+            raise CostGuardError(
+                f"more than {PAIRING_MATRIX_CAP} partial data matrices for class {sig}"
+            )
+        weight, u = (loops if j == i else fact), unit[j]
+        stack.extend([(i, j, v, rem - v, key + v * u, term * weight[v]) for v in values])
     return total
 
 
-def count_graphs_undirected(sig: Sequence[int], d: int, p: int) -> int:
-    """Pairings G with A(G)v = 0, v any fixed vector of class sig."""
+def count_graphs(sig: Sequence[int], d: int, p: int, mode: str) -> int:
+    """Outcomes G of `mode` with A(G)v = 0, v any fixed vector of class sig."""
+    require_mode(mode)
     sig = validate_signature(sig, p)
     n = sum(sig)
-    if (n * d) % 2:
+    if mode == "undirected" and (n * d) % 2:
         raise InvalidParamsError(f"undirected count needs 2 | dn, got d = {d}, an odd class total")
-    tables = _tables(max(sig, default=0), d, p)
-    fact = _factorials(d * max(sig, default=0))
-    return _count_undirected(sig, d, p, tables, fact, _loop_weights(fact))
+    top = n if mode == "directed" else max(sig, default=0)
+    _require_tables(top, d, p)
+    return _class_count(top, d, p, mode)[0](sig)
+
+
+def master_sum(n: int, d: int, p: int, mode: str) -> Fraction:
+    """Expected number of nonzero kernel vectors of the `mode` model, exact."""
+    require_mode(mode)
+    _require_tables(n, d, p)  # before the model size: it checks parity, then takes (nd)!
+    size = (model_size_directed if mode == "directed" else model_size_undirected)(n, d)
+    count, fact = _class_count(n, d, p, mode)
+    total = sum(_multinomial(sig, fact) * count(sig) for sig in class_signatures(n, p))
+    return Fraction(total, size)
+
+
+def count_graphs_directed(sig: Sequence[int], d: int, p: int) -> int:
+    return count_graphs(sig, d, p, "directed")
+
+
+def count_graphs_undirected(sig: Sequence[int], d: int, p: int) -> int:
+    return count_graphs(sig, d, p, "undirected")
+
+
+def master_sum_directed(n: int, d: int, p: int) -> Fraction:
+    return master_sum(n, d, p, "directed")
+
+
+def master_sum_undirected(n: int, d: int, p: int) -> Fraction:
+    return master_sum(n, d, p, "undirected")
 
 
 def class_signatures(n: int, p: int) -> Iterator[tuple[int, ...]]:
@@ -212,41 +253,6 @@ def class_signatures(n: int, p: int) -> Iterator[tuple[int, ...]]:
     for sig in compositions(n, p):
         if sig[0] != n:
             yield sig
-
-
-def master_sum_directed(n: int, d: int, p: int) -> Fraction:
-    """Expected number of nonzero kernel vectors of the directed model, exact."""
-    tables = _tables(n, d, p)
-    fact = _factorials(d * n)
-    total = 0
-    for sig in class_signatures(n, p):
-        total += _multinomial(sig, fact) * _count_directed(sig, d, tables, fact)
-    return Fraction(total, model_size_directed(n, d))
-
-
-def master_sum_undirected(n: int, d: int, p: int) -> Fraction:
-    """Expected number of nonzero kernel vectors of the undirected model, exact."""
-    _require_tables(n, d, p)  # before the model size: it checks parity, then takes (nd)!
-    size = model_size_undirected(n, d)
-    tables = walk_tables(build_support(d, p), n)
-    fact = _factorials(d * n)
-    loops = _loop_weights(fact)
-    total = 0
-    for sig in class_signatures(n, p):
-        total += _multinomial(sig, fact) * _count_undirected(sig, d, p, tables, fact, loops)
-    return Fraction(total, size)
-
-
-def count_graphs(sig: Sequence[int], d: int, p: int, mode: str) -> int:
-    """`count_graphs_directed` or `count_graphs_undirected`, by mode."""
-    require_mode(mode)
-    return (count_graphs_directed if mode == "directed" else count_graphs_undirected)(sig, d, p)
-
-
-def master_sum(n: int, d: int, p: int, mode: str) -> Fraction:
-    """`master_sum_directed` or `master_sum_undirected`, by mode."""
-    require_mode(mode)
-    return (master_sum_directed if mode == "directed" else master_sum_undirected)(n, d, p)
 
 
 def singularity_bound_from_master(master: Fraction, p: int) -> Fraction:

@@ -447,20 +447,15 @@ def det_integer(matrix: Matrix) -> int:
     return rank_det_integer(matrix)[1]
 
 
-def matrix_from_json(data) -> list[list[int]]:
+def matrix_from_json(data) -> np.ndarray:
     """Parse a JSON matrix whose entries are integers or decimal strings
-    (entries may exceed 64 bits).
+    (entries may exceed 64 bits) into the array `_int_matrix` builds,
+    which the rank routines take without parsing it again.
 
     The matrix and each of its rows must be JSON arrays and every entry
     an integer, not a bool; anything else raises DomainError, and rows
     of differing lengths raise ShapeError.
     """
-    return _json_matrix(data).tolist()
-
-
-def _json_matrix(data) -> np.ndarray:
-    """`matrix_from_json` as the array `_int_matrix` builds, which the
-    rank routines take without parsing it again."""
     if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
         raise DomainError("a matrix must be a JSON array of row arrays")
     return _int_matrix(data)

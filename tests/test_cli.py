@@ -612,6 +612,19 @@ def test_frozen_help_and_usage_bytes(capsys, monkeypatch, argv, digest):
 WIDE = "7" * 400
 WIDEST = "9" * 4300
 
+
+def ones(p, symbols):
+    """--sig of p entries, 1 on the given symbols and 0 elsewhere."""
+    return ",".join("1" if j in symbols else "0" for j in range(p))
+
+
+# Undirected classes whose data-matrix fill stacks past its cap
+RUNAWAY_FILLS = {
+    "exact-count-runaway-fill-p23": (ones(23, {*range(11), 14}), "4", "23"),
+    "exact-count-runaway-fill-p53": (ones(53, {*range(43), 51}), "2", "53"),
+    "exact-count-runaway-fill-p101": (ones(101, {*range(1, 50), *range(52, 101)}), "2", "101"),
+}
+
 # Inputs that once escaped as a traceback, a numpy warning or a runaway
 # computation; each must now be refused at once with one error line.
 # (argv, stdin, a fragment of the error)
@@ -673,6 +686,8 @@ HOSTILE = {
                                 "--p", "7", "--mode", "undirected"), "", "2 | dn"),
     "lclt-widest-total": (("lclt", "--sig", WIDEST + "," + WIDEST, "--n", "1", "--d", "3",
                            "--p", "2"), "", "disagrees"),
+    **{key: (("exact-count", "--sig", sig, "--d", d, "--p", p, "--mode", "undirected"), "",
+             "data matrices") for key, (sig, d, p) in RUNAWAY_FILLS.items()},
 }
 
 
@@ -715,6 +730,24 @@ def run_bounded(argv, stdin=""):
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     return code, out.getvalue(), err.getvalue(), caught
+
+
+@pytest.mark.parametrize(
+    "argv,value",
+    [
+        (("master-sum", "--n", "1", "--d", "2", "--p", "47"), {"num": "0", "den": "1"}),
+        (("master-sum", "--n", "2", "--d", "2", "--p", "47"), {"num": "0", "den": "1"}),
+        (("oracle-check", "--n", "1", "--d", "2", "--p", "47"), {"classes": 47, "passed": True}),
+        (("oracle-check", "--n", "2", "--d", "2", "--p", "47"), {"classes": 1128, "passed": True}),
+        (("exact-count", "--sig", "2" + ",0" * 52, "--d", "2", "--p", "53"), {"count": "3"}),
+    ],
+)
+def test_undirected_counts_past_p_43(argv, value):
+    # a fill over all p symbols, one frame per entry, passed the
+    # interpreter's depth limit from p = 47 on
+    code, out, err, caught = run_bounded((*argv, "--mode", "undirected"))
+    assert code == 0 and err == "" and caught == []
+    assert value.items() <= json.loads(out).items()
 
 
 @pytest.mark.parametrize("argv,stdin,fragment", HOSTILE.values(), ids=HOSTILE.keys())

@@ -2,11 +2,12 @@
 
 import itertools
 import math
+import signal
 from fractions import Fraction
 
 import pytest
 
-from regsing import bruteoracle, cli, exactcount, walkdist
+from regsing import asymptotics, bruteoracle, cli, exactcount, walkdist
 from regsing.errors import CostGuardError, DomainError, InvalidModulusError, InvalidParamsError
 
 # Frozen master sums (directed d=3, p=2), certified against the closed
@@ -247,11 +248,13 @@ def test_pairing_matrix_enumeration_matches_scan(sig, d, p):
         assert exactcount.count_graphs_undirected(sig, d, p) == want
 
 
-# (d, p, n): 296 classes in all, empty symbols included (every
-# composition of n into p parts is a class, the all-zeros one too)
+# (d, p, n): 1,746 classes in all, empty symbols included (every
+# composition of n into p parts is a class, the all-zeros one too).
+# p stays at most 43: the listing kernel recurses p(p + 1)/2 deep.
 REFERENCE_GRID = [
     (3, 2, 8), (4, 3, 6), (3, 3, 6), (4, 5, 4), (5, 5, 2),
     (6, 7, 2), (4, 7, 2), (2, 3, 4), (1, 2, 4), (2, 5, 4),
+    (2, 11, 3), (4, 11, 2), (4, 13, 2), (2, 13, 3), (2, 23, 2), (3, 23, 2),
 ]
 
 
@@ -262,7 +265,7 @@ def test_one_pass_count_matches_listing_kernel():
             want = reference_count_undirected(sig, d, p, enumerate_pairing_matrices(sig, d, p))
             assert exactcount.count_graphs_undirected(sig, d, p) == want, (sig, d, p)
             classes += 1
-    assert classes == 296
+    assert classes == 1746
 
 
 def test_pairing_matrix_weight_and_census():
@@ -279,15 +282,49 @@ def test_pairing_matrix_weight_and_census():
 
 
 def test_pairing_matrix_cost_guard(monkeypatch, capsys):
-    # (4, 4) at d=3, p=2 completes three data matrices
-    monkeypatch.setattr(exactcount, "PAIRING_MATRIX_CAP", 2)
-    with pytest.raises(CostGuardError, match="data matrices"):
+    # the fill of (4, 4) at d=3, p=2 stacks 18 partial data matrices
+    monkeypatch.setattr(exactcount, "PAIRING_MATRIX_CAP", 17)
+    with pytest.raises(CostGuardError, match="partial data matrices"):
         exactcount.count_graphs_undirected((4, 4), 3, 2)
     argv = ["master-sum", "--n", "8", "--d", "3", "--p", "2", "--mode", "undirected"]
     assert cli.main(argv) == 3
     assert capsys.readouterr().out == ""
-    monkeypatch.setattr(exactcount, "PAIRING_MATRIX_CAP", 3)
+    monkeypatch.setattr(exactcount, "PAIRING_MATRIX_CAP", 18)
     assert exactcount.count_graphs_undirected((4, 4), 3, 2) > 0
+
+
+def test_fill_over_many_symbols_keeps_no_recursion():
+    # 998 used symbols: a fill that recursed once per entry would pass
+    # the interpreter's depth limit.  The class has no data matrix: at
+    # d = 1 every vertex's one neighbour carries symbol 0, and none does.
+    sig = [int(0 < j < 500 or j >= 510) for j in range(1009)]
+    assert exactcount._congruent(sig, 1, 1009)
+
+    def too_slow(signum, frame):
+        raise TimeoutError("the fill ran past 5 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(5)
+    try:
+        assert exactcount.count_graphs_undirected(sig, 1, 1009) == 0
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_congruence_test_settles_a_class_before_its_fill(monkeypatch):
+    # d * sum_j j*n_j = 2 * 2 is not 0 mod 3, so (0, 2, 0) has no outcome
+    def no_fill(*args):
+        raise AssertionError("a class that fails the congruence test was filled")
+
+    monkeypatch.setattr(exactcount, "_count_undirected", no_fill)
+    assert not exactcount._congruent((0, 2, 0), 2, 3)
+    assert exactcount.count_graphs((0, 2, 0), 2, 3, "directed") == 0
+    assert exactcount.count_graphs((0, 2, 0), 2, 3, "undirected") == 0
+    assert not asymptotics.lclt_directed((0, 2, 0), 2, 3).applicable
+    assert asymptotics.lclt_directed((0, 1, 1), 2, 3).applicable
+    with pytest.raises(AssertionError, match="congruence"):
+        exactcount.count_graphs((0, 1, 1), 2, 3, "undirected")
 
 
 def test_predicted_table_bits_bounds_the_tables():
