@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import CostGuardError, DomainError, ShapeError
 from .exactcount import _congruent, validate_signature
+from .gfcore import require_int
 from .walkdist import SupportTable, build_support, char_fn, require_support
 
 TWO_PI = 2.0 * math.pi
@@ -255,8 +256,7 @@ def lclt_directed(sig: Sequence[int], d: int, p: int) -> LcltValue:
     n = sum(sig)
     if n < 1 or p * n > sys.float_info.max:  # p * n is turned into a float
         raise DomainError("signature total must be positive, and p times it within float range")
-    if d < 1:
-        raise DomainError(f"need d >= 1, got {d}")
+    d = require_int("d", d, 1)
     o = helmert_basis(p)
     dev = np.array(sig, dtype=float) / n - 1.0 / p
     q = float(np.dot(o.T @ dev, o.T @ dev))
@@ -507,10 +507,7 @@ def operator_L_check(p: int, n: int, d: int) -> OperatorReport:
     p = 2 the closed Gaussian integral over that space is compared with
     trapezoid quadrature.
     """
-    if p < 2:
-        raise DomainError(f"need p >= 2, got {p}")
-    if n < 1 or d < 1:
-        raise DomainError(f"need n, d >= 1, got n={n}, d={d}")
+    p, n, d = require_int("p", p, 2), require_int("n", n, 1), require_int("d", d, 1)
     lam1 = -d * n * p**2 / 4
     lam2 = -n * p**2 / 4
     family1 = []

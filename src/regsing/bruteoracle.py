@@ -6,15 +6,15 @@ either model by adjacency matrix, after the point-count guard and the
 parity of nd are checked.  The permutations come in lexicographic
 blocks of at most 7! rows (`permutation_blocks`), the pairings as
 partner rows in blocks of at most 945 (`pairing_blocks`), and one tally
-serves both streams: it maps each row to an exact integer key of its
-matrix and counts the keys with `np.unique`.  It visits every outcome
-once and never uses a weight formula or a symmetry, so the census stays
-independent of `exactcount`.
+serves both streams: it keys each outcome by the indices of its rows
+among the compositions of d into n parts and counts the keys with
+`np.unique`.  It visits every outcome once and never uses a weight
+formula or a symmetry, so the census stays independent of `exactcount`.
 
 That census is the oracle that certifies the per-class counting
-identities: for each vector v over F_p, tally the outcomes whose
-adjacency kills v, then compare with the closed-form counts, class by
-class and vector by vector.
+identities: for each vector v over F_p, tally the outcomes whose rows
+all kill v, then compare with the closed-form counts, class by class
+and vector by vector.
 """
 
 from __future__ import annotations
@@ -31,19 +31,19 @@ from . import exactcount
 from .confmodel import GraphParams
 from .errors import CostGuardError
 from .gfcore import require_prime
-from .walkdist import phi
+from .walkdist import compositions, phi
 
 # Largest point counts nd the oracles enumerate: (nd)! <= 362880
 # permutations, (nd-1)!! <= 10395 pairings
 MAX_POINTS_DIRECTED = 9
 MAX_POINTS_UNDIRECTED = 12
 # Largest p**n the certification tallies: it holds every vector of
-# F_p^n, and each census matrix is applied to all of them
+# F_p^n, and each census row is applied to all of them
 MAX_VECTORS = 4096
 # The directed census enumerates blocks of at most BLOCK_POINTS! rows
 BLOCK_POINTS = 7
-# Largest product of stacked census matrices and vectors the tallies
-# hold at once: 4 MiB of float32
+# Most kill flags (row sets x rows x vectors) the tallies AND at once:
+# 1 MiB of bool
 TALLY_CHUNK_ENTRIES = 1 << 20
 
 
@@ -118,50 +118,40 @@ def _check_model(n: int, d: int, mode: str) -> tuple[int, int]:
     return n, d
 
 
-def _census(n: int, d: int, mode: str) -> dict[bytes, int]:
-    """Tally of the row-major n*n adjacency bytes over every outcome.
+def _census(n: int, d: int, mode: str) -> tuple[np.ndarray, dict[int, int]]:
+    """(rows, tally): the R compositions of d into n parts in lex order,
+    and the number of outcomes of each matrix, keyed sum_k i_k * R**k
+    when its row k is rows[i_k]; the point caps keep R**n below 2**63.
 
     Point t lies in fibre t // d.  A row of either stream (a permutation,
     or the partner of each point of a pairing) adds one to cell
     (fibre(t), fibre(row[t])) for every t, so a pair adds one to both
-    symmetric cells and a loop two to the diagonal.  Entries are at most
-    d, so the base-(d+1) number sum_t (d+1)**(fibre(t)*n + fibre(row[t]))
-    is an exact key of the matrix while (d+1)**(n*n) < 2**63; past that
-    the uint8 rows themselves are tallied.
+    symmetric cells, a loop two to the diagonal, and each row sums to d.
+    Row k is found by its base-(d+1) code, (d+1)**fibre(row[t]) summed
+    over the d points t of fibre k.
     """
-    _check_model(n, d, mode)
-    nd, cells = n * d, n * n
+    n, d = _check_model(n, d, mode)
     stream = permutation_blocks if mode == "directed" else pairing_blocks
-    points = np.arange(nd)
-    fibre = points // d
-    cell = fibre[:, None] * n + fibre  # cell of point t sent to point q
+    rows = np.array(list(compositions(d, n)), dtype=np.int64)
+    base = (d + 1) ** np.arange(n)
+    term = np.zeros((n, (d + 1) ** n), dtype=np.int64)  # term[k, code]: i_k * R**k
+    term[:, rows @ base] = len(rows) ** np.arange(n)[:, None] * np.arange(len(rows))
+    digit = base[np.arange(n * d) // d]  # point q adds (d+1)**fibre(q) to a code
     tally: Counter = Counter()
-    if (d + 1) ** cells < 2**63:
-        weight = (d + 1) ** cell
-        for block in stream(nd):
-            # column by column: a 2-D gather is slower and twice the memory
-            keys = sum(weight[t, block[:, t]] for t in range(nd))
-            keys, counts = np.unique(keys, return_counts=True)
-            tally.update(dict(zip(keys.tolist(), counts.tolist())))
-        keys = np.fromiter(tally, dtype=np.int64, count=len(tally))
-        rows = (keys[:, None] // (d + 1) ** np.arange(cells) % (d + 1)).astype(np.uint8)
-        return {row.tobytes(): c for row, c in zip(rows, tally.values())}
-    for block in stream(nd):
-        hits = cell[points, block] + cells * np.arange(len(block))[:, None]
-        rows = np.bincount(hits.ravel(), minlength=len(block) * cells).astype(np.uint8)
-        # each row viewed as one opaque n*n-byte value; tolist gives bytes
-        rows, counts = np.unique(rows.view(f"V{cells}"), return_counts=True)
-        tally.update(dict(zip(rows.tolist(), counts.tolist())))
-    return dict(tally)
+    for block in stream(n * d):
+        # point-major, so that the d points of each fibre sum over whole rows
+        codes = np.take(digit, block.T).reshape(n, d, -1).sum(axis=1)
+        keys = sum(term[k, code] for k, code in enumerate(codes))
+        keys, counts = np.unique(keys, return_counts=True)
+        tally.update(dict(zip(keys.tolist(), counts.tolist())))
+    return rows, tally
 
 
 def adjacency_census(n: int, d: int, mode: str) -> dict[tuple[tuple[int, ...], ...], int]:
     """Tally of adjacency matrices over every outcome of the model."""
-    return {_unflatten(k, n): c for k, c in _census(n, d, mode).items()}
-
-
-def _unflatten(flat: bytes, n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n))
+    rows, tally = _census(n, d, mode)
+    rows, r = [tuple(row) for row in rows.tolist()], len(rows)
+    return {tuple(rows[key // r**k % r] for k in range(n)): c for key, c in tally.items()}
 
 
 @dataclass
@@ -187,28 +177,33 @@ class CertificationReport:
     passed: bool = False
 
 
-def _vector_tallies(census: dict[bytes, int], n: int, p: int) -> list[int]:
+def _vector_tallies(rows: np.ndarray, tally: dict[int, int], n: int, p: int) -> list[int]:
     """For every v in F_p^n (lex order), the number of outcomes killing v.
 
-    The census matrices are stacked k at a time into one (k*n, n) block
-    and multiplied by the table of all vectors, k bounded so that the
-    product holds at most TALLY_CHUNK_ENTRIES entries; a block adds its
-    outcome counts times its (k, p**n) table of killed vectors.  The
-    product runs in float32 BLAS and is exact: its entries are sums of
-    at most n products of a uint8 entry and a residue, below
-    255 * n * (p - 1) < 2**24 whenever p**n <= MAX_VECTORS.
+    The kill table says which of the R census rows kill which vectors,
+    one exact int64 product of the rows and the vectors mod p.  A v = 0
+    exactly when every row of A kills v, so the matrices with one set of
+    rows kill the same vectors: each set, a bit mask over the R < 63
+    rows, ANDs the kill flags of its rows once, at most
+    TALLY_CHUNK_ENTRIES flags at a time, and adds the outcome counts of
+    its matrices to the vectors it kills.
     """
-    vectors = np.array(list(itertools.product(range(p), repeat=n)), dtype=np.float32).T
+    vectors = np.array(list(itertools.product(range(p), repeat=n)), dtype=np.int64).T
+    kills = rows @ vectors % p == 0
+    keys, r = np.fromiter(tally, dtype=np.int64, count=len(tally)), len(rows)
+    masks = np.zeros(len(keys), dtype=np.int64)
+    for k in range(n):  # row by row: n rows of keys at once would double the peak memory
+        masks |= 1 << keys // r**k % r
+    masks, where = np.unique(masks, return_inverse=True)
+    weights = np.zeros(len(masks), dtype=np.int64)
+    np.add.at(weights, where, np.fromiter(tally.values(), dtype=np.int64, count=len(tally)))
     tallies = np.zeros(p**n, dtype=np.int64)
-    items = iter(census.items())
-    step = max(1, TALLY_CHUNK_ENTRIES // (n * p**n))
-    while chunk := list(itertools.islice(items, step)):
-        flats, weights = zip(*chunk)
-        block = np.frombuffer(b"".join(flats), dtype=np.uint8).reshape(-1, n)
-        residues = (block.astype(np.float32) @ vectors).astype(np.int32) % p
-        dead = ~residues.reshape(-1, n, p**n).any(axis=1)
-        tallies += np.array(weights, dtype=np.int64) @ dead
-    return [int(x) for x in tallies]
+    step = max(1, TALLY_CHUNK_ENTRIES // kills.size)
+    for lo in range(0, len(masks), step):
+        members = masks[lo : lo + step, None] >> np.arange(r) & 1 == 1
+        dead = ~(members[:, :, None] & ~kills).any(axis=1)
+        tallies += weights[lo : lo + step] @ dead
+    return tallies.tolist()
 
 
 def certify_identities(n: int, d: int, p: int, mode: str) -> CertificationReport:
@@ -224,16 +219,23 @@ def certify_identities(n: int, d: int, p: int, mode: str) -> CertificationReport
     n, d = _check_model(n, d, mode)
     if p**n > MAX_VECTORS:
         raise CostGuardError(f"certification needs p**n <= {MAX_VECTORS} vectors, got {p}**{n}")
+    exactcount._require_tables(n, d, p)
+    return _certify(*_census(n, d, mode), n, d, p, mode)
+
+
+def _certify(
+    rows: np.ndarray, tally: dict[int, int], n: int, d: int, p: int, mode: str
+) -> CertificationReport:
+    """`certify_identities` from the census (rows, tally) of the (n, d,
+    mode) model, once the caller has checked n, d, p and p**n."""
     report = CertificationReport(n=n, d=d, p=p, mode=mode)
     report.master_exact = exactcount.master_sum(n, d, p, mode)
 
-    census = _census(n, d, mode)
-    tallies = _vector_tallies(census, n, p)
+    tallies = _vector_tallies(rows, tally, n, p)
     by_class: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
-    for idx, v in enumerate(itertools.product(range(p), repeat=n)):
-        by_class.setdefault(phi(v, p), []).append((v, tallies[idx]))
+    for v, t in zip(itertools.product(range(p), repeat=n), tallies):
+        by_class.setdefault(phi(v, p), []).append((v, t))
 
-    nonzero_total = 0
     for sig in sorted(by_class):
         members = by_class[sig]
         expected = exactcount.count_graphs(sig, d, p, mode)
@@ -253,11 +255,10 @@ def certify_identities(n: int, d: int, p: int, mode: str) -> CertificationReport
         for v, t in members:
             if t != expected:
                 report.mismatches.append({"v": v, "expected": expected, "got": t})
-        if sig[0] != n:
-            nonzero_total += sum(t for _, t in members)
 
-    # the enumeration counts the outcomes too: (nd)! or (nd - 1)!!
-    report.master_brute = Fraction(nonzero_total, sum(census.values()))
+    # tallies[0] is the zero vector; the census counts the outcomes too,
+    # (nd)! or (nd - 1)!!
+    report.master_brute = Fraction(sum(tallies) - tallies[0], sum(tally.values()))
     report.passed = (
         report.class_consistent
         and not report.mismatches

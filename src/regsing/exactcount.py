@@ -258,4 +258,4 @@ def class_signatures(n: int, p: int) -> Iterator[tuple[int, ...]]:
 def singularity_bound_from_master(master: Fraction, p: int) -> Fraction:
     """P(singular over F_p) <= master/(p-1): every singular outcome has
     at least p-1 nonzero kernel vectors.  Values >= 1 are vacuous."""
-    return Fraction(master) / (p - 1)
+    return Fraction(master) / (require_prime(p) - 1)

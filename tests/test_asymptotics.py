@@ -13,7 +13,7 @@ from scipy.special import logsumexp
 
 from regsing import asymptotics as am
 from regsing import exactcount, walkdist
-from regsing.errors import CostGuardError, DomainError, ShapeError
+from regsing.errors import CostGuardError, DomainError, InvalidParamsError, ShapeError
 
 TWO_PI = 2 * math.pi
 
@@ -297,6 +297,19 @@ def test_lclt_anchor_and_applicability():
     assert got.value == pytest.approx(2**1.5 / math.sqrt(32 * math.pi), rel=1e-12)
     # odd total puts the class off the walk lattice at p=2
     assert not am.lclt_directed((15, 17), 3, 2).applicable
+
+
+@pytest.mark.parametrize("call", [
+    lambda: am.lclt_directed((2, 2), True, 2),
+    lambda: am.lclt_directed((2, 2), 2.5, 2),
+    lambda: am.operator_L_check(2.5, 1, 1),
+    lambda: am.operator_L_check(2, True, 1),
+], ids=["lclt-bool-d", "lclt-fractional-d", "operator-fractional-p", "operator-bool-n"])
+def test_sizes_that_are_not_integers_are_refused(call):
+    # the lclt calls returned values, the fractional p raised a bare
+    # TypeError and the bool n gave a report with n = True
+    with pytest.raises(InvalidParamsError, match="must be an integer"):
+        call()
 
 
 def test_lclt_tracks_exact_class_term():

@@ -1,5 +1,6 @@
 """Brute-force enumeration oracles and identity certification."""
 
+import functools
 import itertools
 import math
 
@@ -9,11 +10,9 @@ import pytest
 from regsing import bruteoracle, exactcount, gfcore, walkdist
 from regsing.errors import CostGuardError, InvalidParamsError
 
-# every directed model the census enumerates, nd <= 9; (8, 1) and (9, 1)
-# have (d+1)**(n*n) >= 2**63 and take the uint8-row tally
+# every directed model the census enumerates, nd <= 9
 DIRECTED_MODELS = [(n, d) for n in range(1, 10) for d in range(1, 10) if n * d <= 9]
-# every undirected model, even nd <= 12; (8, 1), (10, 1) and (12, 1)
-# take the uint8-row tally
+# every undirected model, even nd <= 12
 UNDIRECTED_MODELS = [
     (n, d) for n in range(1, 13) for d in range(1, 13) if n * d <= 12 and n * d % 2 == 0
 ]
@@ -60,7 +59,7 @@ def reference_undirected_outcomes(n, d):
 
 def assert_census_matches(census, outcomes):
     # consume the reference stream against the census, holding one dict
-    left = dict(census)
+    left = {bytes(itertools.chain.from_iterable(a)): c for a, c in census.items()}
     for flat in outcomes:
         key = bytes(flat)
         assert left.get(key, 0) > 0, f"outcome {key!r} over-counted or missing"
@@ -83,13 +82,13 @@ def test_permutation_blocks_are_lexicographic_permutations(monkeypatch, block_po
 
 @pytest.mark.parametrize("n,d", DIRECTED_MODELS, ids=[f"{n}-{d}" for n, d in DIRECTED_MODELS])
 def test_directed_census_matches_the_python_stream(n, d):
-    census = bruteoracle._census(n, d, "directed")
+    census = bruteoracle.adjacency_census(n, d, "directed")
     assert_census_matches(census, reference_directed_outcomes(n, d))
 
 
 @pytest.mark.parametrize("n,d", UNDIRECTED_MODELS, ids=[f"{n}-{d}" for n, d in UNDIRECTED_MODELS])
 def test_undirected_census_matches_the_python_stream(n, d):
-    census = bruteoracle._census(n, d, "undirected")
+    census = bruteoracle.adjacency_census(n, d, "undirected")
     assert_census_matches(census, reference_undirected_outcomes(n, d))
 
 
@@ -127,6 +126,12 @@ def test_enumerate_undirected_complete():
             assert all(a[i][j] == a[j][i] for i in range(n) for j in range(n))
             assert all(a[i][i] % 2 == 0 for i in range(n))
             assert all(sum(row) == d for row in a)
+
+
+def test_census_reads_numpy_sizes_as_python_ints():
+    # (d + 1)**n in int8 wraps at (6, 2) and sizes the code table negative
+    want = bruteoracle.adjacency_census(6, 2, "undirected")
+    assert bruteoracle.adjacency_census(np.int8(6), np.int8(2), "undirected") == want
 
 
 def test_directed_census_anchor():
@@ -256,33 +261,53 @@ def test_rank_identity_certifies_the_master_sums_on_the_census_box():
     admits (14 directed, 17 undirected) and every p <= 13, one census
     and one rank per distinct matrix: 183 cases match and the step
     support guard refuses 3.  d = 1 gives permutation and matching
-    matrices, which are nonsingular.  On a 2-vCPU VM the test takes
-    about 5.7 s, all but about 0.6 s of it (the census and its ranks) in
-    the master sums.
+    matrices, which are nonsingular.  The same census also certifies by
+    vectors every case with p**n <= MAX_VECTORS, d = 1 included: of
+    those 219 cases 216 pass, and the guard refuses the same 3.
     """
-    refused, matched = [], 0
+    refused, matched, certified = [], 0, 0
     for mode, models in (("directed", DIRECTED_MODELS), ("undirected", UNDIRECTED_MODELS)):
         for n, d in models:
-            if d == 1:
-                continue
-            census = [
-                (np.frombuffer(flat, dtype=np.uint8).reshape(n, n), count)
-                for flat, count in bruteoracle._census(n, d, mode).items()
-            ]
-            size = sum(count for _, count in census)
+            rows, tally = bruteoracle._census(n, d, mode)
+            size = sum(tally.values())
+            if d > 1:
+                keys, r = np.array(list(tally)), len(rows)
+                census = list(zip(rows[keys[:, None] // r ** np.arange(n) % r], tally.values()))
             for p in (2, 3, 5, 7, 11, 13):
+                by_vectors = p**n <= bruteoracle.MAX_VECTORS
+                if d == 1 and not by_vectors:
+                    continue
                 try:
-                    master = exactcount.master_sum(n, d, p, mode)
+                    if by_vectors:
+                        report = bruteoracle._certify(rows, tally, n, d, p, mode)
+                        assert report.passed, (mode, n, d, p)
+                        master = report.master_exact
+                        certified += 1
+                    else:
+                        master = exactcount.master_sum(n, d, p, mode)
                 except CostGuardError as exc:
                     assert "step support" in str(exc)
                     refused.append((mode, n, d, p))
                     continue
-                kernels = sum(c * (p ** (n - gfcore.rank_mod_p(a, p)) - 1) for a, c in census)
-                assert kernels == size * master, (mode, n, d, p)
-                matched += 1
-    assert matched == 183
+                if d > 1:
+                    kernels = sum(c * (p ** (n - gfcore.rank_mod_p(a, p)) - 1) for a, c in census)
+                    assert kernels == size * master, (mode, n, d, p)
+                    matched += 1
+    assert (matched, certified) == (183, 216)
     assert refused == [(mode, 1, d, p) for mode, d, p in
                        (("undirected", 10, 13), ("undirected", 12, 11), ("undirected", 12, 13))]
+
+
+def test_every_model_the_caps_admit_keys_within_int64():
+    # census keys are sum_k i_k * R**k over the R = C(n + d - 1, d) rows,
+    # and a row set is an R-bit mask: raising a point cap past a model
+    # with R**n >= 2**63 or R >= 63 must fail here
+    for cap in (bruteoracle.MAX_POINTS_DIRECTED, bruteoracle.MAX_POINTS_UNDIRECTED):
+        for n in range(1, cap + 1):
+            for d in range(1, cap // n + 1):
+                r = math.comb(n + d - 1, d)
+                assert r**n < 2**63 and r < 63, (n, d)
+    assert len(bruteoracle._census(12, 1, "undirected")[0]) == 12
 
 
 def test_certification_covers_every_class():
@@ -296,31 +321,40 @@ def test_certification_covers_every_class():
 
 
 def reference_vector_tallies(census, n, p):
-    """The per-matrix loop the stacked tallies replaced: one product of
-    each census matrix with the vector table."""
+    """The per-matrix loop the kill-table tallies replaced: one product
+    of each matrix of an `adjacency_census` with the vector table."""
     vectors = np.array(list(itertools.product(range(p), repeat=n)), dtype=np.int64).T
     tallies = np.zeros(p**n, dtype=np.int64)
-    for flat, weight in census.items():
-        a = np.frombuffer(flat, dtype=np.uint8).reshape(n, n).astype(np.int64)
+    for a, weight in census.items():
+        a = np.array(a, dtype=np.int64)
         dead = ~np.any((a @ vectors) % p, axis=0)
         tallies[dead] += weight
     return [int(x) for x in tallies]
 
 
-# the criterion 1 and 2 certification cases, plus a p = 5 and a p = 7 one
+@functools.cache
+def reference_case(n, d, p, mode):
+    # once per case: the loop takes about 9 s at (12, 1, 2) undirected
+    return reference_vector_tallies(bruteoracle.adjacency_census(n, d, mode), n, p)
+
+
+# the criterion 1 and 2 certification cases, plus a p = 5 and a p = 7
+# one, and the two largest d = 1 models the vector cap admits at p = 2
 TALLY_CASES = [
     (2, 3, 2, "directed"), (2, 3, 3, "directed"), (2, 3, 5, "directed"), (3, 3, 2, "directed"),
     (2, 4, 2, "directed"), (2, 4, 3, "directed"), (4, 2, 2, "directed"), (3, 2, 7, "directed"),
+    (8, 1, 2, "directed"),
     (2, 3, 2, "undirected"), (2, 3, 3, "undirected"), (4, 3, 2, "undirected"),
     (2, 4, 2, "undirected"), (3, 4, 2, "undirected"), (2, 5, 5, "undirected"),
+    (12, 1, 2, "undirected"),
 ]
 
 
 @pytest.mark.parametrize("chunk", [1, 100, bruteoracle.TALLY_CHUNK_ENTRIES])
 @pytest.mark.parametrize("n,d,p,mode", TALLY_CASES, ids=[f"{m[0]}{n}-{d}-{p}" for n, d, p, m in TALLY_CASES])
 def test_vector_tallies_match_the_per_matrix_loop(monkeypatch, chunk, n, d, p, mode):
-    census = bruteoracle._census(n, d, mode)
-    want = reference_vector_tallies(census, n, p)
-    # a chunk of 1 stacks one matrix at a time, 100 cuts uneven blocks
+    rows, tally = bruteoracle._census(n, d, mode)
+    want = reference_case(n, d, p, mode)
+    # a chunk of 1 ANDs one row set at a time, 100 cuts uneven blocks
     monkeypatch.setattr(bruteoracle, "TALLY_CHUNK_ENTRIES", chunk)
-    assert bruteoracle._vector_tallies(census, n, p) == want
+    assert bruteoracle._vector_tallies(rows, tally, n, p) == want

@@ -750,6 +750,22 @@ def test_undirected_counts_past_p_43(argv, value):
     assert value.items() <= json.loads(out).items()
 
 
+@pytest.mark.parametrize("argv", [
+    ("oracle-check", "--n", "9", "--d", "1", "--p", "2"),
+    ("oracle-check", "--n", "12", "--d", "1", "--p", "2", "--mode", "undirected"),
+])
+def test_the_largest_d1_oracle_checks_end_in_time(argv):
+    # the largest d = 1 models each point cap admits, at 512 and 4,096 vectors
+    code, out, err, caught = run_bounded(argv)
+    assert code == 0 and err == "" and caught == []
+    assert json.loads(out)["passed"] is True
+
+
+def test_lclt_refuses_d_below_1_with_exit_2(capsys):
+    code, out, err = run_cli(capsys, "lclt", "--sig", "2,2", "--d", "0", "--p", "2")
+    assert code == 2 and out == "" and "d must be" in err
+
+
 @pytest.mark.parametrize("argv,stdin,fragment", HOSTILE.values(), ids=HOSTILE.keys())
 def test_hostile_input_is_refused_at_once(argv, stdin, fragment):
     code, out, err, caught = run_bounded(argv, stdin)

@@ -137,6 +137,12 @@ def test_singularity_bound():
     assert exactcount.singularity_bound_from_master(Fraction(13, 5), 3) == Fraction(13, 10)
 
 
+def test_singularity_bound_refuses_a_modulus_that_is_not_prime():
+    # p = 1 divided by zero
+    with pytest.raises(InvalidModulusError):
+        exactcount.singularity_bound_from_master(Fraction(1), 1)
+
+
 def brute_pairing_matrices(sig, d, p):
     """Scan every symmetric matrix with bounded entries for the conditions."""
     rows = [d * x for x in sig]
