@@ -79,7 +79,7 @@ def dense_adjacency(targets: np.ndarray) -> np.ndarray:
     return np.bincount(cells.ravel(), minlength=n * n).reshape(n, n)
 
 
-def dense_gram(targets: np.ndarray) -> np.ndarray:
+def dense_gram(targets: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """A^T A for the adjacency A of `fibre_targets` rows, in float64:
     entry (j, l) is the sum over rows k of a_kj a_kl, the number of
     pairs of points (s, t) of fibre k joined to fibres j and l, so it
@@ -87,10 +87,19 @@ def dense_gram(targets: np.ndarray) -> np.ndarray:
     undirected loop adds 2 to a_kk, as in `dense_adjacency`.  Every
     entry is an integer of at most d^2, which float64 holds exactly, and
     the count is made in float64, so `gfcore._certify_gram` can take
-    the matrix as it is."""
+    the matrix as it is.
+
+    `out`, a C-contiguous n x n float64 array such as an earlier result
+    or the factor `gfcore._certify_gram` returns, is zeroed whatever it
+    holds, counted into and returned, so a loop of trials can reuse one
+    buffer; without it a new array is made."""
     n = len(targets)
-    cells = (targets[:, :, None] * n + targets[:, None, :]).ravel()
-    return np.bincount(cells, weights=np.ones(cells.size), minlength=n * n).reshape(n, n)
+    if out is None:
+        out = np.empty((n, n))
+    flat = out.reshape(n * n)
+    flat.fill(0.0)
+    np.add.at(flat, (targets[:, :, None] * n + targets[:, None, :]).ravel(), 1.0)
+    return out
 
 
 def adjacency(n: int, d: int, mode: str, order: np.ndarray) -> np.ndarray:

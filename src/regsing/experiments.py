@@ -8,24 +8,26 @@ pivot count plus the core's rank; no dense adjacency is built.  A
 tiny matrix, with n*d <= MEMO_MAX_POINTS, is settled once per process:
 an LRU cache of at most MEMO_MAX_ENTRIES entries, keyed by (n, d, p)
 and the row-sorted target rows, holds its duplicate-row flag and rank.
-Integer-mode singularity decisions are exact: a duplicate row or column
-certifies singularity, and a shifted Cholesky factorization of the Gram
-matrix certifies nonsingularity.  det A != 0 iff B = A^T A is positive
-definite, and a float64 Cholesky of B - sI that runs to completion
-proves lambda_min(B) > s - g/(1 - g) tr(B) - O(k^2 2^-1074) for a k x k
-B, g = gamma_{k+2}, so a shift s above that bound proves det A != 0
-(`gfcore._certify_gram`; Rump, "Verification of positive
-definiteness", BIT 46, 2006; Higham, Accuracy and Stability of
-Numerical Algorithms, Thm 10.3).  Below REDUCE_FIRST_N vertices the
-certificate runs on A^T A, counted in float64 from the target rows
-without building the adjacency and shifted in place by the
-certificate, so no trial copies it, and only the trials it leaves are
-reduced, with unit pivots; from REDUCE_FIRST_N on every trial is
-reduced first and the certificate runs on the Gram matrix of the
-core, whose |det| is that of the whole matrix.  Then full rank of the
-core modulo the fixed CHECK_PRIME certifies nonsingularity, and only
-what is left pays for a fraction-free integer determinant, of the
-core.
+Integer-mode singularity decisions are exact: a shifted Cholesky
+factorization of the Gram matrix certifies nonsingularity, and a
+duplicate row or column certifies singularity.  det A != 0 iff
+B = A^T A is positive definite, and a float64 Cholesky of B - sI that
+runs to completion proves lambda_min(B) > s - g/(1 - g) tr(B)
+- O(k^2 2^-1074) for a k x k B, g = gamma_{k+2}, so a shift s above
+that bound proves det A != 0 (`gfcore._certify_gram`; Rump,
+"Verification of positive definiteness", BIT 46, 2006; Higham,
+Accuracy and Stability of Numerical Algorithms, Thm 10.3).  Below
+REDUCE_FIRST_N vertices the certificate runs first, on A^T A, counted
+in float64 from the target rows into one buffer per block without
+building the adjacency, and shifted in place by the certificate, whose
+factor is the next trial's buffer; only the trials it leaves are
+scanned for a duplicate row or column and then reduced, with unit
+pivots.  From REDUCE_FIRST_N on every trial is scanned and reduced
+first, and the certificate runs on the Gram matrix of the core, whose
+|det| is that of the whole matrix.  Then full rank of the core modulo
+the fixed CHECK_PRIME certifies nonsingularity, and only what is left
+pays for a fraction-free integer determinant, of the core.  A run in
+one process is one block; a pool cuts four blocks per process.
 """
 
 from __future__ import annotations
@@ -73,23 +75,24 @@ SCALING_SLACK = 0.5
 # loses once that outgrows the reduction.  Per trial, d = 3, one BLAS
 # thread, the best of five interleaved passes over the same 100 seeded
 # trials without a duplicate row or column, low and high of two runs
-# (four at 400, 440 and 480; process time, 2-vCPU VM; full = float64
-# Gram matrix + certificate in place, reduce first = sparse rows +
-# reduction + certificate on the core's Gram):
+# (four at 440 and 460; process time, 2-vCPU VM; full = float64 Gram
+# matrix counted into the last trial's factor + certificate in place,
+# reduce first = sparse rows + reduction + certificate on the core's
+# Gram):
 #   n    directed: full / reduce first       undirected: full / reduce first
-#   280  1098-1109 / 1944-1978 us             1126-1241 / 1881-2314 us
-#   320  1665-1763 / 2357-2444 us             1621-2626 / 2401-3909 us
-#   360  1982-2083 / 2875-2928 us             1935-2685 / 2606-2808 us
-#   400  2745-3075 / 3120-3344 us             2708-4239 / 3081-4973 us
-#   420  3528-3585 / 3346-3424 us             3254-5062 / 3250-5534 us
-#   440  3473-3781 / 3418-3806 us             3292-5361 / 3394-5222 us
-#   460  4688-4977 / 3916-5271 us             4620-4683 / 3702-3704 us
-#   480  4952-5396 / 3926-5506 us             4879-5617 / 3804-4385 us
-#   520  5568-6030 / 4408-5121 us             5120-5333 / 4251-4308 us
-#   560  7616-10328 / 4931-7703 us            7620-7814 / 4710-4893 us
-# Full wins up to 400 in both modes, the two tie at 420 and 440, and
-# reduce first wins from 460 on; below 280 full wins by more still.
-REDUCE_FIRST_N = 420
+#   360  1564-1732 / 2775-3051 us             1574-1791 / 2746-3108 us
+#   380  2060-2620 / 2903-3251 us             2251-3575 / 3026-5060 us
+#   400  2546-2547 / 3398-3512 us             2672-2839 / 3629-3952 us
+#   420  3080-4235 / 3853-5330 us             3269-4135 / 3866-5375 us
+#   440  3003-4389 / 3457-4306 us             2760-3072 / 3488-4206 us
+#   450  3386-3866 / 3529-3773 us             3517-4503 / 3525-4282 us
+#   460  3791-4933 / 3612-4124 us             3809-5182 / 3724-4786 us
+#   480  4678-4810 / 4075-4171 us             4893-5103 / 4048-4980 us
+#   500  5835-5895 / 4253-4841 us             5663-6797 / 4900-6714 us
+#   520  4735-6708 / 4657-6937 us             5006-5123 / 4609-4828 us
+# Full wins up to 440 in both modes, the two tie at 450, and reduce
+# first wins from 460 on; below 360 full wins by more still.
+REDUCE_FIRST_N = 450
 
 # A matrix singular over Q is singular over every F_p, so full rank mod
 # any one prime proves det != 0, and a prime dividing a nonzero det only
@@ -229,15 +232,20 @@ def _run_block(cfg: McConfig, lo: int, hi: int) -> dict[str, int]:
 
     Mod p, a trial with n*d <= MEMO_MAX_POINTS is settled from the
     memo when its matrix was seen before in this process.  Integer
-    mode settles each trial with the cheapest sound certificate first:
-    a duplicate row or column proves det = 0, the Gram-Cholesky
-    certificate proves det != 0, full rank mod CHECK_PRIME proves
-    det != 0, and only what is left pays for the exact determinant.
-    The last two run on the core of the unit-pivot reduction, which has
-    the rank mod CHECK_PRIME and the |det| of the whole matrix.  The
-    certificate runs on A^T A of the whole adjacency below
-    REDUCE_FIRST_N and on the core's Gram matrix from there on; no
-    dense adjacency is built.
+    mode settles each trial by sound certificates: the Gram-Cholesky
+    certificate proves det != 0, a duplicate row or column proves
+    det = 0, full rank mod CHECK_PRIME proves det != 0, and only what
+    is left pays for the exact determinant.  The rank test and the
+    determinant run on the core of the unit-pivot reduction, which has
+    the rank mod CHECK_PRIME and the |det| of the whole matrix; no
+    dense adjacency is built.  Below REDUCE_FIRST_N the certificate
+    runs first, on A^T A of the whole adjacency, and only the trials it
+    leaves are scanned for duplicate lines, since a certified matrix
+    has none, so the tallies are those of any order.  The block counts
+    A^T A into one n x n float64 buffer and adopts each certificate's
+    factor as the next trial's buffer, so a trial makes one n x n
+    array, not two.  From REDUCE_FIRST_N on the duplicate scans run
+    first and the certificate runs on the core's Gram matrix.
     """
     n, d, mode, p = cfg.n, cfg.d, cfg.mode, cfg.p
     tally = {
@@ -249,19 +257,18 @@ def _run_block(cfg: McConfig, lo: int, hi: int) -> dict[str, int]:
         "escalations": 0,
     }
     memo = p is not None and n * d <= MEMO_MAX_POINTS
+    gram = None
     for i in range(lo, hi):
         rng = np.random.default_rng(seed_sequence(cfg.seed, 0, i))
         order = rng.permutation(n * d)
         targets = fibre_targets(n, d, mode, order)
-        if p is None:
-            dup_rows = has_duplicate_rows(targets)
-        elif memo:
-            dup_rows, rank = _settle_tiny(n, d, p, np.sort(targets, axis=1).tobytes())
-        else:
-            dup_rows, rank = _settle_field(targets, p)
-        if dup_rows:
-            tally["duplicate_rows"] += 1
         if p is not None:
+            if memo:
+                dup_rows, rank = _settle_tiny(n, d, p, np.sort(targets, axis=1).tobytes())
+            else:
+                dup_rows, rank = _settle_field(targets, p)
+            if dup_rows:
+                tally["duplicate_rows"] += 1
             kernel = p ** (n - rank) - 1
             tally["kernel_total"] += kernel
             tally["kernel_sq_total"] += kernel * kernel
@@ -270,18 +277,27 @@ def _run_block(cfg: McConfig, lo: int, hi: int) -> dict[str, int]:
             if rank < n:
                 tally["singular"] += 1
             continue
+        # below the cut-off the certificate runs first, on the Gram matrix
+        # of the whole adjacency counted into the block's buffer, whose
+        # factor is the next trial's buffer; a certified A is nonsingular,
+        # so it has no repeated row or column
+        if n < REDUCE_FIRST_N:
+            gram = dense_gram(targets, out=gram)
+            factor = _certify_gram(gram)
+            if factor is not None:
+                gram = factor
+                continue
         # a duplicate row or column forces a zero determinant; dup_rows takes in a
         # directed A's columns, the inverse permutation's rows; an undirected A is symmetric
-        if mode == "directed" and not dup_rows:
+        dup_rows = has_duplicate_rows(targets)
+        if dup_rows:
+            tally["duplicate_rows"] += 1
+        elif mode == "directed":
             inverse = np.empty_like(order)
             inverse[order] = np.arange(n * d)
             dup_rows = has_duplicate_rows(fibre_targets(n, d, mode, inverse))
         if dup_rows:
             tally["singular"] += 1
-            continue
-        # below the cut-off the certificate runs on the Gram matrix of the
-        # whole adjacency, and only the trials it leaves are reduced
-        if n < REDUCE_FIRST_N and _certify_gram(dense_gram(targets)):
             continue
         # unit pivots are units mod CHECK_PRIME and keep |det|, so the
         # core settles the certificate, the rank test and the determinant
@@ -303,14 +319,15 @@ def run_mc(cfg: McConfig) -> McReport:
     so results do not depend on the worker partition.
     """
     start = time.perf_counter()
-    # blocks are cut for the processes that start, at most four each, so
-    # a worker count beyond the CPUs never shreds the trials
     procs = pool_workers(cfg.workers, cfg.trials, os.cpu_count() or 1)
-    chunk = -(-cfg.trials // (4 * procs))
-    blocks = [(lo, min(lo + chunk, cfg.trials)) for lo in range(0, cfg.trials, chunk)]
     if procs == 1:
-        tallies = [_run_block(cfg, lo, hi) for lo, hi in blocks]
+        # one block, so every trial shares the block's Gram buffer
+        tallies = [_run_block(cfg, 0, cfg.trials)]
     else:
+        # four blocks per process that starts, so a worker count beyond
+        # the CPUs never shreds the trials
+        chunk = -(-cfg.trials // (4 * procs))
+        blocks = [(lo, min(lo + chunk, cfg.trials)) for lo in range(0, cfg.trials, chunk)]
         with worker_pool(procs) as pool:
             futures = [pool.submit(_run_block, cfg, lo, hi) for lo, hi in blocks]
             tallies = [f.result() for f in futures]

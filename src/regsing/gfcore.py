@@ -22,10 +22,10 @@ to completion for a k x k B, lambda_min(B) > s - g/(1 - g) tr(B)
 - O(k^2 2^-1074) with g = gamma_{k+2}, so a shift s above that bound
 proves B positive definite and det A != 0 (`certify_nonsingular` from
 A, `_certify_gram` from a ready float64 B, whose diagonal it shifts in
-place, so B is built once and never copied; Rump, "Verification of
-positive definiteness", BIT 46, 2006; Higham, Accuracy and Stability
-of Numerical Algorithms, Thm 10.3).  It only ever proves, never
-guesses.
+place, so B is built once and never copied, and whose factor it returns
+as the witness; Rump, "Verification of positive definiteness", BIT 46,
+2006; Higham, Accuracy and Stability of Numerical Algorithms, Thm
+10.3).  It only ever proves, never guesses.
 """
 
 from __future__ import annotations
@@ -336,18 +336,20 @@ def certify_nonsingular(matrix) -> bool:
     mag = np.abs(af)
     if mag.max() * mag.sum(axis=0).max() >= _FLOAT_EXACT:
         return False
-    return _certify_gram(af.T @ af)
+    return _certify_gram(af.T @ af) is not None
 
 
-def _certify_gram(b: np.ndarray) -> bool:
+def _certify_gram(b: np.ndarray) -> np.ndarray | None:
     """One-sided proof that a symmetric k x k integer matrix B, such as
-    a Gram matrix A^T A, is positive definite; True proves it, False
-    proves nothing.
+    a Gram matrix A^T A, is positive definite: the lower Cholesky factor
+    of B - sI is the witness, and None proves nothing.
 
     Nothing is checked: B must be a symmetric float64 array whose
     entries are integers held exactly, as the ones `certify_nonsingular`
     and `confmodel.dense_gram` build.  B is consumed: its diagonal is
-    shifted in place, and no copy is made.
+    shifted in place, and no copy is made.  The factor is a new
+    C-contiguous k x k float64 array, which a caller may take as the
+    `out` buffer of its next `confmodel.dense_gram`.
 
     Let s be a power of two and run Cholesky on B - sI.  If it runs to
     completion, the computed factor R satisfies R^T R = B - sI + dB
@@ -383,10 +385,9 @@ def _certify_gram(b: np.ndarray) -> bool:
     shift = math.ldexp(1.0, math.frexp(2.0 * bound)[1])
     b.flat[:: k + 1] -= shift
     try:
-        np.linalg.cholesky(b)
+        return np.linalg.cholesky(b)
     except np.linalg.LinAlgError:
-        return False
-    return True
+        return None
 
 
 def _bareiss(rows: list[list[int]]) -> tuple[int, int, int]:

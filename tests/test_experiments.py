@@ -186,14 +186,15 @@ def test_integer_ladder_without_the_certificate_matches_the_dense_ladder(
 ):
     # the certificate settles nearly every nonsingular trial, so the
     # elimination, rank and determinant rungs get a run of their own
-    monkeypatch.setattr(experiments, "_certify_gram", lambda gram: False)
+    monkeypatch.setattr(experiments, "_certify_gram", lambda gram: None)
     monkeypatch.setattr(experiments, "certify_nonsingular", lambda core: False)
     cfg = experiments.McConfig(n=n, d=3, mode=mode, trials=trials, seed=seed)
     assert experiments._run_block(cfg, 0, trials) == dense_ladder_block(cfg, 0, trials)
 
 
 def test_integer_trials_check_columns_only_when_they_differ_from_rows(monkeypatch):
-    # an undirected A is symmetric, so its columns repeat iff its rows do
+    # below the cut-off only the trials the certificate leaves are scanned,
+    # and an undirected A is symmetric, so its columns repeat iff its rows do
     calls = []
 
     def spy(targets):
@@ -204,9 +205,11 @@ def test_integer_trials_check_columns_only_when_they_differ_from_rows(monkeypatc
     for mode in ("undirected", "directed"):
         calls.clear()
         cfg = experiments.McConfig(n=12, d=3, mode=mode, trials=30, seed=4)
+        left = sum(not gfcore.certify_nonsingular(replay_trial(cfg, i)) for i in range(cfg.trials))
         tally = experiments._run_block(cfg, 0, cfg.trials)
-        columns = 0 if mode == "undirected" else cfg.trials - tally["duplicate_rows"]
-        assert len(calls) == cfg.trials + columns
+        columns = 0 if mode == "undirected" else left - tally["duplicate_rows"]
+        assert len(calls) == left + columns
+        assert 0 < left < cfg.trials
 
 
 def test_integer_mode_eliminates_below_the_cut_off_only_what_the_certificate_leaves(
@@ -303,6 +306,41 @@ def test_run_mc_cuts_at_most_four_blocks_per_process(monkeypatch):
             # the blocks partition the trials in order
             assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
             assert blocks[-1][1] == cfg.trials
+
+
+def test_run_mc_cuts_one_block_in_one_process(monkeypatch):
+    blocks = []
+    run_block = experiments._run_block
+
+    def spy(cfg, lo, hi):
+        blocks.append((lo, hi))
+        return run_block(cfg, lo, hi)
+
+    monkeypatch.setattr(experiments, "_run_block", spy)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    for workers, trials in ((1, 50), (3, 1)):
+        blocks.clear()
+        experiments.run_mc(experiments.McConfig(n=8, d=3, trials=trials, seed=1, workers=workers))
+        assert blocks == [(0, trials)]
+
+
+# (n, mode, seed): trial 0 is left by the certificate and trials 1 and 2
+# are certified, so the block's buffer carries a failed factorization's
+# shifted Gram matrix into a trial it certifies
+BUFFER_CASES = ((12, "directed", 1), (12, "undirected", 18), (50, "directed", 16),
+                (50, "undirected", 51), (200, "directed", 197), (200, "undirected", 35))
+
+
+@pytest.mark.parametrize("n,mode,seed", BUFFER_CASES)
+def test_integer_block_tallies_do_not_depend_on_the_block_cut(n, mode, seed):
+    cfg = experiments.McConfig(n=n, d=3, mode=mode, trials=4, seed=seed)
+    assert not gfcore.certify_nonsingular(replay_trial(cfg, 0))
+    assert gfcore.certify_nonsingular(replay_trial(cfg, 1))
+    assert gfcore.certify_nonsingular(replay_trial(cfg, 2))
+    whole = experiments._run_block(cfg, 0, cfg.trials)
+    singles = [experiments._run_block(cfg, i, i + 1) for i in range(cfg.trials)]
+    assert whole == {k: sum(t[k] for t in singles) for k in whole}
+    assert whole == dense_ladder_block(cfg, 0, cfg.trials)
 
 
 def test_worker_pool_runs_single_threaded_blas(monkeypatch):

@@ -326,7 +326,7 @@ def test_certify_nonsingular_on_trial_matrices(n, mode):
         nonzero = pivots + gfcore.rank_mod_p(core, P31) == n or gfcore.det_integer(core) != 0
         nonsingular += nonzero
         ok = gfcore.certify_nonsingular(a)
-        assert gfcore._certify_gram(confmodel.dense_gram(targets)) == ok
+        assert (gfcore._certify_gram(confmodel.dense_gram(targets)) is not None) == ok
         if ok:
             certified += 1
             assert nonzero, seed
@@ -341,18 +341,29 @@ def test_certify_nonsingular_on_trial_matrices(n, mode):
 def test_gram_certificate_takes_the_gram_matrix_in_place():
     # dense_gram counts in float64 and the certificate shifts that matrix
     # in place, so the peak is the Gram matrix and Cholesky's factor, about
-    # 2 x 8n^2 bytes; any copy of the n x n matrix would make it 3
+    # 2 x 8n^2 bytes; any copy of the n x n matrix would make it 3.  Counted
+    # into the last factor, as a block of trials does, the Gram matrix
+    # takes no new n x n array, and the factor is the only one
     n = 200
     order = np.random.default_rng(1).permutation(n * 3)
     targets = confmodel.fibre_targets(n, 3, "directed", order)
-    assert gfcore._certify_gram(confmodel.dense_gram(targets))
+    factor = gfcore._certify_gram(confmodel.dense_gram(targets))
+    assert factor is not None
     tracemalloc.start()
     try:
-        assert gfcore._certify_gram(confmodel.dense_gram(targets))
+        assert gfcore._certify_gram(confmodel.dense_gram(targets)) is not None
         peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        gram = confmodel.dense_gram(targets, out=factor)
+        gram_peak = tracemalloc.get_traced_memory()[1]
+        factor = gfcore._certify_gram(gram)
+        reuse_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert gram is not None and factor is not None
     assert peak < 2.5 * 8 * n * n
+    assert gram_peak < 0.5 * 8 * n * n
+    assert reuse_peak < 1.5 * 8 * n * n
 
 
 def test_gram_certificate_shift_covers_the_rounding_bound():
@@ -361,9 +372,14 @@ def test_gram_certificate_shift_covers_the_rounding_bound():
     # below 1 at t = 2**44 (s = 2**-4) but reaches 2 at t = 2**49
     for t, shift, certified in ((2**44, 2**-4, True), (2**49, 2, False)):
         gram = np.array([[t, t - 1], [t - 1, t]], dtype=np.float64)
-        assert gfcore._certify_gram(gram) is certified
+        factor = gfcore._certify_gram(gram)
+        assert (factor is not None) is certified
         # the matrix is consumed: its diagonal is shifted in place, exactly
         assert (gram == [[t - shift, t - 1], [t - 1, t - shift]]).all()
+        if certified:
+            # the witness is the lower Cholesky factor of the shifted matrix
+            assert factor[0, 1] == 0.0
+            np.testing.assert_allclose(factor @ factor.T, gram, rtol=1e-12)
 
 
 def test_certify_nonsingular_rejects_singular_matrix_without_repeated_rows():
