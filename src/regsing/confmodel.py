@@ -89,10 +89,11 @@ def dense_gram(targets: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
     the count is made in float64, so `gfcore._certify_gram` can take
     the matrix as it is.
 
-    `out`, a C-contiguous n x n float64 array such as an earlier result
-    or the factor `gfcore._certify_gram` returns, is zeroed whatever it
-    holds, counted into and returned, so a loop of trials can reuse one
-    buffer; without it a new array is made."""
+    `out`, a C-contiguous n x n float64 array such as a view of the
+    Gram buffer a thread keeps for its trials, is zeroed whatever it
+    holds (an earlier Gram matrix, its Cholesky factor, or the NaN a
+    failed factorization leaves), counted into and returned, so trials
+    can reuse one buffer; without it a new array is made."""
     n = len(targets)
     if out is None:
         out = np.empty((n, n))

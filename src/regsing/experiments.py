@@ -18,16 +18,16 @@ that bound proves det A != 0 (`gfcore._certify_gram`; Rump,
 "Verification of positive definiteness", BIT 46, 2006; Higham,
 Accuracy and Stability of Numerical Algorithms, Thm 10.3).  Below
 REDUCE_FIRST_N vertices the certificate runs first, on A^T A, counted
-in float64 from the target rows into one buffer per block without
-building the adjacency, and shifted in place by the certificate, whose
-factor is the next trial's buffer; only the trials it leaves are
-scanned for a duplicate row or column and then reduced, with unit
-pivots.  From REDUCE_FIRST_N on every trial is scanned and reduced
-first, and the certificate runs on the Gram matrix of the core, whose
-|det| is that of the whole matrix.  Then full rank of the core modulo
-the fixed CHECK_PRIME certifies nonsingularity, and only what is left
-pays for a fraction-free integer determinant, of the core.  A run in
-one process is one block; a pool cuts four blocks per process.
+in float64 from the target rows without building the adjacency, into
+one buffer per thread that outlives the run, and shifted and factored
+there in place; only the trials it leaves are scanned for a duplicate
+row or column and then reduced, with unit pivots.  From REDUCE_FIRST_N
+on every trial is scanned and reduced first, and the certificate runs
+on the Gram matrix of the core, whose |det| is that of the whole
+matrix.  Then full rank of the core modulo the fixed CHECK_PRIME
+certifies nonsingularity, and only what is left pays for a
+fraction-free integer determinant, of the core.  A run in one process
+is one block; a pool cuts four blocks per process.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ import contextlib
 import functools
 import math
 import os
+import threading
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -74,30 +75,51 @@ SCALING_SLACK = 0.5
 # reduced.  The Cholesky costs n^3/3 flops, so the whole Gram matrix
 # loses once that outgrows the reduction.  Per trial, d = 3, one BLAS
 # thread, the best of five interleaved passes over the same 100 seeded
-# trials without a duplicate row or column, low and high of two runs
-# (four at 440 and 460; process time, 2-vCPU VM; full = float64 Gram
-# matrix counted into the last trial's factor + certificate in place,
+# trials without a duplicate row or column, low and high of two to six
+# runs, and the runs in which full was the faster (process time, 2-vCPU
+# VM, whose speed varied up to 1.7x between runs; full = float64 Gram
+# matrix counted into the thread's buffer + certificate in place there,
 # reduce first = sparse rows + reduction + certificate on the core's
 # Gram):
-#   n    directed: full / reduce first       undirected: full / reduce first
-#   360  1564-1732 / 2775-3051 us             1574-1791 / 2746-3108 us
-#   380  2060-2620 / 2903-3251 us             2251-3575 / 3026-5060 us
-#   400  2546-2547 / 3398-3512 us             2672-2839 / 3629-3952 us
-#   420  3080-4235 / 3853-5330 us             3269-4135 / 3866-5375 us
-#   440  3003-4389 / 3457-4306 us             2760-3072 / 3488-4206 us
-#   450  3386-3866 / 3529-3773 us             3517-4503 / 3525-4282 us
-#   460  3791-4933 / 3612-4124 us             3809-5182 / 3724-4786 us
-#   480  4678-4810 / 4075-4171 us             4893-5103 / 4048-4980 us
-#   500  5835-5895 / 4253-4841 us             5663-6797 / 4900-6714 us
-#   520  4735-6708 / 4657-6937 us             5006-5123 / 4609-4828 us
-# Full wins up to 440 in both modes, the two tie at 450, and reduce
-# first wins from 460 on; below 360 full wins by more still.
-REDUCE_FIRST_N = 450
+#   n    directed: full / reduce first     undirected: full / reduce first
+#   440  2013-2083 / 3397-3527 us  2/2     1816-1829 / 3274-3284 us  2/2
+#   480  2834-2942 / 3589-3796 us  2/2     2834-3175 / 3434-4060 us  2/2
+#   520  2768-2893 / 4011-4036 us  2/2     2767-2880 / 3868-4077 us  2/2
+#   540  3849-4095 / 4309-4424 us  2/2     3801-3862 / 4258-4353 us  2/2
+#   560  4185-7265 / 4236-7566 us  4/4     4387-7033 / 4395-7337 us  3/4
+#   570  4462-6945 / 4533-7116 us  2/2     4591-8567 / 4606-8388 us  1/2
+#   580  4511-6973 / 4413-7165 us  2/4     4612-7174 / 4651-7066 us  2/4
+#   590  4842-7985 / 4423-7722 us  0/4     4878-7979 / 4236-7825 us  0/4
+#   600  4469-7202 / 4681-7421 us  6/6     4447-7308 / 4575-7499 us  5/6
+#   610  5671-8010 / 4609-7674 us  0/4     5828-7866 / 5128-7500 us  0/4
+#   620  5069-7719 / 4738-7474 us  0/4     5486-7576 / 4513-7363 us  0/4
+#   660  7120-9666 / 5802-6722 us  0/2     7557-10365 / 5715-7437 us  0/2
+#   700  7689-13199 / 5612-10395 us  0/2   7821-11688 / 5591-9446 us  0/2
+# Full wins up to 560 in both modes, the two trade wins over 570-600,
+# and reduce first wins every run from 610 on.
+REDUCE_FIRST_N = 600
 
 # A matrix singular over Q is singular over every F_p, so full rank mod
 # any one prime proves det != 0, and a prime dividing a nonzero det only
 # costs an escalation.  Below 2**31 the rank test runs in int64.
 CHECK_PRIME = 2**31 - 1
+
+# Each thread's Gram buffer: `base`, a flat float64 array that only
+# grows, kept for the thread's life, so runs in a row (n = 50 after
+# n = 200, say) take no fresh pages.  Only trials below REDUCE_FIRST_N
+# use it, so it holds at most 8 REDUCE_FIRST_N**2 bytes.  numpy releases
+# the GIL inside the Cholesky, so threads running at once must not
+# share one buffer.
+_GRAM = threading.local()
+
+
+def _gram_buffer(n: int) -> np.ndarray:
+    """An n x n C-contiguous float64 view of this thread's Gram buffer."""
+    base = getattr(_GRAM, "base", None)
+    if base is None or base.size < n * n:
+        base = _GRAM.base = np.empty(n * n)
+    return base[: n * n].reshape(n, n)
+
 
 # Field-mode trials with n*d <= MEMO_MAX_POINTS are settled once per
 # distinct matrix: the memo `_settle_tiny` maps (n, d, p, row-sorted
@@ -241,11 +263,11 @@ def _run_block(cfg: McConfig, lo: int, hi: int) -> dict[str, int]:
     dense adjacency is built.  Below REDUCE_FIRST_N the certificate
     runs first, on A^T A of the whole adjacency, and only the trials it
     leaves are scanned for duplicate lines, since a certified matrix
-    has none, so the tallies are those of any order.  The block counts
-    A^T A into one n x n float64 buffer and adopts each certificate's
-    factor as the next trial's buffer, so a trial makes one n x n
-    array, not two.  From REDUCE_FIRST_N on the duplicate scans run
-    first and the certificate runs on the core's Gram matrix.
+    has none, so the tallies are those of any order.  Each trial counts
+    A^T A into an n x n view of the thread's Gram buffer, which the
+    certificate factors in place, so a trial makes no n x n array.
+    From REDUCE_FIRST_N on the duplicate scans run first and the
+    certificate runs on the core's Gram matrix.
     """
     n, d, mode, p = cfg.n, cfg.d, cfg.mode, cfg.p
     tally = {
@@ -257,7 +279,7 @@ def _run_block(cfg: McConfig, lo: int, hi: int) -> dict[str, int]:
         "escalations": 0,
     }
     memo = p is not None and n * d <= MEMO_MAX_POINTS
-    gram = None
+    gram = _gram_buffer(n) if p is None and n < REDUCE_FIRST_N else None
     for i in range(lo, hi):
         rng = np.random.default_rng(seed_sequence(cfg.seed, 0, i))
         order = rng.permutation(n * d)
@@ -278,15 +300,10 @@ def _run_block(cfg: McConfig, lo: int, hi: int) -> dict[str, int]:
                 tally["singular"] += 1
             continue
         # below the cut-off the certificate runs first, on the Gram matrix
-        # of the whole adjacency counted into the block's buffer, whose
-        # factor is the next trial's buffer; a certified A is nonsingular,
-        # so it has no repeated row or column
-        if n < REDUCE_FIRST_N:
-            gram = dense_gram(targets, out=gram)
-            factor = _certify_gram(gram)
-            if factor is not None:
-                gram = factor
-                continue
+        # of the whole adjacency; a certified A is nonsingular, so it has
+        # no repeated row or column
+        if n < REDUCE_FIRST_N and _certify_gram(dense_gram(targets, out=gram)) is not None:
+            continue
         # a duplicate row or column forces a zero determinant; dup_rows takes in a
         # directed A's columns, the inverse permutation's rows; an undirected A is symmetric
         dup_rows = has_duplicate_rows(targets)
@@ -319,9 +336,10 @@ def run_mc(cfg: McConfig) -> McReport:
     so results do not depend on the worker partition.
     """
     start = time.perf_counter()
-    procs = pool_workers(cfg.workers, cfg.trials, os.cpu_count() or 1)
+    procs = 1
+    if cfg.workers > 1:
+        procs = pool_workers(cfg.workers, cfg.trials, os.cpu_count() or 1)
     if procs == 1:
-        # one block, so every trial shares the block's Gram buffer
         tallies = [_run_block(cfg, 0, cfg.trials)]
     else:
         # four blocks per process that starts, so a worker count beyond

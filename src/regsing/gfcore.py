@@ -21,11 +21,11 @@ a Gram matrix B = A^T A, exact in float64: if Cholesky of B - sI runs
 to completion for a k x k B, lambda_min(B) > s - g/(1 - g) tr(B)
 - O(k^2 2^-1074) with g = gamma_{k+2}, so a shift s above that bound
 proves B positive definite and det A != 0 (`certify_nonsingular` from
-A, `_certify_gram` from a ready float64 B, whose diagonal it shifts in
-place, so B is built once and never copied, and whose factor it returns
-as the witness; Rump, "Verification of positive definiteness", BIT 46,
-2006; Higham, Accuracy and Stability of Numerical Algorithms, Thm
-10.3).  It only ever proves, never guesses.
+A, `_certify_gram` from a ready float64 B, which it shifts and factors
+in place, so B is built once and never copied, and returns holding the
+factor as the witness; Rump, "Verification of positive definiteness",
+BIT 46, 2006; Higham, Accuracy and Stability of Numerical Algorithms,
+Thm 10.3).  It only ever proves, never guesses.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ import math
 from typing import Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import DomainError, InvalidModulusError, InvalidParamsError, ShapeError
 
@@ -346,10 +347,10 @@ def _certify_gram(b: np.ndarray) -> np.ndarray | None:
 
     Nothing is checked: B must be a symmetric float64 array whose
     entries are integers held exactly, as the ones `certify_nonsingular`
-    and `confmodel.dense_gram` build.  B is consumed: its diagonal is
-    shifted in place, and no copy is made.  The factor is a new
-    C-contiguous k x k float64 array, which a caller may take as the
-    `out` buffer of its next `confmodel.dense_gram`.
+    and `confmodel.dense_gram` build.  B is consumed and no k x k array
+    is made: its diagonal is shifted and it is factored in place, so the
+    witness returned is B itself, holding the factor, and a failed
+    factorization leaves B filled with NaN.
 
     Let s be a power of two and run Cholesky on B - sI.  If it runs to
     completion, the computed factor R satisfies R^T R = B - sI + dB
@@ -384,10 +385,12 @@ def _certify_gram(b: np.ndarray) -> np.ndarray | None:
     ) * _UNDERFLOW_UNIT
     shift = math.ldexp(1.0, math.frexp(2.0 * bound)[1])
     b.flat[:: k + 1] -= shift
-    try:
-        return np.linalg.cholesky(b)
-    except np.linalg.LinAlgError:
-        return None
+    # the gufunc behind np.linalg.cholesky, which factors into `out`; no
+    # public Cholesky takes one.  Failure sets the invalid flag and fills
+    # the output with NaN
+    with np.errstate(all="ignore"):
+        _umath_linalg.cholesky_lo(b, out=b, signature="d->d")
+    return None if np.isnan(b[0, 0]) else b
 
 
 def _bareiss(rows: list[list[int]]) -> tuple[int, int, int]:

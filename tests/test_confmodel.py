@@ -147,17 +147,17 @@ def test_dense_gram_is_the_gram_matrix_of_the_adjacency(mode):
 @pytest.mark.parametrize("mode", ["directed", "undirected"])
 @pytest.mark.parametrize("n", [12, 50, 200])
 def test_dense_gram_into_a_used_buffer_matches_a_fresh_one(mode, n):
-    # a block of trials counts each Gram matrix into the last trial's
-    # shifted Gram matrix or Cholesky factor, whatever that holds
+    # a trial counts its Gram matrix into its thread's buffer, whatever the
+    # last trial's certificate left there: a Cholesky factor, or NaN
     rng = np.random.default_rng((n, len(mode)))
     first, second = (confmodel.fibre_targets(n, 3, mode, rng.permutation(3 * n)) for _ in range(2))
     want = confmodel.dense_gram(second)
-    shifted = confmodel.dense_gram(first)
-    gfcore._certify_gram(shifted)
+    used = confmodel.dense_gram(first)
+    gfcore._certify_gram(used)
     # B + I is positive definite, so it always leaves a factor
     factor = gfcore._certify_gram(confmodel.dense_gram(first) + np.eye(n))
     assert factor is not None
-    for dirty in (shifted, factor, np.full((n, n), np.nan)):
+    for dirty in (used, factor, np.full((n, n), np.nan)):
         gram = confmodel.dense_gram(second, out=dirty)
         assert gram is dirty and (gram == want).all()
 

@@ -5,6 +5,8 @@ import contextlib
 import dataclasses
 import functools
 import os
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -325,8 +327,8 @@ def test_run_mc_cuts_one_block_in_one_process(monkeypatch):
 
 
 # (n, mode, seed): trial 0 is left by the certificate and trials 1 and 2
-# are certified, so the block's buffer carries a failed factorization's
-# shifted Gram matrix into a trial it certifies
+# are certified, so the thread's Gram buffer carries a failed
+# factorization's NaN into a trial it certifies
 BUFFER_CASES = ((12, "directed", 1), (12, "undirected", 18), (50, "directed", 16),
                 (50, "undirected", 51), (200, "directed", 197), (200, "undirected", 35))
 
@@ -338,9 +340,66 @@ def test_integer_block_tallies_do_not_depend_on_the_block_cut(n, mode, seed):
     assert gfcore.certify_nonsingular(replay_trial(cfg, 1))
     assert gfcore.certify_nonsingular(replay_trial(cfg, 2))
     whole = experiments._run_block(cfg, 0, cfg.trials)
-    singles = [experiments._run_block(cfg, i, i + 1) for i in range(cfg.trials)]
+    singles = [experiments._run_block(cfg, 0, 1)]
+    assert np.isnan(experiments._gram_buffer(n)).all()
+    singles += [experiments._run_block(cfg, i, i + 1) for i in range(1, cfg.trials)]
+    assert singles[1] == dense_ladder_block(cfg, 1, 2)
     assert whole == {k: sum(t[k] for t in singles) for k in whole}
     assert whole == dense_ladder_block(cfg, 0, cfg.trials)
+
+
+def test_integer_runs_of_one_thread_reuse_one_gram_buffer(monkeypatch):
+    bases = []
+    count = experiments.dense_gram
+
+    def spy(targets, out=None):
+        bases.append(out.base)
+        return count(targets, out=out)
+
+    def runs():
+        # a fresh thread starts without a buffer
+        for n in (200, 50, 200, 201):
+            experiments.run_mc(experiments.McConfig(n=n, d=3, trials=2, seed=n))
+        return experiments._gram_buffer(1).base
+
+    monkeypatch.setattr(experiments, "dense_gram", spy)
+    with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
+        last = pool.submit(runs).result(timeout=120)
+    assert len(bases) == 8 and all(base is bases[0] for base in bases[:6])
+    # the buffer only grows, and only past the largest n so far
+    assert bases[6] is bases[7] is last and last.size == 201 * 201
+    assert experiments._gram_buffer(1).base is not last
+
+
+def test_threads_running_integer_trials_at_once_match_serial_runs():
+    # numpy releases the GIL inside the Cholesky, so threads sharing one
+    # Gram buffer could factor each other's matrices; each has its own
+    configs = [experiments.McConfig(n=n, d=3, mode=mode, trials=trials, seed=seed)
+               for n, mode, trials, seed in ((200, "directed", 60, 5), (120, "directed", 100, 6),
+                                             (200, "undirected", 60, 7),
+                                             (120, "undirected", 100, 8))]
+    serial = [_outcome(experiments.run_mc(cfg)) for cfg in configs]
+    start = threading.Barrier(len(configs))
+    results = [None] * len(configs)
+
+    def worker(k):
+        start.wait(timeout=60)
+        report = experiments.run_mc(configs[k])
+        results[k] = (_outcome(report), experiments._gram_buffer(1).base)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(configs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert [r[0] for r in results] == serial
+    assert len({id(r[1]) for r in results}) == len(configs)
 
 
 def test_worker_pool_runs_single_threaded_blas(monkeypatch):

@@ -2,6 +2,7 @@
 
 import heapq
 import tracemalloc
+import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regsing import confmodel, gfcore
+from regsing import confmodel, experiments, gfcore
 from regsing.errors import DomainError, InvalidModulusError, InvalidParamsError, ShapeError
 
 SMALL_PRIMES = (2, 3, 5, 7, 31, 97)
@@ -339,31 +340,28 @@ def test_certify_nonsingular_on_trial_matrices(n, mode):
 
 
 def test_gram_certificate_takes_the_gram_matrix_in_place():
-    # dense_gram counts in float64 and the certificate shifts that matrix
-    # in place, so the peak is the Gram matrix and Cholesky's factor, about
-    # 2 x 8n^2 bytes; any copy of the n x n matrix would make it 3.  Counted
-    # into the last factor, as a block of trials does, the Gram matrix
-    # takes no new n x n array, and the factor is the only one
+    # dense_gram counts in float64 into a buffer the caller keeps and the
+    # certificate factors it there, so neither makes an n x n array (8n^2
+    # bytes); nor does a block of trials, once its thread's buffer exists,
+    # with two uncertified trials among its 16 here
     n = 200
     order = np.random.default_rng(1).permutation(n * 3)
     targets = confmodel.fibre_targets(n, 3, "directed", order)
-    factor = gfcore._certify_gram(confmodel.dense_gram(targets))
-    assert factor is not None
+    buffer = np.empty((n, n))
+    cfg = experiments.McConfig(n=n, d=3, trials=16, seed=26)
+    experiments._run_block(cfg, 0, 1)
     tracemalloc.start()
     try:
-        assert gfcore._certify_gram(confmodel.dense_gram(targets)) is not None
-        peak = tracemalloc.get_traced_memory()[1]
+        assert gfcore._certify_gram(confmodel.dense_gram(targets, out=buffer)) is buffer
+        certify_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        gram = confmodel.dense_gram(targets, out=factor)
-        gram_peak = tracemalloc.get_traced_memory()[1]
-        factor = gfcore._certify_gram(gram)
-        reuse_peak = tracemalloc.get_traced_memory()[1]
+        tally = experiments._run_block(cfg, 0, cfg.trials)
+        block_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert gram is not None and factor is not None
-    assert peak < 2.5 * 8 * n * n
-    assert gram_peak < 0.5 * 8 * n * n
-    assert reuse_peak < 1.5 * 8 * n * n
+    assert tally["singular"] == 2
+    assert certify_peak < 0.5 * 8 * n * n
+    assert block_peak < 0.5 * 8 * n * n
 
 
 def test_gram_certificate_shift_covers_the_rounding_bound():
@@ -372,14 +370,56 @@ def test_gram_certificate_shift_covers_the_rounding_bound():
     # below 1 at t = 2**44 (s = 2**-4) but reaches 2 at t = 2**49
     for t, shift, certified in ((2**44, 2**-4, True), (2**49, 2, False)):
         gram = np.array([[t, t - 1], [t - 1, t]], dtype=np.float64)
+        # B - sI is exact in float64, and the factor of B - s'I for the
+        # next power of two 2s differs from it in L_00's last bits
+        shifted = gram - shift * np.eye(2)
+        assert (shifted == [[t - shift, t - 1], [t - 1, t - shift]]).all()
         factor = gfcore._certify_gram(gram)
         assert (factor is not None) is certified
-        # the matrix is consumed: its diagonal is shifted in place, exactly
-        assert (gram == [[t - shift, t - 1], [t - 1, t - shift]]).all()
         if certified:
-            # the witness is the lower Cholesky factor of the shifted matrix
+            # the witness is B itself, holding the lower Cholesky factor of
+            # B - sI for exactly this s
+            assert factor is gram
+            assert (factor == np.linalg.cholesky(shifted)).all()
+            assert (factor != np.linalg.cholesky(shifted - shift * np.eye(2))).any()
             assert factor[0, 1] == 0.0
-            np.testing.assert_allclose(factor @ factor.T, gram, rtol=1e-12)
+            np.testing.assert_allclose(factor @ factor.T, shifted, rtol=1e-12)
+        else:
+            # a failed factorization leaves B filled with NaN
+            assert np.isnan(gram).all()
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.cholesky(shifted)
+
+
+@pytest.mark.parametrize("n", [1, 3, 50, 200, 449])
+@pytest.mark.parametrize("mode", ["directed", "undirected"])
+def test_private_cholesky_kernel_matches_numpy_cholesky(n, mode):
+    # the certificate factors in place with the gufunc np.linalg.cholesky
+    # calls; a numpy upgrade that changed it would fail here.  B + I is
+    # positive definite, so numpy's own Cholesky always returns
+    order = np.random.default_rng((n, len(mode))).permutation(4 * n)
+    b = confmodel.dense_gram(confmodel.fibre_targets(n, 4, mode, order)) + np.eye(n)
+    want = np.linalg.cholesky(b)
+    out = gfcore._umath_linalg.cholesky_lo(b, out=b, signature="d->d")
+    assert out is b and (b == want).all()
+
+
+def test_gram_certificate_leaves_nan_when_a_pivot_fails():
+    # A with a zero column: B = [[0, 0], [0, 5]] fails at the first pivot;
+    # A with equal columns: B = [[2, 2], [2, 2]] passes the first pivot,
+    # 2 - s, and fails at the second
+    for a in ([[0, 1], [0, 2]], [[1, 1], [1, 1]]):
+        af = np.array(a, dtype=np.float64)
+        gram = af.T @ af
+        # no warning or floating-point error escapes, even where one would
+        # be an error, and the caller's error state is kept
+        state = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="raise"):
+                assert gfcore._certify_gram(gram) is None
+        assert np.geterr() == state
+        assert np.isnan(gram).all()
 
 
 def test_certify_nonsingular_rejects_singular_matrix_without_repeated_rows():
