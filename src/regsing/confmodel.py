@@ -79,7 +79,7 @@ def dense_adjacency(targets: np.ndarray) -> np.ndarray:
     return np.bincount(cells.ravel(), minlength=n * n).reshape(n, n)
 
 
-def dense_gram(targets: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def dense_gram(targets: np.ndarray, out: np.ndarray) -> np.ndarray:
     """A^T A for the adjacency A of `fibre_targets` rows, in float64:
     entry (j, l) is the sum over rows k of a_kj a_kl, the number of
     pairs of points (s, t) of fibre k joined to fibres j and l, so it
@@ -93,10 +93,8 @@ def dense_gram(targets: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
     Gram buffer a thread keeps for its trials, is zeroed whatever it
     holds (an earlier Gram matrix, its Cholesky factor, or the NaN a
     failed factorization leaves), counted into and returned, so trials
-    can reuse one buffer; without it a new array is made."""
+    can reuse one buffer."""
     n = len(targets)
-    if out is None:
-        out = np.empty((n, n))
     flat = out.reshape(n * n)
     flat.fill(0.0)
     np.add.at(flat, (targets[:, :, None] * n + targets[:, None, :]).ravel(), 1.0)

@@ -95,9 +95,10 @@ SCALING_SLACK = 0.5
 #   620  5069-7719 / 4738-7474 us  0/4     5486-7576 / 4513-7363 us  0/4
 #   660  7120-9666 / 5802-6722 us  0/2     7557-10365 / 5715-7437 us  0/2
 #   700  7689-13199 / 5612-10395 us  0/2   7821-11688 / 5591-9446 us  0/2
-# Full wins up to 560 in both modes, the two trade wins over 570-600,
-# and reduce first wins every run from 610 on.
-REDUCE_FIRST_N = 600
+# Full wins every run up to 560 in both modes, the two trade wins over
+# 570-600, a tie within the machine's noise, and reduce first wins every
+# run from 610 on, so the cut is the first size of the tie.
+REDUCE_FIRST_N = 570
 
 # A matrix singular over Q is singular over every F_p, so full rank mod
 # any one prime proves det != 0, and a prime dividing a nonzero det only

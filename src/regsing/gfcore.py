@@ -347,10 +347,11 @@ def _certify_gram(b: np.ndarray) -> np.ndarray | None:
 
     Nothing is checked: B must be a symmetric float64 array whose
     entries are integers held exactly, as the ones `certify_nonsingular`
-    and `confmodel.dense_gram` build.  B is consumed and no k x k array
+    and `confmodel.dense_gram` build.  B is consumed and no numpy array
     is made: its diagonal is shifted and it is factored in place, so the
     witness returned is B itself, holding the factor, and a failed
-    factorization leaves B filled with NaN.
+    factorization leaves B filled with NaN.  numpy's kernel still copies
+    B into a private LAPACK workspace of the same size and back.
 
     Let s be a power of two and run Cholesky on B - sI.  If it runs to
     completion, the computed factor R satisfies R^T R = B - sI + dB

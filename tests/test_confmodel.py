@@ -137,7 +137,7 @@ def test_dense_gram_is_the_gram_matrix_of_the_adjacency(mode):
                 order = np.random.default_rng((seed, n, d)).permutation(n * d)
                 targets = confmodel.fibre_targets(n, d, mode, order)
                 a = confmodel.dense_adjacency(targets)
-                gram = confmodel.dense_gram(targets)
+                gram = confmodel.dense_gram(targets, np.empty((n, n)))
                 assert gram.dtype == np.float64 and (gram == a.T @ a).all(), (n, d, seed)
                 seen["loop"] += bool(np.trace(a))
                 seen["multi"] += bool((a - np.diag(np.diag(a)) > 1).any())
@@ -151,11 +151,11 @@ def test_dense_gram_into_a_used_buffer_matches_a_fresh_one(mode, n):
     # last trial's certificate left there: a Cholesky factor, or NaN
     rng = np.random.default_rng((n, len(mode)))
     first, second = (confmodel.fibre_targets(n, 3, mode, rng.permutation(3 * n)) for _ in range(2))
-    want = confmodel.dense_gram(second)
-    used = confmodel.dense_gram(first)
+    want = confmodel.dense_gram(second, np.empty((n, n)))
+    used = confmodel.dense_gram(first, np.empty((n, n)))
     gfcore._certify_gram(used)
     # B + I is positive definite, so it always leaves a factor
-    factor = gfcore._certify_gram(confmodel.dense_gram(first) + np.eye(n))
+    factor = gfcore._certify_gram(confmodel.dense_gram(first, np.empty((n, n))) + np.eye(n))
     assert factor is not None
     for dirty in (used, factor, np.full((n, n), np.nan)):
         gram = confmodel.dense_gram(second, out=dirty)

@@ -352,7 +352,7 @@ def test_integer_runs_of_one_thread_reuse_one_gram_buffer(monkeypatch):
     bases = []
     count = experiments.dense_gram
 
-    def spy(targets, out=None):
+    def spy(targets, out):
         bases.append(out.base)
         return count(targets, out=out)
 

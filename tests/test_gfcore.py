@@ -2,6 +2,7 @@
 
 import heapq
 import tracemalloc
+import types
 import warnings
 from fractions import Fraction
 from unittest import mock
@@ -327,7 +328,8 @@ def test_certify_nonsingular_on_trial_matrices(n, mode):
         nonzero = pivots + gfcore.rank_mod_p(core, P31) == n or gfcore.det_integer(core) != 0
         nonsingular += nonzero
         ok = gfcore.certify_nonsingular(a)
-        assert (gfcore._certify_gram(confmodel.dense_gram(targets)) is not None) == ok
+        gram = confmodel.dense_gram(targets, np.empty((n, n)))
+        assert (gfcore._certify_gram(gram) is not None) == ok
         if ok:
             certified += 1
             assert nonzero, seed
@@ -341,9 +343,11 @@ def test_certify_nonsingular_on_trial_matrices(n, mode):
 
 def test_gram_certificate_takes_the_gram_matrix_in_place():
     # dense_gram counts in float64 into a buffer the caller keeps and the
-    # certificate factors it there, so neither makes an n x n array (8n^2
-    # bytes); nor does a block of trials, once its thread's buffer exists,
-    # with two uncertified trials among its 16 here
+    # certificate factors it there, so neither makes an n x n numpy array
+    # (8n^2 bytes); nor does a block of trials, once its thread's buffer
+    # exists, with two uncertified trials among its 16 here.  numpy's
+    # Cholesky kernel still copies B into a private LAPACK workspace,
+    # which tracemalloc does not see
     n = 200
     order = np.random.default_rng(1).permutation(n * 3)
     targets = confmodel.fibre_targets(n, 3, "directed", order)
@@ -364,18 +368,29 @@ def test_gram_certificate_takes_the_gram_matrix_in_place():
     assert block_peak < 0.5 * 8 * n * n
 
 
-def test_gram_certificate_shift_covers_the_rounding_bound():
+def test_gram_certificate_shift_covers_the_rounding_bound(monkeypatch):
     # eigenvalues 1 and 2t - 1: the shift s, a power of two in
     # (2 bound, 4 bound] with bound ~ gamma_{k+2} tr(B) = 4u * 2t, stays
     # below 1 at t = 2**44 (s = 2**-4) but reaches 2 at t = 2**49
+    kernel = gfcore._umath_linalg.cholesky_lo
+    factored = []
+
+    def record(b, **kwargs):
+        factored.append(b.copy())
+        return kernel(b, **kwargs)
+
+    monkeypatch.setattr(gfcore, "_umath_linalg", types.SimpleNamespace(cholesky_lo=record))
     for t, shift, certified in ((2**44, 2**-4, True), (2**49, 2, False)):
         gram = np.array([[t, t - 1], [t - 1, t]], dtype=np.float64)
         # B - sI is exact in float64, and the factor of B - s'I for the
         # next power of two 2s differs from it in L_00's last bits
         shifted = gram - shift * np.eye(2)
         assert (shifted == [[t - shift, t - 1], [t - 1, t - shift]]).all()
+        factored.clear()
         factor = gfcore._certify_gram(gram)
         assert (factor is not None) is certified
+        # the kernel factored B - sI for exactly this s, once
+        assert len(factored) == 1 and (factored[0] == shifted).all()
         if certified:
             # the witness is B itself, holding the lower Cholesky factor of
             # B - sI for exactly this s
@@ -398,7 +413,8 @@ def test_private_cholesky_kernel_matches_numpy_cholesky(n, mode):
     # calls; a numpy upgrade that changed it would fail here.  B + I is
     # positive definite, so numpy's own Cholesky always returns
     order = np.random.default_rng((n, len(mode))).permutation(4 * n)
-    b = confmodel.dense_gram(confmodel.fibre_targets(n, 4, mode, order)) + np.eye(n)
+    b = confmodel.dense_gram(confmodel.fibre_targets(n, 4, mode, order), np.empty((n, n)))
+    b += np.eye(n)
     want = np.linalg.cholesky(b)
     out = gfcore._umath_linalg.cholesky_lo(b, out=b, signature="d->d")
     assert out is b and (b == want).all()
