@@ -23,6 +23,8 @@ from .gfcore import require_int
 
 # Cap on n*n and n*d: 4096 vertices, a 128 MiB int64 adjacency.
 DENSE_ENTRIES_CAP = 2**24
+# One uint32 word of SeedSequence entropy.
+_WORD_MASK = 2**32 - 1
 
 
 def require_mode(mode: str) -> None:
@@ -66,9 +68,20 @@ def seed_sequence(seed: int, *path: int) -> np.random.SeedSequence:
     i and (seed, 2, idx) the sub-seed of row idx of a scaling probe.
     (seed, 1), which once drew a prime, is retired.  SeedSequence(s) and
     SeedSequence((s,)) give the same state, so every path shares one
-    tuple layout.
+    tuple layout.  The tuple is handed over as the uint32 words numpy
+    makes of it, each value's little-endian 32-bit words and at least
+    one, which gives the same pool without numpy's per-value conversion.
     """
-    return np.random.SeedSequence((seed, *path))
+    words = []
+    for v in (seed, *path):
+        v = int(v)
+        if v < 0:
+            raise ValueError(f"entropy must be non-negative, got {v}")
+        words.append(v & _WORD_MASK)
+        while v > _WORD_MASK:
+            v >>= 32
+            words.append(v & _WORD_MASK)
+    return np.random.SeedSequence(np.array(words, dtype=np.uint32))
 
 
 def dense_adjacency(targets: np.ndarray) -> np.ndarray:
@@ -87,17 +100,27 @@ def dense_gram(targets: np.ndarray, out: np.ndarray) -> np.ndarray:
     undirected loop adds 2 to a_kk, as in `dense_adjacency`.  Every
     entry is an integer of at most d^2, which float64 holds exactly, and
     the count is made in float64, so `gfcore._certify_gram` can take
-    the matrix as it is.
+    the matrix as it is.  `targets` may be a stack of shape (t, n, d),
+    and then every slice's Gram matrix is counted at once: d scatters,
+    one per point s of a row, each adding the pairs (t_ks, t_ku) of
+    every row k of every slice, so no index array holds more than
+    t n d entries.
 
-    `out`, a C-contiguous n x n float64 array such as a view of the
-    Gram buffer a thread keeps for its trials, is zeroed whatever it
-    holds (an earlier Gram matrix, its Cholesky factor, or the NaN a
-    failed factorization leaves), counted into and returned, so trials
-    can reuse one buffer."""
-    n = len(targets)
-    flat = out.reshape(n * n)
+    `out`, a C-contiguous float64 array of shape targets.shape[:-1] +
+    (n,), such as a view of the Gram buffer a thread keeps for its
+    trials, is zeroed whatever it holds (an earlier Gram matrix, a
+    Cholesky factor, or what a failed factorization leaves), counted
+    into and returned, so trials can reuse one buffer."""
+    n = targets.shape[-2]
+    flat = out.reshape(-1)
     flat.fill(0.0)
-    np.add.at(flat, (targets[:, :, None] * n + targets[:, None, :]).ravel(), 1.0)
+    # cols[..., u, k] = t_ku, contiguous along the rows k
+    cols = np.ascontiguousarray(np.swapaxes(targets, -1, -2))
+    rows = cols * n
+    if targets.ndim == 3:
+        rows += np.arange(0, flat.size, n * n).reshape(-1, 1, 1)
+    for s in range(targets.shape[-1]):
+        np.add.at(flat, (rows[..., s, None, :] + cols).ravel(), 1.0)
     return out
 
 
@@ -137,7 +160,8 @@ def sample(params: GraphParams, seed) -> Graph:
 
 
 def fibre_targets(n: int, d: int, mode: str, order: np.ndarray) -> np.ndarray:
-    """Row t // d lists, for each point t, the fibre it is joined to.
+    """Row t // d lists, for each point t, the fibre it is joined to;
+    for a stack of orders, shape (t, n*d), a stack of such rows.
 
     A vertex's adjacency row counts the fibres its d points are joined
     to, so these target rows are the sparse form of the adjacency rows.
@@ -146,11 +170,13 @@ def fibre_targets(n: int, d: int, mode: str, order: np.ndarray) -> np.ndarray:
     """
     order = np.asarray(order)
     if mode == "directed":
-        return (order // d).reshape(n, d)
+        return (order // d).reshape(order.shape[:-1] + (n, d))
+    # a stack of orders, shape (t, n*d), pairs the points of each row alone
+    lane = (np.arange(len(order))[:, None],) if order.ndim == 2 else ()
     partner = np.empty_like(order)
-    partner[order[0::2]] = order[1::2]
-    partner[order[1::2]] = order[0::2]
-    return (partner // d).reshape(n, d)
+    partner[(*lane, order[..., 0::2])] = order[..., 1::2]
+    partner[(*lane, order[..., 1::2])] = order[..., 0::2]
+    return (partner // d).reshape(order.shape[:-1] + (n, d))
 
 
 def has_duplicate_rows(targets: np.ndarray) -> bool:

@@ -17,10 +17,12 @@ runs to completion proves lambda_min(B) > s - g/(1 - g) tr(B)
 that bound proves det A != 0 (`gfcore._certify_gram`; Rump,
 "Verification of positive definiteness", BIT 46, 2006; Higham,
 Accuracy and Stability of Numerical Algorithms, Thm 10.3).  Below
-REDUCE_FIRST_N vertices the certificate runs first, on A^T A, counted
-in float64 from the target rows without building the adjacency, into
-one buffer per thread that outlives the run, and shifted and factored
-there in place; only the trials it leaves are scanned for a duplicate
+REDUCE_FIRST_N vertices the certificate runs first, a stack of trials
+at a time, on A^T A, counted in float64 from the target rows without
+building the adjacency, into one buffer per thread that outlives the
+run, shifted in one pass and factored there in place by LAPACK dpotrf,
+which leaves the factor in each slice's upper triangle and a failure
+in its info; only the trials it leaves are scanned for a duplicate
 row or column and then reduced, with unit pivots.  From REDUCE_FIRST_N
 on every trial is scanned and reduced first, and the certificate runs
 on the Gram matrix of the core, whose |det| is that of the whole
@@ -56,9 +58,9 @@ from .exactcount import master_sum
 from .gfcore import (
     _certify_gram,
     _eliminate,
+    _rank_mod,
     certify_nonsingular,
     det_integer,
-    rank_mod_p,
     require_int,
     require_prime,
 )
@@ -75,51 +77,68 @@ SCALING_SLACK = 0.5
 # reduced.  The Cholesky costs n^3/3 flops, so the whole Gram matrix
 # loses once that outgrows the reduction.  Per trial, d = 3, one BLAS
 # thread, the best of five interleaved passes over the same 100 seeded
-# trials without a duplicate row or column, low and high of two to six
+# trials without a duplicate row or column, low and high of two to five
 # runs, and the runs in which full was the faster (process time, 2-vCPU
 # VM, whose speed varied up to 1.7x between runs; full = float64 Gram
-# matrix counted into the thread's buffer + certificate in place there,
-# reduce first = sparse rows + reduction + certificate on the core's
-# Gram):
-#   n    directed: full / reduce first     undirected: full / reduce first
-#   440  2013-2083 / 3397-3527 us  2/2     1816-1829 / 3274-3284 us  2/2
-#   480  2834-2942 / 3589-3796 us  2/2     2834-3175 / 3434-4060 us  2/2
-#   520  2768-2893 / 4011-4036 us  2/2     2767-2880 / 3868-4077 us  2/2
-#   540  3849-4095 / 4309-4424 us  2/2     3801-3862 / 4258-4353 us  2/2
-#   560  4185-7265 / 4236-7566 us  4/4     4387-7033 / 4395-7337 us  3/4
-#   570  4462-6945 / 4533-7116 us  2/2     4591-8567 / 4606-8388 us  1/2
-#   580  4511-6973 / 4413-7165 us  2/4     4612-7174 / 4651-7066 us  2/4
-#   590  4842-7985 / 4423-7722 us  0/4     4878-7979 / 4236-7825 us  0/4
-#   600  4469-7202 / 4681-7421 us  6/6     4447-7308 / 4575-7499 us  5/6
-#   610  5671-8010 / 4609-7674 us  0/4     5828-7866 / 5128-7500 us  0/4
-#   620  5069-7719 / 4738-7474 us  0/4     5486-7576 / 4513-7363 us  0/4
-#   660  7120-9666 / 5802-6722 us  0/2     7557-10365 / 5715-7437 us  0/2
-#   700  7689-13199 / 5612-10395 us  0/2   7821-11688 / 5591-9446 us  0/2
-# Full wins every run up to 560 in both modes, the two trade wins over
-# 570-600, a tie within the machine's noise, and reduce first wins every
-# run from 610 on, so the cut is the first size of the tie.
-REDUCE_FIRST_N = 570
+# matrix counted into a one-slice stack of the thread's buffer +
+# certificate in place there by dpotrf + the duplicate-line scans of the
+# trials it leaves, reduce first = the duplicate-line scans + sparse
+# rows + reduction + certificate on the core's Gram):
+#   n     directed: full / reduce first       undirected: full / reduce first
+#   440   1608-1818 / 4754-4861 us    2/2     1201-1558 / 3331-4583 us    2/2
+#   520   2492-2592 / 5923-6703 us    2/2     1919-2480 / 5112-6034 us    2/2
+#   570   2573-2581 / 5036-5461 us    2/2     2468-2927 / 5034-6133 us    2/2
+#   620   3469-3894 / 5262-6148 us    2/2     3274-3283 / 5348-5466 us    2/2
+#   700   4055-5592 / 6258-9143 us    4/4     4104-5050 / 5738-7023 us    4/4
+#   760   5223-5322 / 7134-7665 us    2/2     5934-6771 / 7487-9871 us    2/2
+#   800   5130-6608 / 6322-8628 us    3/3     5162-6754 / 6161-8507 us    3/3
+#   820   5601-8448 / 7003-10747 us   5/5     6090-8135 / 6578-8674 us    5/5
+#   840   6140-6365 / 6921-6988 us    3/3     6174-6224 / 6686-6936 us    3/3
+#   860   6763-6935 / 7104-7526 us    3/3     6826-7405 / 6926-7822 us    3/3
+#   880   7265-9062 / 7316-10387 us   5/5     6854-9056 / 6938-9132 us    2/5
+#   940   8855-12037 / 7782-12683 us  1/2     8271-11722 / 7399-12065 us  1/2
+#   1000  11090-11512 / 8766-11432 us 0/2     11203-11417 / 10403-11121 us 0/2
+#   1100  14881-15446 / 12091-13732 us 0/2    17126-17975 / 12028-15047 us 0/2
+#   1200  18508-18552 / 12947-13340 us 0/2    17472-18270 / 10990-13326 us 0/2
+# Full wins every run at all 19 sizes measured from 440 to 860 in both
+# modes (the table shows 10), the two trade wins over 880-940, a tie
+# within the machine's noise, and reduce first wins every run from 1000
+# on, so the cut is the first size of the tie.
+REDUCE_FIRST_N = 880
 
 # A matrix singular over Q is singular over every F_p, so full rank mod
 # any one prime proves det != 0, and a prime dividing a nonzero det only
 # costs an escalation.  Below 2**31 the rank test runs in int64.
 CHECK_PRIME = 2**31 - 1
 
+# Below REDUCE_FIRST_N a block certifies a stack of t trials at a time:
+# `dense_gram` counts their Gram matrices with t n d^2 scatter indices,
+# and one pass shifts them.  Per trial, d = 3, one BLAS thread, the
+# median of 12 interleaved passes, two runs (process time, 2-vCPU VM),
+# stacks of 4, 8, 16, 32 and 128 took 47-51, 43, 40-42, 40 and 44 us at
+# n = 50, and stacks of 1, 2, 4 and 8 took 232-240, 217-245, 207-264 and
+# 216-268 us at n = 200, within noise.  So a stack ends at STACK_INDICES
+# scatter indices, 64 KB of them, as well as at the Gram buffer's
+# ceiling: 18 trials at n = 50, 4 at n = 200.
+STACK_INDICES = 2**13
+
 # Each thread's Gram buffer: `base`, a flat float64 array that only
 # grows, kept for the thread's life, so runs in a row (n = 50 after
 # n = 200, say) take no fresh pages.  Only trials below REDUCE_FIRST_N
-# use it, so it holds at most 8 REDUCE_FIRST_N**2 bytes.  numpy releases
-# the GIL inside the Cholesky, so threads running at once must not
-# share one buffer.
+# use it, a stack of t n x n Gram matrices with t n**2 <= REDUCE_FIRST_N**2,
+# so it holds at most 8 REDUCE_FIRST_N**2 bytes.  ctypes releases the
+# GIL inside dpotrf, so threads running at once must not share one
+# buffer.
 _GRAM = threading.local()
 
 
-def _gram_buffer(n: int) -> np.ndarray:
-    """An n x n C-contiguous float64 view of this thread's Gram buffer."""
+def _gram_stack(t: int, n: int) -> np.ndarray:
+    """A C-contiguous (t, n, n) float64 view of this thread's Gram buffer."""
+    size = t * n * n
     base = getattr(_GRAM, "base", None)
-    if base is None or base.size < n * n:
-        base = _GRAM.base = np.empty(n * n)
-    return base[: n * n].reshape(n, n)
+    if base is None or base.size < size:
+        base = _GRAM.base = np.empty(size)
+    return base[:size].reshape(t, n, n)
 
 
 # Field-mode trials with n*d <= MEMO_MAX_POINTS are settled once per
@@ -241,13 +260,50 @@ def _settle_field(targets: np.ndarray, p: int) -> tuple[bool, int]:
     target rows these are: the pivot count of the sparse elimination
     plus the rank of its core."""
     pivots, core = _eliminate(sparse_rows(targets, p), p)
-    return has_duplicate_rows(targets), pivots + rank_mod_p(core, p)
+    return has_duplicate_rows(targets), pivots + _rank_mod(core, p)
 
 
 @functools.lru_cache(maxsize=MEMO_MAX_ENTRIES)
 def _settle_tiny(n: int, d: int, p: int, rows: bytes) -> tuple[bool, int]:
     """`_settle_field` of the row-sorted int64 target rows in `rows`."""
     return _settle_field(np.frombuffer(rows, dtype=np.int64).reshape(n, d), p)
+
+
+def _draw(cfg: McConfig, i: int) -> np.ndarray:
+    """The permutation of the n*d points that trial i of cfg draws."""
+    return np.random.default_rng(seed_sequence(cfg.seed, 0, i)).permutation(cfg.n * cfg.d)
+
+
+def _settle_integer(cfg: McConfig, order: np.ndarray, targets: np.ndarray,
+                    tally: dict[str, int]) -> None:
+    """Tally one integer trial that no Gram certificate of the whole
+    adjacency settled, from its permutation and target rows: duplicate
+    lines, then the unit-pivot reduction, whose core takes the
+    certificate (from REDUCE_FIRST_N on), the rank test and the
+    determinant."""
+    n, d, mode = cfg.n, cfg.d, cfg.mode
+    # a duplicate row or column forces a zero determinant; dup_rows takes in a
+    # directed A's columns, the inverse permutation's rows; an undirected A is symmetric
+    dup_rows = has_duplicate_rows(targets)
+    if dup_rows:
+        tally["duplicate_rows"] += 1
+    elif mode == "directed":
+        inverse = np.empty_like(order)
+        inverse[order] = np.arange(n * d)
+        dup_rows = has_duplicate_rows(fibre_targets(n, d, mode, inverse))
+    if dup_rows:
+        tally["singular"] += 1
+        return
+    # unit pivots are units mod CHECK_PRIME and keep |det|, so the
+    # core settles the certificate, the rank test and the determinant
+    pivots, core = _eliminate(sparse_rows(targets), None)
+    if n >= REDUCE_FIRST_N and certify_nonsingular(core):
+        return
+    if pivots + _rank_mod(core, CHECK_PRIME) == n:
+        return
+    tally["escalations"] += 1
+    if det_integer(core) == 0:
+        tally["singular"] += 1
 
 
 def _run_block(cfg: McConfig, lo: int, hi: int) -> dict[str, int]:
@@ -264,11 +320,17 @@ def _run_block(cfg: McConfig, lo: int, hi: int) -> dict[str, int]:
     dense adjacency is built.  Below REDUCE_FIRST_N the certificate
     runs first, on A^T A of the whole adjacency, and only the trials it
     leaves are scanned for duplicate lines, since a certified matrix
-    has none, so the tallies are those of any order.  Each trial counts
-    A^T A into an n x n view of the thread's Gram buffer, which the
-    certificate factors in place, so a trial makes no n x n array.
-    From REDUCE_FIRST_N on the duplicate scans run first and the
-    certificate runs on the core's Gram matrix.
+    has none, so the tallies are those of any order.  It runs a stack
+    of trials at a time: their permutations are drawn first,
+    `dense_gram` counts every A^T A into a (t, n, n) view of the
+    thread's Gram buffer, and `_certify_gram` shifts them in one pass and
+    factors each in place with LAPACK dpotrf, leaving the factor in the
+    slice's upper triangle and failure in dpotrf's info, so a trial
+    makes no n x n array.  t is the most slices whose scatter indices
+    fit in STACK_INDICES and whose Gram matrices fit in the buffer's
+    8 REDUCE_FIRST_N**2 bytes, and at least 1.  From REDUCE_FIRST_N on
+    the duplicate scans run first and the certificate runs on the
+    core's Gram matrix, a one-slice stack.
     """
     n, d, mode, p = cfg.n, cfg.d, cfg.mode, cfg.p
     tally = {
@@ -279,53 +341,36 @@ def _run_block(cfg: McConfig, lo: int, hi: int) -> dict[str, int]:
         "duplicate_rows": 0,
         "escalations": 0,
     }
+    if p is None and n < REDUCE_FIRST_N:
+        # a certified A is nonsingular, so it has no repeated row or column
+        per = max(1, min(REDUCE_FIRST_N**2 // (n * n), STACK_INDICES // (n * d * d)))
+        for start in range(lo, hi, per):
+            orders = np.array([_draw(cfg, i) for i in range(start, min(start + per, hi))])
+            targets = fibre_targets(n, d, mode, orders)
+            gram = dense_gram(targets, out=_gram_stack(len(orders), n))
+            for order, rows, certified in zip(orders, targets, _certify_gram(gram)):
+                if not certified:
+                    _settle_integer(cfg, order, rows, tally)
+        return tally
     memo = p is not None and n * d <= MEMO_MAX_POINTS
-    gram = _gram_buffer(n) if p is None and n < REDUCE_FIRST_N else None
     for i in range(lo, hi):
-        rng = np.random.default_rng(seed_sequence(cfg.seed, 0, i))
-        order = rng.permutation(n * d)
+        order = _draw(cfg, i)
         targets = fibre_targets(n, d, mode, order)
-        if p is not None:
-            if memo:
-                dup_rows, rank = _settle_tiny(n, d, p, np.sort(targets, axis=1).tobytes())
-            else:
-                dup_rows, rank = _settle_field(targets, p)
-            if dup_rows:
-                tally["duplicate_rows"] += 1
-            kernel = p ** (n - rank) - 1
-            tally["kernel_total"] += kernel
-            tally["kernel_sq_total"] += kernel * kernel
-            if kernel:
-                tally["kernel_positive"] += 1
-            if rank < n:
-                tally["singular"] += 1
+        if p is None:
+            _settle_integer(cfg, order, targets, tally)
             continue
-        # below the cut-off the certificate runs first, on the Gram matrix
-        # of the whole adjacency; a certified A is nonsingular, so it has
-        # no repeated row or column
-        if n < REDUCE_FIRST_N and _certify_gram(dense_gram(targets, out=gram)) is not None:
-            continue
-        # a duplicate row or column forces a zero determinant; dup_rows takes in a
-        # directed A's columns, the inverse permutation's rows; an undirected A is symmetric
-        dup_rows = has_duplicate_rows(targets)
+        if memo:
+            dup_rows, rank = _settle_tiny(n, d, p, np.sort(targets, axis=1).tobytes())
+        else:
+            dup_rows, rank = _settle_field(targets, p)
         if dup_rows:
             tally["duplicate_rows"] += 1
-        elif mode == "directed":
-            inverse = np.empty_like(order)
-            inverse[order] = np.arange(n * d)
-            dup_rows = has_duplicate_rows(fibre_targets(n, d, mode, inverse))
-        if dup_rows:
-            tally["singular"] += 1
-            continue
-        # unit pivots are units mod CHECK_PRIME and keep |det|, so the
-        # core settles the certificate, the rank test and the determinant
-        pivots, core = _eliminate(sparse_rows(targets), None)
-        if n >= REDUCE_FIRST_N and certify_nonsingular(core):
-            continue
-        if pivots + rank_mod_p(core, CHECK_PRIME) == n:
-            continue
-        tally["escalations"] += 1
-        if det_integer(core) == 0:
+        kernel = p ** (n - rank) - 1
+        tally["kernel_total"] += kernel
+        tally["kernel_sq_total"] += kernel * kernel
+        if kernel:
+            tally["kernel_positive"] += 1
+        if rank < n:
             tally["singular"] += 1
     return tally
 

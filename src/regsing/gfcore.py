@@ -21,17 +21,21 @@ a Gram matrix B = A^T A, exact in float64: if Cholesky of B - sI runs
 to completion for a k x k B, lambda_min(B) > s - g/(1 - g) tr(B)
 - O(k^2 2^-1074) with g = gamma_{k+2}, so a shift s above that bound
 proves B positive definite and det A != 0 (`certify_nonsingular` from
-A, `_certify_gram` from a ready float64 B, which it shifts and factors
-in place, so B is built once and never copied, and returns holding the
-factor as the witness; Rump, "Verification of positive definiteness",
-BIT 46, 2006; Higham, Accuracy and Stability of Numerical Algorithms,
-Thm 10.3).  It only ever proves, never guesses.
+A, `_certify_gram` from a stack of ready float64 Gram matrices, which it
+shifts in one pass and factors in place with LAPACK dpotrf, so no B is
+copied, each certified slice holding its factor as the witness; Rump,
+"Verification of positive definiteness", BIT 46, 2006; Higham, Accuracy
+and Stability of Numerical Algorithms, Thm 10.3).  It only ever proves,
+never guesses.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
 import heapq
-import math
+import os
 from typing import Sequence
 
 import numpy as np
@@ -47,6 +51,8 @@ _UNIT_ROUNDOFF = 2.0**-53
 _FLOAT_EXACT = 1 << 53
 # The smallest positive (subnormal) float64.
 _UNDERFLOW_UNIT = 2.0**-1074
+# The integer arguments of LAPACK built with 64-bit integers (ILP64).
+_INT64_P = ctypes.POINTER(ctypes.c_int64)
 # Deterministic Miller-Rabin with the witness set below is exact for all
 # n < 3.3e24, far above this cap.
 PRIME_LIMIT = 1 << 63
@@ -164,9 +170,16 @@ def rank_mod_p(matrix: Matrix, p) -> int:
     function of the input.
     """
     p = require_prime(p)
+    return _rank_mod(_int_matrix(matrix), p)
+
+
+def _rank_mod(a: np.ndarray, p: int) -> int:
+    """`rank_mod_p` of an array as `_int_matrix` makes it, such as the
+    core `_eliminate` returns, and a prime p; nothing is checked, and a
+    is left as it is."""
     dtype = np.int64 if p < NUMPY_PRIME_LIMIT else object
     # np.mod makes a fresh array, and reduces big entries before the int64 core
-    return _rank_mod_numpy_arr(np.mod(_int_matrix(matrix), p).astype(dtype, copy=False), p)
+    return _rank_mod_numpy_arr(np.mod(a, p).astype(dtype, copy=False), p)
 
 
 def _rank_mod_numpy_arr(a: np.ndarray, p: int) -> int:
@@ -337,21 +350,51 @@ def certify_nonsingular(matrix) -> bool:
     mag = np.abs(af)
     if mag.max() * mag.sum(axis=0).max() >= _FLOAT_EXACT:
         return False
-    return _certify_gram(af.T @ af) is not None
+    return _certify_gram((af.T @ af)[None])[0]
 
 
-def _certify_gram(b: np.ndarray) -> np.ndarray | None:
-    """One-sided proof that a symmetric k x k integer matrix B, such as
-    a Gram matrix A^T A, is positive definite: the lower Cholesky factor
-    of B - sI is the witness, and None proves nothing.
+@functools.cache
+def _lapack_potrf():
+    """LAPACK dpotrf, with 64-bit integer arguments, from the OpenBLAS
+    that numpy's wheel bundles in `numpy.libs/`, or None where no such
+    library or symbol is found (another numpy build).  numpy has loaded
+    the library already, so this opens nothing new."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*"))):
+        try:
+            potrf = ctypes.CDLL(path).scipy_dpotrf_64_
+        except (OSError, AttributeError):
+            continue
+        # uplo, n, a, lda, info, and the length of uplo that Fortran passes
+        potrf.argtypes = [ctypes.c_char_p, _INT64_P, ctypes.c_void_p, _INT64_P, _INT64_P,
+                          ctypes.c_size_t]
+        potrf.restype = None
+        return potrf
+    return None
 
-    Nothing is checked: B must be a symmetric float64 array whose
-    entries are integers held exactly, as the ones `certify_nonsingular`
-    and `confmodel.dense_gram` build.  B is consumed and no numpy array
-    is made: its diagonal is shifted and it is factored in place, so the
-    witness returned is B itself, holding the factor, and a failed
-    factorization leaves B filled with NaN.  numpy's kernel still copies
-    B into a private LAPACK workspace of the same size and back.
+
+def _certify_gram(b: np.ndarray) -> list[bool]:
+    """One-sided proof that symmetric k x k integer matrices B, such as
+    Gram matrices A^T A, are positive definite: b is a stack of them,
+    shape (t, k, k), and entry j of the list returned is True when
+    Cholesky of slice j shifted by sI completed, which proves it
+    positive definite, and False when it proves nothing.
+
+    Nothing is checked but the layout: b must be a C-contiguous float64
+    array of symmetric matrices whose entries are integers held
+    exactly, as the ones `certify_nonsingular` and
+    `confmodel.dense_gram` build.  b is consumed and nothing the size
+    of a slice is made: one pass over the stack takes every slice's
+    trace, largest diagonal entry and shift s and subtracts s from its
+    diagonal, and each slice is factored in place by LAPACK dpotrf with
+    uplo "L".  B is symmetric, so the C-order slice is B in Fortran
+    order, and a certified slice returns holding the witness R, with
+    R^T R = B - sI, in its upper triangle (the Fortran lower one); the
+    entries below the diagonal stay B's.  Failure is dpotrf's info > 0,
+    and leaves a partial factor.  Where `_lapack_potrf` finds no
+    library, numpy's gufunc behind np.linalg.cholesky factors the whole
+    stack in one call instead: a certified slice then holds R^T in its
+    lower triangle and zeros above, and a failed one NaN.
 
     Let s be a power of two and run Cholesky on B - sI.  If it runs to
     completion, the computed factor R satisfies R^T R = B - sI + dB
@@ -377,21 +420,32 @@ def _certify_gram(b: np.ndarray) -> np.ndarray | None:
     Rump, "Verification of positive definiteness", BIT 46 (2006);
     Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.3.
     """
-    k = len(b)
-    diag = b.diagonal()
-    top = float(diag.max())
+    if b.ndim != 3 or b.dtype != np.float64 or not b.flags.c_contiguous:
+        raise ValueError("the certificate takes a C-contiguous float64 (t, k, k) stack")
+    t, k = len(b), b.shape[1]
+    # every slice's diagonal, as a writable view
+    diag = b.reshape(t, k * k)[:, :: k + 1]
     nu = (k + 2) * _UNIT_ROUNDOFF
-    bound = nu / (1.0 - nu) * float(diag.sum()) + 4.0 * (k + 2) * (
-        2 * (k + 2) + top
+    bound = nu / (1.0 - nu) * diag.sum(axis=1) + 4.0 * (k + 2) * (
+        2 * (k + 2) + diag.max(axis=1)
     ) * _UNDERFLOW_UNIT
-    shift = math.ldexp(1.0, math.frexp(2.0 * bound)[1])
-    b.flat[:: k + 1] -= shift
-    # the gufunc behind np.linalg.cholesky, which factors into `out`; no
-    # public Cholesky takes one.  Failure sets the invalid flag and fills
-    # the output with NaN
-    with np.errstate(all="ignore"):
-        _umath_linalg.cholesky_lo(b, out=b, signature="d->d")
-    return None if np.isnan(b[0, 0]) else b
+    diag -= np.ldexp(1.0, np.frexp(2.0 * bound)[1])[:, None]
+    potrf = _lapack_potrf()
+    if potrf is None:
+        # the gufunc factors into `out`, which no public Cholesky takes;
+        # a failed slice sets the invalid flag and comes back NaN
+        with np.errstate(all="ignore"):
+            _umath_linalg.cholesky_lo(b, out=b, signature="d->d")
+        return (~np.isnan(b[:, 0, 0])).tolist()
+    dim, info = ctypes.c_int64(k), ctypes.c_int64()
+    dim_p, info_p = ctypes.byref(dim), ctypes.byref(info)
+    # b is held, so every slice's address stays valid through the calls
+    address, step = b.ctypes.data, b[0].nbytes
+    certified = []
+    for j in range(t):
+        potrf(b"L", dim_p, address + j * step, dim_p, info_p, 1)
+        certified.append(info.value == 0)
+    return certified
 
 
 def _bareiss(rows: list[list[int]]) -> tuple[int, int, int]:

@@ -152,14 +152,33 @@ def test_dense_gram_into_a_used_buffer_matches_a_fresh_one(mode, n):
     rng = np.random.default_rng((n, len(mode)))
     first, second = (confmodel.fibre_targets(n, 3, mode, rng.permutation(3 * n)) for _ in range(2))
     want = confmodel.dense_gram(second, np.empty((n, n)))
-    used = confmodel.dense_gram(first, np.empty((n, n)))
+    used = confmodel.dense_gram(first, np.empty((1, n, n)))
     gfcore._certify_gram(used)
-    # B + I is positive definite, so it always leaves a factor
-    factor = gfcore._certify_gram(confmodel.dense_gram(first, np.empty((n, n))) + np.eye(n))
-    assert factor is not None
-    for dirty in (used, factor, np.full((n, n), np.nan)):
+    # B + I is positive definite, so it always leaves a factor; a failed
+    # factorization leaves a partial one, or NaN from numpy's gufunc
+    factor = confmodel.dense_gram(first, np.empty((1, n, n))) + np.eye(n)
+    assert gfcore._certify_gram(factor) == [True]
+    failed = np.zeros((1, n, n))
+    assert gfcore._certify_gram(failed) == [False]
+    for dirty in (used[0], factor[0], failed[0], np.full((n, n), np.nan)):
         gram = confmodel.dense_gram(second, out=dirty)
         assert gram is dirty and (gram == want).all()
+
+
+@pytest.mark.parametrize("mode", ["directed", "undirected"])
+@pytest.mark.parametrize("n,d", [(1, 2), (12, 3), (50, 3), (10, 9)])
+def test_a_stack_of_targets_and_grams_matches_its_slices(mode, n, d):
+    # a stack of orders gives the stack of each one's target rows, and
+    # dense_gram counts a stack of them into a stack of Gram matrices
+    rng = np.random.default_rng((n, d, len(mode)))
+    orders = np.array([rng.permutation(n * d) for _ in range(5)])
+    targets = confmodel.fibre_targets(n, d, mode, orders)
+    assert targets.shape == (5, n, d)
+    grams = confmodel.dense_gram(targets, out=np.full((5, n, n), np.nan))
+    for order, rows, gram in zip(orders, targets, grams):
+        assert (rows == confmodel.fibre_targets(n, d, mode, order)).all()
+        a = confmodel.dense_adjacency(rows)
+        assert (gram == a.T @ a).all()
 
 
 def _chi_square(counts, expected_weights, total):
@@ -230,13 +249,18 @@ def test_graph_json_round_trip():
 
 def test_seed_sequence_layout():
     # a bare seed and a one-entry tuple give the same state, so sample's
-    # stream is unchanged by the shared tuple layout
-    for s in (0, 5, 2**40 + 3, 123456789):
+    # stream is unchanged by the shared tuple layout; the words handed to
+    # SeedSequence are the ones numpy makes of the tuple, across word
+    # boundaries and for numpy integers
+    for s in (0, 5, 2**32 - 1, 2**32, 2**40 + 3, 123456789, 2**62 - 1, 3**50,
+              np.int64(7), np.uint64(2**64 - 1)):
         want = np.random.SeedSequence(s).generate_state(4)
         assert (confmodel.seed_sequence(s).generate_state(4) == want).all()
-        for path in ((0, 7), (1,), (2, 3)):
+        for path in ((0, 7), (1,), (2, 3), (0, 0), (0, 2**32 - 1), (0, 2**32), (0, 10**12)):
             want = np.random.SeedSequence(entropy=(s, *path)).generate_state(4)
             assert (confmodel.seed_sequence(s, *path).generate_state(4) == want).all()
+    with pytest.raises(ValueError):
+        confmodel.seed_sequence(-1)
 
 
 def test_generator_seed_is_used_as_given():

@@ -188,7 +188,7 @@ def test_integer_ladder_without_the_certificate_matches_the_dense_ladder(
 ):
     # the certificate settles nearly every nonsingular trial, so the
     # elimination, rank and determinant rungs get a run of their own
-    monkeypatch.setattr(experiments, "_certify_gram", lambda gram: None)
+    monkeypatch.setattr(experiments, "_certify_gram", lambda gram: [False] * len(gram))
     monkeypatch.setattr(experiments, "certify_nonsingular", lambda core: False)
     cfg = experiments.McConfig(n=n, d=3, mode=mode, trials=trials, seed=seed)
     assert experiments._run_block(cfg, 0, trials) == dense_ladder_block(cfg, 0, trials)
@@ -327,8 +327,9 @@ def test_run_mc_cuts_one_block_in_one_process(monkeypatch):
 
 
 # (n, mode, seed): trial 0 is left by the certificate and trials 1 and 2
-# are certified, so the thread's Gram buffer carries a failed
-# factorization's NaN into a trial it certifies
+# are certified, so a stack mixes certified and uncertified slices, and
+# the thread's Gram buffer carries a failed factorization into a trial it
+# certifies
 BUFFER_CASES = ((12, "directed", 1), (12, "undirected", 18), (50, "directed", 16),
                 (50, "undirected", 51), (200, "directed", 197), (200, "undirected", 35))
 
@@ -340,12 +341,38 @@ def test_integer_block_tallies_do_not_depend_on_the_block_cut(n, mode, seed):
     assert gfcore.certify_nonsingular(replay_trial(cfg, 1))
     assert gfcore.certify_nonsingular(replay_trial(cfg, 2))
     whole = experiments._run_block(cfg, 0, cfg.trials)
-    singles = [experiments._run_block(cfg, 0, 1)]
-    assert np.isnan(experiments._gram_buffer(n)).all()
-    singles += [experiments._run_block(cfg, i, i + 1) for i in range(1, cfg.trials)]
+    assert whole == dense_ladder_block(cfg, 0, cfg.trials)
+    singles = [experiments._run_block(cfg, i, i + 1) for i in range(cfg.trials)]
     assert singles[1] == dense_ladder_block(cfg, 1, 2)
     assert whole == {k: sum(t[k] for t in singles) for k in whole}
-    assert whole == dense_ladder_block(cfg, 0, cfg.trials)
+    # every cut into two blocks, each a stack of its own
+    for cut in range(1, cfg.trials):
+        halves = [experiments._run_block(cfg, 0, cut), experiments._run_block(cfg, cut, cfg.trials)]
+        assert whole == {k: sum(t[k] for t in halves) for k in whole}, cut
+
+
+def test_integer_stacks_stop_at_the_index_and_buffer_ceilings(monkeypatch):
+    # a block certifies stacks of at most STACK_INDICES scatter indices
+    # and REDUCE_FIRST_N**2 Gram entries, whose tallies add up to those of
+    # its trials one at a time
+    stacks = []
+    count = experiments.dense_gram
+
+    def spy(targets, out):
+        stacks.append(out.shape)
+        return count(targets, out=out)
+
+    monkeypatch.setattr(experiments, "dense_gram", spy)
+    for n, d, trials, sizes in ((200, 3, 10, [4, 4, 2]), (50, 3, 40, [18, 18, 4]),
+                                (12, 8, 30, [10, 10, 10]), (300, 1, 10, [8, 2]),
+                                (569, 3, 2, [1, 1])):
+        cfg = experiments.McConfig(n=n, d=d, trials=trials, seed=n + d)
+        stacks.clear()
+        whole = experiments._run_block(cfg, 0, trials)
+        assert [t for t, _, _ in stacks] == sizes, (n, d)
+        assert all(t * n * d * d <= experiments.STACK_INDICES or t == 1 for t in sizes)
+        assert all(t * n * n <= experiments.REDUCE_FIRST_N**2 for t in sizes)
+        assert whole == dense_ladder_block(cfg, 0, trials), (n, d)
 
 
 def test_integer_runs_of_one_thread_reuse_one_gram_buffer(monkeypatch):
@@ -360,20 +387,22 @@ def test_integer_runs_of_one_thread_reuse_one_gram_buffer(monkeypatch):
         # a fresh thread starts without a buffer
         for n in (200, 50, 200, 201):
             experiments.run_mc(experiments.McConfig(n=n, d=3, trials=2, seed=n))
-        return experiments._gram_buffer(1).base
+        return experiments._gram_stack(1, 1).base
 
     monkeypatch.setattr(experiments, "dense_gram", spy)
     with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
         last = pool.submit(runs).result(timeout=120)
-    assert len(bases) == 8 and all(base is bases[0] for base in bases[:6])
-    # the buffer only grows, and only past the largest n so far
-    assert bases[6] is bases[7] is last and last.size == 201 * 201
-    assert experiments._gram_buffer(1).base is not last
+    # one stack per run, all in one buffer until a stack outgrows it
+    assert len(bases) == 4 and bases[0] is bases[1] is bases[2]
+    assert bases[0].size == 2 * 200 * 200
+    # the buffer only grows, and only past the largest stack so far
+    assert bases[3] is last and last.size == 2 * 201 * 201
+    assert experiments._gram_stack(1, 1).base is not last
 
 
 def test_threads_running_integer_trials_at_once_match_serial_runs():
-    # numpy releases the GIL inside the Cholesky, so threads sharing one
-    # Gram buffer could factor each other's matrices; each has its own
+    # ctypes releases the GIL inside dpotrf, so threads sharing one Gram
+    # buffer could factor each other's matrices; each has its own stack
     configs = [experiments.McConfig(n=n, d=3, mode=mode, trials=trials, seed=seed)
                for n, mode, trials, seed in ((200, "directed", 60, 5), (120, "directed", 100, 6),
                                              (200, "undirected", 60, 7),
@@ -385,7 +414,7 @@ def test_threads_running_integer_trials_at_once_match_serial_runs():
     def worker(k):
         start.wait(timeout=60)
         report = experiments.run_mc(configs[k])
-        results[k] = (_outcome(report), experiments._gram_buffer(1).base)
+        results[k] = (_outcome(report), experiments._gram_stack(1, 1).base)
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -400,6 +429,16 @@ def test_threads_running_integer_trials_at_once_match_serial_runs():
     assert not any(t.is_alive() for t in threads)
     assert [r[0] for r in results] == serial
     assert len({id(r[1]) for r in results}) == len(configs)
+
+
+def test_forced_fallback_gives_identical_reports(monkeypatch):
+    # where no LAPACK library is found, numpy's gufunc factors the same
+    # stacks, and every report is byte-identical
+    configs = [experiments.McConfig(n=n, d=3, mode=mode, trials=trials, seed=seed)
+               for n, mode, trials, seed in INTEGER_CASES + ((569, "directed", 2, 4),)]
+    want = [_outcome(experiments.run_mc(cfg)) for cfg in configs]
+    monkeypatch.setattr(gfcore, "_lapack_potrf", lambda: None)
+    assert [_outcome(experiments.run_mc(cfg)) for cfg in configs] == want
 
 
 def test_worker_pool_runs_single_threaded_blas(monkeypatch):

@@ -1,6 +1,9 @@
 """Exact linear algebra: ranks over F_p, integer ranks and determinants."""
 
+import ctypes
+import glob
 import heapq
+import os
 import tracemalloc
 import types
 import warnings
@@ -328,8 +331,8 @@ def test_certify_nonsingular_on_trial_matrices(n, mode):
         nonzero = pivots + gfcore.rank_mod_p(core, P31) == n or gfcore.det_integer(core) != 0
         nonsingular += nonzero
         ok = gfcore.certify_nonsingular(a)
-        gram = confmodel.dense_gram(targets, np.empty((n, n)))
-        assert (gfcore._certify_gram(gram) is not None) == ok
+        gram = confmodel.dense_gram(targets, np.empty((1, n, n))[0])
+        assert gfcore._certify_gram(gram[None]) == [ok]
         if ok:
             certified += 1
             assert nonzero, seed
@@ -343,20 +346,19 @@ def test_certify_nonsingular_on_trial_matrices(n, mode):
 
 def test_gram_certificate_takes_the_gram_matrix_in_place():
     # dense_gram counts in float64 into a buffer the caller keeps and the
-    # certificate factors it there, so neither makes an n x n numpy array
-    # (8n^2 bytes); nor does a block of trials, once its thread's buffer
-    # exists, with two uncertified trials among its 16 here.  numpy's
-    # Cholesky kernel still copies B into a private LAPACK workspace,
-    # which tracemalloc does not see
+    # certificate factors it there with LAPACK dpotrf, so neither makes an
+    # n x n numpy array (8n^2 bytes); nor does a block of trials, once its
+    # thread's buffer exists, with two uncertified trials among its 16
+    # here, in four stacks of 4
     n = 200
     order = np.random.default_rng(1).permutation(n * 3)
     targets = confmodel.fibre_targets(n, 3, "directed", order)
-    buffer = np.empty((n, n))
+    buffer = np.empty((1, n, n))
     cfg = experiments.McConfig(n=n, d=3, trials=16, seed=26)
-    experiments._run_block(cfg, 0, 1)
+    experiments._run_block(cfg, 0, cfg.trials)
     tracemalloc.start()
     try:
-        assert gfcore._certify_gram(confmodel.dense_gram(targets, out=buffer)) is buffer
+        assert gfcore._certify_gram(confmodel.dense_gram(targets, out=buffer)) == [True]
         certify_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         tally = experiments._run_block(cfg, 0, cfg.trials)
@@ -368,50 +370,85 @@ def test_gram_certificate_takes_the_gram_matrix_in_place():
     assert block_peak < 0.5 * 8 * n * n
 
 
+def potrf_recorder(factored):
+    """A stand-in for the LAPACK dpotrf that records a copy of each
+    matrix it is handed, then factors it."""
+    kernel = gfcore._lapack_potrf()
+
+    def record(uplo, dim, address, lda, info, length):
+        k = dim._obj.value
+        cells = (ctypes.c_double * (k * k)).from_address(address)
+        factored.append(np.frombuffer(cells).reshape(k, k).copy())
+        return kernel(uplo, dim, address, lda, info, length)
+
+    return record
+
+
+def cholesky_recorder(factored):
+    """A stand-in for numpy's cholesky_lo gufunc that records a copy of
+    each stack it is handed, then factors it."""
+    kernel = gfcore._umath_linalg.cholesky_lo
+
+    def record(b, **kwargs):
+        factored.extend(b.copy())
+        return kernel(b, **kwargs)
+
+    return types.SimpleNamespace(cholesky_lo=record)
+
+
+needs_lapack = pytest.mark.skipif(
+    gfcore._lapack_potrf() is None, reason="numpy bundles no 64-bit OpenBLAS here"
+)
+
+
 def test_gram_certificate_shift_covers_the_rounding_bound(monkeypatch):
     # eigenvalues 1 and 2t - 1: the shift s, a power of two in
     # (2 bound, 4 bound] with bound ~ gamma_{k+2} tr(B) = 4u * 2t, stays
-    # below 1 at t = 2**44 (s = 2**-4) but reaches 2 at t = 2**49
-    kernel = gfcore._umath_linalg.cholesky_lo
+    # below 1 at t = 2**44 (s = 2**-4) but reaches 2 at t = 2**49; both
+    # kernels are handed B - sI, one stack of two slices
     factored = []
-
-    def record(b, **kwargs):
-        factored.append(b.copy())
-        return kernel(b, **kwargs)
-
-    monkeypatch.setattr(gfcore, "_umath_linalg", types.SimpleNamespace(cholesky_lo=record))
-    for t, shift, certified in ((2**44, 2**-4, True), (2**49, 2, False)):
-        gram = np.array([[t, t - 1], [t - 1, t]], dtype=np.float64)
-        # B - sI is exact in float64, and the factor of B - s'I for the
-        # next power of two 2s differs from it in L_00's last bits
-        shifted = gram - shift * np.eye(2)
-        assert (shifted == [[t - shift, t - 1], [t - 1, t - shift]]).all()
-        factored.clear()
-        factor = gfcore._certify_gram(gram)
-        assert (factor is not None) is certified
-        # the kernel factored B - sI for exactly this s, once
-        assert len(factored) == 1 and (factored[0] == shifted).all()
-        if certified:
-            # the witness is B itself, holding the lower Cholesky factor of
-            # B - sI for exactly this s
-            assert factor is gram
-            assert (factor == np.linalg.cholesky(shifted)).all()
-            assert (factor != np.linalg.cholesky(shifted - shift * np.eye(2))).any()
-            assert factor[0, 1] == 0.0
-            np.testing.assert_allclose(factor @ factor.T, shifted, rtol=1e-12)
+    paths = ["fallback"]
+    if gfcore._lapack_potrf() is not None:
+        paths.append("lapack")
+        record = potrf_recorder(factored)
+    cases = ((2**44, 2**-4, True), (2**49, 2, False))
+    for path in paths:
+        monkeypatch.undo()
+        if path == "lapack":
+            monkeypatch.setattr(gfcore, "_lapack_potrf", lambda: record)
         else:
-            # a failed factorization leaves B filled with NaN
-            assert np.isnan(gram).all()
-            with pytest.raises(np.linalg.LinAlgError):
-                np.linalg.cholesky(shifted)
+            monkeypatch.setattr(gfcore, "_lapack_potrf", lambda: None)
+            monkeypatch.setattr(gfcore, "_umath_linalg", cholesky_recorder(factored))
+        stack = np.array([[[t, t - 1], [t - 1, t]] for t, _, _ in cases], dtype=np.float64)
+        factored.clear()
+        assert gfcore._certify_gram(stack) == [ok for _, _, ok in cases], path
+        # the kernel factored B - sI for exactly this s, once per slice
+        assert len(factored) == 2, path
+        for (t, shift, certified), seen, slice_ in zip(cases, factored, stack):
+            # B - sI is exact in float64, and the factor of B - s'I for the
+            # next power of two 2s differs from it in L_00's last bits
+            shifted = np.array([[t - shift, t - 1], [t - 1, t - shift]], dtype=np.float64)
+            assert (seen == shifted).all(), path
+            if certified:
+                # the witness is the slice itself: R in the upper triangle
+                # (LAPACK), or R^T in the lower one with zeros above (numpy)
+                want = np.linalg.cholesky(shifted)
+                other = np.linalg.cholesky(shifted - shift * np.eye(2))
+                factor = np.triu(slice_).T if path == "lapack" else slice_
+                assert (factor == want).all() and (factor != other).any(), path
+                np.testing.assert_allclose(factor @ factor.T, shifted, rtol=1e-12)
+            else:
+                with pytest.raises(np.linalg.LinAlgError):
+                    np.linalg.cholesky(shifted)
 
 
 @pytest.mark.parametrize("n", [1, 3, 50, 200, 449])
 @pytest.mark.parametrize("mode", ["directed", "undirected"])
 def test_private_cholesky_kernel_matches_numpy_cholesky(n, mode):
-    # the certificate factors in place with the gufunc np.linalg.cholesky
-    # calls; a numpy upgrade that changed it would fail here.  B + I is
-    # positive definite, so numpy's own Cholesky always returns
+    # where no LAPACK library is found the certificate factors in place
+    # with the gufunc np.linalg.cholesky calls; a numpy upgrade that
+    # changed it would fail here.  B + I is positive definite, so numpy's
+    # own Cholesky always returns
     order = np.random.default_rng((n, len(mode))).permutation(4 * n)
     b = confmodel.dense_gram(confmodel.fibre_targets(n, 4, mode, order), np.empty((n, n)))
     b += np.eye(n)
@@ -420,22 +457,96 @@ def test_private_cholesky_kernel_matches_numpy_cholesky(n, mode):
     assert out is b and (b == want).all()
 
 
-def test_gram_certificate_leaves_nan_when_a_pivot_fails():
-    # A with a zero column: B = [[0, 0], [0, 5]] fails at the first pivot;
-    # A with equal columns: B = [[2, 2], [2, 2]] passes the first pivot,
-    # 2 - s, and fails at the second
-    for a in ([[0, 1], [0, 2]], [[1, 1], [1, 1]]):
-        af = np.array(a, dtype=np.float64)
-        gram = af.T @ af
-        # no warning or floating-point error escapes, even where one would
-        # be an error, and the caller's error state is kept
-        state = np.geterr()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with np.errstate(all="raise"):
-                assert gfcore._certify_gram(gram) is None
-        assert np.geterr() == state
-        assert np.isnan(gram).all()
+def lapack_potrf(b):
+    """dpotrf with uplo "L" on the C-contiguous square b, in place; its info."""
+    dim, info = ctypes.c_int64(len(b)), ctypes.c_int64()
+    gfcore._lapack_potrf()(b"L", ctypes.byref(dim), b.ctypes.data, ctypes.byref(dim),
+                           ctypes.byref(info), 1)
+    return info.value
+
+
+@needs_lapack
+@pytest.mark.parametrize("n", [1, 4, 50, 200, 569])
+@pytest.mark.parametrize("mode", ["directed", "undirected"])
+def test_lapack_cholesky_is_numpy_cholesky_transposed(n, mode):
+    # dpotrf("L") on the C-order B is dpotrf on B's Fortran-order copy, as
+    # B is symmetric: its upper triangle is the transpose of
+    # np.linalg.cholesky's factor, bit for bit, and the entries below the
+    # diagonal stay B's.  B + I is positive definite
+    order = np.random.default_rng((n, len(mode), 1)).permutation(4 * n)
+    b = confmodel.dense_gram(confmodel.fibre_targets(n, 4, mode, order), np.empty((n, n)))
+    b += np.eye(n)
+    want = np.linalg.cholesky(b)
+    below = np.tril(b, -1)
+    assert lapack_potrf(b) == 0
+    assert (np.triu(b) == want.T).all()
+    assert (np.tril(b, -1) == below).all()
+
+
+def test_lapack_path_is_taken_where_numpy_ships_openblas64(monkeypatch):
+    # a numpy whose wheel bundles the 64-bit OpenBLAS must give the
+    # certificate its dpotrf, so a renamed library or symbol fails here
+    # instead of falling back to the slower gufunc unseen
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    if not glob.glob(os.path.join(libs, "libscipy_openblas64_*")):
+        pytest.skip("numpy bundles no 64-bit OpenBLAS here")
+    assert gfcore._lapack_potrf() is not None
+
+    def no_gufunc(*args, **kwargs):
+        raise AssertionError("fell back to numpy's cholesky_lo")
+
+    monkeypatch.setattr(gfcore, "_umath_linalg", types.SimpleNamespace(cholesky_lo=no_gufunc))
+    assert gfcore._certify_gram(np.array([[[4.0, 2.0], [2.0, 3.0]]])) == [True]
+    assert gfcore.certify_nonsingular([[2, 1], [1, 1]])
+
+
+# A with a zero column: B = [[0, 0], [0, 5]] fails at the first pivot;
+# A with equal columns: B = [[2, 2], [2, 2]] passes the first pivot,
+# 2 - s, and fails at the second; A = I is certified
+PIVOT_FAILURES = ([[0, 1], [0, 2]], [[1, 0], [0, 1]], [[1, 1], [1, 1]])
+
+
+def gram_stack(matrices):
+    return np.array([np.array(a, dtype=np.float64).T @ np.array(a, dtype=np.float64)
+                     for a in matrices])
+
+
+def certify_quietly(stack):
+    """`_certify_gram` of the stack, asserting that no warning or
+    floating-point error escapes, even where one would be an error, and
+    that the caller's error state is kept."""
+    state = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="raise"):
+            verdicts = gfcore._certify_gram(stack)
+    assert np.geterr() == state
+    return verdicts
+
+
+def test_gram_certificate_leaves_nan_when_a_pivot_fails(monkeypatch):
+    # where no LAPACK library is found, numpy's gufunc fills a failed
+    # slice with NaN and factors the others
+    monkeypatch.setattr(gfcore, "_lapack_potrf", lambda: None)
+    stack = gram_stack(PIVOT_FAILURES)
+    assert certify_quietly(stack) == [False, True, False]
+    assert np.isnan(stack[0]).all() and np.isnan(stack[2]).all()
+    assert (stack[1] == np.linalg.cholesky(np.eye(2) - 2**-48 * np.eye(2))).all()
+
+
+@needs_lapack
+def test_gram_certificate_fails_by_info_at_any_pivot():
+    # dpotrf reports a failure at the first pivot and at a later one in
+    # info, which leaves that slice uncertified and its neighbours alone
+    stack = gram_stack(PIVOT_FAILURES)
+    assert certify_quietly(stack) == [False, True, False]
+    assert not np.isnan(stack).any()
+    alone = gram_stack(PIVOT_FAILURES[1:2])
+    assert certify_quietly(alone) == [True]
+    assert (stack[1] == alone[0]).all()
+    # the one-slice stack of certify_nonsingular fails alike
+    for a, ok in zip(PIVOT_FAILURES, (False, True, False)):
+        assert gfcore.certify_nonsingular(a) is ok
 
 
 def test_certify_nonsingular_rejects_singular_matrix_without_repeated_rows():
