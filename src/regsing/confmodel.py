@@ -23,8 +23,6 @@ from .gfcore import require_int
 
 # Cap on n*n and n*d: 4096 vertices, a 128 MiB int64 adjacency.
 DENSE_ENTRIES_CAP = 2**24
-# One uint32 word of SeedSequence entropy.
-_WORD_MASK = 2**32 - 1
 
 
 def require_mode(mode: str) -> None:
@@ -68,20 +66,9 @@ def seed_sequence(seed: int, *path: int) -> np.random.SeedSequence:
     i and (seed, 2, idx) the sub-seed of row idx of a scaling probe.
     (seed, 1), which once drew a prime, is retired.  SeedSequence(s) and
     SeedSequence((s,)) give the same state, so every path shares one
-    tuple layout.  The tuple is handed over as the uint32 words numpy
-    makes of it, each value's little-endian 32-bit words and at least
-    one, which gives the same pool without numpy's per-value conversion.
+    tuple layout.
     """
-    words = []
-    for v in (seed, *path):
-        v = int(v)
-        if v < 0:
-            raise ValueError(f"entropy must be non-negative, got {v}")
-        words.append(v & _WORD_MASK)
-        while v > _WORD_MASK:
-            v >>= 32
-            words.append(v & _WORD_MASK)
-    return np.random.SeedSequence(np.array(words, dtype=np.uint32))
+    return np.random.SeedSequence((seed, *path))
 
 
 def dense_adjacency(targets: np.ndarray) -> np.ndarray:

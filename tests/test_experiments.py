@@ -329,26 +329,38 @@ def test_run_mc_cuts_one_block_in_one_process(monkeypatch):
 # (n, mode, seed): trial 0 is left by the certificate and trials 1 and 2
 # are certified, so a stack mixes certified and uncertified slices, and
 # the thread's Gram buffer carries a failed factorization into a trial it
-# certifies
+# certifies, on the LAPACK path and on numpy's fallback
 BUFFER_CASES = ((12, "directed", 1), (12, "undirected", 18), (50, "directed", 16),
                 (50, "undirected", 51), (200, "directed", 197), (200, "undirected", 35))
 
 
 @pytest.mark.parametrize("n,mode,seed", BUFFER_CASES)
-def test_integer_block_tallies_do_not_depend_on_the_block_cut(n, mode, seed):
+def test_integer_block_tallies_do_not_depend_on_the_block_cut(n, mode, seed, monkeypatch):
     cfg = experiments.McConfig(n=n, d=3, mode=mode, trials=4, seed=seed)
     assert not gfcore.certify_nonsingular(replay_trial(cfg, 0))
     assert gfcore.certify_nonsingular(replay_trial(cfg, 1))
     assert gfcore.certify_nonsingular(replay_trial(cfg, 2))
-    whole = experiments._run_block(cfg, 0, cfg.trials)
-    assert whole == dense_ladder_block(cfg, 0, cfg.trials)
-    singles = [experiments._run_block(cfg, i, i + 1) for i in range(cfg.trials)]
-    assert singles[1] == dense_ladder_block(cfg, 1, 2)
-    assert whole == {k: sum(t[k] for t in singles) for k in whole}
-    # every cut into two blocks, each a stack of its own
-    for cut in range(1, cfg.trials):
-        halves = [experiments._run_block(cfg, 0, cut), experiments._run_block(cfg, cut, cfg.trials)]
-        assert whole == {k: sum(t[k] for t in halves) for k in whole}, cut
+    want = dense_ladder_block(cfg, 0, cfg.trials)
+    for fallback in (False, True):
+        if fallback:
+            monkeypatch.setattr(gfcore, "_lapack_potrf", lambda: None)
+        whole = experiments._run_block(cfg, 0, cfg.trials)
+        assert whole == want, fallback
+        singles = [experiments._run_block(cfg, 0, 1)]
+        # trial 0's failed factorization is left in the buffer: dpotrf's
+        # partial factor, or the gufunc's NaN, and no diagonal entry of B
+        left = experiments._gram_stack(1, n)[0]
+        diag = np.diag(left)
+        assert not (left == 0).all() and (diag != np.round(diag)).all(), fallback
+        assert np.isnan(left).all() == fallback
+        singles += [experiments._run_block(cfg, i, i + 1) for i in range(1, cfg.trials)]
+        assert singles[1] == dense_ladder_block(cfg, 1, 2), fallback
+        assert whole == {k: sum(t[k] for t in singles) for k in whole}, fallback
+        # every cut into two blocks, each a stack of its own
+        for cut in range(1, cfg.trials):
+            halves = [experiments._run_block(cfg, 0, cut),
+                      experiments._run_block(cfg, cut, cfg.trials)]
+            assert whole == {k: sum(t[k] for t in halves) for k in whole}, (fallback, cut)
 
 
 def test_integer_stacks_stop_at_the_index_and_buffer_ceilings(monkeypatch):
