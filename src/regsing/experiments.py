@@ -1,13 +1,21 @@
 """Monte Carlo estimation of adjacency-matrix singularity probabilities.
 
 Trials are seeded individually, so tallies are identical for any worker
-count.  Each trial reads its adjacency rows straight from the sampled
-permutation or pairing.  Mod p, a sparse elimination of those rows
-(`gfcore._eliminate`) leaves a small dense core, and the rank is the
-pivot count plus the core's rank; no dense adjacency is built.  A
-tiny matrix, with n*d <= MEMO_MAX_POINTS, is settled once per process:
+count and any cut into blocks.  Every block runs one pipeline, in both
+modes and at every n: it cuts its trials into stacks, draws a stack's
+permutations, reads their adjacency rows (target rows) from them with
+one `fibre_targets` call, and hands each trial to one settle function
+chosen for the block, `_settle_mod` mod p or `_settle_integer` over the
+integers; no dense adjacency is built.  Only integer trials below
+REDUCE_FIRST_N run a step first, the Gram certificate of the stack, and
+only the trials it leaves are settled.
+
+Mod p, a sparse elimination of the rows (`gfcore._eliminate`) leaves a
+small dense core, and the rank is the pivot count plus the core's rank.
+A tiny matrix, with n*d <= MEMO_MAX_POINTS, is settled once per process:
 an LRU cache of at most MEMO_MAX_ENTRIES entries, keyed by (n, d, p)
 and the row-sorted target rows, holds its duplicate-row flag and rank.
+
 Integer-mode singularity decisions are exact: a shifted Cholesky
 factorization of the Gram matrix certifies nonsingularity, and a
 duplicate row or column certifies singularity.  det A != 0 iff
@@ -17,17 +25,17 @@ runs to completion proves lambda_min(B) > s - g/(1 - g) tr(B)
 that bound proves det A != 0 (`gfcore._certify_gram`; Rump,
 "Verification of positive definiteness", BIT 46, 2006; Higham,
 Accuracy and Stability of Numerical Algorithms, Thm 10.3).  Below
-REDUCE_FIRST_N vertices the certificate runs first, a stack of trials
-at a time, on A^T A, counted in float64 from the target rows without
-building the adjacency, into one buffer per thread that outlives the
-run, shifted in one pass and factored there in place by LAPACK dpotrf,
-which leaves the factor in each slice's upper triangle and a failure
-in its info; only the trials it leaves are scanned for a duplicate
-row or column and then reduced, with unit pivots.  From REDUCE_FIRST_N
-on every trial is scanned and reduced first, and the certificate runs
-on the Gram matrix of the core, whose |det| is that of the whole
-matrix.  Then full rank of the core modulo the fixed CHECK_PRIME
-certifies nonsingularity, and only what is left pays for a
+REDUCE_FIRST_N vertices the certificate runs first on A^T A, counted
+in float64 from the stack's target rows into one buffer per thread that
+outlives the run, shifted in one pass and factored there in place by
+LAPACK dpotrf, which leaves the factor in each slice's upper triangle
+and a failure in its info; a certified matrix has no repeated line, so
+the tallies are those of any order.  The trials it leaves are scanned
+for a duplicate row or column and then reduced, with unit pivots.  From
+REDUCE_FIRST_N on every trial is scanned and reduced first, and the
+certificate runs on the Gram matrix of the core, whose |det| is that of
+the whole matrix.  Then full rank of the core modulo the fixed
+CHECK_PRIME certifies nonsingularity, and only what is left pays for a
 fraction-free integer determinant, of the core.  A run in one process
 is one block; a pool cuts four blocks per process.
 """
@@ -111,24 +119,25 @@ REDUCE_FIRST_N = 880
 # costs an escalation.  Below 2**31 the rank test runs in int64.
 CHECK_PRIME = 2**31 - 1
 
-# Below REDUCE_FIRST_N a block certifies a stack of t trials at a time:
-# `dense_gram` counts their Gram matrices with t n d^2 scatter indices,
-# and one pass shifts them.  Per trial, d = 3, one BLAS thread, the
-# median of 12 interleaved passes, two runs (process time, 2-vCPU VM),
-# stacks of 4, 8, 16, 32 and 128 took 47-51, 43, 40-42, 40 and 44 us at
-# n = 50, and stacks of 1, 2, 4 and 8 took 232-240, 217-245, 207-264 and
-# 216-268 us at n = 200, within noise.  So a stack ends at STACK_INDICES
-# scatter indices, 64 KB of them, as well as at the Gram buffer's
-# ceiling: 18 trials at n = 50, 4 at n = 200.
+# A block draws and settles a stack of t trials at a time, in both
+# modes; below REDUCE_FIRST_N, `dense_gram` counts their integer Gram
+# matrices with t n d^2 scatter indices, and one pass shifts them.  Per
+# trial, d = 3, one BLAS thread, the median of 12 interleaved passes,
+# two runs (process time, 2-vCPU VM), stacks of 4, 8, 16, 32 and 128
+# took 47-51, 43, 40-42, 40 and 44 us at n = 50, and stacks of 1, 2, 4
+# and 8 took 232-240, 217-245, 207-264 and 216-268 us at n = 200, within
+# noise.  So a stack ends at STACK_INDICES scatter indices, 64 KB of
+# them, as well as at the Gram buffer's ceiling: 18 trials at n = 50,
+# 4 at n = 200, 1 from REDUCE_FIRST_N on.
 STACK_INDICES = 2**13
 
 # Each thread's Gram buffer: `base`, a flat float64 array that only
 # grows, kept for the thread's life, so runs in a row (n = 50 after
 # n = 200, say) take no fresh pages.  Only trials below REDUCE_FIRST_N
 # use it, a stack of t n x n Gram matrices with t n**2 <= REDUCE_FIRST_N**2,
-# so it holds at most 8 REDUCE_FIRST_N**2 bytes.  ctypes releases the
-# GIL inside dpotrf, so threads running at once must not share one
-# buffer.
+# so it holds at most 8 REDUCE_FIRST_N**2 bytes, at any n whose stack
+# fills it (n = 300 at d = 1, say).  ctypes releases the GIL inside
+# dpotrf, so threads running at once must not share one buffer.
 _GRAM = threading.local()
 
 
@@ -269,11 +278,6 @@ def _settle_tiny(n: int, d: int, p: int, rows: bytes) -> tuple[bool, int]:
     return _settle_field(np.frombuffer(rows, dtype=np.int64).reshape(n, d), p)
 
 
-def _draw(cfg: McConfig, i: int) -> np.ndarray:
-    """The permutation of the n*d points that trial i of cfg draws."""
-    return np.random.default_rng(seed_sequence(cfg.seed, 0, i)).permutation(cfg.n * cfg.d)
-
-
 def _settle_integer(cfg: McConfig, order: np.ndarray, targets: np.ndarray,
                     tally: dict[str, int]) -> None:
     """Tally one integer trial that no Gram certificate of the whole
@@ -306,31 +310,33 @@ def _settle_integer(cfg: McConfig, order: np.ndarray, targets: np.ndarray,
         tally["singular"] += 1
 
 
-def _run_block(cfg: McConfig, lo: int, hi: int) -> dict[str, int]:
-    """Tally trials lo..hi-1 of cfg.
+def _settle_mod(cfg: McConfig, order: np.ndarray, targets: np.ndarray,
+                tally: dict[str, int]) -> None:
+    """Tally one mod-p trial from its target rows (the permutation is
+    not needed): the duplicate-row flag, the rank mod p, from the memo
+    when n*d <= MEMO_MAX_POINTS, and the kernel sums."""
+    n, d, p = cfg.n, cfg.d, cfg.p
+    if n * d <= MEMO_MAX_POINTS:
+        dup_rows, rank = _settle_tiny(n, d, p, np.sort(targets, axis=1).tobytes())
+    else:
+        dup_rows, rank = _settle_field(targets, p)
+    if dup_rows:
+        tally["duplicate_rows"] += 1
+    kernel = p ** (n - rank) - 1
+    tally["kernel_total"] += kernel
+    tally["kernel_sq_total"] += kernel * kernel
+    if kernel:
+        tally["kernel_positive"] += 1
+    if rank < n:
+        tally["singular"] += 1
 
-    Mod p, a trial with n*d <= MEMO_MAX_POINTS is settled from the
-    memo when its matrix was seen before in this process.  Integer
-    mode settles each trial by sound certificates: the Gram-Cholesky
-    certificate proves det != 0, a duplicate row or column proves
-    det = 0, full rank mod CHECK_PRIME proves det != 0, and only what
-    is left pays for the exact determinant.  The rank test and the
-    determinant run on the core of the unit-pivot reduction, which has
-    the rank mod CHECK_PRIME and the |det| of the whole matrix; no
-    dense adjacency is built.  Below REDUCE_FIRST_N the certificate
-    runs first, on A^T A of the whole adjacency, and only the trials it
-    leaves are scanned for duplicate lines, since a certified matrix
-    has none, so the tallies are those of any order.  It runs a stack
-    of trials at a time: their permutations are drawn first,
-    `dense_gram` counts every A^T A into a (t, n, n) view of the
-    thread's Gram buffer, and `_certify_gram` shifts them in one pass and
-    factors each in place with LAPACK dpotrf, leaving the factor in the
-    slice's upper triangle and failure in dpotrf's info, so a trial
-    makes no n x n array.  t is the most slices whose scatter indices
-    fit in STACK_INDICES and whose Gram matrices fit in the buffer's
-    8 REDUCE_FIRST_N**2 bytes, and at least 1.  From REDUCE_FIRST_N on
-    the duplicate scans run first and the certificate runs on the
-    core's Gram matrix, a one-slice stack.
+
+def _run_block(cfg: McConfig, lo: int, hi: int) -> dict[str, int]:
+    """Tally trials lo..hi-1 of cfg, a stack at a time.
+
+    A matrix the Gram certificate proves nonsingular has no repeated
+    line, so settling only the trials it leaves gives the tallies of the
+    integer ladder in any order.
     """
     n, d, mode, p = cfg.n, cfg.d, cfg.mode, cfg.p
     tally = {
@@ -341,37 +347,18 @@ def _run_block(cfg: McConfig, lo: int, hi: int) -> dict[str, int]:
         "duplicate_rows": 0,
         "escalations": 0,
     }
-    if p is None and n < REDUCE_FIRST_N:
-        # a certified A is nonsingular, so it has no repeated row or column
-        per = max(1, min(REDUCE_FIRST_N**2 // (n * n), STACK_INDICES // (n * d * d)))
-        for start in range(lo, hi, per):
-            orders = np.array([_draw(cfg, i) for i in range(start, min(start + per, hi))])
-            targets = fibre_targets(n, d, mode, orders)
-            gram = dense_gram(targets, out=_gram_stack(len(orders), n))
-            for order, rows, certified in zip(orders, targets, _certify_gram(gram)):
-                if not certified:
-                    _settle_integer(cfg, order, rows, tally)
-        return tally
-    memo = p is not None and n * d <= MEMO_MAX_POINTS
-    for i in range(lo, hi):
-        order = _draw(cfg, i)
-        targets = fibre_targets(n, d, mode, order)
-        if p is None:
-            _settle_integer(cfg, order, targets, tally)
-            continue
-        if memo:
-            dup_rows, rank = _settle_tiny(n, d, p, np.sort(targets, axis=1).tobytes())
-        else:
-            dup_rows, rank = _settle_field(targets, p)
-        if dup_rows:
-            tally["duplicate_rows"] += 1
-        kernel = p ** (n - rank) - 1
-        tally["kernel_total"] += kernel
-        tally["kernel_sq_total"] += kernel * kernel
-        if kernel:
-            tally["kernel_positive"] += 1
-        if rank < n:
-            tally["singular"] += 1
+    gram = p is None and n < REDUCE_FIRST_N
+    settle = _settle_integer if p is None else _settle_mod
+    per = max(1, min(REDUCE_FIRST_N**2 // (n * n), STACK_INDICES // (n * d * d)))
+    for start in range(lo, hi, per):
+        orders = np.array([np.random.default_rng(seed_sequence(cfg.seed, 0, i)).permutation(n * d)
+                           for i in range(start, min(start + per, hi))])
+        targets = fibre_targets(n, d, mode, orders)
+        certified = (_certify_gram(dense_gram(targets, out=_gram_stack(len(orders), n)))
+                     if gram else [False] * len(orders))
+        for order, rows, done in zip(orders, targets, certified):
+            if not done:
+                settle(cfg, order, rows, tally)
     return tally
 
 

@@ -475,6 +475,13 @@ FROZEN_STDOUT = [
      "21d1869a7888650769a1bd1e1d433f8af41041172959cb00aed78f76a65dda17"),
     (("oracle-check", "--n", "6", "--d", "2", "--p", "3", "--mode", "undirected"),
      "834efaa0d6a45c36e9b22fab16fed36796b232308e00d315982acad456829dc9"),
+    # recorded before field trials ran in stacks: integer trials reduced
+    # first at n = REDUCE_FIRST_N, and field trials past the memo size
+    (("mc", "--n", "880", "--d", "3", "--trials", "4", "--workers", "1", "--seed", "11"),
+     "90d3dec82fbdcddf7844b28ccd09a7f2227c05f4f2974d5f8cc848154903537c"),
+    (("mc", "--n", "100", "--d", "3", "--p", "5", "--trials", "50", "--workers", "1",
+      "--seed", "11"),
+     "f908ea75abe179ddb53b1fd82fb7b4c03970b33cd7ff776f37428740bb272907"),
 ]
 
 

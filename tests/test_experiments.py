@@ -326,16 +326,47 @@ def test_run_mc_cuts_one_block_in_one_process(monkeypatch):
         assert blocks == [(0, trials)]
 
 
+def dense_field_block(cfg, lo, hi):
+    """Reference kernel: field-mode tallies from each trial's dense
+    adjacency, its rank mod p and its distinct rows."""
+    tally = dict.fromkeys(("singular", "kernel_total", "kernel_sq_total", "kernel_positive",
+                           "duplicate_rows", "escalations"), 0)
+    for i in range(lo, hi):
+        a = replay_trial(cfg, i)
+        rank = gfcore.rank_mod_p(a, cfg.p)
+        kernel = cfg.p ** (cfg.n - rank) - 1
+        tally["singular"] += rank < cfg.n
+        tally["kernel_total"] += kernel
+        tally["kernel_sq_total"] += kernel * kernel
+        tally["kernel_positive"] += kernel > 0
+        tally["duplicate_rows"] += len(np.unique(a, axis=0)) < cfg.n
+    return tally
+
+
 # (n, mode, seed): trial 0 is left by the certificate and trials 1 and 2
 # are certified, so a stack mixes certified and uncertified slices, and
 # the thread's Gram buffer carries a failed factorization into a trial it
 # certifies, on the LAPACK path and on numpy's fallback
 BUFFER_CASES = ((12, "directed", 1), (12, "undirected", 18), (50, "directed", 16),
                 (50, "undirected", 51), (200, "directed", 197), (200, "undirected", 35))
+# (n, mode, seed, p): field trials run in the same stacks, two memo-sized
+# cases and one whose 40 trials make a stack of 30 and one of 10
+FIELD_CUT_CASES = ((3, "directed", 4, 2), (4, "undirected", 6, 2), (30, "directed", 2, 5))
 
 
-@pytest.mark.parametrize("n,mode,seed", BUFFER_CASES)
-def test_integer_block_tallies_do_not_depend_on_the_block_cut(n, mode, seed, monkeypatch):
+@pytest.mark.parametrize(
+    "n,mode,seed,p", [(*case, None) for case in BUFFER_CASES] + list(FIELD_CUT_CASES),
+    ids=[f"{n}-{mode}-{seed}" for n, mode, seed in BUFFER_CASES]
+    + [f"{n}-{mode}-{seed}-p{p}" for n, mode, seed, p in FIELD_CUT_CASES],
+)
+def test_integer_block_tallies_do_not_depend_on_the_block_cut(n, mode, seed, p, monkeypatch):
+    if p is not None:
+        cfg = experiments.McConfig(n=n, d=3, mode=mode, p=p, trials=40, seed=seed)
+        whole = experiments._run_block(cfg, 0, cfg.trials)
+        assert whole == dense_field_block(cfg, 0, cfg.trials)
+        assert whole["singular"] > 0
+        assert_every_cut_adds_up(cfg, whole)
+        return
     cfg = experiments.McConfig(n=n, d=3, mode=mode, trials=4, seed=seed)
     assert not gfcore.certify_nonsingular(replay_trial(cfg, 0))
     assert gfcore.certify_nonsingular(replay_trial(cfg, 1))
@@ -356,35 +387,65 @@ def test_integer_block_tallies_do_not_depend_on_the_block_cut(n, mode, seed, mon
         singles += [experiments._run_block(cfg, i, i + 1) for i in range(1, cfg.trials)]
         assert singles[1] == dense_ladder_block(cfg, 1, 2), fallback
         assert whole == {k: sum(t[k] for t in singles) for k in whole}, fallback
-        # every cut into two blocks, each a stack of its own
-        for cut in range(1, cfg.trials):
-            halves = [experiments._run_block(cfg, 0, cut),
-                      experiments._run_block(cfg, cut, cfg.trials)]
-            assert whole == {k: sum(t[k] for t in halves) for k in whole}, (fallback, cut)
+        assert_every_cut_adds_up(cfg, whole)
+
+
+def assert_every_cut_adds_up(cfg, whole):
+    """Every cut of cfg's trials into two blocks, each cut into stacks of
+    its own, tallies what the whole block does."""
+    for cut in range(1, cfg.trials):
+        halves = [experiments._run_block(cfg, 0, cut),
+                  experiments._run_block(cfg, cut, cfg.trials)]
+        assert whole == {k: sum(t[k] for t in halves) for k in whole}, cut
 
 
 def test_integer_stacks_stop_at_the_index_and_buffer_ceilings(monkeypatch):
-    # a block certifies stacks of at most STACK_INDICES scatter indices
-    # and REDUCE_FIRST_N**2 Gram entries, whose tallies add up to those of
-    # its trials one at a time
+    # a block draws and settles stacks of at most STACK_INDICES scatter
+    # indices and REDUCE_FIRST_N**2 Gram entries, in both modes, whose
+    # tallies add up to those of its trials one at a time
     stacks = []
-    count = experiments.dense_gram
+    targets_of = experiments.fibre_targets
 
-    def spy(targets, out):
-        stacks.append(out.shape)
-        return count(targets, out=out)
+    def spy(n, d, mode, order):
+        if order.ndim == 2:
+            stacks.append(len(order))
+        return targets_of(n, d, mode, order)
 
-    monkeypatch.setattr(experiments, "dense_gram", spy)
-    for n, d, trials, sizes in ((200, 3, 10, [4, 4, 2]), (50, 3, 40, [18, 18, 4]),
-                                (12, 8, 30, [10, 10, 10]), (300, 1, 10, [8, 2]),
-                                (569, 3, 2, [1, 1])):
-        cfg = experiments.McConfig(n=n, d=d, trials=trials, seed=n + d)
+    monkeypatch.setattr(experiments, "fibre_targets", spy)
+    for n, d, p, trials, sizes in ((200, 3, None, 10, [4, 4, 2]), (50, 3, None, 40, [18, 18, 4]),
+                                   (12, 8, None, 30, [10, 10, 10]), (300, 1, None, 10, [8, 2]),
+                                   (569, 3, None, 2, [1, 1]), (100, 3, 5, 20, [9, 9, 2]),
+                                   (4, 3, 2, 500, [227, 227, 46])):
+        cfg = experiments.McConfig(n=n, d=d, p=p, trials=trials, seed=n + d)
         stacks.clear()
         whole = experiments._run_block(cfg, 0, trials)
-        assert [t for t, _, _ in stacks] == sizes, (n, d)
+        assert stacks == sizes, (n, d, p)
         assert all(t * n * d * d <= experiments.STACK_INDICES or t == 1 for t in sizes)
         assert all(t * n * n <= experiments.REDUCE_FIRST_N**2 for t in sizes)
-        assert whole == dense_ladder_block(cfg, 0, trials), (n, d)
+        want = dense_ladder_block if p is None else dense_field_block
+        assert whole == want(cfg, 0, trials), (n, d, p)
+
+
+def test_integer_trials_escalate_at_the_cut_off(monkeypatch):
+    # CHECK_PRIME = 3 divides d, so the all-ones vector lies in the kernel
+    # of A mod 3 and the core's rank mod 3 is deficient; with the core's
+    # certificate off, every trial without a duplicate line escalates to
+    # the determinant of its core.  Directed seed 55 has a duplicate line
+    # in trial 0, undirected seed 203 in trial 1.
+    n = experiments.REDUCE_FIRST_N
+    monkeypatch.setattr(experiments, "CHECK_PRIME", 3)
+    monkeypatch.setattr(experiments, "certify_nonsingular", lambda core: False)
+    for mode, seed in (("directed", 55), ("undirected", 203)):
+        cfg = experiments.McConfig(n=n, d=3, mode=mode, trials=2, seed=seed)
+        singles = [experiments._run_block(cfg, i, i + 1) for i in range(cfg.trials)]
+        lines = []
+        for i, one in enumerate(singles):
+            a = replay_trial(cfg, i)
+            lines.append(len(np.unique(a, axis=0)) < n or len(np.unique(a.T, axis=0)) < n)
+            # the oracle: a duplicate line proves det = 0, the certificate det != 0
+            assert lines[-1] or gfcore.certify_nonsingular(a), (mode, i)
+            assert one["singular"] == lines[-1], (mode, i)
+        assert sum(one["escalations"] for one in singles) == lines.count(False) == 1, mode
 
 
 def test_integer_runs_of_one_thread_reuse_one_gram_buffer(monkeypatch):
