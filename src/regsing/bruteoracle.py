@@ -14,7 +14,10 @@ formula or a symmetry, so the census stays independent of `exactcount`.
 That census is the oracle that certifies the per-class counting
 identities: for each vector v over F_p, tally the outcomes whose rows
 all kill v, then compare with the closed-form counts, class by class
-and vector by vector.
+and vector by vector.  The brute master sum adds the tallies of every
+nonzero vector, so comparing it with `exactcount.master_sum`, which
+counts one class per unit orbit (and per shift orbit when p | d), also
+certifies the orbit sum and its weights.
 """
 
 from __future__ import annotations

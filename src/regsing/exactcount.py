@@ -24,7 +24,12 @@ class with d * sum_j j*n_j != 0 (mod p) counts 0 without any search.
 
 Master sums divide the class totals by the model size; they estimate
 the expected number of nonzero kernel vectors, and divided by (p-1)
-they upper-bound the singularity probability.
+they upper-bound the singularity probability.  A unit c, and when p | d
+a shift by c*1, maps the kernel vectors of one class onto those of
+another, so a master sum counts one class per orbit and weights it by
+the orbit's size (`_orbits`).  Step n of the walk is read only at the
+points the counts need (`walkdist.walk_entries`), from tables that stop
+short of step n unless building it costs less.
 """
 
 from __future__ import annotations
@@ -39,7 +44,8 @@ from .errors import CostGuardError, DomainError, InvalidParamsError
 from .confmodel import require_mode
 from .gfcore import _as_int, require_int, require_prime
 from .walkdist import (
-    WalkTables, build_support, capped_binomial, compositions, require_support, walk_tables,
+    WalkTables, build_support, capped_binomial, compositions, require_support, walk_entries,
+    walk_tables,
 )
 
 # Refuse an undirected class once its fill stacks this many partial data matrices.
@@ -122,25 +128,71 @@ def _congruent(sig: Sequence[int], d: int, p: int) -> bool:
     return d * sum(j * x for j, x in enumerate(sig)) % p == 0
 
 
-def _class_count(top: int, d: int, p: int, mode: str):
-    """(count, fact) for the classes of total (directed) or largest entry
-    (undirected) at most top, once the caller's table guard has passed:
-    tables, factorials up to d * top and loop weights are built once.  A
-    class that fails `_congruent` counts 0 without a table lookup or fill."""
-    tables = walk_tables(build_support(d, p), top)
-    fact = _factorials(d * top)
-    if mode == "undirected":  # loops[v]: the pairings of v endpoints within one class, v even
-        loops = [fact[v] // (2 ** (v // 2) * fact[v // 2]) for v in range(len(fact))]
+def _orbits(n: int, d: int, p: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(sig, weight) for one class of each orbit of the nonzero classes of
+    total n that pass `_congruent`: sig is the least of the orbit's
+    classes, and weight is the orbit's size, less one if the orbit holds
+    the all-zero class.
 
-    def count(sig: tuple[int, ...]) -> int:
+    A unit c maps the vectors of class sig one-to-one onto those of
+    class (sig_{c^-1 j})_j, and as A(cv) = c A(v) it maps the kernel
+    vectors of A with them; when p | d, so does v -> v + c*1, as every
+    row of A sums to d.  So every class of an orbit has the same count,
+    multinomial and congruence.  The image of sig under x -> u*x + t is
+    (sig_{u*j + t})_j, for the units u and for t = 0, or every t when
+    p | d.  A class is kept only if no image is below it, and its
+    orbit's size is the group's order over the number of images equal
+    to it; no class but the current one is held.
+    """
+    shifts = range(p) if d % p == 0 else (0,)
+    group = [(u, t) for u in range(1, p) for t in shifts][1:]  # all but x -> x
+    zero = (n,) + (0,) * (p - 1)
+    for sig in class_signatures(n, p):
         if not _congruent(sig, d, p):
-            return 0
-        if mode == "undirected":
-            return _count_undirected(sig, d, tables, fact, loops)
-        walks = tables[sum(sig)].get(d * tables.key(sig), 0)  # the module docstring's formula
-        return walks and walks * math.prod(fact[d * x] for x in sig)
+            continue
+        fixed, holds_zero = 1, False
+        for u, t in group:
+            image = tuple([sig[(u * j + t) % p] for j in range(p)])
+            if image < sig:
+                break
+            fixed += image == sig
+            holds_zero |= image == zero
+        else:
+            yield sig, (len(group) + 1) // fixed - holds_zero
 
-    return count, fact
+
+def _class_counts(
+    sigs: list[tuple[int, ...]], n: int, d: int, p: int, mode: str
+) -> tuple[list[int], list[int]]:
+    """(counts, fact): the counts of classes of total n that pass
+    `_congruent`, and factorials up to d * n, once the caller's table
+    guard has passed.
+
+    A directed class reads step n at d * sig only, and an undirected
+    class with one symbol j, whose only data matrix is d * n at (j, j),
+    reads it at d * n * e_j; those entries come from `walk_entries`.
+    Any other undirected class is filled from the tables to its largest
+    entry, below n.  The entries are taken first, so that the store's
+    radix already holds step n when the tables are built.
+    """
+    s = build_support(d, p)
+    fact = _factorials(d * n)
+    if mode == "directed":  # the module docstring's formula
+        walks = walk_entries(s, n, [[d * x for x in sig] for sig in sigs])
+        return [w and w * math.prod(fact[d * x] for x in sig) for sig, w in zip(sigs, walks)], fact
+    # loops[v]: the pairings of v endpoints within one class, v even
+    loops = [fact[v] // (2 ** (v // 2) * fact[v // 2]) for v in range(len(fact))]
+    single = [sig for sig in sigs if n and max(sig) == n]
+    entries = {}
+    if single:
+        entries = dict(zip(single, walk_entries(s, n, [[d * x for x in sig] for sig in single])))
+    rest = [sig for sig in sigs if sig not in entries]
+    tables = walk_tables(s, max((max(sig) for sig in rest), default=0))
+    return [
+        loops[d * n] * entries[sig] if sig in entries
+        else _count_undirected(sig, d, tables, fact, loops)
+        for sig in sigs
+    ], fact
 
 
 def _count_undirected(
@@ -216,18 +268,20 @@ def count_graphs(sig: Sequence[int], d: int, p: int, mode: str) -> int:
     n = sum(sig)
     if mode == "undirected" and (n * d) % 2:
         raise InvalidParamsError(f"undirected count needs 2 | dn, got d = {d}, an odd class total")
-    top = n if mode == "directed" else max(sig, default=0)
-    _require_tables(top, d, p)
-    return _class_count(top, d, p, mode)[0](sig)
+    _require_tables(n if mode == "directed" else max(sig, default=0), d, p)
+    return _class_counts([sig], n, d, p, mode)[0][0] if _congruent(sig, d, p) else 0
 
 
 def master_sum(n: int, d: int, p: int, mode: str) -> Fraction:
-    """Expected number of nonzero kernel vectors of the `mode` model, exact."""
+    """Expected number of nonzero kernel vectors of the `mode` model,
+    exact: the weight times multinomial times count of one class per
+    orbit (`_orbits`), over the model size."""
     require_mode(mode)
     _require_tables(n, d, p)  # before the model size: it checks parity, then takes (nd)!
     size = (model_size_directed if mode == "directed" else model_size_undirected)(n, d)
-    count, fact = _class_count(n, d, p, mode)
-    total = sum(_multinomial(sig, fact) * count(sig) for sig in class_signatures(n, p))
+    reps = list(_orbits(n, d, p))
+    counts, fact = _class_counts([sig for sig, _ in reps], n, d, p, mode)
+    total = sum(w * _multinomial(sig, fact) * c for (sig, w), c in zip(reps, counts))
     return Fraction(total, size)
 
 

@@ -14,7 +14,9 @@ key(m) = sum_j m_j * R**j, so a convolution step adds one integer to a
 key instead of building a tuple.  The store keeps the tables of the
 most recent (d, p) only and extends them one convolution at a time
 when more steps are asked for; `walk_distribution` decodes one table
-into a fresh dict keyed by histogram tuples.
+into a fresh dict keyed by histogram tuples.  `walk_entries` gives a
+few n-step counts without the n-step table: it extends the store to
+some h >= n/2 steps only and sums T_{n-h}[w] * T_h[m - w] over w.
 
 A convolution step runs in one of two kernels.  Below VECTOR_PAIRS
 (entry x atom) pairs, or when a key can pass 63 bits (radix bits * p
@@ -320,7 +322,9 @@ class _WalkStore:
         self.bits = (max(n, 1) * s.d).bit_length()
         self.tables: list[dict[int, int]] = [{0: 1}]
 
-    def extend(self, n: int) -> None:
+    def widen(self, n: int) -> None:
+        """Re-encode the held tables, if need be, under a radix that holds
+        every coordinate of an n-step endpoint."""
         s = self.support
         if n * s.d >= 1 << self.bits:
             old, self.bits = self.bits, max(self.bits + 1, (n * s.d).bit_length())
@@ -328,6 +332,10 @@ class _WalkStore:
                 {_encode(_decode(k, old, s.p), self.bits): c for k, c in t.items()}
                 for t in self.tables
             ]
+
+    def extend(self, n: int) -> None:
+        s = self.support
+        self.widen(n)
         atoms = [(_encode(u, self.bits), mult) for u, mult in s.atoms]
         # atoms grouped by multiplicity: one product per group and entry
         by_mult: dict[int, list[int]] = {}
@@ -428,16 +436,62 @@ _store: _WalkStore | None = None
 _store_lock = threading.Lock()
 
 
+def _held(s: SupportTable, n: int) -> _WalkStore:
+    """The store of support s, a new one (its radix sized for n steps)
+    if it holds another; the caller holds _store_lock."""
+    global _store
+    if _store is None or _store.support != s:
+        _store = _WalkStore(s, n)
+    return _store
+
+
 def walk_tables(s: SupportTable, n: int) -> WalkTables:
     """Exact endpoint tables for 0..n steps (index k holds the k-step
     law), integer-keyed, from the cached store of the last support."""
-    global _store
     n = require_int("n", n, 0)
     with _store_lock:
-        if _store is None or _store.support != s:
-            _store = _WalkStore(s, n)
-        _store.extend(n)
-        return WalkTables(_store.tables[: n + 1], s.p, _store.bits)
+        store = _held(s, n)
+        store.extend(n)
+        return WalkTables(store.tables[: n + 1], s.p, store.bits)
+
+
+def walk_entries(s: SupportTable, n: int, points: Sequence[Sequence[int]]) -> list[int]:
+    """The n-step counts T_n[m] of the histograms m in `points`, in order,
+    from tables of at most n steps; a point off the n-step support (a
+    negative coordinate, or a total other than n*d) counts 0.
+
+    The store is extended to h steps, n/2 <= h <= n, and each count is
+    the dict loop T_n[m] = sum_w T_{n-h}[w] * T_h[m - w].  h starts at
+    the steps the store already holds, or at ceil(n/2), and grows one
+    step while that step's (entry x atom) pairs are fewer than the
+    pairs it saves in the sums: len(points) times the drop in size from
+    table n - h to table n - h - 1.  The store's radix R is widened
+    first to hold n-step coordinates, R > n*d: a key difference m - w
+    with a negative coordinate then borrows, each borrow adds R - 1 to
+    the coordinate sum, so it is no key of T_h.  No count computed here
+    is put in the store.
+    """
+    n = require_int("n", n, 0)
+    points = list(points)
+    with _store_lock:
+        store = _held(s, n)
+        store.widen(n)
+        h = min(n, max(len(store.tables) - 1, (n + 1) // 2))
+        store.extend(h)
+        sizes = [len(t) for t in store.tables]
+        while h < n and sizes[h] * len(s.atoms) < len(points) * (sizes[n - h] - sizes[n - h - 1]):
+            h += 1
+            store.extend(h)
+            sizes.append(len(store.tables[h]))
+        low, high, bits = store.tables[n - h], store.tables[h], store.bits
+    get, total, out = high.get, n * s.d, []
+    for m in points:
+        if min(m) < 0 or sum(m) != total:
+            out.append(0)
+            continue
+        key = _encode(m, bits)
+        out.append(sum([c * get(key - w, 0) for w, c in low.items()]))
+    return out
 
 
 def walk_distribution(s: SupportTable, n: int) -> LatticeDistribution:

@@ -308,6 +308,8 @@ GUARDED = {
                   "regsing.confmodel.dense_adjacency"),
     "walk-table-bits": (("master-sum", "--n", "200", "--d", "6", "--p", "7"),
                         "regsing.exactcount.walk_tables"),
+    "walk-entry-bits": (("master-sum", "--n", "200", "--d", "6", "--p", "7"),
+                        "regsing.exactcount.walk_entries"),
     "cf-scan-points": (("cf-scan", "--d", "3", "--p", "7", "--delta", "0.1", "--step", "2pi/16"),
                        "regsing.asymptotics._tube_mask"),
     "oracle-directed": (("oracle-check", "--n", "4", "--d", "3", "--p", "2"),
@@ -344,6 +346,7 @@ def test_exit_code_3_on_table_cost_guard(monkeypatch, capsys, argv):
         raise AssertionError("walk-table work started")
 
     monkeypatch.setattr(exactcount, "walk_tables", no_tables)
+    monkeypatch.setattr(exactcount, "walk_entries", no_tables)
     code, out, err = run_cli(capsys, *argv)
     assert code == 3
     assert out == "" and "predicted" in err
@@ -482,6 +485,21 @@ FROZEN_STDOUT = [
     (("mc", "--n", "100", "--d", "3", "--p", "5", "--trials", "50", "--workers", "1",
       "--seed", "11"),
      "f908ea75abe179ddb53b1fd82fb7b4c03970b33cd7ff776f37428740bb272907"),
+    # recorded before master sums ran over orbits of classes and read step n
+    # only where needed: orbits with translations (p | d), a p = 5 orbit sum,
+    # single-symbol undirected counts and an oracle check with p | d
+    (("master-sum", "--n", "6", "--d", "3", "--p", "3"),
+     "25cbfb07a3db48dc96990177aa900e267abb31bf0e1f717aa2108bef97741a75"),
+    (("master-sum", "--n", "6", "--d", "4", "--p", "2", "--mode", "undirected"),
+     "5f6c653fe0786c1bad2db36ea66a161468bce8ef49294138c20e7f3caff317c6"),
+    (("master-sum", "--n", "8", "--d", "3", "--p", "5"),
+     "f695b0ed1c279a6741f9722d084f2d8c7c77139b85ea150e011c945a8262c511"),
+    (("exact-count", "--sig", "0,0,6", "--d", "3", "--p", "3", "--mode", "undirected"),
+     "cb6c6a984412a431e052eca56a49a1d0bc534af92ff479b8e2f93f611c003056"),
+    (("exact-count", "--sig", "6,0,0,0,0", "--d", "4", "--p", "5", "--mode", "undirected"),
+     "e50de63a390f22b57293b12dfb944342e7056b52dbea264a8a1d087af371811e"),
+    (("oracle-check", "--n", "2", "--d", "3", "--p", "3"),
+     "364147e3f652beecf2644eec987abfde08e0e18d3f27c148fb103fb9b9040ba0"),
 ]
 
 

@@ -10,6 +10,7 @@ int counts, in one chunk or many).
 
 import sys
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -204,6 +205,12 @@ def test_threads_sharing_the_store_get_correct_tables(cold):
                 tables = walkdist.walk_tables(supports[which], n)
                 if [tables.histograms(k) for k in range(n + 1)] != oracles[which][: n + 1]:
                     failures.append((seed, i))
+                # every entry of one step, while other threads extend, widen or replace the store
+                want = oracles[which][(n + i) % 13]
+                if walkdist.walk_entries(supports[which], (n + i) % 13, list(want)) != list(
+                    want.values()
+                ):
+                    failures.append((seed, i, "entries"))
         except Exception as exc:  # reported through the assertion below
             failures.append(exc)
 
@@ -219,3 +226,69 @@ def test_threads_sharing_the_store_get_correct_tables(cold):
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert failures == []
+
+
+@pytest.mark.parametrize("before", ["smaller", "evicted"])
+def test_targeted_entries_after_a_smaller_request_and_an_eviction(cold, before):
+    # (8, 3, 3) with j = 4: the 4-step tables have a 4-bit radix, and the
+    # step 8 coordinates run to 24, so the store must widen it first
+    s = walkdist.build_support(3, 3)
+    oracle = tuple_walk_tables(s, 8)[8]
+    master = exactcount.master_sum_directed(8, 3, 3)
+    walkdist._store = None
+    walkdist.walk_tables(s, 4)
+    assert 8 * 3 >= 1 << walkdist._store.bits
+    if before == "evicted":
+        walkdist.walk_tables(walkdist.build_support(3, 2), 2)
+    got = {m: walkdist.walk_entries(s, 8, [m]) for m in oracle}
+    assert len(walkdist._store.tables) == 5  # one point: no step past 4
+    assert got == {m: [c] for m, c in oracle.items()}
+    # off the 8-step support: a negative coordinate, a wrong total, and
+    # keys that a narrow radix would alias
+    assert walkdist.walk_entries(s, 8, [(25, -1, 0), (8, 8, 9), (0, 16, 16), (0, 0, 0)]) == [0] * 4
+    assert exactcount.master_sum_directed(8, 3, 3) == master
+    walkdist._store = None
+    walkdist.walk_tables(s, 4)
+    assert exactcount.master_sum_undirected(8, 3, 3) == Fraction(14526464, 1956955)
+
+
+@pytest.mark.parametrize("n,d,p", [(0, 3, 2), (1, 3, 2), (5, 3, 3), (6, 4, 3), (3, 5, 5)])
+def test_targeted_entries_match_the_full_table(cold, n, d, p):
+    # every point of the n-step table at once, then after the store holds
+    # more than n steps, where the entries are read from step n itself
+    s = walkdist.build_support(d, p)
+    want = tuple_walk_tables(s, n)[n]
+    assert walkdist.walk_entries(s, n, list(want)) == list(want.values())
+    assert len(walkdist._store.tables) <= n + 1
+    walkdist.walk_tables(s, n + 2)
+    assert walkdist.walk_entries(s, n, list(want)) == list(want.values())
+
+
+def test_master_sum_at_6_6_7_reads_step_6_from_smaller_tables(cold, monkeypatch, capsys):
+    # the store is extended to h = n - j steps only, j >= 1, and holds no
+    # targeted entry: each table k has the keys and total of k steps
+    from regsing import cli
+
+    extended = []
+    extend = walkdist._WalkStore.extend
+    monkeypatch.setattr(walkdist._WalkStore, "extend",
+                        lambda store, n: extended.append(n) or extend(store, n))
+    assert cli.main(["master-sum", "--n", "6", "--d", "6", "--p", "7"]) == 0
+    assert '"num"' in capsys.readouterr().out
+    store = walkdist._store
+    h = len(store.tables) - 1
+    assert max(extended) == h < 6
+    for k, table in enumerate(store.tables):
+        assert sum(table.values()) == 7 ** (k * 5)
+        assert {sum(walkdist._decode(key, store.bits, 7)) for key in table} == {6 * k}
+
+
+def test_walk_distribution_after_targeted_entries(cold):
+    s = walkdist.build_support(4, 3)
+    before = walkdist.walk_distribution(s, 7).table
+    walkdist._store = None
+    assert walkdist.walk_entries(s, 7, [(28, 0, 0), (10, 9, 9)]) == [before[(28, 0, 0)],
+                                                                    before[(10, 9, 9)]]
+    assert len(walkdist._store.tables) < 8
+    assert walkdist.walk_distribution(s, 7).table == before
+    assert before == tuple_walk_tables(s, 7)[7]
