@@ -27,9 +27,10 @@ the expected number of nonzero kernel vectors, and divided by (p-1)
 they upper-bound the singularity probability.  A unit c, and when p | d
 a shift by c*1, maps the kernel vectors of one class onto those of
 another, so a master sum counts one class per orbit and weights it by
-the orbit's size (`_orbits`).  Step n of the walk is read only at the
-points the counts need (`walkdist.walk_entries`), from tables that stop
-short of step n unless building it costs less.
+the orbit's size (`_orbits`).  Every count reads the walk through one
+provider, `walkdist.walk_steps`: the store's tables up to some step h
+of at least half the largest step read, and each higher step summed
+only at the keys the counts read.
 """
 
 from __future__ import annotations
@@ -44,8 +45,7 @@ from .errors import CostGuardError, DomainError, InvalidParamsError
 from .confmodel import require_mode
 from .gfcore import _as_int, require_int, require_prime
 from .walkdist import (
-    WalkTables, build_support, capped_binomial, compositions, require_support, walk_entries,
-    walk_tables,
+    WalkTables, build_support, capped_binomial, compositions, require_support, walk_steps,
 )
 
 # Refuse an undirected class once its fill stacks this many partial data matrices.
@@ -168,31 +168,22 @@ def _class_counts(
     `_congruent`, and factorials up to d * n, once the caller's table
     guard has passed.
 
-    A directed class reads step n at d * sig only, and an undirected
-    class with one symbol j, whose only data matrix is d * n at (j, j),
-    reads it at d * n * e_j; those entries come from `walk_entries`.
-    Any other undirected class is filled from the tables to its largest
-    entry, below n.  The entries are taken first, so that the store's
-    radix already holds step n when the tables are built.
+    The walk is read through one `walk_steps` view, sized by the number
+    of classes: a directed class reads step n at d * sig only, and an
+    undirected class is filled from steps 1 to its largest entry (a
+    class of one symbol j, whose only data matrix is d * n at (j, j),
+    reads step n at d * n * e_j alone).
     """
     s = build_support(d, p)
     fact = _factorials(d * n)
     if mode == "directed":  # the module docstring's formula
-        walks = walk_entries(s, n, [[d * x for x in sig] for sig in sigs])
-        return [w and w * math.prod(fact[d * x] for x in sig) for sig, w in zip(sigs, walks)], fact
+        walks = walk_steps(s, n, n, len(sigs))
+        counts = [walks[n].get(d * walks.key(sig), 0) for sig in sigs]
+        return [w and w * math.prod(fact[d * x] for x in sig) for sig, w in zip(sigs, counts)], fact
     # loops[v]: the pairings of v endpoints within one class, v even
     loops = [fact[v] // (2 ** (v // 2) * fact[v // 2]) for v in range(len(fact))]
-    single = [sig for sig in sigs if n and max(sig) == n]
-    entries = {}
-    if single:
-        entries = dict(zip(single, walk_entries(s, n, [[d * x for x in sig] for sig in single])))
-    rest = [sig for sig in sigs if sig not in entries]
-    tables = walk_tables(s, max((max(sig) for sig in rest), default=0))
-    return [
-        loops[d * n] * entries[sig] if sig in entries
-        else _count_undirected(sig, d, tables, fact, loops)
-        for sig in sigs
-    ], fact
+    walks = walk_steps(s, 1, max((max(sig) for sig in sigs), default=0), len(sigs))
+    return [_count_undirected(sig, d, walks, fact, loops) for sig in sigs], fact
 
 
 def _count_undirected(
@@ -211,7 +202,9 @@ def _count_undirected(
     there unless its walk count is nonzero; that also checks its sum and
     congruence.  Each frame that sets an entry is a partial data matrix,
     and the class is refused once more than PAIRING_MATRIX_CAP of those
-    are stacked.
+    are stacked.  A class of one symbol j has the one data matrix d * n_j
+    at (j, j), so its fill reads a single key.
+    `tables` holds steps 0..max(sig), as dicts or `walk_steps` views, and
     `fact` and `loops` reach at least d * max(sig).
     """
     used = [j for j, x in enumerate(sig) if x]

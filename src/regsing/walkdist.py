@@ -14,9 +14,11 @@ key(m) = sum_j m_j * R**j, so a convolution step adds one integer to a
 key instead of building a tuple.  The store keeps the tables of the
 most recent (d, p) only and extends them one convolution at a time
 when more steps are asked for; `walk_distribution` decodes one table
-into a fresh dict keyed by histogram tuples.  `walk_entries` gives a
-few n-step counts without the n-step table: it extends the store to
-some h >= n/2 steps only and sums T_{n-h}[w] * T_h[m - w] over w.
+into a fresh dict keyed by histogram tuples.  `walk_steps` serves
+callers that read a few keys of high steps: it extends the store to
+some h >= top/2 steps only, h chosen from the table sizes, and gives
+each step k > h as a view that sums T_{k-h}[w] * T_h[m - w] over w for
+each key m read.
 
 A convolution step runs in one of two kernels.  Below VECTOR_PAIRS
 (entry x atom) pairs, or when a key can pass 63 bits (radix bits * p
@@ -255,8 +257,9 @@ class WalkTables(list):
     """Endpoint tables for steps 0..n, keyed by `key`.
 
     Index k holds the k-step table as a dict from key(m) to the count of
-    m.  The dicts are shared with the store's cache, so callers read
-    them and never write to them.
+    m, or, past the store's steps in tables from `walk_steps`, a
+    `_StepView` that reads as one through `get`.  The dicts are shared
+    with the store's cache, so callers read them and never write to them.
     """
 
     def __init__(self, tables, p: int, bits: int):
@@ -319,15 +322,27 @@ class _WalkStore:
 
     def __init__(self, s: SupportTable, n: int):
         self.support = s
-        self.bits = (max(n, 1) * s.d).bit_length()
         self.tables: list[dict[int, int]] = [{0: 1}]
+        self._key_atoms((max(n, 1) * s.d).bit_length())
+
+    def _key_atoms(self, bits: int) -> None:
+        """Set the radix to 2**bits and key the atoms under it, once per
+        radix rather than once per extension."""
+        self.bits = bits
+        self.atoms = [(_encode(u, bits), mult) for u, mult in self.support.atoms]
+        # atoms grouped by multiplicity: one product per group and entry
+        by_mult: dict[int, list[int]] = {}
+        for u, mult in self.atoms:
+            by_mult.setdefault(mult, []).append(u)
+        self.groups = list(by_mult.items())
 
     def widen(self, n: int) -> None:
         """Re-encode the held tables, if need be, under a radix that holds
         every coordinate of an n-step endpoint."""
         s = self.support
         if n * s.d >= 1 << self.bits:
-            old, self.bits = self.bits, max(self.bits + 1, (n * s.d).bit_length())
+            old = self.bits
+            self._key_atoms(max(old + 1, (n * s.d).bit_length()))
             self.tables = [
                 {_encode(_decode(k, old, s.p), self.bits): c for k, c in t.items()}
                 for t in self.tables
@@ -336,13 +351,7 @@ class _WalkStore:
     def extend(self, n: int) -> None:
         s = self.support
         self.widen(n)
-        atoms = [(_encode(u, self.bits), mult) for u, mult in s.atoms]
-        # atoms grouped by multiplicity: one product per group and entry
-        by_mult: dict[int, list[int]] = {}
-        for u, mult in atoms:
-            by_mult.setdefault(mult, []).append(u)
-        groups = list(by_mult.items())
-        vector = self.bits * s.p <= 63
+        atoms, vector = self.atoms, self.bits * s.p <= 63
         while len(self.tables) <= n:
             prev = self.tables[-1]
             if vector and len(prev) * len(atoms) >= VECTOR_PAIRS:
@@ -353,7 +362,7 @@ class _WalkStore:
                          or max(prev.values()) * s.total < 2**63)
                 self.tables.append(_numpy_step(prev, atoms, np.int64 if small else object))
             else:
-                self.tables.append(_dict_step(prev, groups))
+                self.tables.append(_dict_step(prev, self.groups))
 
 
 def _dict_step(prev: dict[int, int], groups: list[tuple[int, list[int]]]) -> dict[int, int]:
@@ -455,43 +464,54 @@ def walk_tables(s: SupportTable, n: int) -> WalkTables:
         return WalkTables(store.tables[: n + 1], s.p, store.bits)
 
 
-def walk_entries(s: SupportTable, n: int, points: Sequence[Sequence[int]]) -> list[int]:
-    """The n-step counts T_n[m] of the histograms m in `points`, in order,
-    from tables of at most n steps; a point off the n-step support (a
-    negative coordinate, or a total other than n*d) counts 0.
+class _StepView:
+    """Step k of the walk past the store's h steps, read one key at a
+    time: get(key) is T_k[key] = sum_w T_{k-h}[w] * T_h[key - w], kept
+    per key in the view, never in the store."""
 
-    The store is extended to h steps, n/2 <= h <= n, and each count is
-    the dict loop T_n[m] = sum_w T_{n-h}[w] * T_h[m - w].  h starts at
-    the steps the store already holds, or at ceil(n/2), and grows one
-    step while that step's (entry x atom) pairs are fewer than the
-    pairs it saves in the sums: len(points) times the drop in size from
-    table n - h to table n - h - 1.  The store's radix R is widened
-    first to hold n-step coordinates, R > n*d: a key difference m - w
-    with a negative coordinate then borrows, each borrow adds R - 1 to
-    the coordinate sum, so it is no key of T_h.  No count computed here
-    is put in the store.
+    def __init__(self, low: dict[int, int], high: dict[int, int]):
+        self.low, self.high, self.memo = low, high, {}
+
+    def get(self, key: int, default: int = 0) -> int:
+        count = self.memo.get(key)
+        if count is None:
+            get = self.high.get
+            count = self.memo[key] = sum([c * get(key - w, 0) for w, c in self.low.items()])
+        return count or default
+
+
+def walk_steps(s: SupportTable, first: int, top: int, reads: int) -> WalkTables:
+    """Tables for 0..top steps, for callers that read steps first..top at
+    about `reads` keys each: index k <= h is the store's k-step dict, and
+    index k > h a `_StepView` of step k.
+
+    The store is extended to h steps, top/2 <= h <= top.  h starts at
+    the steps the store already holds, or at ceil(top/2), and grows one
+    step while that step's (entry x atom) pairs are fewer than the pairs
+    it saves in the views: `reads` times the sum, over the steps k > h
+    read, of the drop in size from table k - h to table k - h - 1, a sum
+    that telescopes to |T_{top-h}| - |T_{max(first, h+1)-h-1}|.  The
+    store's radix R is widened first to hold top-step coordinates,
+    R > top*d: a key difference m - w with a negative coordinate then
+    borrows, each borrow adds R - 1 to the coordinate sum, so it is no
+    key of T_h.
     """
-    n = require_int("n", n, 0)
-    points = list(points)
+    top = require_int("top", top, 0)
     with _store_lock:
-        store = _held(s, n)
-        store.widen(n)
-        h = min(n, max(len(store.tables) - 1, (n + 1) // 2))
+        store = _held(s, top)
+        store.widen(top)
+        h = min(top, max(len(store.tables) - 1, (top + 1) // 2))
         store.extend(h)
         sizes = [len(t) for t in store.tables]
-        while h < n and sizes[h] * len(s.atoms) < len(points) * (sizes[n - h] - sizes[n - h - 1]):
+        while h < top and sizes[h] * len(s.atoms) < reads * (
+            sizes[top - h] - sizes[max(first, h + 1) - h - 1]
+        ):
             h += 1
             store.extend(h)
             sizes.append(len(store.tables[h]))
-        low, high, bits = store.tables[n - h], store.tables[h], store.bits
-    get, total, out = high.get, n * s.d, []
-    for m in points:
-        if min(m) < 0 or sum(m) != total:
-            out.append(0)
-            continue
-        key = _encode(m, bits)
-        out.append(sum([c * get(key - w, 0) for w, c in low.items()]))
-    return out
+        held, bits = store.tables[: h + 1], store.bits
+    views = [_StepView(held[k - h], held[h]) for k in range(h + 1, top + 1)]
+    return WalkTables(held + views, s.p, bits)
 
 
 def walk_distribution(s: SupportTable, n: int) -> LatticeDistribution:

@@ -209,8 +209,7 @@ def test_certify_guards_run_before_any_work(monkeypatch, n, d, p):
 
     for name in ("_census", "_vector_tallies"):
         monkeypatch.setattr(bruteoracle, name, spy)
-    monkeypatch.setattr(exactcount, "walk_tables", spy)
-    monkeypatch.setattr(exactcount, "walk_entries", spy)
+    monkeypatch.setattr(exactcount, "walk_steps", spy)
     with pytest.raises(CostGuardError):
         bruteoracle.certify_identities(n, d, p, "directed")
 

@@ -307,9 +307,7 @@ GUARDED = {
     "dense-cap": (("sample", "--n", "5000", "--d", "3", "--seed", "0"),
                   "regsing.confmodel.dense_adjacency"),
     "walk-table-bits": (("master-sum", "--n", "200", "--d", "6", "--p", "7"),
-                        "regsing.exactcount.walk_tables"),
-    "walk-entry-bits": (("master-sum", "--n", "200", "--d", "6", "--p", "7"),
-                        "regsing.exactcount.walk_entries"),
+                        "regsing.exactcount.walk_steps"),
     "cf-scan-points": (("cf-scan", "--d", "3", "--p", "7", "--delta", "0.1", "--step", "2pi/16"),
                        "regsing.asymptotics._tube_mask"),
     "oracle-directed": (("oracle-check", "--n", "4", "--d", "3", "--p", "2"),
@@ -345,8 +343,7 @@ def test_exit_code_3_on_table_cost_guard(monkeypatch, capsys, argv):
     def no_tables(*args):
         raise AssertionError("walk-table work started")
 
-    monkeypatch.setattr(exactcount, "walk_tables", no_tables)
-    monkeypatch.setattr(exactcount, "walk_entries", no_tables)
+    monkeypatch.setattr(exactcount, "walk_steps", no_tables)
     code, out, err = run_cli(capsys, *argv)
     assert code == 3
     assert out == "" and "predicted" in err

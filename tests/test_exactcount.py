@@ -352,8 +352,7 @@ def test_table_cost_guard_refuses_before_any_table_work(monkeypatch):
     def no_tables(*args):
         raise AssertionError("walk-table work started")
 
-    monkeypatch.setattr(exactcount, "walk_tables", no_tables)
-    monkeypatch.setattr(exactcount, "walk_entries", no_tables)
+    monkeypatch.setattr(exactcount, "walk_steps", no_tables)
     assert exactcount.predicted_table_bits(200, 6, 7) > exactcount.TABLE_BITS_CAP
     for call in (
         lambda: exactcount.master_sum_directed(200, 6, 7),

@@ -4,7 +4,8 @@
 builds the walk tables to n steps, step n whole, and adds multinomial
 times count over every nonzero class.  `master_sum` instead counts one
 class per orbit of the units (and of the shifts by c*1 when p | d) and
-reads step n only at the points it needs (`walkdist.walk_entries`).
+reads the steps past about n/2 only at the keys it needs
+(`walkdist.walk_steps`).
 """
 
 import json

@@ -5,7 +5,8 @@ per step, keyed by histogram tuples.  Every decoded store table must
 equal it, however the store got there (cold, extended, re-encoded
 under a wider radix, or rebuilt after another support evicted it), and
 whichever step kernel ran (the dict loop, or numpy with int64 or Python
-int counts, in one chunk or many).
+int counts, in one chunk or many).  The steps `walk_steps` serves past
+the store's, one key at a time, must read as the same tables.
 """
 
 import sys
@@ -58,6 +59,11 @@ def assert_matches(tables, oracle):
     assert len(tables) == len(oracle)
     for k, want in enumerate(oracle):
         assert tables.histograms(k) == want, k
+
+
+def read(tables, k, points):
+    """Step k of `walk_steps` tables at each histogram in `points`."""
+    return [tables[k].get(tables.key(m), 0) for m in points]
 
 
 @pytest.mark.parametrize("n,d,p", GRID)
@@ -205,12 +211,13 @@ def test_threads_sharing_the_store_get_correct_tables(cold):
                 tables = walkdist.walk_tables(supports[which], n)
                 if [tables.histograms(k) for k in range(n + 1)] != oracles[which][: n + 1]:
                     failures.append((seed, i))
-                # every entry of one step, while other threads extend, widen or replace the store
-                want = oracles[which][(n + i) % 13]
-                if walkdist.walk_entries(supports[which], (n + i) % 13, list(want)) != list(
-                    want.values()
-                ):
-                    failures.append((seed, i, "entries"))
+                # every entry of one step, through a view whenever the store
+                # holds fewer than k steps, while other threads extend,
+                # widen or replace the store
+                k = (n + i) % 13
+                steps = walkdist.walk_steps(supports[which], k, k, 1)
+                if read(steps, k, oracles[which][k]) != list(oracles[which][k].values()):
+                    failures.append((seed, i, "views"))
         except Exception as exc:  # reported through the assertion below
             failures.append(exc)
 
@@ -240,12 +247,12 @@ def test_targeted_entries_after_a_smaller_request_and_an_eviction(cold, before):
     assert 8 * 3 >= 1 << walkdist._store.bits
     if before == "evicted":
         walkdist.walk_tables(walkdist.build_support(3, 2), 2)
-    got = {m: walkdist.walk_entries(s, 8, [m]) for m in oracle}
-    assert len(walkdist._store.tables) == 5  # one point: no step past 4
-    assert got == {m: [c] for m, c in oracle.items()}
-    # off the 8-step support: a negative coordinate, a wrong total, and
-    # keys that a narrow radix would alias
-    assert walkdist.walk_entries(s, 8, [(25, -1, 0), (8, 8, 9), (0, 16, 16), (0, 0, 0)]) == [0] * 4
+    tables = walkdist.walk_steps(s, 8, 8, 1)
+    assert len(walkdist._store.tables) == 5  # one read: no step past 4
+    assert read(tables, 8, oracle) == list(oracle.values())
+    # off the 8-step support: a wrong total, and keys that a narrow radix
+    # would alias
+    assert read(tables, 8, [(8, 8, 9), (0, 16, 16), (16, 8, 0), (0, 0, 0)]) == [0] * 4
     assert exactcount.master_sum_directed(8, 3, 3) == master
     walkdist._store = None
     walkdist.walk_tables(s, 4)
@@ -254,41 +261,69 @@ def test_targeted_entries_after_a_smaller_request_and_an_eviction(cold, before):
 
 @pytest.mark.parametrize("n,d,p", [(0, 3, 2), (1, 3, 2), (5, 3, 3), (6, 4, 3), (3, 5, 5)])
 def test_targeted_entries_match_the_full_table(cold, n, d, p):
-    # every point of the n-step table at once, then after the store holds
-    # more than n steps, where the entries are read from step n itself
+    # every point of every step 0..n, views past h = ceil(n/2) and the
+    # store's tables up to it, then after the store holds more than n
+    # steps, where every step is read from the store
     s = walkdist.build_support(d, p)
-    want = tuple_walk_tables(s, n)[n]
-    assert walkdist.walk_entries(s, n, list(want)) == list(want.values())
-    assert len(walkdist._store.tables) <= n + 1
-    walkdist.walk_tables(s, n + 2)
-    assert walkdist.walk_entries(s, n, list(want)) == list(want.values())
+    oracle = tuple_walk_tables(s, n)
+    for held in ((n + 1) // 2, n + 2):
+        tables = walkdist.walk_steps(s, 1, n, 1)
+        assert len(tables) == n + 1
+        assert len(walkdist._store.tables) == held + 1
+        views = [k for k in range(n + 1) if isinstance(tables[k], walkdist._StepView)]
+        assert views == list(range(held + 1, n + 1))
+        for k, want in enumerate(oracle):
+            assert read(tables, k, want) == list(want.values()), k
+        walkdist.walk_tables(s, n + 2)
 
 
-def test_master_sum_at_6_6_7_reads_step_6_from_smaller_tables(cold, monkeypatch, capsys):
-    # the store is extended to h = n - j steps only, j >= 1, and holds no
-    # targeted entry: each table k has the keys and total of k steps
-    from regsing import cli
-
-    extended = []
-    extend = walkdist._WalkStore.extend
-    monkeypatch.setattr(walkdist._WalkStore, "extend",
-                        lambda store, n: extended.append(n) or extend(store, n))
-    assert cli.main(["master-sum", "--n", "6", "--d", "6", "--p", "7"]) == 0
-    assert '"num"' in capsys.readouterr().out
+def assert_stores_steps_to(h, extended):
+    """The store was extended to h steps at most, holds steps 0..h, and
+    holds no view's entry: each table k has the keys and total of k steps."""
     store = walkdist._store
-    h = len(store.tables) - 1
-    assert max(extended) == h < 6
+    assert max(extended) == len(store.tables) - 1 == h
+    assert all(len(table) < 270_672 for table in store.tables)  # step 5 at (6, 7)
     for k, table in enumerate(store.tables):
         assert sum(table.values()) == 7 ** (k * 5)
         assert {sum(walkdist._decode(key, store.bits, 7)) for key in table} == {6 * k}
+
+
+@pytest.fixture
+def extended(monkeypatch):
+    """The step counts the store was extended to, in order."""
+    calls = []
+    extend = walkdist._WalkStore.extend
+    monkeypatch.setattr(walkdist._WalkStore, "extend",
+                        lambda store, n: calls.append(n) or extend(store, n))
+    return calls
+
+
+def test_master_sum_at_6_6_7_reads_step_6_from_smaller_tables(cold, extended, capsys):
+    from regsing import cli
+
+    assert cli.main(["master-sum", "--n", "6", "--d", "6", "--p", "7"]) == 0
+    assert '"num"' in capsys.readouterr().out
+    h = len(walkdist._store.tables) - 1
+    assert h < 6
+    assert_stores_steps_to(h, extended)
+
+
+def test_undirected_master_sum_at_6_6_7_stores_steps_to_3(cold, extended, capsys):
+    # the fills read steps 1..6; steps 4..6 are views, so the 270,672
+    # entries of step 5 are never built
+    from regsing import cli
+
+    assert cli.main(["master-sum", "--n", "6", "--d", "6", "--p", "7", "--mode", "undirected"]) == 0
+    assert '"num"' in capsys.readouterr().out
+    assert_stores_steps_to(3, extended)
 
 
 def test_walk_distribution_after_targeted_entries(cold):
     s = walkdist.build_support(4, 3)
     before = walkdist.walk_distribution(s, 7).table
     walkdist._store = None
-    assert walkdist.walk_entries(s, 7, [(28, 0, 0), (10, 9, 9)]) == [before[(28, 0, 0)],
-                                                                    before[(10, 9, 9)]]
+    points = [(28, 0, 0), (10, 9, 9)]
+    assert read(walkdist.walk_steps(s, 7, 7, 2), 7, points) == [before[m] for m in points]
     assert len(walkdist._store.tables) < 8
     assert walkdist.walk_distribution(s, 7).table == before
     assert before == tuple_walk_tables(s, 7)[7]
