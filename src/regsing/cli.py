@@ -2,8 +2,8 @@
 
 JSON is the canonical output format (big integers as decimal strings,
 rationals as num/den pairs with a float approximation); mc and scaling
-also project to CSV.  Exit codes: 0 success, 2 argument or domain
-errors, 3 cost-guard refusals.
+also project to CSV.  Exit codes: 0 success, 2 argument, domain or
+file errors, 3 cost-guard refusals.
 """
 
 from __future__ import annotations
@@ -110,9 +110,18 @@ def _ensure_seed(args, validate) -> None:
         print(f"generated seed: {args.seed}", file=sys.stderr)
 
 
+def _open(path: str, mode: str):
+    """open(path, mode) as UTF-8 text; a file that cannot be opened is bad
+    input, reported with exit code 2."""
+    try:
+        return open(path, mode, encoding="utf-8")
+    except OSError as exc:
+        raise InvalidParamsError(str(exc)) from exc
+
+
 def _emit(args, text: str) -> None:
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with _open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -159,7 +168,7 @@ def _cmd_sample(args) -> int:
 def _read_matrix(args) -> np.ndarray:
     try:
         if args.matrix_file:
-            with open(args.matrix_file, "r", encoding="utf-8") as fh:
+            with _open(args.matrix_file, "r") as fh:
                 data = json.load(fh)
         else:
             data = json.load(sys.stdin)

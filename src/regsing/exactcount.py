@@ -16,10 +16,11 @@ symbol class i to symbol class j; those "data matrices" M (symmetric,
 even diagonal, row sums d*n_i, row-wise weighted congruence) each carry
 a pairing weight prod_{i<j} m_ij! * prod_i m_ii!/(2^{m_ii/2}(m_ii/2)!)
 and a product of per-class walk counts, so the class count is
-sum_M weight(M) * prod_i walks_{n_i}(row i of M), summed in one
-backtracking pass that builds no list of matrices.  M is filled only
-over the symbols the class uses, from an explicit stack, and the pass
-is refused past PAIRING_MATRIX_CAP partial matrices.  In both models a
+sum_M weight(M) * prod_i walks_{n_i}(row i of M), summed row by row
+without a list of matrices.  M is filled only over the symbols the
+class uses; after each row, partial fills that leave every later row
+the same held key and need are merged into one state, and the fill is
+refused past PAIRING_MATRIX_CAP partial rows made.  In both models a
 class with d * sum_j j*n_j != 0 (mod p) counts 0 without any search.
 
 Master sums divide the class totals by the model size; they estimate
@@ -48,7 +49,7 @@ from .walkdist import (
     WalkTables, build_support, capped_binomial, compositions, require_support, walk_steps,
 )
 
-# Refuse an undirected class once its fill stacks this many partial data matrices.
+# Refuse an undirected class once its fill makes this many partial data matrices.
 PAIRING_MATRIX_CAP = 1_000_000
 # Refuse walk tables whose predicted size (entries times count width,
 # see predicted_table_bits) exceeds this many bits.
@@ -193,65 +194,56 @@ def _count_undirected(
     of the class, filled row by row (entries j >= i) over the s symbols
     the class uses: the row and column of a symbol with n_j = 0 are 0.
 
-    The fill keeps an explicit stack, not Python recursion, so no depth
-    limit applies.  A frame sets entry (i, j) to v.  Off the diagonal, a
-    nonzero v is taken from free[j], what column j still needs, and added
-    to fixed[j], the key of row j left of its diagonal, and an undo frame
-    restores both once the frame's branch is done.  A row ends once it
-    needs nothing more (its other entries are 0), and its branch ends
-    there unless its walk count is nonzero; that also checks its sum and
-    congruence.  Each frame that sets an entry is a partial data matrix,
-    and the class is refused once more than PAIRING_MATRIX_CAP of those
-    are stacked.  A class of one symbol j has the one data matrix d * n_j
-    at (j, j), so its fill reads a single key.
+    After row i, a partial fill matters to the rest only through each
+    later row's state: the key it holds left of its diagonal, and what
+    it still needs.  Fills that agree on those are merged, and their
+    terms summed, so row i is filled once per distinct state.  It takes
+    an even diagonal entry, then an entry v <= need_j for each later row
+    j, until it needs nothing more (its other entries are 0); its last
+    entry, the diagonal one in the last row, is all that it still
+    needs.  A row is kept only if its walk count is nonzero, which also
+    checks its congruence.  Each partial row made, the diagonal-only one
+    included, is a partial data matrix, and the class is refused once
+    more than PAIRING_MATRIX_CAP of those are made.  No recursion is
+    used, so no depth limit applies.
     `tables` holds steps 0..max(sig), as dicts or `walk_steps` views, and
     `fact` and `loops` reach at least d * max(sig).
     """
     used = [j for j, x in enumerate(sig) if x]
     unit = [tables.key([0] * j + [1]) for j in used]
-    walks = [tables[sig[j]] for j in used]
-    free = [d * sig[j] for j in used]
-    fixed = [0] * len(used)
-    last = len(used) - 1
-    stack = [(0, -1, 0, free[0], 0, 1)] if used else []  # row 0, nothing set yet
-    total = 0 if used else 1  # a class of no symbols has the empty data matrix
-    visits = 0
-    while stack:
-        frame = stack.pop()
-        if len(frame) == 3:  # undo an off-diagonal entry
-            j, v, kv = frame
-            free[j] += v
-            fixed[j] -= kv
-            continue
-        i, j, v, rem, key, term = frame
-        if j > i and v:
-            kv = v * unit[i]
-            free[j] -= v
-            fixed[j] += kv
-            stack.append((j, v, kv))
-        if rem:
-            j += 1
-        else:
-            w = walks[i].get(key, 0)
-            if not w:
-                continue
-            if i == last:
-                total += term * w
-                continue
-            i = j = i + 1
-            rem, key, term = free[i], fixed[i], term * w
-        if j == last:  # the last entry is whatever the row still needs
-            values = (rem,) if (rem % 2 == 0 if j == i else rem <= free[j]) else ()
-        else:
-            values = range(0, rem + 1, 2) if j == i else range(min(rem, free[j]) + 1)
-        visits += len(values)
-        if visits > PAIRING_MATRIX_CAP:
-            raise CostGuardError(
-                f"more than {PAIRING_MATRIX_CAP} partial data matrices for class {sig}"
-            )
-        weight, u = (loops if j == i else fact), unit[j]
-        stack.extend([(i, j, v, rem - v, key + v * u, term * weight[v]) for v in values])
-    return total
+    states = {tuple((0, d * sig[j]) for j in used): 1}  # no symbols: the empty data matrix
+    made = 0
+    for i, u in enumerate(unit):
+        walks, merged = tables[sig[used[i]]], {}
+        for state, term in states.items():
+            (key, need), rest = state[0], state[1:]
+            least = 0 if rest else need + need % 2  # the last row's diagonal: all it needs
+            # partial rows of row i: (need left, row key, weight, later rows' states so far)
+            rows = [(need - v, key + v * u, loops[v], ()) for v in range(least, need + 1, 2)]
+            last = len(rest) - 1
+            for j in range(len(rest) + 1):
+                made += len(rows)
+                if made > PAIRING_MATRIX_CAP:
+                    raise CostGuardError(
+                        f"more than {PAIRING_MATRIX_CAP} partial data matrices for class {sig}"
+                    )
+                grown = []
+                for rem, k, weight, head in rows:
+                    if not rem:  # the row is whole: its later entries are 0
+                        w = walks.get(k, 0)
+                        if w:
+                            after = head + rest[j:]
+                            merged[after] = merged.get(after, 0) + term * weight * w
+                    else:  # rem > 0 only before the last entry, which takes all that is left
+                        kj, nj = rest[j]
+                        uj = unit[i + 1 + j]
+                        grown += [  # a conditional, not min: this is the inner loop
+                            (rem - v, k + v * uj, weight * fact[v], head + ((kj + v * u, nj - v),))
+                            for v in range(rem if j == last else 0, (rem if rem < nj else nj) + 1)
+                        ]
+                rows = grown
+        states = merged
+    return sum(states.values())
 
 
 def count_graphs(sig: Sequence[int], d: int, p: int, mode: str) -> int:

@@ -710,6 +710,11 @@ HOSTILE = {
                            "--p", "2"), "", "disagrees"),
     **{key: (("exact-count", "--sig", sig, "--d", d, "--p", p, "--mode", "undirected"), "",
              "data matrices") for key, (sig, d, p) in RUNAWAY_FILLS.items()},
+    # files that cannot be opened, to read a matrix or to write the output
+    "rank-missing-file": (("rank", "--p", "2", "--matrix-file", "/nonexistent/m.json"), "",
+                          "No such file"),
+    "master-sum-out-missing-dir": (("master-sum", "--n", "3", "--d", "3", "--p", "2",
+                                    "--out", "/nonexistent/x.json"), "", "No such file"),
 }
 
 
