@@ -9,11 +9,13 @@ file errors, 3 cost-guard refusals.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import decimal
 import functools
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -117,6 +119,29 @@ def _open(path: str, mode: str):
         return open(path, mode, encoding="utf-8")
     except OSError as exc:
         raise InvalidParamsError(str(exc)) from exc
+
+
+@contextlib.contextmanager
+def _checked_out(path: str | None):
+    """Refuse an `--out` file that cannot be written before the work:
+    open it for writing without O_TRUNC, which creates a missing file
+    and changes no byte of an existing one.  A file created here is
+    removed again if the run ends in an error, so a refused run leaves
+    no empty file behind."""
+    if not path:  # no --out, or an empty one: the output goes to stdout
+        yield
+        return
+    created = not os.path.lexists(path)
+    try:
+        os.close(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666))
+    except OSError as exc:
+        raise InvalidParamsError(str(exc)) from exc
+    try:
+        yield
+    except BaseException:
+        if created:
+            os.unlink(path)
+        raise
 
 
 def _emit(args, text: str) -> None:
@@ -369,7 +394,8 @@ USAGE_ERRORS = (
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        return args.func(args)
+        with _checked_out(args.out):
+            return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
     except (CostGuardError, *USAGE_ERRORS) as exc:

@@ -29,9 +29,9 @@ they upper-bound the singularity probability.  A unit c, and when p | d
 a shift by c*1, maps the kernel vectors of one class onto those of
 another, so a master sum counts one class per orbit and weights it by
 the orbit's size (`_orbits`).  Every count reads the walk through one
-provider, `walkdist.walk_steps`: the store's tables up to some step h
-of at least half the largest step read, and each higher step summed
-only at the keys the counts read.
+provider, `walkdist.walk_steps`: tables built for the call up to some
+step h of at least half the largest step read, and each higher step
+summed only at the keys the counts read.
 """
 
 from __future__ import annotations

@@ -8,17 +8,16 @@ each carrying multiplicity d!/prod_k u_k!.
 
 The n-step endpoint table holds exact big-integer counts: entry m is
 p**(n(d-1)) * P(S_n = m), i.e. the number of ordered atom sequences
-(with multiplicity) summing to m.  `walk_tables` serves the tables for
-0..n steps from one store per support, keyed by the integer
-key(m) = sum_j m_j * R**j, so a convolution step adds one integer to a
-key instead of building a tuple.  The store keeps the tables of the
-most recent (d, p) only and extends them one convolution at a time
-when more steps are asked for; `walk_distribution` decodes one table
-into a fresh dict keyed by histogram tuples.  `walk_steps` serves
-callers that read a few keys of high steps: it extends the store to
-some h >= top/2 steps only, h chosen from the table sizes, and gives
-each step k > h as a view that sums T_{k-h}[w] * T_h[m - w] over w for
-each key m read.
+(with multiplicity) summing to m.  `walk_tables` builds the tables for
+0..n steps, keyed by the integer key(m) = sum_j m_j * R**j with the
+radix R sized once for n steps, so a convolution step adds one integer
+to a key instead of building a tuple.  Each call builds its own tables
+and hands them to the caller; nothing is kept between calls.
+`walk_distribution` decodes one table into a dict keyed by histogram
+tuples.  `walk_steps` serves callers that read a few keys of high
+steps: it builds some h >= top/2 steps only, h chosen from the table
+sizes, and gives each step k > h as a view that sums
+T_{k-h}[w] * T_h[m - w] over w for each key m read.
 
 A convolution step runs in one of two kernels.  Below VECTOR_PAIRS
 (entry x atom) pairs, or when a key can pass 63 bits (radix bits * p
@@ -35,7 +34,6 @@ import functools
 import itertools
 import math
 import operator
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -257,9 +255,9 @@ class WalkTables(list):
     """Endpoint tables for steps 0..n, keyed by `key`.
 
     Index k holds the k-step table as a dict from key(m) to the count of
-    m, or, past the store's steps in tables from `walk_steps`, a
-    `_StepView` that reads as one through `get`.  The dicts are shared
-    with the store's cache, so callers read them and never write to them.
+    m, or, past the h steps built in tables from `walk_steps`, a
+    `_StepView` that reads as one through `get`.  The dicts are built
+    for this call alone, so a caller may write to them.
     """
 
     def __init__(self, tables, p: int, bits: int):
@@ -295,18 +293,12 @@ def _encode(m: Sequence[int], bits: int) -> int:
     return out
 
 
-def _decode(key: int, bits: int, p: int) -> tuple[int, ...]:
-    mask = (1 << bits) - 1
-    return tuple([(key >> shift) & mask for shift in range(0, bits * p, bits)])
-
-
 class _WalkStore:
-    """The tables of one support for steps 0..k, extended on demand.
+    """The tables of one support for steps 0..k, built for one call.
 
     Coordinates of a k-step endpoint are at most k*d, so the radix
-    2**bits holds every step up to (2**bits - 1) // d.  A request past
-    that re-encodes the held tables under a radix for at least twice as
-    many steps.
+    2**bits, sized once for the n steps the call reads at most, holds
+    every step up to (2**bits - 1) // d.
 
     A step runs in one of two kernels.  `_dict_step` loops over entries
     and atoms in Python; `_numpy_step` adds every atom key to every
@@ -323,34 +315,16 @@ class _WalkStore:
     def __init__(self, s: SupportTable, n: int):
         self.support = s
         self.tables: list[dict[int, int]] = [{0: 1}]
-        self._key_atoms((max(n, 1) * s.d).bit_length())
-
-    def _key_atoms(self, bits: int) -> None:
-        """Set the radix to 2**bits and key the atoms under it, once per
-        radix rather than once per extension."""
-        self.bits = bits
-        self.atoms = [(_encode(u, bits), mult) for u, mult in self.support.atoms]
+        self.bits = bits = (max(n, 1) * s.d).bit_length()
+        self.atoms = [(_encode(u, bits), mult) for u, mult in s.atoms]
         # atoms grouped by multiplicity: one product per group and entry
         by_mult: dict[int, list[int]] = {}
         for u, mult in self.atoms:
             by_mult.setdefault(mult, []).append(u)
         self.groups = list(by_mult.items())
 
-    def widen(self, n: int) -> None:
-        """Re-encode the held tables, if need be, under a radix that holds
-        every coordinate of an n-step endpoint."""
-        s = self.support
-        if n * s.d >= 1 << self.bits:
-            old = self.bits
-            self._key_atoms(max(old + 1, (n * s.d).bit_length()))
-            self.tables = [
-                {_encode(_decode(k, old, s.p), self.bits): c for k, c in t.items()}
-                for t in self.tables
-            ]
-
     def extend(self, n: int) -> None:
         s = self.support
-        self.widen(n)
         atoms, vector = self.atoms, self.bits * s.p <= 63
         while len(self.tables) <= n:
             prev = self.tables[-1]
@@ -437,37 +411,19 @@ def _merge(parts: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.n
     )
 
 
-# The store of the most recent support only: callers alternate between
-# a few (d, p), and holding every one of them costs more memory than
-# rebuilding.  The lock keeps a store from being extended or replaced
-# by two threads at once.
-_store: _WalkStore | None = None
-_store_lock = threading.Lock()
-
-
-def _held(s: SupportTable, n: int) -> _WalkStore:
-    """The store of support s, a new one (its radix sized for n steps)
-    if it holds another; the caller holds _store_lock."""
-    global _store
-    if _store is None or _store.support != s:
-        _store = _WalkStore(s, n)
-    return _store
-
-
 def walk_tables(s: SupportTable, n: int) -> WalkTables:
     """Exact endpoint tables for 0..n steps (index k holds the k-step
-    law), integer-keyed, from the cached store of the last support."""
+    law), integer-keyed, built for this call."""
     n = require_int("n", n, 0)
-    with _store_lock:
-        store = _held(s, n)
-        store.extend(n)
-        return WalkTables(store.tables[: n + 1], s.p, store.bits)
+    store = _WalkStore(s, n)
+    store.extend(n)
+    return WalkTables(store.tables, s.p, store.bits)
 
 
 class _StepView:
-    """Step k of the walk past the store's h steps, read one key at a
+    """Step k of the walk past the h steps built, read one key at a
     time: get(key) is T_k[key] = sum_w T_{k-h}[w] * T_h[key - w], kept
-    per key in the view, never in the store."""
+    per key in the view."""
 
     def __init__(self, low: dict[int, int], high: dict[int, int]):
         self.low, self.high, self.memo = low, high, {}
@@ -482,36 +438,33 @@ class _StepView:
 
 def walk_steps(s: SupportTable, first: int, top: int, reads: int) -> WalkTables:
     """Tables for 0..top steps, for callers that read steps first..top at
-    about `reads` keys each: index k <= h is the store's k-step dict, and
-    index k > h a `_StepView` of step k.
+    about `reads` keys each: index k <= h is the k-step dict, and index
+    k > h a `_StepView` of step k.
 
-    The store is extended to h steps, top/2 <= h <= top.  h starts at
-    the steps the store already holds, or at ceil(top/2), and grows one
-    step while that step's (entry x atom) pairs are fewer than the pairs
-    it saves in the views: `reads` times the sum, over the steps k > h
-    read, of the drop in size from table k - h to table k - h - 1, a sum
-    that telescopes to |T_{top-h}| - |T_{max(first, h+1)-h-1}|.  The
-    store's radix R is widened first to hold top-step coordinates,
-    R > top*d: a key difference m - w with a negative coordinate then
-    borrows, each borrow adds R - 1 to the coordinate sum, so it is no
-    key of T_h.
+    h steps are built, top/2 <= h <= top.  h starts at ceil(top/2) and
+    grows one step while that step's (entry x atom) pairs are fewer
+    than the pairs it saves in the views: `reads` times the sum, over
+    the steps k > h read, of the drop in size from table k - h to table
+    k - h - 1, a sum that telescopes to
+    |T_{top-h}| - |T_{max(first, h+1)-h-1}|.  The radix R is sized for
+    the top step, R > top*d: a key difference m - w with a negative
+    coordinate then borrows, each borrow adds R - 1 to the coordinate
+    sum, so it is no key of T_h.
     """
     top = require_int("top", top, 0)
-    with _store_lock:
-        store = _held(s, top)
-        store.widen(top)
-        h = min(top, max(len(store.tables) - 1, (top + 1) // 2))
+    store = _WalkStore(s, top)
+    h = (top + 1) // 2
+    store.extend(h)
+    sizes = [len(t) for t in store.tables]
+    while h < top and sizes[h] * len(s.atoms) < reads * (
+        sizes[top - h] - sizes[max(first, h + 1) - h - 1]
+    ):
+        h += 1
         store.extend(h)
-        sizes = [len(t) for t in store.tables]
-        while h < top and sizes[h] * len(s.atoms) < reads * (
-            sizes[top - h] - sizes[max(first, h + 1) - h - 1]
-        ):
-            h += 1
-            store.extend(h)
-            sizes.append(len(store.tables[h]))
-        held, bits = store.tables[: h + 1], store.bits
+        sizes.append(len(store.tables[h]))
+    held = store.tables
     views = [_StepView(held[k - h], held[h]) for k in range(h + 1, top + 1)]
-    return WalkTables(held + views, s.p, bits)
+    return WalkTables(held + views, s.p, store.bits)
 
 
 def walk_distribution(s: SupportTable, n: int) -> LatticeDistribution:

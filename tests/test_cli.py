@@ -215,6 +215,37 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert json.loads(target.read_text())["n"] == 2
 
 
+def test_unwritable_out_exits_2_before_any_work(monkeypatch, capsys, tmp_path):
+    def spy(*args, **kwargs):
+        raise AssertionError("master_sum ran before --out was checked")
+
+    monkeypatch.setattr(exactcount, "master_sum", spy)
+    # a file in a missing directory, and a directory
+    for target in (tmp_path / "missing" / "x.json", tmp_path):
+        code, out, err = run_cli(capsys, "master-sum", "--n", "16", "--d", "4", "--p", "5",
+                                 "--mode", "undirected", "--out", str(target))
+        assert code == 2 and out == "" and err.startswith("error: ")
+    assert sorted(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,code", [
+    (("master-sum", "--n", "3", "--d", "3", "--p", "4"), 2),
+    (("master-sum", "--n", "3", "--d", "3", "--p"), 2),
+    (("master-sum", "--n", "200", "--d", "6", "--p", "7"), 3),
+], ids=["domain", "argparse", "cost-guard"])
+def test_refused_run_leaves_out_as_it_was(capsys, tmp_path, argv, code):
+    kept, new = tmp_path / "kept.json", tmp_path / "new.json"
+    kept.write_bytes(b"old bytes\n")
+    assert run_cli(capsys, *argv, "--out", str(kept))[0] == code
+    assert kept.read_bytes() == b"old bytes\n"
+    assert run_cli(capsys, *argv, "--out", str(new))[0] == code
+    assert not new.exists()
+    # a run that succeeds replaces the old bytes
+    assert run_cli(capsys, "master-sum", "--n", "3", "--d", "3", "--p", "2",
+                   "--out", str(kept))[0] == 0
+    assert json.loads(kept.read_text())["n"] == 3
+
+
 def test_exit_code_2_on_domain_errors(capsys):
     code, _, err = run_cli(capsys, "master-sum", "--n", "3", "--d", "3", "--p", "4")
     assert code == 2

@@ -1,12 +1,13 @@
-"""The integer-keyed walk-table store against the tuple-key convolution.
+"""The integer-keyed walk tables against the tuple-key convolution.
 
-`tuple_walk_tables` is the simple kernel the store replaced: one dict
-per step, keyed by histogram tuples.  Every decoded store table must
-equal it, however the store got there (cold, extended, re-encoded
-under a wider radix, or rebuilt after another support evicted it), and
-whichever step kernel ran (the dict loop, or numpy with int64 or Python
-int counts, in one chunk or many).  The steps `walk_steps` serves past
-the store's, one key at a time, must read as the same tables.
+`tuple_walk_tables` is the simple kernel the integer keys replaced: one
+dict per step, keyed by histogram tuples.  Every decoded table must
+equal it, whatever was asked before (fewer steps, more steps, another
+support), and whichever step kernel ran (the dict loop, or numpy with
+int64 or Python int counts, in one chunk or many).  The steps
+`walk_steps` serves past the h it builds, one key at a time, must read
+as the same tables.  Each call builds its own tables, so a caller that
+writes to them changes no later result.
 """
 
 import sys
@@ -36,12 +37,6 @@ def tuple_walk_tables(s, n):
 
 
 @pytest.fixture
-def cold(monkeypatch):
-    """Start each test with an empty store cache."""
-    monkeypatch.setattr(walkdist, "_store", None)
-
-
-@pytest.fixture
 def numpy_steps(monkeypatch):
     """The (pairs, count dtype) of every numpy step, in order."""
     calls = []
@@ -67,7 +62,7 @@ def read(tables, k, points):
 
 
 @pytest.mark.parametrize("n,d,p", GRID)
-def test_store_matches_tuple_convolution(cold, n, d, p):
+def test_store_matches_tuple_convolution(n, d, p):
     s = walkdist.build_support(d, p)
     assert_matches(walkdist.walk_tables(s, n), tuple_walk_tables(s, n))
 
@@ -75,7 +70,7 @@ def test_store_matches_tuple_convolution(cold, n, d, p):
 @pytest.mark.parametrize("vector_pairs", [0, 10**12], ids=["numpy", "dict"])
 @pytest.mark.parametrize("n,d,p", GRID)
 def test_each_step_kernel_matches_tuple_convolution(
-    cold, monkeypatch, numpy_steps, vector_pairs, n, d, p
+    monkeypatch, numpy_steps, vector_pairs, n, d, p
 ):
     monkeypatch.setattr(walkdist, "VECTOR_PAIRS", vector_pairs)
     s = walkdist.build_support(d, p)
@@ -84,7 +79,7 @@ def test_each_step_kernel_matches_tuple_convolution(
 
 
 @pytest.mark.parametrize("n,d,p", [(8, 3, 2), (6, 3, 3), (3, 5, 5), (2, 6, 7)])
-def test_numpy_steps_merge_many_chunks(cold, monkeypatch, numpy_steps, n, d, p):
+def test_numpy_steps_merge_many_chunks(monkeypatch, numpy_steps, n, d, p):
     # one entry per chunk, so that each step merges many reduced chunks,
     # and dicts built and decoded three keys at a time
     monkeypatch.setattr(walkdist, "VECTOR_PAIRS", 0)
@@ -101,7 +96,7 @@ def test_numpy_steps_merge_many_chunks(cold, monkeypatch, numpy_steps, n, d, p):
 
 @pytest.mark.parametrize("n,d,p", [(9, 6, 3), (11, 5, 3)])
 def test_numpy_counts_become_python_ints_where_the_table_bound_reaches_2_63(
-    cold, monkeypatch, numpy_steps, n, d, p
+    monkeypatch, numpy_steps, n, d, p
 ):
     # the step total p**(k(d-1)) first reaches 2**63 at step n - 1: 3**40,
     # yet no count there can, as the largest count of step n - 2 times
@@ -118,7 +113,7 @@ def test_numpy_counts_become_python_ints_where_the_table_bound_reaches_2_63(
     assert all(type(k) is int for t in tables for k in t)
 
 
-def test_default_crossover_vectorizes_the_step_past_2_63(cold, numpy_steps):
+def test_default_crossover_vectorizes_the_step_past_2_63(numpy_steps):
     # (9, 6, 3): step 9 has 4,090 pairs, and its counts are Python ints
     s = walkdist.build_support(6, 3)
     assert_matches(walkdist.walk_tables(s, 9), tuple_walk_tables(s, 9))
@@ -126,7 +121,7 @@ def test_default_crossover_vectorizes_the_step_past_2_63(cold, numpy_steps):
     assert all(pairs >= walkdist.VECTOR_PAIRS for pairs, _ in numpy_steps)
 
 
-def test_wide_keys_stay_in_the_dict_loop(cold, numpy_steps):
+def test_wide_keys_stay_in_the_dict_loop(numpy_steps):
     # (4, 2, 23): the radix is 4 bits, so keys are 92 bits wide and int64
     # sums would wrap; its steps reach 4,368 pairs, past the crossover
     assert exactcount.predicted_table_bits(4, 2, 23) <= exactcount.TABLE_BITS_CAP
@@ -139,20 +134,17 @@ def test_wide_keys_stay_in_the_dict_loop(cold, numpy_steps):
 
 
 @pytest.mark.parametrize("n,d,p", [(8, 3, 2), (6, 3, 3), (3, 3, 7)])
-def test_extension_in_both_orders(cold, n, d, p):
+def test_extension_in_both_orders(n, d, p):
     s = walkdist.build_support(d, p)
     oracle = tuple_walk_tables(s, n)
     small = walkdist.walk_tables(s, 1)
     large = walkdist.walk_tables(s, n)
     assert_matches(small, oracle[:2])
     assert_matches(large, oracle)
-    # a shorter request after a longer one is served from the held tables
-    again = walkdist.walk_tables(s, 2)
-    assert_matches(again, oracle[:3])
-    assert again[2] is large[2]
+    assert_matches(walkdist.walk_tables(s, 2), oracle[:3])
 
 
-def test_rebuild_past_the_radix_keeps_old_snapshots(cold):
+def test_rebuild_past_the_radix_keeps_old_snapshots():
     s = walkdist.build_support(3, 3)
     oracle = tuple_walk_tables(s, 12)
     first = walkdist.walk_tables(s, 1)
@@ -160,33 +152,34 @@ def test_rebuild_past_the_radix_keeps_old_snapshots(cold):
     assert wide.bits > first.bits
     assert 12 * 3 < 1 << wide.bits
     assert_matches(wide, oracle)
-    # tables handed out before the re-encoding still decode under their radix
+    # each call keys its tables under the radix sized for its own steps
     assert_matches(first, oracle[:2])
 
 
-def test_interleaved_supports_evict_the_cache(cold):
+def test_interleaved_supports_evict_the_cache():
     cases = [(3, 2, 9), (3, 3, 5), (3, 2, 4), (4, 7, 3), (3, 3, 6), (3, 2, 10)]
     for d, p, n in cases:
         s = walkdist.build_support(d, p)
         assert_matches(walkdist.walk_tables(s, n), tuple_walk_tables(s, n))
-    # only the most recent support is held
-    assert walkdist._store.support == walkdist.build_support(3, 2)
 
 
-@pytest.mark.parametrize("n,d,p", [(8, 3, 2), (6, 3, 3), (4, 3, 5)])
-def test_cold_and_warm_master_sums_agree(cold, n, d, p):
+@pytest.mark.parametrize("n,d,p", [(8, 3, 2), (6, 3, 3), (4, 3, 5), (8, 3, 3)])
+def test_writes_to_returned_tables_change_no_later_count(n, d, p):
+    s = walkdist.build_support(d, p)
     directed = exactcount.master_sum_directed(n, d, p)
-    walkdist._store = None
     undirected = exactcount.master_sum_undirected(n, d, p)
-    # warm the store past n steps, then evict it with another support
-    for warm in (walkdist.build_support(d, p), walkdist.build_support(d + 1, p)):
-        walkdist.walk_tables(warm, 3 * n)
-        assert exactcount.master_sum_directed(n, d, p) == directed
-        walkdist.walk_tables(warm, 3 * n)
-        assert exactcount.master_sum_undirected(n, d, p) == undirected
+    want = tuple_walk_tables(s, n)[n]
+    # every dict of one call, step 0 included, gains 1 per entry and a new key
+    for table in walkdist.walk_tables(s, n):
+        for key in list(table):
+            table[key] += 1
+        table[-1] = 5
+    assert exactcount.master_sum_directed(n, d, p) == directed
+    assert exactcount.master_sum_undirected(n, d, p) == undirected
+    assert walkdist.walk_distribution(s, n).table == want
 
 
-def test_walk_distribution_is_a_private_copy(cold):
+def test_walk_distribution_is_a_private_copy():
     s = walkdist.build_support(3, 3)
     want = tuple_walk_tables(s, 4)[4]
     master = exactcount.master_sum_directed(4, 3, 3)
@@ -199,7 +192,7 @@ def test_walk_distribution_is_a_private_copy(cold):
     assert exactcount.master_sum_directed(4, 3, 3) == master
 
 
-def test_threads_sharing_the_store_get_correct_tables(cold):
+def test_threads_sharing_the_store_get_correct_tables():
     supports = [walkdist.build_support(3, 2), walkdist.build_support(3, 3)]
     oracles = [tuple_walk_tables(s, 12) for s in supports]
     failures = []
@@ -211,9 +204,8 @@ def test_threads_sharing_the_store_get_correct_tables(cold):
                 tables = walkdist.walk_tables(supports[which], n)
                 if [tables.histograms(k) for k in range(n + 1)] != oracles[which][: n + 1]:
                     failures.append((seed, i))
-                # every entry of one step, through a view whenever the store
-                # holds fewer than k steps, while other threads extend,
-                # widen or replace the store
+                # every entry of one step, through a view past the steps
+                # built, while other threads build tables of their own
                 k = (n + i) % 13
                 steps = walkdist.walk_steps(supports[which], k, k, 1)
                 if read(steps, k, oracles[which][k]) != list(oracles[which][k].values()):
@@ -236,79 +228,77 @@ def test_threads_sharing_the_store_get_correct_tables(cold):
 
 
 @pytest.mark.parametrize("before", ["smaller", "evicted"])
-def test_targeted_entries_after_a_smaller_request_and_an_eviction(cold, before):
-    # (8, 3, 3) with j = 4: the 4-step tables have a 4-bit radix, and the
-    # step 8 coordinates run to 24, so the store must widen it first
+def test_targeted_entries_after_a_smaller_request_and_an_eviction(before):
+    # (8, 3, 3) with j = 4: 4-step tables have a 4-bit radix, and the
+    # step 8 coordinates run to 24, so the targeted tables need a wider one
     s = walkdist.build_support(3, 3)
     oracle = tuple_walk_tables(s, 8)[8]
     master = exactcount.master_sum_directed(8, 3, 3)
-    walkdist._store = None
-    walkdist.walk_tables(s, 4)
-    assert 8 * 3 >= 1 << walkdist._store.bits
+    assert 8 * 3 >= 1 << walkdist.walk_tables(s, 4).bits
     if before == "evicted":
         walkdist.walk_tables(walkdist.build_support(3, 2), 2)
     tables = walkdist.walk_steps(s, 8, 8, 1)
-    assert len(walkdist._store.tables) == 5  # one read: no step past 4
+    assert 8 * 3 < 1 << tables.bits
+    # one read: no step past 4 is built
+    assert [isinstance(t, walkdist._StepView) for t in tables] == [False] * 5 + [True] * 4
     assert read(tables, 8, oracle) == list(oracle.values())
     # off the 8-step support: a wrong total, and keys that a narrow radix
     # would alias
     assert read(tables, 8, [(8, 8, 9), (0, 16, 16), (16, 8, 0), (0, 0, 0)]) == [0] * 4
     assert exactcount.master_sum_directed(8, 3, 3) == master
-    walkdist._store = None
     walkdist.walk_tables(s, 4)
     assert exactcount.master_sum_undirected(8, 3, 3) == Fraction(14526464, 1956955)
 
 
 @pytest.mark.parametrize("n,d,p", [(0, 3, 2), (1, 3, 2), (5, 3, 3), (6, 4, 3), (3, 5, 5)])
-def test_targeted_entries_match_the_full_table(cold, n, d, p):
-    # every point of every step 0..n, views past h = ceil(n/2) and the
-    # store's tables up to it, then after the store holds more than n
-    # steps, where every step is read from the store
+def test_targeted_entries_match_the_full_table(n, d, p):
+    # every point of every step 0..n: the tables built up to
+    # h = ceil(n/2), and views past it, also after a longer request
     s = walkdist.build_support(d, p)
     oracle = tuple_walk_tables(s, n)
-    for held in ((n + 1) // 2, n + 2):
-        tables = walkdist.walk_steps(s, 1, n, 1)
-        assert len(tables) == n + 1
-        assert len(walkdist._store.tables) == held + 1
-        views = [k for k in range(n + 1) if isinstance(tables[k], walkdist._StepView)]
-        assert views == list(range(held + 1, n + 1))
-        for k, want in enumerate(oracle):
-            assert read(tables, k, want) == list(want.values()), k
-        walkdist.walk_tables(s, n + 2)
+    h = (n + 1) // 2
+    walkdist.walk_tables(s, n + 2)
+    tables = walkdist.walk_steps(s, 1, n, 1)
+    assert len(tables) == n + 1
+    views = [k for k in range(n + 1) if isinstance(tables[k], walkdist._StepView)]
+    assert views == list(range(h + 1, n + 1))
+    for k, want in enumerate(oracle):
+        assert read(tables, k, want) == list(want.values()), k
 
 
 def assert_stores_steps_to(h, extended):
-    """The store was extended to h steps at most, holds steps 0..h, and
+    """One store was extended to h steps at most, holds steps 0..h, and
     holds no view's entry: each table k has the keys and total of k steps."""
-    store = walkdist._store
-    assert max(extended) == len(store.tables) - 1 == h
+    (store,) = {id(store): store for store, _ in extended}.values()
+    assert max(n for _, n in extended) == len(store.tables) - 1 == h
     assert all(len(table) < 270_672 for table in store.tables)  # step 5 at (6, 7)
+    tables = walkdist.WalkTables(store.tables, 7, store.bits)
     for k, table in enumerate(store.tables):
         assert sum(table.values()) == 7 ** (k * 5)
-        assert {sum(walkdist._decode(key, store.bits, 7)) for key in table} == {6 * k}
+        assert {sum(m) for m in tables.histograms(k)} == {6 * k}
 
 
 @pytest.fixture
 def extended(monkeypatch):
-    """The step counts the store was extended to, in order."""
+    """The (store, steps) of every extension, in order."""
     calls = []
     extend = walkdist._WalkStore.extend
     monkeypatch.setattr(walkdist._WalkStore, "extend",
-                        lambda store, n: calls.append(n) or extend(store, n))
+                        lambda store, n: calls.append((store, n)) or extend(store, n))
     return calls
 
 
-def test_master_sum_at_6_6_7_reads_step_6_from_smaller_tables(cold, extended, capsys):
+def test_master_sum_at_6_6_7_reads_step_6_from_smaller_tables(extended, capsys):
     from regsing import cli
 
     assert cli.main(["master-sum", "--n", "6", "--d", "6", "--p", "7"]) == 0
     assert '"num"' in capsys.readouterr().out
-    h = len(walkdist._store.tables) - 1
+    h = max(n for _, n in extended)
     assert h < 6
     assert_stores_steps_to(h, extended)
 
 
-def test_undirected_master_sum_at_6_6_7_stores_steps_to_3(cold, extended, capsys):
+def test_undirected_master_sum_at_6_6_7_stores_steps_to_3(extended, capsys):
     # the fills read steps 1..6; steps 4..6 are views, so the 270,672
     # entries of step 5 are never built
     from regsing import cli
@@ -318,12 +308,12 @@ def test_undirected_master_sum_at_6_6_7_stores_steps_to_3(cold, extended, capsys
     assert_stores_steps_to(3, extended)
 
 
-def test_walk_distribution_after_targeted_entries(cold):
+def test_walk_distribution_after_targeted_entries():
     s = walkdist.build_support(4, 3)
     before = walkdist.walk_distribution(s, 7).table
-    walkdist._store = None
     points = [(28, 0, 0), (10, 9, 9)]
-    assert read(walkdist.walk_steps(s, 7, 7, 2), 7, points) == [before[m] for m in points]
-    assert len(walkdist._store.tables) < 8
+    steps = walkdist.walk_steps(s, 7, 7, 2)
+    assert read(steps, 7, points) == [before[m] for m in points]
+    assert isinstance(steps[7], walkdist._StepView)
     assert walkdist.walk_distribution(s, 7).table == before
     assert before == tuple_walk_tables(s, 7)[7]
