@@ -172,9 +172,16 @@ def has_duplicate_rows(targets: np.ndarray) -> bool:
     columns, for column targets).
 
     Sorts each row, then the rows, in O(nd log nd), without building
-    the adjacency matrix.
+    the adjacency matrix.  A sorted row is one int64 key, its entries
+    the digits in base n, when n**d fits (d * bit_length(n - 1) <= 62);
+    otherwise the rows are sorted as they are.
     """
     s = np.sort(targets, axis=1)
+    n, d = s.shape
+    if d * (n - 1).bit_length() <= 62:
+        keys = s @ n ** np.arange(d)
+        keys.sort()
+        return bool((keys[1:] == keys[:-1]).any())
     s = s[np.lexsort(s.T)]
     return bool((s[1:] == s[:-1]).all(axis=1).any())
 

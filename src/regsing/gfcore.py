@@ -34,7 +34,6 @@ from __future__ import annotations
 import ctypes
 import functools
 import glob
-import heapq
 import os
 from typing import Sequence
 
@@ -59,9 +58,9 @@ PRIME_LIMIT = 1 << 63
 
 # Sparse elimination pivots while the sparsest live column has at most
 # this many nonzeros.  Per trial at n = 100, d = 3, p = 5 (reduction
-# plus core rank, process time on a 2-core VM), 10, 12 and 14 tie at
-# about 1.4 ms, while 8 and 6 take 1.6 ms: a core of 20-30 rows pays
-# numpy calls on every column.
+# plus core rank, process time on a 2-core VM, with count buckets),
+# 10, 12 and 14 tie at about 0.53 ms, while 8 takes 0.63 ms and 6
+# 0.69 ms: a core of 20-30 rows pays numpy calls on every column.
 SPARSE_PIVOT_MAX = 10
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -226,32 +225,51 @@ def _eliminate(work: list[dict[int, int]], p: int | None) -> tuple[int, np.ndarr
     every prime q and over the rationals, rank(A) = pivots + rank(core).
     LaMacchia and Odlyzko, "Solving large sparse linear systems over
     finite fields", CRYPTO 1990.
+
+    The columns wait in exact count buckets: bucket k is a bit mask of
+    the live columns with k <= SPARSE_PIVOT_MAX nonzeros, and a column's
+    bit moves whenever its count does, so the next pivot column is the
+    lowest bit of the lowest non-empty bucket, the least (count, column).
+    Ties between equally short rows go to the first in the iteration
+    order of the column's row set, and that order is the history of the
+    set's adds and discards; so every set and dict operation runs in one
+    fixed order (per pivot: the pivot row leaves each of its columns'
+    sets, then each member row, in set order, updates its entries in the
+    pivot row's dict order), and the pivots and the core are a pure
+    function of the input.  When p**2 <= 4n, so that a table of p**2
+    entries costs less than the updates it speeds, -1/v and f*w mod p
+    are read from tables built per call.
     """
     n = len(work)
     cols: list = [set() for _ in range(n)]
     for i, entries in enumerate(work):
         for c in entries:
             cols[c].add(i)
-    # count << shift | column, for each column that may pivot: one int
-    # orders like the pair (nonzero count, column) and compares faster.
-    # An entry is stale once the count moved.  A column whose count exceeds
-    # the limit is left out until a pivot changes its count again, so
-    # the heap runs empty when every live column has more than `limit`
-    # nonzeros.
     limit = SPARSE_PIVOT_MAX
-    shift = n.bit_length()
-    mask = (1 << shift) - 1
-    heap = [len(s) << shift | c for c, s in enumerate(cols) if len(s) <= limit]
-    heapq.heapify(heap)
-    heappop, heappush = heapq.heappop, heapq.heappush
+    bit = [1 << j for j in range(n)]
+    # one bucket past the limit, never empty, ends the scan for the least count
+    buckets = [0] * (limit + 1) + [1]
+    for c, s in enumerate(cols):
+        if len(s) <= limit:
+            buckets[len(s)] |= bit[c]
+    table = p is not None and p * p <= 4 * n
+    if table:
+        mul = [[f * w % p for w in range(p)] for f in range(p)]
+        neg_inv = [0] + [p - pow(v, -1, p) for v in range(1, p)]
+        mod = list(range(p)) * 2  # x + y mod p for x, y in [0, p)
     live = [True] * n
     pivots = 0
-    while heap:
-        key = heappop(heap)
-        c = key & mask
+    while True:
+        k = 0
+        while not buckets[k]:
+            k += 1
+        if k > limit:
+            break
+        m = buckets[k]
+        low = m & -m
+        buckets[k] = m ^ low
+        c = low.bit_length() - 1
         members = cols[c]
-        if not live[c] or key >> shift != len(members):
-            continue
         # a column without a usable pivot stays in the core
         live[c] = False
         usable = members if p is not None else [i for i in members if work[i][c] in (1, -1)]
@@ -267,51 +285,77 @@ def _eliminate(work: list[dict[int, int]], p: int | None) -> tuple[int, np.ndarr
         prow = work[r]
         work[r] = None
         pc = prow.pop(c)
-        for j in prow:
-            cols[j].discard(r)
         members.discard(r)
-        if members:
-            if p is None:
-                rest = list(prow.items())
-                for i in members:
-                    ri = work[i]
-                    f = ri.pop(c) * pc
-                    for j, v in rest:
-                        if j not in ri:
-                            ri[j] = -f * v
-                            cols[j].add(i)
+        # rest: (column, its row set, entry) per entry of the pivot row, the
+        # entry scaled by -1/pivot mod p, so that row i gains f * w; each
+        # column leaves its bucket and the pivot row its set, and after the
+        # updates every live one enters the bucket of its new count
+        if table:
+            scale = mul[neg_inv[pc]]
+        elif p is not None:
+            inv = p - pow(pc, -1, p)
+        rest = []
+        for j, v in prow.items():
+            s = cols[j]
+            k = len(s)
+            if k <= limit and live[j]:
+                buckets[k] ^= bit[j]
+            s.discard(r)
+            rest.append((j, s, v if p is None else scale[v] if table else v * inv % p))
+        if p is None:
+            for i in members:
+                ri = work[i]
+                f = ri.pop(c) * pc
+                for j, s, v in rest:
+                    x = ri.get(j)
+                    if x is None:
+                        ri[j] = -f * v
+                        s.add(i)
+                    else:
+                        x -= f * v
+                        if x:
+                            ri[j] = x
                         else:
-                            x = ri[j] - f * v
-                            if x:
-                                ri[j] = x
-                            else:
-                                del ri[j]
-                                cols[j].discard(i)
-            else:
-                # the pivot row scaled by -1/pivot: row i gains f * w
-                inv = pow(pc, -1, p)
-                rest = [(j, -v * inv % p) for j, v in prow.items()]
-                for i in members:
-                    ri = work[i]
-                    f = ri.pop(c)
-                    for j, w in rest:
-                        if j not in ri:
-                            ri[j] = f * w % p
-                            cols[j].add(i)
+                            del ri[j]
+                            s.discard(i)
+        elif table:
+            for i in members:
+                ri = work[i]
+                fw = mul[ri.pop(c)]
+                for j, s, w in rest:
+                    x = ri.get(j)
+                    if x is None:
+                        ri[j] = fw[w]
+                        s.add(i)
+                    else:
+                        x = mod[x + fw[w]]
+                        if x:
+                            ri[j] = x
                         else:
-                            x = (ri[j] + f * w) % p
-                            if x:
-                                ri[j] = x
-                            else:
-                                del ri[j]
-                                cols[j].discard(i)
+                            del ri[j]
+                            s.discard(i)
+        else:
+            for i in members:
+                ri = work[i]
+                f = ri.pop(c)
+                for j, s, w in rest:
+                    x = ri.get(j)
+                    if x is None:
+                        ri[j] = f * w % p
+                        s.add(i)
+                    else:
+                        x = (x + f * w) % p
+                        if x:
+                            ri[j] = x
+                        else:
+                            del ri[j]
+                            s.discard(i)
+        for j, s, _ in rest:
+            k = len(s)
+            if k <= limit and live[j]:
+                buckets[k] |= bit[j]
         cols[c] = None
         pivots += 1
-        for j in prow:
-            if live[j]:
-                k = len(cols[j])
-                if k <= limit:
-                    heappush(heap, k << shift | j)
     index = {j: k for k, j in enumerate(j for j in range(n) if cols[j] is not None)}
     core = []
     for entries in work:

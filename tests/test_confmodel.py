@@ -235,6 +235,30 @@ def test_duplicate_row_detect_agrees_with_numpy_and_implies_singularity():
     assert checked > 0
 
 
+def test_duplicate_row_keys_match_unique_sorted_rows():
+    # (3, 31) is the widest base-n key, 62 bits; (3, 32) and (100, 9) sort
+    # the rows themselves
+    cases = [(1, 1), (1, 3), (2, 1), (5, 1), (7, 2), (30, 3), (100, 3), (200, 4), (3, 31),
+             (3, 32), (100, 9)]
+    assert {d * (n - 1).bit_length() > 62 for n, d in cases} == {False, True}
+    forced = 0
+    for n, d in cases:
+        for mode in ("directed", "undirected"):
+            if mode == "undirected" and (n * d) % 2:
+                continue
+            for seed in range(20):
+                rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, n, d)))
+                targets = confmodel.fibre_targets(n, d, mode, rng.permutation(n * d))
+                if seed % 2 and n > 1:
+                    # row b repeats row a's multiset in another order
+                    a, b = rng.choice(n, size=2, replace=False)
+                    targets[b] = rng.permutation(targets[a])
+                    forced += 1
+                want = len(np.unique(np.sort(targets, axis=1), axis=0)) < n
+                assert confmodel.has_duplicate_rows(targets) == want, (n, d, mode, seed)
+    assert forced
+
+
 def test_graph_json_round_trip():
     g = confmodel.sample(confmodel.GraphParams(6, 3, "undirected"), 2)
     data = json.loads(json.dumps(confmodel.graph_to_json(g)))

@@ -846,8 +846,10 @@ def reference_reduce_sparse(rows, p=None):
 @pytest.mark.parametrize("mode", ["directed", "undirected"])
 def test_eliminate_matches_the_reference_kernel_on_samples(mode):
     # same pivots and the same core, bit for bit, through the validating
-    # wrapper and through the kernel on rows read straight from targets
-    for n in (3, 4, 12, 30, 100, 200):
+    # wrapper and through the kernel on rows read straight from targets:
+    # over the integers, and mod p with and without the kernel's tables
+    # (p = 101 takes none at these n); at n = 400 the buckets pass 64 bits
+    for n in (3, 4, 12, 30, 100, 200, 400):
         # an undirected model needs an even point count
         d = 4 if mode == "undirected" and n % 2 else 3
         for seed in range(8 if n < 100 else 3):
@@ -855,7 +857,7 @@ def test_eliminate_matches_the_reference_kernel_on_samples(mode):
             order = rng.permutation(n * d)
             targets = confmodel.fibre_targets(n, d, mode, order)
             rows = confmodel.sparse_rows(targets)
-            for p in (2, 3, 5, P31, None):
+            for p in (2, 3, 5, 7, 101, P31, None):
                 expected = reference_reduce_sparse(rows, p)
                 assert reduce_sparse(rows, p) == expected
                 assert eliminate(confmodel.sparse_rows(targets, p), p) == expected
