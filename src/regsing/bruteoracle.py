@@ -239,13 +239,9 @@ def _certify(
     for v, t in zip(itertools.product(range(p), repeat=n), tallies):
         by_class.setdefault(phi(v, p), []).append((v, t))
 
-    # one count for all the congruent classes; the others count 0
     sigs = sorted(by_class)
-    congruent = [sig for sig in sigs if exactcount._congruent(sig, d, p)]
-    counts = dict(zip(congruent, exactcount._class_counts(congruent, n, d, p, mode)[0]))
-    for sig in sigs:
+    for sig, expected in zip(sigs, exactcount.class_counts(sigs, d, p, mode)):
         members = by_class[sig]
-        expected = counts.get(sig, 0)
         values = {t for _, t in members}
         if len(values) > 1:
             report.class_consistent = False

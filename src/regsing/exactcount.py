@@ -28,10 +28,12 @@ the expected number of nonzero kernel vectors, and divided by (p-1)
 they upper-bound the singularity probability.  A unit c, and when p | d
 a shift by c*1, maps the kernel vectors of one class onto those of
 another, so a master sum counts one class per orbit and weights it by
-the orbit's size (`_orbits`).  Every count reads the walk through one
-provider, `walkdist.walk_steps`: tables built for the call up to some
-step h of at least half the largest step read, and each higher step
-summed only at the keys the counts read.
+the orbit's size (`_orbits`).  Every class count, one or many, goes
+through `class_counts` (`count_graphs` is its one-class case) or, for a
+master sum, through its unchecked kernel `_class_counts`, and reads
+the walk through one provider, `walkdist.walk_steps`: tables built for
+the call up to some step h of at least half the largest step read, and
+each higher step summed only at the keys the counts read.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ def _multinomial(parts: Sequence[int], fact: list[int]) -> int:
 
 def validate_signature(sig: Sequence[int], p: int) -> tuple[int, ...]:
     require_prime(p)
-    sig = tuple(_as_int(x) for x in sig)
+    sig = tuple([x if type(x) is int else _as_int(x) for x in sig])
     if len(sig) != p:
         raise DomainError(f"class signature needs {p} entries, got {len(sig)}")
     if any(x < 0 for x in sig):
@@ -163,23 +165,24 @@ def _orbits(n: int, d: int, p: int) -> Iterator[tuple[tuple[int, ...], int]]:
 
 
 def _class_counts(
-    sigs: list[tuple[int, ...]], n: int, d: int, p: int, mode: str
+    sigs: list[tuple[int, ...]], d: int, p: int, mode: str
 ) -> tuple[list[int], list[int]]:
-    """(counts, fact): the counts of classes of total n that pass
-    `_congruent`, and factorials up to d * n, once the caller's table
-    guard has passed.
+    """(counts, fact): the counts of classes that pass `_congruent`, and
+    factorials up to d times the largest class total, once the caller's
+    table guard has passed.
 
     The walk is read through one `walk_steps` view, sized by the number
-    of classes: a directed class reads step n at d * sig only, and an
-    undirected class is filled from steps 1 to its largest entry (a
-    class of one symbol j, whose only data matrix is d * n at (j, j),
-    reads step n at d * n * e_j alone).
+    of classes: a directed class of total n reads step n at d * sig
+    only, and an undirected class is filled from steps 1 to its largest
+    entry (a class of one symbol j, whose only data matrix is d * n at
+    (j, j), reads step n at d * n * e_j alone).
     """
     s = build_support(d, p)
-    fact = _factorials(d * n)
+    totals = [sum(sig) for sig in sigs]
+    fact = _factorials(d * max(totals, default=0))
     if mode == "directed":  # the module docstring's formula
-        walks = walk_steps(s, n, n, len(sigs))
-        counts = [walks[n].get(d * walks.key(sig), 0) for sig in sigs]
+        walks = walk_steps(s, min(totals, default=0), max(totals, default=0), len(sigs))
+        counts = [walks[n].get(d * walks.key(sig), 0) for sig, n in zip(sigs, totals)]
         return [w and w * math.prod(fact[d * x] for x in sig) for sig, w in zip(sigs, counts)], fact
     # loops[v]: the pairings of v endpoints within one class, v even
     loops = [fact[v] // (2 ** (v // 2) * fact[v // 2]) for v in range(len(fact))]
@@ -246,15 +249,31 @@ def _count_undirected(
     return sum(states.values())
 
 
+def class_counts(sigs: Sequence[Sequence[int]], d: int, p: int, mode: str) -> list[int]:
+    """`count_graphs` of each class in `sigs`, in order, from one read of
+    the walk.
+
+    Every check runs before any table is built: the mode, each
+    signature, the parity of each undirected class, then one table guard
+    at the largest step a class reads (its total when directed, its
+    largest entry when undirected).  The classes that pass `_congruent`
+    are counted together, of any totals, and the others count 0.
+    """
+    require_mode(mode)
+    sigs = [validate_signature(sig, p) for sig in sigs]
+    directed = mode == "directed"
+    if not directed and any(sum(sig) * d % 2 for sig in sigs):
+        raise InvalidParamsError(f"undirected count needs 2 | dn, got d = {d}, an odd class total")
+    _require_tables(max((sum(sig) if directed else max(sig) for sig in sigs), default=0), d, p)
+    keep = [_congruent(sig, d, p) for sig in sigs]
+    congruent = list(itertools.compress(sigs, keep))
+    counts = iter(_class_counts(congruent, d, p, mode)[0] if congruent else ())
+    return [next(counts) if ok else 0 for ok in keep]
+
+
 def count_graphs(sig: Sequence[int], d: int, p: int, mode: str) -> int:
     """Outcomes G of `mode` with A(G)v = 0, v any fixed vector of class sig."""
-    require_mode(mode)
-    sig = validate_signature(sig, p)
-    n = sum(sig)
-    if mode == "undirected" and (n * d) % 2:
-        raise InvalidParamsError(f"undirected count needs 2 | dn, got d = {d}, an odd class total")
-    _require_tables(n if mode == "directed" else max(sig, default=0), d, p)
-    return _class_counts([sig], n, d, p, mode)[0][0] if _congruent(sig, d, p) else 0
+    return class_counts([sig], d, p, mode)[0]
 
 
 def master_sum(n: int, d: int, p: int, mode: str) -> Fraction:
@@ -265,7 +284,7 @@ def master_sum(n: int, d: int, p: int, mode: str) -> Fraction:
     _require_tables(n, d, p)  # before the model size: it checks parity, then takes (nd)!
     size = (model_size_directed if mode == "directed" else model_size_undirected)(n, d)
     reps = list(_orbits(n, d, p))
-    counts, fact = _class_counts([sig for sig, _ in reps], n, d, p, mode)
+    counts, fact = _class_counts([sig for sig, _ in reps], d, p, mode)
     total = sum(w * _multinomial(sig, fact) * c for (sig, w), c in zip(reps, counts))
     return Fraction(total, size)
 

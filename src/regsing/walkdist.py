@@ -17,7 +17,9 @@ and hands them to the caller; nothing is kept between calls.
 tuples.  `walk_steps` serves callers that read a few keys of high
 steps: it builds some h >= top/2 steps only, h chosen from the table
 sizes, and gives each step k > h as a view that sums
-T_{k-h}[w] * T_h[m - w] over w for each key m read.
+T_{k-h}[w] * T_h[m - w] over w for each key m read.  Both return one
+`WalkTables`: the list of steps, with the radix and atoms they were
+built with.
 
 A convolution step runs in one of two kernels.  Below VECTOR_PAIRS
 (entry x atom) pairs, or when a key can pass 63 bits (radix bits * p
@@ -50,7 +52,7 @@ LIMB_BITS = 30
 # Step supports held by `build_support`; one per (d, p) in use, and the
 # CLI and the exact layer touch a few
 SUPPORT_CACHE = 64
-# Step kernels of `_WalkStore`: a step with at least VECTOR_PAIRS
+# Step kernels of `WalkTables.build`: a step with at least VECTOR_PAIRS
 # (entry x atom) pairs runs in numpy, a smaller one in the dict loop.
 # Process time of one step, best of 3-20, one thread on a 2-vCPU VM:
 #
@@ -252,18 +254,56 @@ def char_fn(s: SupportTable, t) -> complex | np.ndarray:
 
 
 class WalkTables(list):
-    """Endpoint tables for steps 0..n, keyed by `key`.
+    """Endpoint tables of one support for steps 0..k, keyed by `key`,
+    built for one call.
 
     Index k holds the k-step table as a dict from key(m) to the count of
-    m, or, past the h steps built in tables from `walk_steps`, a
-    `_StepView` that reads as one through `get`.  The dicts are built
-    for this call alone, so a caller may write to them.
+    m, or, past the h steps built by `walk_steps`, a `_StepView` that
+    reads as one through `get`.  The dicts are built for this call
+    alone, so a caller may write to them.
+
+    Coordinates of a k-step endpoint are at most k*d, so the radix
+    2**bits, sized once for the n steps the call reads at most, holds
+    every step up to (2**bits - 1) // d.
+
+    `build` adds steps in one of two kernels.  `_dict_step` loops over
+    entries and atoms in Python; `_numpy_step` adds every atom key to
+    every entry key in int64 and sums the counts per distinct key.  The
+    numpy step is taken when the step has at least VECTOR_PAIRS
+    (entry x atom) pairs and every key fits int64 (bits * p <= 63); wide
+    keys, such as the 92 bits of (d, p) = (2, 23) at 4 steps, stay in
+    the dict loop, since int64 key sums would wrap.  The numpy step's
+    counts are int64 while step k's total p**(k(d-1)) or
+    max(step k-1) * p**(d-1), each a bound on every partial sum, is
+    below 2**63, and Python ints in an object array from there on.
     """
 
-    def __init__(self, tables, p: int, bits: int):
-        super().__init__(tables)
-        self.p = p
-        self.bits = bits
+    def __init__(self, s: SupportTable, n: int):
+        super().__init__([{0: 1}])
+        self.support, self.p = s, s.p
+        self.bits = bits = (max(n, 1) * s.d).bit_length()
+        self.atoms = [(_encode(u, bits), mult) for u, mult in s.atoms]
+        # atoms grouped by multiplicity: one product per group and entry
+        by_mult: dict[int, list[int]] = {}
+        for u, mult in self.atoms:
+            by_mult.setdefault(mult, []).append(u)
+        self.groups = list(by_mult.items())
+
+    def build(self, n: int) -> None:
+        """Build the steps up to n, once no view is held."""
+        s = self.support
+        atoms, vector = self.atoms, self.bits * s.p <= 63
+        while len(self) <= n:
+            prev = self[-1]
+            if vector and len(prev) * len(atoms) >= VECTOR_PAIRS:
+                # a step k count is a sum of step k-1 counts times
+                # multiplicities, which sum to p**(d-1); the second test
+                # runs only where the total p**(k(d-1)) reaches 2**63
+                small = (s.p ** (len(self) * (s.d - 1)) < 2**63
+                         or max(prev.values()) * s.total < 2**63)
+                self.append(_numpy_step(prev, atoms, np.int64 if small else object))
+            else:
+                self.append(_dict_step(prev, self.groups))
 
     def key(self, m: Sequence[int]) -> int:
         """key(m) = sum_j m_j * R**j with radix R = 2**bits; every
@@ -291,52 +331,6 @@ def _encode(m: Sequence[int], bits: int) -> int:
     for x in reversed(m):
         out = (out << bits) | x
     return out
-
-
-class _WalkStore:
-    """The tables of one support for steps 0..k, built for one call.
-
-    Coordinates of a k-step endpoint are at most k*d, so the radix
-    2**bits, sized once for the n steps the call reads at most, holds
-    every step up to (2**bits - 1) // d.
-
-    A step runs in one of two kernels.  `_dict_step` loops over entries
-    and atoms in Python; `_numpy_step` adds every atom key to every
-    entry key in int64 and sums the counts per distinct key.  The numpy
-    step is taken when the step has at least VECTOR_PAIRS (entry x atom)
-    pairs and every key fits int64 (bits * p <= 63); wide keys, such as
-    the 92 bits of (d, p) = (2, 23) at 4 steps, stay in the dict loop,
-    since int64 key sums would wrap.  The numpy step's counts are int64
-    while step k's total p**(k(d-1)) or max(step k-1) * p**(d-1), each
-    a bound on every partial sum, is below 2**63, and Python ints in an
-    object array from there on.
-    """
-
-    def __init__(self, s: SupportTable, n: int):
-        self.support = s
-        self.tables: list[dict[int, int]] = [{0: 1}]
-        self.bits = bits = (max(n, 1) * s.d).bit_length()
-        self.atoms = [(_encode(u, bits), mult) for u, mult in s.atoms]
-        # atoms grouped by multiplicity: one product per group and entry
-        by_mult: dict[int, list[int]] = {}
-        for u, mult in self.atoms:
-            by_mult.setdefault(mult, []).append(u)
-        self.groups = list(by_mult.items())
-
-    def extend(self, n: int) -> None:
-        s = self.support
-        atoms, vector = self.atoms, self.bits * s.p <= 63
-        while len(self.tables) <= n:
-            prev = self.tables[-1]
-            if vector and len(prev) * len(atoms) >= VECTOR_PAIRS:
-                # a step k count is a sum of step k-1 counts times
-                # multiplicities, which sum to p**(d-1); the second test
-                # runs only where the total p**(k(d-1)) reaches 2**63
-                small = (s.p ** (len(self.tables) * (s.d - 1)) < 2**63
-                         or max(prev.values()) * s.total < 2**63)
-                self.tables.append(_numpy_step(prev, atoms, np.int64 if small else object))
-            else:
-                self.tables.append(_dict_step(prev, self.groups))
 
 
 def _dict_step(prev: dict[int, int], groups: list[tuple[int, list[int]]]) -> dict[int, int]:
@@ -415,9 +409,9 @@ def walk_tables(s: SupportTable, n: int) -> WalkTables:
     """Exact endpoint tables for 0..n steps (index k holds the k-step
     law), integer-keyed, built for this call."""
     n = require_int("n", n, 0)
-    store = _WalkStore(s, n)
-    store.extend(n)
-    return WalkTables(store.tables, s.p, store.bits)
+    tables = WalkTables(s, n)
+    tables.build(n)
+    return tables
 
 
 class _StepView:
@@ -452,19 +446,18 @@ def walk_steps(s: SupportTable, first: int, top: int, reads: int) -> WalkTables:
     sum, so it is no key of T_h.
     """
     top = require_int("top", top, 0)
-    store = _WalkStore(s, top)
+    tables = WalkTables(s, top)
     h = (top + 1) // 2
-    store.extend(h)
-    sizes = [len(t) for t in store.tables]
+    tables.build(h)
+    sizes = [len(t) for t in tables]
     while h < top and sizes[h] * len(s.atoms) < reads * (
         sizes[top - h] - sizes[max(first, h + 1) - h - 1]
     ):
         h += 1
-        store.extend(h)
-        sizes.append(len(store.tables[h]))
-    held = store.tables
-    views = [_StepView(held[k - h], held[h]) for k in range(h + 1, top + 1)]
-    return WalkTables(held + views, s.p, store.bits)
+        tables.build(h)
+        sizes.append(len(tables[h]))
+    tables += [_StepView(tables[k - h], tables[h]) for k in range(h + 1, top + 1)]
+    return tables
 
 
 def walk_distribution(s: SupportTable, n: int) -> LatticeDistribution:

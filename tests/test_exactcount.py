@@ -26,6 +26,13 @@ MASTER_UNDIRECTED_D3_P2 = {
 }
 
 
+def refusal(call):
+    """(type, message) of the exception that `call` raises."""
+    with pytest.raises(Exception) as info:
+        call()
+    return info.type, str(info.value)
+
+
 @pytest.mark.parametrize(
     "master", [exactcount.master_sum_directed, exactcount.master_sum_undirected]
 )
@@ -76,6 +83,10 @@ def test_validate_signature_errors():
             exactcount.validate_signature(sig, 2)
         with pytest.raises(DomainError, match="must be integers"):
             exactcount.count_graphs_directed(sig, 3, 2)
+        # a batch refuses a bad class anywhere in it, as count_graphs does
+        for batch in ([sig], [(0, 2), sig], [sig, (1, 1)]):
+            assert refusal(lambda: exactcount.class_counts(batch, 3, 2, "directed")) == refusal(
+                lambda: exactcount.count_graphs_directed(sig, 3, 2))
     assert exactcount.validate_signature((1.0, "2"), 2) == (1, 2)
 
 
@@ -96,7 +107,32 @@ def test_exact_layer_checks_d_n_and_mode():
         with pytest.raises(InvalidParamsError, match="mode must be"):
             exactcount.count_graphs((1, 1), 3, 2, mode)
         with pytest.raises(InvalidParamsError, match="mode must be"):
+            exactcount.class_counts([], 3, 2, mode)
+        with pytest.raises(InvalidParamsError, match="mode must be"):
             exactcount.master_sum(3, 3, 2, mode)
+
+
+@pytest.mark.parametrize("mode", ["directed", "undirected"])
+@pytest.mark.parametrize("d,p", [(3, 2), (2, 3), (4, 3), (4, 5), (3, 7)])
+def test_class_counts_match_count_graphs_class_by_class(monkeypatch, d, p, mode):
+    # every class of totals 0..6 (odd totals only where the model has
+    # them), the all-zero ones and those that fail the congruence test
+    # included, and one class twice, counted in one call that reads the
+    # walk once, against one count_graphs call per class
+    sigs = [sig for n in range(7) if mode == "directed" or n * d % 2 == 0
+            for sig in walkdist.compositions(n, p)]
+    sigs.append(sigs[len(sigs) // 2])
+    assert not all(exactcount._congruent(sig, d, p) for sig in sigs)
+    want = [exactcount.count_graphs(sig, d, p, mode) for sig in sigs]
+    reads = []
+    walk_steps = exactcount.walk_steps
+    monkeypatch.setattr(exactcount, "walk_steps",
+                        lambda *args: reads.append(args) or walk_steps(*args))
+    counts = exactcount.class_counts(sigs, d, p, mode)
+    assert counts == want
+    assert all(type(c) is int for c in counts)  # a class that counts 0 gives the int 0
+    assert len(reads) == 1
+    assert exactcount.class_counts([], d, p, mode) == []
 
 
 def test_model_sizes():
@@ -250,6 +286,10 @@ def test_pairing_matrix_enumeration_matches_scan(sig, d, p):
         assert not scanned
         with pytest.raises(InvalidParamsError):
             exactcount.count_graphs_undirected(sig, d, p)
+        # one odd class refuses the whole batch, with the same message
+        batch = [(0,) * p, sig, (2,) + (0,) * (p - 1)]
+        assert refusal(lambda: exactcount.class_counts(batch, d, p, "undirected")) == refusal(
+            lambda: exactcount.count_graphs_undirected(sig, d, p))
     else:
         assert exactcount.count_graphs_undirected(sig, d, p) == want
 
@@ -363,6 +403,13 @@ def test_table_cost_guard_refuses_before_any_table_work(monkeypatch):
     ):
         with pytest.raises(CostGuardError, match="predicted"):
             call()
+    # one class over the cap refuses a batch of small ones, with the
+    # message of its own count
+    small = [(1, 1, 0, 0, 0, 0, 0), (0, 2, 0, 0, 0, 0, 0)]
+    for mode, big in [("directed", (100, 100, 0, 0, 0, 0, 0)),
+                      ("undirected", (200, 0, 0, 0, 0, 0, 0))]:
+        assert refusal(lambda: exactcount.class_counts(small + [big], 6, 7, mode)) == refusal(
+            lambda: exactcount.count_graphs(big, 6, 7, mode))
     with pytest.raises(InvalidParamsError, match="n must be"):
         exactcount.predicted_table_bits(-1, 3, 2)
 

@@ -109,8 +109,8 @@ def test_counts_are_constant_on_orbits():
     # the count of the class; the all-zero class included
     translated = 0
     for n, d, p, mode in BOX:
-        counts = {sig: exactcount.count_graphs(sig, d, p, mode)
-                  for sig in walkdist.compositions(n, p)}
+        sigs = list(walkdist.compositions(n, p))
+        counts = dict(zip(sigs, exactcount.class_counts(sigs, d, p, mode)))
         for sig, count in counts.items():
             for image in images(sig, d, p):
                 assert counts[image] == count, (sig, image, d, p, mode)

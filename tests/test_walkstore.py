@@ -267,24 +267,27 @@ def test_targeted_entries_match_the_full_table(n, d, p):
 
 
 def assert_stores_steps_to(h, extended):
-    """One store was extended to h steps at most, holds steps 0..h, and
-    holds no view's entry: each table k has the keys and total of k steps."""
-    (store,) = {id(store): store for store, _ in extended}.values()
-    assert max(n for _, n in extended) == len(store.tables) - 1 == h
-    assert all(len(table) < 270_672 for table in store.tables)  # step 5 at (6, 7)
-    tables = walkdist.WalkTables(store.tables, 7, store.bits)
-    for k, table in enumerate(store.tables):
+    """One `WalkTables` was built to h steps at most, holds steps 0..h as
+    dicts and every later step as a view, and holds no view's entry:
+    each dict k has the keys and total of k steps."""
+    (tables,) = {id(tables): tables for tables, _ in extended}.values()
+    assert max(n for _, n in extended) == h
+    held = [table for table in tables if isinstance(table, dict)]
+    assert len(held) - 1 == h
+    assert all(isinstance(view, walkdist._StepView) for view in tables[h + 1:])
+    assert all(len(table) < 270_672 for table in held)  # step 5 at (6, 7)
+    for k, table in enumerate(held):
         assert sum(table.values()) == 7 ** (k * 5)
         assert {sum(m) for m in tables.histograms(k)} == {6 * k}
 
 
 @pytest.fixture
 def extended(monkeypatch):
-    """The (store, steps) of every extension, in order."""
+    """The (tables, steps) of every `WalkTables.build`, in order."""
     calls = []
-    extend = walkdist._WalkStore.extend
-    monkeypatch.setattr(walkdist._WalkStore, "extend",
-                        lambda store, n: calls.append((store, n)) or extend(store, n))
+    build = walkdist.WalkTables.build
+    monkeypatch.setattr(walkdist.WalkTables, "build",
+                        lambda tables, n: calls.append((tables, n)) or build(tables, n))
     return calls
 
 
